@@ -34,7 +34,7 @@ from .config import (
     validate,
 )
 from .env import EnvironmentSpec, moments, sample_environment, verify_assumptions
-from .gamma import estimate_gamma
+from .gamma import GammaEstimate, estimate_gamma
 from .parallel import thread_map
 from .quench_dp import survival_brute_force, survival_dp_lattice, survival_start_sweep
 from .rate import make_estimator, theorem_check
@@ -200,21 +200,25 @@ _GAMMA_HEADER = [
 ]
 
 
-def _gamma_rows(cfg: ExperimentConfig) -> list[list]:
+def _table_estimate(cfg: ExperimentConfig, idx: int) -> GammaEstimate:
+    """The estimate of gamma at gamma.beta[idx], seeded as the table's row."""
     g = cfg.gamma
-    chash = cfg.config_hash
+    return estimate_gamma(
+        float(g["beta"][idx]),
+        horizon_t=float(g["t"]),
+        dt=float(g["dt"]),
+        grid_points=int(g["grid_points"]),
+        env_replicas=int(g["replicas"]),
+        seed=derive_seed(cfg.seed, 7, idx),
+    )
 
-    def one(item):
-        idx, beta = item
-        est = estimate_gamma(
-            beta,
-            horizon_t=float(g["t"]),
-            dt=float(g["dt"]),
-            grid_points=int(g["grid_points"]),
-            env_replicas=int(g["replicas"]),
-            seed=derive_seed(cfg.seed, 7, idx),
-        )
-        return [
+
+def _gamma_rows(cfg: ExperimentConfig) -> tuple[list[list], list[GammaEstimate]]:
+    """The gamma table rows and the estimates behind them, one per beta."""
+    chash = cfg.config_hash
+    estimates = thread_map(lambda idx: _table_estimate(cfg, idx), range(len(cfg.gamma["beta"])))
+    rows = [
+        [
             est.beta,
             est.gamma_hat,
             est.ci95[0],
@@ -226,12 +230,13 @@ def _gamma_rows(cfg: ExperimentConfig) -> list[list]:
             cfg.seed,
             chash,
         ]
-
-    return thread_map(one, enumerate(g["beta"]))
+        for est in estimates
+    ]
+    return rows, estimates
 
 
 def cmd_gamma(cfg: ExperimentConfig, out: Path) -> int:
-    rows = _gamma_rows(cfg)
+    rows, _ = _gamma_rows(cfg)
     _write_csv(out / "gamma.csv", _GAMMA_HEADER, rows)
     print(f"wrote {out / 'gamma.csv'} ({len(rows)} rows)")
     return 0
@@ -271,9 +276,30 @@ def _fit_svg(xs, ys, slope, intercept, alpha) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _fit_report(cfg: ExperimentConfig) -> dict:
+def _fit_gamma(cfg: ExperimentConfig, estimates: list[GammaEstimate] | None = None):
+    """Gamma source for the fit at beta = sigma_a/sigma_q.
+
+    When beta > 0 is one of gamma.beta (to 1e-12), the fit predicts with
+    that table row's estimate, so `gamma`, `fit` and `report` agree; the
+    row is taken from ``estimates`` when the table is already computed.
+    Otherwise "auto": the exact gamma(0) at beta = 0, which no estimate
+    beats, or an estimate with the fit's own seed.
+    """
+    sa2, sq2 = moments(cfg.env_spec)
+    beta = math.sqrt(sa2 / sq2)
+    if beta > 0.0:
+        for idx, b in enumerate(cfg.gamma["beta"]):
+            if abs(float(b) - beta) <= 1e-12:
+                return estimates[idx] if estimates is not None else _table_estimate(cfg, idx)
+    return "auto"
+
+
+def _fit_report(cfg: ExperimentConfig, gamma_source=None) -> dict:
+    """The theorem check; ``gamma_source`` defaults to `_fit_gamma(cfg)`."""
     if len(cfg.n_list) < 3:
         raise ConfigError("fit needs tube.n_list with at least 3 values")
+    if gamma_source is None:
+        gamma_source = _fit_gamma(cfg)
     report = theorem_check(
         cfg.env_spec,
         cfg.template,
@@ -292,6 +318,7 @@ def _fit_report(cfg: ExperimentConfig) -> dict:
             "grid_points": int(cfg.gamma["grid_points"]),
             "env_replicas": int(cfg.gamma["replicas"]),
         },
+        gamma_source=gamma_source,
         seed=cfg.seed,
         tolerance=float(cfg.estimator["tolerance"]),
         shared_env=cfg.shared_env,
@@ -424,8 +451,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_report(cfg: ExperimentConfig, out: Path) -> int:
     sim_rows = _simulate_rows(cfg)
-    gamma_rows = _gamma_rows(cfg)
-    fit = _fit_report(cfg) if len(cfg.n_list) >= 3 else None
+    gamma_rows, estimates = _gamma_rows(cfg)
+    fit = _fit_report(cfg, _fit_gamma(cfg, estimates)) if len(cfg.n_list) >= 3 else None
     payload = {
         "schema_version": SCHEMA_VERSION,
         "master_seed": cfg.seed,

@@ -8,6 +8,16 @@ of Y_s = B_s - beta*W_s on a static grid: given W, the Y-steps are
 independent Gaussians with mean -beta*dW_k and variance dt, so no 2-D
 scheme is needed.
 
+All W replicas are propagated together as one (replicas, grid_points)
+array.  A step is a batched circular convolution through a zero-padded
+real FFT of length n = next_fast_len(grid_points + reach), where reach
+covers 8 sd plus the largest drift in grid cells; the step kernel's
+transform is written in closed form by Poisson summation (see
+`_kernel_transform`), built a block of steps at a time, and FFT round-off
+is clipped at zero.  `estimate_gamma` propagates at most 64 replicas per
+batch and each block of transforms holds at most 2**18 complex entries,
+so memory stays bounded whatever the replica count.
+
 Two systematic errors are handled explicitly:
 
 * time discretisation: monitoring only at grid times misses excursions
@@ -26,10 +36,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import t as student_t
+from scipy.fft import next_fast_len
+from scipy.special import ndtr, stdtrit
 
-from .parallel import thread_map
 from .rng import STREAM_GAMMA_W, substream
 
 GAMMA_ZERO = math.pi**2 / 2
@@ -37,6 +46,13 @@ GAMMA_ZERO = math.pi**2 / 2
 # -zeta(1/2)/sqrt(2*pi): mean overshoot of a Gaussian random walk, the
 # barrier-shift constant for discretely monitored diffusions.
 BARRIER_SHIFT = 0.5825971579390107
+
+# Complex entries per block of kernel transforms and W replicas per batch
+# (together they bound the memory), and the amplitude below which an alias
+# of the kernel transform is dropped.
+_BLOCK_ENTRIES = 2**18
+_REPLICA_BATCH = 64
+_AMPLITUDE_FLOOR = 1e-17
 
 
 def bm_tube_rate(sigma: float, width: float) -> float:
@@ -51,6 +67,95 @@ def reference_rates() -> dict:
     return {"gamma_zero": GAMMA_ZERO, "bm_tube_rate": bm_tube_rate}
 
 
+def _kernel_transform(drifts, sd: float, dx: float, n: int) -> np.ndarray:
+    """Real DFT of the bin-edge step kernel, one row per drift.
+
+    The kernel puts mass Phi((x + dx/2)/sd) - Phi((x - dx/2)/sd) on offset
+    j (x = j*dx - d), the probability that a N(d, sd^2) step lands in the
+    bin j cells away.  By Poisson summation the length-n DFT of its
+    periodisation is a sum over aliases theta = 2*pi*(m/n + l) of the
+    continuous transform sinc * Gaussian * phase, so no kernel is sampled.
+    Aliases whose amplitude is below 1e-17 are dropped.  Returns shape
+    ``drifts.shape + (n // 2 + 1,)``.
+    """
+    shift = np.asarray(drifts, dtype=float)[..., None] / dx
+    s = sd / dx
+    freq = np.arange(n // 2 + 1) / n
+    out = np.zeros(shift.shape[:-1] + freq.shape, dtype=complex)
+    aliases = math.ceil(1.5 / s)
+    for l in range(-aliases, aliases + 1):
+        cycles = freq + l
+        theta = 2.0 * math.pi * cycles
+        amp = np.sinc(cycles) * np.exp(-0.5 * (s * theta) ** 2)
+        keep = np.flatnonzero(np.abs(amp) > _AMPLITUDE_FLOOR)
+        if keep.size:
+            # |amp| is monotone in |theta| away from m = 0, so kept modes are contiguous
+            band = slice(keep[0], keep[-1] + 1)
+            out[..., band] += amp[band] * np.exp(-1j * theta[band] * shift)
+    return out
+
+
+def _confinement_profiles(
+    w_increments: np.ndarray,
+    beta: float,
+    dt: float,
+    grid_points: int,
+    y0: float,
+    barrier_correction: bool,
+    checkpoints: tuple[int, ...],
+) -> np.ndarray:
+    """Survival probabilities, shape (replicas, len(checkpoints)), for W
+    increments of shape (replicas, steps); checkpoints are step indices."""
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    if grid_points < 50:
+        raise ValueError("grid_points must be >= 50")
+    w_increments = np.asarray(w_increments, dtype=float)
+    replicas, steps = w_increments.shape
+    if steps < 1 or max(checkpoints) > steps:
+        raise ValueError("checkpoints must lie within the increment horizon")
+    dead = np.zeros((replicas, len(checkpoints)))
+    if abs(y0) >= 0.5:
+        return dead
+
+    sd = math.sqrt(dt)
+    half = 0.5 - (BARRIER_SHIFT * sd if barrier_correction else 0.0)
+    if half <= 0:
+        raise ValueError("dt too coarse: barrier correction exceeds the tube half-width")
+    if abs(y0) >= half:
+        return dead
+    edges = np.linspace(-half, half, grid_points + 1)
+    dx = edges[1] - edges[0]
+    drifts = -beta * w_increments
+    last = max(checkpoints)
+
+    wanted = set(checkpoints)
+    totals = {}
+    first = drifts[:, :1]
+    mass = ndtr((edges[1:] - y0 - first) / sd) - ndtr((edges[:-1] - y0 - first) / sd)
+    if 1 in wanted:
+        totals[1] = mass.sum(axis=1)
+    if last > 1:
+        reach = int(math.ceil((8.0 * sd + np.abs(drifts).max()) / dx)) + 1
+        n = next_fast_len(grid_points + reach, real=True)
+        # the grid sits at the head of a zero-padded length-n row, so the
+        # circular convolution equals the linear one on the grid; what it
+        # pushes past either barrier lands in the padding and is dropped
+        padded = np.zeros((replicas, n))
+        padded[:, :grid_points] = mass
+        mass = padded[:, :grid_points]
+        # step k applies drifts[:, k - 1]; transforms are built a block at a time
+        block = max(1, _BLOCK_ENTRIES // (replicas * (n // 2 + 1)))
+        for lo in range(1, last, block):
+            k_hat = _kernel_transform(drifts[:, lo : min(lo + block, last)].T, sd, dx, n)
+            for c, k_step in enumerate(k_hat, start=lo + 1):
+                stepped = np.fft.irfft(np.fft.rfft(padded) * k_step, n)
+                np.maximum(stepped[:, :grid_points], 0.0, out=mass)  # clip FFT round-off
+                if c in wanted:
+                    totals[c] = mass.sum(axis=1)
+    return np.stack([totals[c] for c in checkpoints], axis=1)
+
+
 def _confinement_profile(
     w_increments: np.ndarray,
     beta: float,
@@ -61,49 +166,9 @@ def _confinement_profile(
     checkpoints: tuple[int, ...],
 ) -> list[float]:
     """Survival probabilities at the requested step indices (ascending)."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if grid_points < 50:
-        raise ValueError("grid_points must be >= 50")
-    if abs(y0) >= 0.5:
-        return [0.0] * len(checkpoints)
-    w_increments = np.asarray(w_increments, dtype=float)
-    steps = len(w_increments)
-    if steps < 1 or max(checkpoints) > steps:
-        raise ValueError("checkpoints must lie within the increment horizon")
-
-    sd = math.sqrt(dt)
-    half = 0.5 - (BARRIER_SHIFT * sd if barrier_correction else 0.0)
-    if half <= 0:
-        raise ValueError("dt too coarse: barrier correction exceeds the tube half-width")
-    if abs(y0) >= half:
-        return [0.0] * len(checkpoints)
-    edges = np.linspace(-half, half, grid_points + 1)
-    dx = edges[1] - edges[0]
-    drifts = -beta * w_increments
-
-    out = {}
-    mass = ndtr((edges[1:] - y0 - drifts[0]) / sd) - ndtr((edges[:-1] - y0 - drifts[0]) / sd)
-    if 1 in checkpoints:
-        out[1] = float(mass.sum())
-    if steps > 1:
-        hw = int(math.ceil((8.0 * sd + np.abs(drifts).max()) / dx)) + 1
-        offs = np.arange(-hw, hw + 1) * dx
-        if beta == 0.0 or np.all(drifts == drifts[0]):
-            kernels = None
-            kernel = ndtr((offs + 0.5 * dx - drifts[0]) / sd) - ndtr((offs - 0.5 * dx - drifts[0]) / sd)
-        else:
-            kernels = ndtr((offs[None, :] + 0.5 * dx - drifts[1:, None]) / sd) - ndtr(
-                (offs[None, :] - 0.5 * dx - drifts[1:, None]) / sd
-            )
-        for k in range(2, steps + 1):
-            ker = kernel if kernels is None else kernels[k - 2]
-            mass = np.convolve(mass, ker)[hw : hw + grid_points]
-            if k in checkpoints:
-                out[k] = float(mass.sum())
-            if k >= max(checkpoints):
-                break
-    return [out[c] for c in checkpoints]
+    w = np.asarray(w_increments, dtype=float)[None, :]
+    probs = _confinement_profiles(w, beta, dt, grid_points, y0, barrier_correction, checkpoints)
+    return [float(p) for p in probs[0]]
 
 
 def quenched_bm_confinement(
@@ -175,21 +240,21 @@ def estimate_gamma(
     cps = (steps // 2, (3 * steps) // 4, steps)
     ts = np.array(cps) * dt
 
-    def one(r: int) -> float:
-        rng = substream(seed, STREAM_GAMMA_W, r)
-        w_inc = rng.normal(0.0, math.sqrt(dt), steps)
-        probs = _confinement_profile(w_inc, beta, dt, grid_points, 0.0, barrier_correction, cps)
-        if min(probs) <= 0.0:
+    sd = math.sqrt(dt)
+    slopes = []
+    for lo in range(0, env_replicas, _REPLICA_BATCH):
+        batch = range(lo, min(lo + _REPLICA_BATCH, env_replicas))
+        w_inc = np.stack([substream(seed, STREAM_GAMMA_W, r).normal(0.0, sd, steps) for r in batch])
+        probs = _confinement_profiles(w_inc, beta, dt, grid_points, 0.0, barrier_correction, cps)
+        if probs.min() <= 0.0:
             raise RuntimeError(
                 "confinement probability vanished on a replica; "
                 "increase grid_points or shorten dt / the horizon"
             )
-        return float(np.polyfit(ts, -np.log(probs), 1)[0])
-
-    slopes = thread_map(one, range(env_replicas))
+        slopes.extend(float(v) for v in np.polyfit(ts, -np.log(probs.T), 1)[0])
     gamma_hat = float(np.mean(slopes))
     spread = float(np.std(slopes, ddof=1))
-    half = float(student_t.ppf(0.975, env_replicas - 1)) * spread / math.sqrt(env_replicas)
+    half = float(stdtrit(env_replicas - 1, 0.975)) * spread / math.sqrt(env_replicas)
     return GammaEstimate(
         beta=beta,
         horizon_t=horizon_t,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from . import gamma as gamma_mod
 from .env import EnvironmentSpec, moments, sample_environment
@@ -66,7 +66,7 @@ def decay_fit(points, alpha: float) -> RateFit:
     r2 = 1.0 if sst == 0.0 else min(1.0, max(0.0, 1.0 - ssr / sst))
     dof = len(pts) - 2
     se = math.sqrt(ssr / dof / sxx)
-    half = float(student_t.ppf(0.975, dof)) * se
+    half = float(stdtrit(dof, 0.975)) * se
     return RateFit(
         points=pts,
         alpha=alpha,
@@ -146,7 +146,8 @@ def _resolve_gamma(gamma_source, beta: float, gamma_params: dict | None, seed: i
     """Gamma value for the prediction, as (value, description, flags)."""
     flags = []
     if isinstance(gamma_source, gamma_mod.GammaEstimate):
-        return gamma_source.gamma_hat, f"estimate(beta={gamma_source.beta})", flags
+        est = gamma_source
+        return est.gamma_hat, f"estimate(beta={est.beta:g}, replicas={est.env_replicas})", flags
     if isinstance(gamma_source, (int, float)):
         return float(gamma_source), "fixed", flags
     if gamma_source == "auto":

@@ -11,6 +11,7 @@ from tubewalk.config import (
     load_builtin,
     validate,
 )
+from tubewalk.rng import derive_seed
 
 SMALL = {
     "seed": 777,
@@ -141,6 +142,49 @@ def test_cli_report_round_trip(tmp_path):
     assert second["simulate"] == payload["simulate"]
     assert second["gamma"] == payload["gamma"]
     assert second["fit"] == payload["fit"]
+
+
+def test_cli_report_estimates_gamma_once_per_beta(tmp_path, monkeypatch):
+    import tubewalk.gamma as gamma_mod
+
+    real = gamma_mod.estimate_gamma
+    calls = []
+
+    def counting(beta, **kwargs):
+        calls.append(beta)
+        return real(beta, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_gamma", counting)
+    monkeypatch.setattr(gamma_mod, "estimate_gamma", counting)
+    raw = {
+        **SMALL,
+        "environment": {"family": "random_shift_bernoulli", "d": 0.5, "lattice_q": 2},
+        "estimator": {"method": "dp", "tolerance": 10.0},
+        "gamma": {**SMALL["gamma"], "beta": [0.5, 1.0]},
+    }
+    cfg = _write(tmp_path, raw)
+    out = tmp_path / "once"
+    assert cli.main(["report", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(calls) == [0.5, 1.0]
+    payload = json.loads((out / "report.json").read_text())
+    table = {row[0]: row[1] for row in payload["gamma"]["rows"]}
+    assert payload["fit"]["beta"] == 0.5
+    assert payload["fit"]["gamma_value"] == table[0.5]
+
+    # `fit` alone estimates only its own beta, seeded like the table's row
+    calls.clear()
+    assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 0
+    assert calls == [0.5]
+    assert json.loads((tmp_path / "fit" / "fit.json").read_text())["check"] == payload["fit"]
+
+    # the fit's beta is absent from gamma.beta: it estimates its own gamma
+    calls.clear()
+    raw["gamma"]["beta"] = [1.0]
+    out = tmp_path / "own"
+    assert cli.main(["report", "--config", _write(tmp_path, raw, "own.yaml"), "--out", str(out)]) == 0
+    assert sorted(calls) == [0.5, 1.0]
+    own = real(0.5, horizon_t=2.0, dt=0.01, grid_points=100, env_replicas=8, seed=derive_seed(777, 71))
+    assert json.loads((out / "report.json").read_text())["fit"]["gamma_value"] == own.gamma_hat
 
 
 def test_cli_seed_and_set_overrides(tmp_path):

@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
+from scipy.special import ndtr
 
 import tubewalk as tw
-from tubewalk.gamma import _confinement_profile
+from tubewalk.gamma import (
+    BARRIER_SHIFT,
+    _confinement_profile,
+    _confinement_profiles,
+    _kernel_transform,
+)
+from tubewalk.rng import derive_seed
 
 PI2_2 = math.pi**2 / 2
 
@@ -154,3 +162,65 @@ def test_reference_rates():
     assert tw.bm_tube_rate(2.0, 2.0) == pytest.approx(4 * math.pi**2 / 8)
     with pytest.raises(ValueError):
         tw.bm_tube_rate(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "dt, grid_points",
+    [(1e-8, 100), (1.6e-5, 100), (1.6e-5, 400), (1.6e-5, 800), (1e-3, 384)],
+    ids=["sd/dx=0.01", "sd/dx=0.4", "sd/dx=1.6", "sd/dx=3.2", "sd/dx=12.6"],
+)
+def test_kernel_transform_matches_fft_of_sampled_kernel(dt, grid_points):
+    # the closed form is the DFT of the ndtr bin-edge kernel wrapped to index 0
+    sd = math.sqrt(dt)
+    dx = 2.0 * (0.5 - BARRIER_SHIFT * sd) / grid_points
+    for drift in (0.0, 2.7 * dx + 0.3 * sd, -(5.2 * dx + 1.1 * sd)):
+        reach = math.ceil((8.0 * sd + abs(drift)) / dx) + 1
+        n = next_fast_len(grid_points + reach, real=True)
+        offs = np.arange(-reach, reach + 1) * dx
+        kernel = ndtr((offs + 0.5 * dx - drift) / sd) - ndtr((offs - 0.5 * dx - drift) / sd)
+        wrapped = np.zeros(n)
+        wrapped[: reach + 1] = kernel[reach:]
+        wrapped[n - reach :] = kernel[:reach]
+        closed = _kernel_transform(np.array([drift]), sd, dx, n)[0]
+        assert np.abs(closed - np.fft.rfft(wrapped)).max() <= 1e-13
+
+
+def test_batched_fft_profile_matches_direct_convolution():
+    # reference: one replica at a time, np.convolve with sampled ndtr kernels
+    dt, grid, steps, cps = 1e-3, 100, 300, (100, 200, 300)
+    w = np.random.default_rng(11).normal(0.0, math.sqrt(dt), (3, steps))
+    got = _confinement_profiles(w, 1.0, dt, grid, 0.0, True, cps)
+    sd = math.sqrt(dt)
+    half = 0.5 - BARRIER_SHIFT * sd
+    edges = np.linspace(-half, half, grid + 1)
+    dx = edges[1] - edges[0]
+    for row, drifts in zip(got, -w):
+        hw = math.ceil((8.0 * sd + np.abs(drifts).max()) / dx) + 1
+        offs = np.arange(-hw, hw + 1) * dx
+        mass = ndtr((edges[1:] - drifts[0]) / sd) - ndtr((edges[:-1] - drifts[0]) / sd)
+        want = []
+        for k in range(2, steps + 1):
+            d = drifts[k - 1]
+            kernel = ndtr((offs + 0.5 * dx - d) / sd) - ndtr((offs - 0.5 * dx - d) / sd)
+            mass = np.convolve(mass, kernel)[hw : hw + grid]
+            if k in cps:
+                want.append(mass.sum())
+        np.testing.assert_allclose(row, want, rtol=1e-12, atol=0.0)
+
+
+def test_estimate_gamma_pinned_value():
+    # the builtin random-shift-bernoulli gamma row (seed 20260802, beta index 0)
+    est = tw.estimate_gamma(0.5, seed=derive_seed(20260802, 7, 0))
+    assert est.gamma_hat == pytest.approx(6.106453525364176, rel=1e-10, abs=0.0)
+
+
+def test_estimate_gamma_does_not_depend_on_batching(monkeypatch):
+    # replica batches and transform blocks only bound memory
+    import tubewalk.gamma as gamma_mod
+
+    kwargs = dict(horizon_t=1.0, dt=0.01, grid_points=60, env_replicas=11, seed=5)
+    whole = tw.estimate_gamma(0.7, **kwargs)
+    monkeypatch.setattr(gamma_mod, "_REPLICA_BATCH", 4)
+    monkeypatch.setattr(gamma_mod, "_BLOCK_ENTRIES", 1000)
+    split = tw.estimate_gamma(0.7, **kwargs)
+    np.testing.assert_allclose(split.per_replica_values, whole.per_replica_values, rtol=1e-12)
