@@ -58,6 +58,22 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad key."""
 
 
+def _check_effort(est: dict, n_list: tuple[int, ...]) -> None:
+    """Reject estimator effort values the estimators would refuse late."""
+    for key, low in (("replicas", 100), ("particles", 100), ("grid_points", 50), ("checkpoints", 1)):
+        value = est[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"estimator.{key} must be an integer >= {low}, got {value!r}")
+    tol = est["tolerance"]
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
+        raise ConfigError(f"estimator.tolerance must be a number > 0, got {tol!r}")
+    if est["method"] == "splitting" and est["checkpoints"] > min(n_list):
+        raise ConfigError(
+            f"estimator.checkpoints must be <= the smallest tube n ({min(n_list)}) for splitting, "
+            f"got {est['checkpoints']}"
+        )
+
+
 def _check_keys(table: dict, allowed: set, where: str) -> None:
     if not isinstance(table, dict):
         raise ConfigError(f"{where} must be a table, got {type(table).__name__}")
@@ -196,6 +212,7 @@ def validate(raw: dict) -> ExperimentConfig:
 
     env_spec = _build_env(raw["environment"])
     template, n_list, x0, xi_mode, sweep = _build_tube(raw["tube"])
+    _check_effort(est, n_list)
     env_seed = raw["environment"].get("seed")
     return ExperimentConfig(
         seed=int(raw.get("seed", 12345)),

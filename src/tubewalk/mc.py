@@ -7,7 +7,8 @@ advanced block by block, survivors are resampled back to full size, and
 the per-block survival fractions multiply up; it reaches probabilities
 down to about e^-60 at desk scale.
 
-Both draw increments from counter-derived substreams keyed by replica
+Both advance their particles through one row-blocked kernel, `_advance`,
+and draw increments from counter-derived substreams keyed by replica
 chunk (naive) or block (splitting), so results are independent of worker
 count and batching.
 """
@@ -26,6 +27,51 @@ from .tube import TubeSpec
 from .walk import draw_increments
 
 XI_MODES = ("analytic", "sampled")
+
+# Bytes of float64 increments per row block in `_advance`: small enough for
+# the block and its mask to stay in cache, large enough to amortise the
+# per-call overhead.  Blocking does not change results (see `_advance`).
+ROW_BYTES = 2**18
+
+
+def _advance(
+    env: EnvRealization,
+    start_index: int,
+    start: np.ndarray,
+    lo: np.ndarray,
+    up: np.ndarray,
+    rng: np.random.Generator,
+    xi_p: float | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance particles from `start` through len(lo) steps inside [lo, up].
+
+    Returns the per-particle survival mask and the final positions.  Rows
+    are processed in blocks of about ROW_BYTES, so apart from those two
+    outputs memory does not grow with the particle count.  The generator
+    fills arrays in row-major order from one stream, so drawing the rows
+    block by block consumes the same numbers as one whole-array draw: all
+    increment rows first, then (with `xi_p`) all xi rows.
+    """
+    particles, length = len(start), len(lo)
+    rows = max(1, ROW_BYTES // (8 * length))
+    ok = np.empty(particles, dtype=bool)
+    last = np.empty(particles)
+    bad = np.empty((min(rows, particles), length), dtype=bool)
+    for r0 in range(0, particles, rows):
+        r1 = min(r0 + rows, particles)
+        b = bad[: r1 - r0]
+        s = draw_increments(env, start_index, length, rng, size=r1 - r0)
+        np.cumsum(s, axis=1, out=s)
+        s += start[r0:r1, None]
+        np.less(s, lo, out=b)
+        b |= s > up
+        np.logical_not(b.any(axis=1), out=ok[r0:r1])
+        last[r0:r1] = s[:, -1]
+    if xi_p is not None:
+        for r0 in range(0, particles, rows):
+            r1 = min(r0 + rows, particles)
+            ok[r0:r1] &= np.all(rng.random((r1 - r0, length)) < xi_p, axis=1)
+    return ok, last
 
 
 def _xi_setup(env: EnvRealization, tube: TubeSpec, xi_mode: str) -> tuple[float | None, float]:
@@ -52,7 +98,6 @@ def survival_naive_mc(
     if tube.f_offset + tube.n > env.length:
         raise IndexError("environment too short for this tube")
     lo, up = tube.bounds_arrays()
-    n, f = tube.n, tube.f_offset
     end = tube.end_bounds()
     xi_p, xi_log = _xi_setup(env, tube, xi_mode)
     survivors = 0
@@ -60,13 +105,9 @@ def survival_naive_mc(
         for c in range(math.ceil(replicas / CHUNK)):
             m = min(CHUNK, replicas - c * CHUNK)
             rng = substream(seed, STREAM_NAIVE, c)
-            inc = draw_increments(env, f, n, rng, size=m)
-            s = x0 + np.cumsum(inc, axis=1)
-            ok = np.all((s >= lo[1:]) & (s <= up[1:]), axis=1)
+            ok, last = _advance(env, tube.f_offset, np.full(m, x0), lo[1:], up[1:], rng, xi_p)
             if end is not None:
-                ok &= (s[:, -1] >= end[0]) & (s[:, -1] <= end[1])
-            if xi_p is not None:
-                ok &= np.all(rng.random((m, n)) < xi_p, axis=1)
+                ok &= (last >= end[0]) & (last <= end[1])
             survivors += int(ok.sum())
 
     phat = survivors / replicas
@@ -121,16 +162,11 @@ def survival_splitting(
     step = 0
     for k, blen in enumerate(lengths):
         rng = substream(seed, STREAM_SPLIT, k)
-        inc = draw_increments(env, f + step, blen, rng, size=particles)
-        s = pos[:, None] + np.cumsum(inc, axis=1)
-        seg_lo = lo[step + 1 : step + blen + 1]
-        seg_up = up[step + 1 : step + blen + 1]
-        ok = np.all((s >= seg_lo) & (s <= seg_up), axis=1)
-        if xi_p is not None:
-            ok &= np.all(rng.random((particles, blen)) < xi_p, axis=1)
+        seg = slice(step + 1, step + blen + 1)
+        ok, last = _advance(env, f + step, pos, lo[seg], up[seg], rng, xi_p)
         step += blen
         if k == len(lengths) - 1 and end is not None:
-            ok &= (s[:, -1] >= end[0]) & (s[:, -1] <= end[1])
+            ok &= (last >= end[0]) & (last <= end[1])
         alive = int(ok.sum())
         if alive == 0:
             return from_log(
@@ -144,8 +180,7 @@ def survival_splitting(
         phi = alive / particles
         log_acc += math.log(phi)
         var_acc += (1.0 - phi) / (phi * particles)
-        surv = s[ok, -1]
-        pos = surv[rng.integers(0, alive, size=particles)]
+        pos = last[ok][rng.integers(0, alive, size=particles)]
 
     return from_log(
         log_acc + xi_log, METHOD_SPLITTING, work, seed=seed, stderr_log=math.sqrt(var_acc)

@@ -147,6 +147,10 @@ def _resolve_gamma(gamma_source, beta: float, gamma_params: dict | None, seed: i
     flags = []
     if isinstance(gamma_source, gamma_mod.GammaEstimate):
         est = gamma_source
+        if abs(est.beta - beta) > 1e-12:
+            raise ValueError(
+                f"gamma estimate is for beta={est.beta:g}, but the environment has beta={beta:g}"
+            )
         return est.gamma_hat, f"estimate(beta={est.beta:g}, replicas={est.env_replicas})", flags
     if isinstance(gamma_source, (int, float)):
         return float(gamma_source), "fixed", flags

@@ -61,11 +61,17 @@ def draw_increments(
         pos = env.atom_pos[start_index : start_index + length]  # (length, k)
         cw = np.cumsum(env.atom_w)
         u = rng.random((size, length))
-        idx = np.minimum(np.searchsorted(cw, u, side="right"), len(cw) - 1)
-        return pos[np.arange(length)[None, :], idx]
-    means = env.quenched_mean[start_index : start_index + length]
-    stds = env.stds[start_index : start_index + length]
-    return means[None, :] + stds[None, :] * rng.standard_normal((size, length))
+        # Atom j is taken where u >= cw[j-1]; cw is nondecreasing, so the
+        # last such j is min(searchsorted(cw, u, "right"), k-1).  Step laws
+        # have at least two atoms, so the result is a fresh array.
+        out = pos[:, 0]
+        for j in range(1, len(cw)):
+            out = np.where(u >= cw[j - 1], pos[:, j], out)
+        return out
+    z = rng.standard_normal((size, length))
+    z *= env.stds[start_index : start_index + length]
+    z += env.quenched_mean[start_index : start_index + length]
+    return z
 
 
 def sample_path(env: EnvRealization, start_index: int, length: int, x0: float, seed: int) -> WalkPath:

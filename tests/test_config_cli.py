@@ -212,6 +212,26 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert cli.main(["simulate", "--config", missing, "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (["estimator.particles=abc"], "estimator.particles"),
+        (["estimator.particles=50"], "estimator.particles"),
+        (["estimator.checkpoints=0"], "estimator.checkpoints"),
+        (["estimator.method=splitting", "estimator.checkpoints=5000"], "estimator.checkpoints"),
+        (["estimator.replicas=99.5"], "estimator.replicas"),
+        (["estimator.grid_points=10"], "estimator.grid_points"),
+        (["estimator.tolerance=0"], "estimator.tolerance"),
+    ],
+)
+def test_cli_rejects_bad_estimator_effort(tmp_path, capsys, overrides, key):
+    cfg = _write(tmp_path, SMALL)
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert cli.main(["simulate", "--config", cfg, *sets, "--out", str(tmp_path / "x")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("name", ["degenerate-rademacher", "random-shift-bernoulli", "random-mean-gaussian"])
 def test_cli_verify_builtin_configs(tmp_path, name):
     raw = load_builtin(name)

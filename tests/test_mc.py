@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 import tubewalk as tw
+import tubewalk.mc as mc
+from tubewalk.config import load_builtin, validate
+from tubewalk.rng import CHUNK, STREAM_NAIVE, STREAM_SPLIT, derive_seed, substream
+from tubewalk.walk import draw_increments
 
 BND = (1 + 1e-9) / 2**0.25
 
@@ -169,3 +173,131 @@ def test_preconditions():
         tw.survival_splitting(env, tube, 0.0, particles=50, checkpoints=1, seed=1)
     with pytest.raises(ValueError):
         tw.survival_splitting(env, tube, 0.0, particles=100, checkpoints=5, seed=1)  # > n
+
+
+# Reference: the whole-block estimators that preceded the row-blocked kernel.
+# The kernel must reproduce them bit for bit.
+
+
+def _naive_whole_block(env, tube, x0, replicas, seed, xi_mode="analytic"):
+    lo, up = tube.bounds_arrays()
+    n, f = tube.n, tube.f_offset
+    end = tube.end_bounds()
+    xi_p, xi_log = mc._xi_setup(env, tube, xi_mode)
+    survivors = 0
+    for c in range(math.ceil(replicas / CHUNK)):
+        m = min(CHUNK, replicas - c * CHUNK)
+        rng = substream(seed, STREAM_NAIVE, c)
+        inc = draw_increments(env, f, n, rng, size=m)
+        s = x0 + np.cumsum(inc, axis=1)
+        ok = np.all((s >= lo[1:]) & (s <= up[1:]), axis=1)
+        if end is not None:
+            ok &= (s[:, -1] >= end[0]) & (s[:, -1] <= end[1])
+        if xi_p is not None:
+            ok &= np.all(rng.random((m, n)) < xi_p, axis=1)
+        survivors += int(ok.sum())
+    phat = survivors / replicas
+    return math.log(phat) + xi_log, math.sqrt((1.0 - phat) / (phat * replicas))
+
+
+def _splitting_whole_block(env, tube, x0, particles, checkpoints, seed, xi_mode="analytic"):
+    n, f = tube.n, tube.f_offset
+    lo, up = tube.bounds_arrays()
+    end = tube.end_bounds()
+    xi_p, xi_log = mc._xi_setup(env, tube, xi_mode)
+    base = n // checkpoints
+    lengths = [base] * (checkpoints - 1) + [n - base * (checkpoints - 1)]
+    pos = np.full(particles, x0)
+    log_acc = var_acc = 0.0
+    step = 0
+    for k, blen in enumerate(lengths):
+        rng = substream(seed, STREAM_SPLIT, k)
+        inc = draw_increments(env, f + step, blen, rng, size=particles)
+        s = pos[:, None] + np.cumsum(inc, axis=1)
+        seg_lo = lo[step + 1 : step + blen + 1]
+        seg_up = up[step + 1 : step + blen + 1]
+        ok = np.all((s >= seg_lo) & (s <= seg_up), axis=1)
+        if xi_p is not None:
+            ok &= np.all(rng.random((particles, blen)) < xi_p, axis=1)
+        step += blen
+        if k == len(lengths) - 1 and end is not None:
+            ok &= (s[:, -1] >= end[0]) & (s[:, -1] <= end[1])
+        alive = int(ok.sum())
+        phi = alive / particles
+        log_acc += math.log(phi)
+        var_acc += (1.0 - phi) / (phi * particles)
+        surv = s[ok, -1]
+        pos = surv[rng.integers(0, alive, size=particles)]
+    return log_acc + xi_log, math.sqrt(var_acc)
+
+
+def _kernel_cases():
+    """(env, tube, x0, xi_mode): lattice, 3-atom and Gaussian laws, end window, sampled xi."""
+    shift = tw.sample_environment(tw.EnvironmentSpec.random_shift_bernoulli(0.5), 100, seed=71)
+    moving = tw.TubeSpec(
+        g=((0, -0.8), (0.5, -0.5), (1, -0.9)),
+        h=((0, 0.8), (1, 1.2)),
+        alpha=0.3,
+        n=16,
+        f_offset=9,
+        end_window=(-0.5, 0.5),
+        xi_threshold=3.0,
+    )
+    three = tw.sample_environment(
+        tw.EnvironmentSpec.degenerate([(-1.0, 0.3), (0.0, 0.4), (1.0, 0.3)]), 64, seed=4
+    )
+    gauss = tw.sample_environment(tw.EnvironmentSpec.random_mean_gaussian(1.0, 1.3), 64, seed=6)
+    flat = tw.TubeSpec(g=-2.0, h=2.0, alpha=0.3, n=24, f_offset=4, xi_threshold=3.0)
+    return [
+        (shift, moving, 0.0, "analytic"),
+        (shift, moving, 0.0, "sampled"),
+        (three, flat, 0.0, "analytic"),
+        (gauss, flat, 0.3, "sampled"),
+    ]
+
+
+@pytest.mark.parametrize("row_bytes", [mc.ROW_BYTES, 8 * 7 * 24])
+@pytest.mark.parametrize("case", range(4))
+def test_kernel_reproduces_whole_block_estimators(monkeypatch, row_bytes, case):
+    # row_bytes 8*7*24 cuts a 24-step block into rows of 7: 1234 and 8200
+    # are not multiples of it, and shorter blocks get uneven row counts.
+    monkeypatch.setattr(mc, "ROW_BYTES", row_bytes)
+    env, tube, x0, xi_mode = _kernel_cases()[case]
+    for particles, checkpoints in ((1234, 7), (1234, tube.n)):  # tube.n: blocks of length 1
+        est = tw.survival_splitting(env, tube, x0, particles, checkpoints, seed=9, xi_mode=xi_mode)
+        ref = _splitting_whole_block(env, tube, x0, particles, checkpoints, seed=9, xi_mode=xi_mode)
+        assert (est.log_p, est.stderr_log) == ref
+    est = tw.survival_naive_mc(env, tube, x0, replicas=8200, seed=9, xi_mode=xi_mode)
+    assert math.isfinite(est.log_p)
+    assert (est.log_p, est.stderr_log) == _naive_whole_block(env, tube, x0, 8200, seed=9, xi_mode=xi_mode)
+
+
+@pytest.mark.parametrize("row_bytes", [mc.ROW_BYTES, 8 * 7 * 24])
+@pytest.mark.parametrize("case", [0, 3])
+def test_kernel_reproduces_whole_block_arrays(monkeypatch, row_bytes, case):
+    # survival flags and end positions themselves, from scattered starts
+    monkeypatch.setattr(mc, "ROW_BYTES", row_bytes)
+    env, tube, _, xi_mode = _kernel_cases()[case]
+    lo, up = tube.bounds_arrays()
+    xi_p, _ = mc._xi_setup(env, tube, xi_mode)
+    start = substream(3, 0).uniform(lo[0], up[0], size=1234)
+    ok, last = mc._advance(env, tube.f_offset, start, lo[1:], up[1:], substream(3, 1), xi_p)
+    rng = substream(3, 1)
+    s = start[:, None] + np.cumsum(draw_increments(env, tube.f_offset, tube.n, rng, size=1234), axis=1)
+    ref_ok = np.all((s >= lo[1:]) & (s <= up[1:]), axis=1)
+    if xi_p is not None:
+        ref_ok &= np.all(rng.random((1234, tube.n)) < xi_p, axis=1)
+    assert 0 < ok.sum() < len(ok)
+    assert np.array_equal(ok, ref_ok) and np.array_equal(last, s[:, -1])
+
+
+def test_splitting_pinned_value():
+    # Recorded with the whole-block estimator: builtin random-shift-bernoulli
+    # at its first n and the simulate command's seeds.
+    cfg = validate(load_builtin("random-shift-bernoulli"))
+    n = cfg.n_list[0]
+    tube = cfg.template.make(n)
+    env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, derive_seed(cfg.seed, 11, 0))
+    est = tw.survival_splitting(env, tube, tube.default_x0(), 10_000, 20, derive_seed(cfg.seed, 13, 0))
+    assert est.log_p.hex() == "-0x1.64da1f7248167p+3"
+    assert est.stderr_log.hex() == "0x1.3f6a7619e9c65p-5"

@@ -69,6 +69,18 @@ def test_theorem_check_flags_reference_gamma_misuse(flat_template):
     assert "reference_gamma_with_nonzero_beta" in rep.flags
 
 
+def test_theorem_check_rejects_gamma_estimate_at_other_beta(flat_template, gamma_estimates):
+    with pytest.raises(ValueError, match=r"beta=0\.5.*beta=0\b"):
+        tw.theorem_check(
+            tw.EnvironmentSpec.rademacher(),
+            flat_template,
+            [64, 128, 256],
+            estimator="dp",
+            gamma_source=gamma_estimates[0.5],
+            seed=3,
+        )
+
+
 def test_theorem_check_environment_strictly_harder(degenerate_report, rsb_report):
     assert abs(rsb_report.fit.slope) > abs(degenerate_report.fit.slope)
     assert rsb_report.beta == pytest.approx(0.5)

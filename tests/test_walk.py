@@ -76,3 +76,53 @@ def test_path_csv_dump():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "i,s,m,u,gamma"
     assert len(lines) == 6
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose `random` returns preset uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        return self.u.reshape(shape).copy()
+
+
+def _searchsorted_increments(env, start, length, u):
+    """The inverse-CDF lookup that draw_increments' atom branch must match."""
+    pos = env.atom_pos[start : start + length]
+    cw = np.cumsum(env.atom_w)
+    idx = np.minimum(np.searchsorted(cw, u, side="right"), len(cw) - 1)
+    return pos[np.arange(length)[None, :], idx]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        tw.EnvironmentSpec.rademacher(),
+        tw.EnvironmentSpec.random_shift_bernoulli(0.5),
+        tw.EnvironmentSpec.degenerate([(-1.0, 0.3), (0.0, 0.4), (1.0, 0.3)]),
+    ],
+)
+def test_atom_draws_match_searchsorted(spec):
+    env = tw.sample_environment(spec, 40, seed=3)
+    cw = np.cumsum(env.atom_w)
+    # random uniforms, plus the edge values: 0, each cumulative weight
+    # exactly (ties go to the next atom) and the largest double below 1
+    edges = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cw, np.nextafter(cw, 0.0)])
+    u = np.concatenate([np.random.default_rng(5).random(40 * 50), np.resize(edges, 40 * 10)])
+    got = draw_increments(env, 0, 40, _FixedUniforms(u), size=60)
+    assert np.array_equal(got, _searchsorted_increments(env, 0, 40, u.reshape(60, 40)))
+    assert got.shape == (60, 40) and got.flags.writeable  # mc._advance cumulates in place
+    # the same with a generator, over a window that does not start at step 0
+    got = draw_increments(env, 7, 25, substream(8, 1), size=333)
+    ref = _searchsorted_increments(env, 7, 25, substream(8, 1).random((333, 25)))
+    assert np.array_equal(got, ref)
+
+
+def test_gaussian_draws_match_affine_transform():
+    # tau = 1.3 is not a power of two, so a reordered product would round differently
+    env = tw.sample_environment(tw.EnvironmentSpec.random_mean_gaussian(1.0, 1.3), 40, seed=3)
+    got = draw_increments(env, 5, 30, substream(8, 2), size=333)
+    z = substream(8, 2).standard_normal((333, 30))
+    assert np.array_equal(got, env.quenched_mean[None, 5:35] + env.stds[None, 5:35] * z)
