@@ -58,20 +58,38 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad key."""
 
 
+def _int_at_least(value, low: int, key: str) -> int:
+    """`value` if it is an integer >= low (booleans refused), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _positive(value, key: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        raise ConfigError(f"{key} must be a number > 0, got {value!r}")
+
+
 def _check_effort(est: dict, n_list: tuple[int, ...]) -> None:
     """Reject estimator effort values the estimators would refuse late."""
     for key, low in (("replicas", 100), ("particles", 100), ("grid_points", 50), ("checkpoints", 1)):
-        value = est[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ConfigError(f"estimator.{key} must be an integer >= {low}, got {value!r}")
-    tol = est["tolerance"]
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
-        raise ConfigError(f"estimator.tolerance must be a number > 0, got {tol!r}")
+        _int_at_least(est[key], low, f"estimator.{key}")
+    _positive(est["tolerance"], "estimator.tolerance")
     if est["method"] == "splitting" and est["checkpoints"] > min(n_list):
         raise ConfigError(
             f"estimator.checkpoints must be <= the smallest tube n ({min(n_list)}) for splitting, "
             f"got {est['checkpoints']}"
         )
+
+
+def _check_gamma(gam: dict) -> None:
+    """Reject gamma settings before any replica is propagated."""
+    for key, low in (("replicas", 8), ("grid_points", 50)):
+        _int_at_least(gam[key], low, f"gamma.{key}")
+    for key in ("t", "dt"):
+        _positive(gam[key], f"gamma.{key}")
+    if round(gam["t"] / gam["dt"]) < 4:
+        raise ConfigError(f"gamma.t / gamma.dt must give at least 4 steps, got {gam['t']}/{gam['dt']}")
 
 
 def _check_keys(table: dict, allowed: set, where: str) -> None:
@@ -205,6 +223,7 @@ def validate(raw: dict) -> ExperimentConfig:
     gam["beta"] = [float(b) for b in gam["beta"]]
     if any(b < 0 for b in gam["beta"]):
         raise ConfigError("gamma.beta values must be >= 0")
+    _check_gamma(gam)
     out = dict(_OUTPUT_DEFAULTS)
     if "output" in raw:
         _check_keys(raw["output"], _OUT_KEYS, "output")
@@ -215,9 +234,9 @@ def validate(raw: dict) -> ExperimentConfig:
     _check_effort(est, n_list)
     env_seed = raw["environment"].get("seed")
     return ExperimentConfig(
-        seed=int(raw.get("seed", 12345)),
+        seed=_int_at_least(raw.get("seed", 12345), 0, "seed"),
         env_spec=env_spec,
-        env_seed=int(env_seed) if env_seed is not None else None,
+        env_seed=_int_at_least(env_seed, 0, "environment.seed") if env_seed is not None else None,
         shared_env=bool(raw["environment"].get("shared", False)),
         template=template,
         n_list=n_list,

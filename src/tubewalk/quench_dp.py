@@ -2,8 +2,15 @@
 
 Both estimators evolve the quenched sub-probability measure of the surviving
 walk one step at a time, killing mass outside the tube.  Tube membership
-uses closed intervals, so boundary-exact hits survive.  No renormalisation
-is ever applied: the running total IS the survival probability so far.
+uses closed intervals, so boundary-exact hits survive.  They share one step
+loop, ``_propagate``: each step convolves the mass with that step's kernel,
+zeroes it outside the index range of nodes inside the tube and sums it.
+When the sum falls below ``_RESCALE_BELOW`` the mass is multiplied by an
+exact power of two and the exponent is carried on a log scale (the scaled
+forward algorithm), so deep events neither underflow nor stall on
+denormals; while the mass stays above the threshold no bit differs from
+propagating it unscaled.  The running totals are reported on the linear
+scale and may underflow to 0 for events the log result still resolves.
 
 ``survival_dp_lattice`` is exact (up to float summation) for environments
 whose atoms live on a lattice (1/q)Z and serves as the oracle for the
@@ -17,7 +24,9 @@ the lattice, which is done automatically).
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +44,9 @@ from .tube import TubeSpec
 
 _LATTICE_TOL = 1e-9
 _BRUTE_LIMIT = 64_000_000  # max enumerated paths
+_BLOCK_ENTRIES = 2**14  # step-kernel entries built at a time
+_RESCALE_BELOW = 2.0**-500  # carried mass total that triggers a rescale
+_LN2 = math.log(2.0)
 
 
 class NonLatticeError(ValueError):
@@ -106,6 +118,113 @@ def _finish(log_p: float, method: str, work: int, running=None, **kw):
     return (est, running) if running is not None else est
 
 
+def _block_steps(width: int) -> int:
+    """Steps whose kernels are built at once: about _BLOCK_ENTRIES entries."""
+    return max(1, _BLOCK_ENTRIES // width)
+
+
+def _kept(nodes: np.ndarray, lo, up) -> tuple[list[int], list[int]]:
+    """Index ranges [a, b) of the (sorted) nodes inside each [lo, up]."""
+    a = np.searchsorted(nodes, lo, "left")
+    return a.tolist(), np.maximum(np.searchsorted(nodes, up, "right"), a).tolist()
+
+
+def _steps(build, nodes: np.ndarray, lo: np.ndarray, up: np.ndarray, t0: int, width: int):
+    """(kernel, a, b) for steps t0+1..n, a block of steps at a time.
+
+    The reversed kernel of the step and the index range [a, b) of nodes
+    inside the tube after it.
+    """
+    n = len(lo) - 1
+    block = _block_steps(width)
+    for j in range(t0, n, block):
+        j1 = min(j + block, n)
+        yield from zip(build(j, j1), *_kept(nodes, lo[j + 1 : j1 + 1], up[j + 1 : j1 + 1]))
+
+
+def _shift_kernels(moves: np.ndarray, weights: np.ndarray, size: int):
+    """Step kernels for atom laws on a window of `size` nodes.
+
+    Step j moves mass by ``moves[j, a]`` nodes with probability
+    ``weights[a]``; a move between two nodes is split linearly between
+    them.  Moves of a whole window or more carry nothing into it and are
+    dropped.  Returns (width, r, build) as `_propagate` takes them.
+    """
+    low = min(max(math.floor(moves.min()), 1 - size), 0)
+    high = max(min(math.ceil(moves.max()), size - 1), 0)
+    width = high - low + 1
+
+    def build(j0: int, j1: int) -> np.ndarray:
+        block = moves[j0:j1]
+        whole = np.floor(block)
+        frac = block - whole
+        kern = np.zeros((j1 - j0, width))
+        rows = np.arange(j1 - j0)
+        for a in range(block.shape[1]):
+            w = weights[a]
+            for shift, wf in ((whole[:, a], w * (1.0 - frac[:, a])), (whole[:, a] + 1, w * frac[:, a])):
+                ok = (shift >= low) & (shift <= high)
+                kern[rows[ok], (high - shift[ok]).astype(np.intp)] += wf[ok]
+        return kern
+
+    return width, -low, build
+
+
+def _propagate(mass, nodes, lo, up, end, t0: int, kernels, running) -> tuple[float, int]:
+    """Carry the sub-density `mass` on `nodes` from time t0 to time n.
+
+    Step i takes the mass to ``np.convolve(mass, kernel_i)[r : r + size]``;
+    ``build(j0, j1)`` of the `kernels` triple (width, r, build) gives the
+    kernels of steps j0+1..j1 as rows, each reversed.  At each time i the
+    mass is then zeroed outside the nodes in [lo[i], up[i]], rescaled by an
+    exact power of two when its total drops below _RESCALE_BELOW, and
+    ``running[i]`` gets the unscaled total.  The end window [end[0],
+    end[1]] (or None) applies at time n.  Returns (log of the final mass,
+    last time reached); the log is -inf when the mass died out then.
+    `mass` is updated in place.
+    """
+    n = len(lo) - 1
+    size = len(nodes)
+    width, r, build = kernels
+    # np.correlate with a reversed kernel gives np.convolve's bits without
+    # its wrapper, as long as the kernel is not the longer operand
+    narrow = width <= size
+    (live_lo,), (live_up,) = _kept(nodes, lo[t0 : t0 + 1], up[t0 : t0 + 1])
+    mass[:live_lo] = 0.0  # the mass is zero outside [live_lo, live_up)
+    mass[live_up:] = 0.0
+    exp2 = 0  # the true mass is mass * 2**exp2
+    steps = itertools.chain([None], _steps(build, nodes, lo, up, t0, width))
+    for i, step in zip(range(t0, n + 1), steps):
+        if step is not None:
+            kernel, a, b = step
+            full = np.correlate(mass, kernel, "full") if narrow else np.convolve(mass, kernel[::-1])
+            if a > live_lo:
+                mass[live_lo : min(a, live_up)] = 0.0
+            if b < live_up:
+                mass[max(b, live_lo) : live_up] = 0.0
+            mass[a:b] = full[r + a : r + b]
+            live_lo, live_up = a, b
+        total = mass.sum()
+        running[i] = math.ldexp(total, exp2)
+        if total < _RESCALE_BELOW:
+            if total == 0.0:
+                return -math.inf, i
+            e = math.frexp(total)[1]
+            np.ldexp(mass, -e, out=mass)
+            exp2 += e
+    if end is not None:
+        (a,), (b,) = _kept(nodes, end[:1], end[1:])
+        mass[:a] = 0.0
+        mass[b:] = 0.0
+    total = mass.sum()
+    if total == 0.0:
+        return -math.inf, n
+    linear = math.ldexp(total, exp2)
+    if linear >= sys.float_info.min:
+        return math.log(linear), n
+    return math.log(total) + exp2 * _LN2, n
+
+
 def survival_dp_lattice(
     env: EnvRealization, tube: TubeSpec, x0: float, return_running: bool = False
 ) -> SurvivalEstimate | tuple[SurvivalEstimate, np.ndarray]:
@@ -123,12 +242,11 @@ def survival_dp_lattice(
     n, f = tube.n, tube.f_offset
 
     steps_pos = env.atom_pos[f : f + n]  # (n, k)
-    deltas = np.rint(steps_pos * q).astype(np.int64)
+    deltas = np.rint(steps_pos * q)
     if np.max(np.abs(steps_pos * q - deltas)) > _LATTICE_TOL:
         raise NonLatticeError(
             f"atom positions do not lie on the lattice (1/{q})Z; use survival_grid"
         )
-    weights = env.atom_w
 
     jmin = int(math.ceil((lo.min() - x0) * q)) - 1
     jmax = int(math.floor((up.max() - x0) * q)) + 1
@@ -139,33 +257,10 @@ def survival_dp_lattice(
 
     mass = np.zeros(size)
     mass[-jmin] = 1.0  # j = 0, position exactly x0
-    running = np.empty(n + 1)
-    running[0] = 1.0
-    new = np.empty(size)
-    for i in range(1, n + 1):
-        new[:] = 0.0
-        for a in range(len(weights)):
-            d = int(deltas[i - 1, a])
-            w = float(weights[a])
-            if abs(d) >= size:
-                continue
-            if d >= 0:
-                new[d:] += w * mass[: size - d] if d > 0 else w * mass
-            else:
-                new[:d] += w * mass[-d:]
-        inside = (positions >= lo[i]) & (positions <= up[i])
-        new[~inside] = 0.0
-        mass[:] = new
-        running[i] = mass.sum()
-        if running[i] == 0.0:
-            running[i:] = 0.0
-            break
-    end = tube.end_bounds()
-    if end is not None:
-        keep = (positions >= end[0]) & (positions <= end[1])
-        mass[~keep] = 0.0
-    total = mass.sum()
-    log_p = math.log(total) + xi_log_factor(env, tube) if total > 0 else -math.inf
+    running = np.zeros(n + 1)
+    kernels = _shift_kernels(deltas, env.atom_w, size)
+    log_total, _ = _propagate(mass, positions, lo, up, tube.end_bounds(), 0, kernels, running)
+    log_p = log_total + xi_log_factor(env, tube) if log_total > -math.inf else -math.inf
     work = n * size
     return _finish(log_p, METHOD_DP_LATTICE, work, running if return_running else None)
 
@@ -227,7 +322,6 @@ def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int)
     running = np.zeros(n + 1)
     if not (lo[0] <= x0 <= up[0]):
         return -math.inf, running, 0
-    running[0] = 1.0
     env_lo, env_up = lo.min(), up.max()
     dx = _grid_spacing(env, env_up - env_lo, grid_points)
 
@@ -236,72 +330,34 @@ def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int)
         jlo = int(math.ceil((env_lo - x0) / dx)) - 1
         jhi = int(math.floor((env_up - x0) / dx)) + 1
         nodes = x0 + np.arange(jlo, jhi + 1) * dx
+        size = len(nodes)
+        mass = np.zeros(size)
+        mass[-jlo] = 1.0
+        t0, kernels = 0, _shift_kernels(env.atom_pos[f : f + n] / dx, env.atom_w, size)
+        step_work = size
     else:
         edges = np.arange(grid_points + 1) * dx + env_lo
         nodes = 0.5 * (edges[:-1] + edges[1:])
-    size = len(nodes)
-    state = SubDensity(grid=nodes, mass=np.zeros(size))
-    work = 0
-
-    if env.kind == "atoms":
-        state.mass[-jlo] = 1.0
-        weights = env.atom_w
-        for i in range(1, n + 1):
-            new = np.zeros(size)
-            for a in range(len(weights)):
-                o = env.atom_pos[f + i - 1, a] / dx
-                of = math.floor(o)
-                fr = o - of
-                w = float(weights[a])
-                for shift, wf in ((of, w * (1.0 - fr)), (of + 1, w * fr)):
-                    shift = int(shift)
-                    if wf == 0.0 or abs(shift) >= size:
-                        continue
-                    if shift >= 0:
-                        new[shift:] += wf * state.mass[: size - shift] if shift else wf * state.mass
-                    else:
-                        new[:shift] += wf * state.mass[-shift:]
-            inside = (nodes >= lo[i]) & (nodes <= up[i])
-            new[~inside] = 0.0
-            state = SubDensity(grid=nodes, mass=new)
-            work += size
-            running[i] = state.total
-            if running[i] == 0.0:
-                return -math.inf, running, work
-    else:
+        size = len(nodes)
         means = env.quenched_mean[f : f + n]
         stds = env.stds[f : f + n]
         # first step: exact bin masses from the point source at x0
-        first = ndtr((edges[1:] - x0 - means[0]) / stds[0]) - ndtr((edges[:-1] - x0 - means[0]) / stds[0])
-        inside = (nodes >= lo[1]) & (nodes <= up[1])
-        first[~inside] = 0.0
-        state = SubDensity(grid=nodes, mass=first)
-        work += size
-        running[1] = state.total
-        if n >= 2 and running[1] > 0.0:
-            hw = int(math.ceil((8.0 * stds.max() + np.abs(means).max()) / dx)) + 1
-            offs = np.arange(-hw, hw + 1) * dx
-            # Toeplitz transition: center-to-bin masses depend only on the offset
-            kernels = ndtr((offs[None, :] + 0.5 * dx - means[1:, None]) / stds[1:, None]) - ndtr(
-                (offs[None, :] - 0.5 * dx - means[1:, None]) / stds[1:, None]
-            )
-            for i in range(2, n + 1):
-                new = np.convolve(state.mass, kernels[i - 2])[hw : hw + size]
-                inside = (nodes >= lo[i]) & (nodes <= up[i])
-                new[~inside] = 0.0
-                state = SubDensity(grid=nodes, mass=new)
-                work += size + 2 * hw
-                running[i] = state.total
-                if running[i] == 0.0:
-                    return -math.inf, running, work
+        mass = ndtr((edges[1:] - x0 - means[0]) / stds[0]) - ndtr((edges[:-1] - x0 - means[0]) / stds[0])
+        hw = int(math.ceil((8.0 * stds.max() + np.abs(means).max()) / dx)) + 1
+        offs = np.arange(hw, -hw - 1, -1) * dx  # reversed kernel order
+        right, left = offs + 0.5 * dx, offs - 0.5 * dx
 
-    mass = state.mass
-    end = tube.end_bounds()
-    if end is not None:
-        keep = (nodes >= end[0]) & (nodes <= end[1])
-        mass = np.where(keep, mass, 0.0)
-    total = mass.sum()
-    log_p = math.log(total) + xi_log_factor(env, tube) if total > 0 else -math.inf
+        def build(j0: int, j1: int) -> np.ndarray:
+            # Toeplitz transition: center-to-bin masses depend only on the offset
+            m, s = means[j0:j1, None], stds[j0:j1, None]
+            return ndtr((right - m) / s) - ndtr((left - m) / s)
+
+        t0, kernels = 1, (2 * hw + 1, hw, build)
+        step_work = size + 2 * hw
+    log_total, last = _propagate(mass, nodes, lo, up, tube.end_bounds(), t0, kernels, running)
+    work = t0 * size + (last - t0) * step_work
+    running[0] = 1.0
+    log_p = log_total + xi_log_factor(env, tube) if log_total > -math.inf else -math.inf
     return log_p, running, work
 
 

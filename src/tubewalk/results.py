@@ -18,7 +18,8 @@ _STOCHASTIC = {METHOD_NAIVE_MC, METHOD_SPLITTING}
 class SurvivalEstimate:
     """A quenched tube-survival probability with provenance.
 
-    ``log_p`` is the natural log (-inf allowed for p = 0); ``stderr_log``
+    ``log_p`` is the natural log (-inf allowed for p = 0); ``p`` is 0 also
+    for a finite ``log_p`` whose exponential underflows.  ``stderr_log``
     is a standard error on the log scale and is present exactly for the
     stochastic methods.  ``work`` counts paths (MC) or particle-steps /
     state-transitions (splitting, DP, grid).  ``refine_delta_log`` reports
@@ -39,8 +40,8 @@ class SurvivalEstimate:
             raise ValueError(f"p={self.p} outside [0, 1]")
         if self.p > 0 and not math.isclose(self.p, math.exp(self.log_p), rel_tol=1e-12):
             raise ValueError("p and log_p disagree")
-        if self.p == 0 and self.log_p != -math.inf:
-            raise ValueError("p = 0 requires log_p = -inf")
+        if self.p == 0 and math.exp(self.log_p) != 0.0:
+            raise ValueError("p = 0 requires log_p = -inf or exp(log_p) to underflow")
         stochastic = self.method in _STOCHASTIC
         if stochastic != (self.stderr_log is not None):
             raise ValueError("stderr_log must be present exactly for stochastic methods")

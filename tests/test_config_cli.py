@@ -232,6 +232,28 @@ def test_cli_rejects_bad_estimator_effort(tmp_path, capsys, overrides, key):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["--set", "gamma.replicas=3"], "gamma.replicas"),
+        (["--set", "gamma.replicas=8.5"], "gamma.replicas"),
+        (["--set", "gamma.grid_points=49"], "gamma.grid_points"),
+        (["--set", "gamma.grid_points=abc"], "gamma.grid_points"),
+        (["--set", "gamma.t=0"], "gamma.t"),
+        (["--set", "gamma.dt=-0.01"], "gamma.dt"),
+        (["--set", "gamma.t=0.03"], "gamma.t / gamma.dt"),
+        (["--seed", "-1"], "seed"),
+        (["--set", "seed=1.5"], "seed"),
+        (["--set", "environment.seed=-3"], "environment.seed"),
+    ],
+)
+def test_cli_rejects_bad_gamma_and_seed(tmp_path, capsys, args, key):
+    cfg = _write(tmp_path, SMALL)
+    assert cli.main(["gamma", "--config", cfg, *args, "--out", str(tmp_path / "x")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("name", ["degenerate-rademacher", "random-shift-bernoulli", "random-mean-gaussian"])
 def test_cli_verify_builtin_configs(tmp_path, name):
     raw = load_builtin(name)

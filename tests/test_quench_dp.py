@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import tubewalk as tw
+from tubewalk import config as tw_config
+from tubewalk import quench_dp
 from tubewalk.quench_dp import SubDensity, xi_log_factor
+from tubewalk.rng import derive_seed
 
 # tube whose raw bounds are +-(1 + 1e-9): the integer-lattice event |S_i| <= 1
 BND = (1 + 1e-9) / 2**0.25
@@ -213,3 +217,247 @@ def test_start_sweep_grid_of_points():
     assert xs[0] == pytest.approx(-0.5 * tube.scale)
     assert xs[-1] == pytest.approx(0.5 * tube.scale)
     assert all(est.p >= 0 for _, est in pts)
+
+
+# --- the shared step loop -------------------------------------------------
+#
+# The three loops below are the per-step propagators the shared loop
+# replaced, kept verbatim in substance as the reference it must reproduce.
+
+
+def _reference_dp(env, tube, x0):
+    lo, up = tube.bounds_arrays()
+    q, n, f = env.lattice_q, tube.n, tube.f_offset
+    deltas = np.rint(env.atom_pos[f : f + n] * q).astype(np.int64)
+    weights = env.atom_w
+    jmin = int(math.ceil((lo.min() - x0) * q)) - 1
+    jmax = int(math.floor((up.max() - x0) * q)) + 1
+    size = jmax - jmin + 1
+    positions = x0 + np.arange(jmin, jmax + 1) / q
+    mass = np.zeros(size)
+    mass[-jmin] = 1.0
+    running = np.zeros(n + 1)
+    running[0] = 1.0
+    new = np.empty(size)
+    for i in range(1, n + 1):
+        new[:] = 0.0
+        for a in range(len(weights)):
+            d, w = int(deltas[i - 1, a]), float(weights[a])
+            if abs(d) >= size:
+                continue
+            if d >= 0:
+                new[d:] += w * mass[: size - d] if d > 0 else w * mass
+            else:
+                new[:d] += w * mass[-d:]
+        new[~((positions >= lo[i]) & (positions <= up[i]))] = 0.0
+        mass[:] = new
+        running[i] = mass.sum()
+        if running[i] == 0.0:
+            break
+    end = tube.end_bounds()
+    if end is not None:
+        mass[~((positions >= end[0]) & (positions <= end[1]))] = 0.0
+    total = mass.sum()
+    return (math.log(total) if total > 0 else -math.inf), running, n * size
+
+
+def _reference_grid(env, tube, x0, grid_points):
+    lo, up = tube.bounds_arrays()
+    n, f = tube.n, tube.f_offset
+    running = np.zeros(n + 1)
+    running[0] = 1.0
+    env_lo, env_up = lo.min(), up.max()
+    dx = quench_dp._grid_spacing(env, env_up - env_lo, grid_points)
+    work = 0
+    if env.kind == "atoms":
+        jlo = int(math.ceil((env_lo - x0) / dx)) - 1
+        jhi = int(math.floor((env_up - x0) / dx)) + 1
+        nodes = x0 + np.arange(jlo, jhi + 1) * dx
+        size = len(nodes)
+        mass = np.zeros(size)
+        mass[-jlo] = 1.0
+        for i in range(1, n + 1):
+            new = np.zeros(size)
+            for a in range(len(env.atom_w)):
+                o = env.atom_pos[f + i - 1, a] / dx
+                of = math.floor(o)
+                fr = o - of
+                w = float(env.atom_w[a])
+                for shift, wf in ((of, w * (1.0 - fr)), (of + 1, w * fr)):
+                    if wf == 0.0 or abs(shift) >= size:
+                        continue
+                    if shift >= 0:
+                        new[shift:] += wf * mass[: size - shift] if shift else wf * mass
+                    else:
+                        new[:shift] += wf * mass[-shift:]
+            new[~((nodes >= lo[i]) & (nodes <= up[i]))] = 0.0
+            mass = new
+            work += size
+            running[i] = mass.sum()
+            if running[i] == 0.0:
+                return -math.inf, running, work
+    else:
+        edges = np.arange(grid_points + 1) * dx + env_lo
+        nodes = 0.5 * (edges[:-1] + edges[1:])
+        size = len(nodes)
+        means, stds = env.quenched_mean[f : f + n], env.stds[f : f + n]
+        mass = ndtr((edges[1:] - x0 - means[0]) / stds[0]) - ndtr((edges[:-1] - x0 - means[0]) / stds[0])
+        mass[~((nodes >= lo[1]) & (nodes <= up[1]))] = 0.0
+        work += size
+        running[1] = mass.sum()
+        hw = int(math.ceil((8.0 * stds.max() + np.abs(means).max()) / dx)) + 1
+        offs = np.arange(-hw, hw + 1) * dx
+        kernels = ndtr((offs[None, :] + 0.5 * dx - means[1:, None]) / stds[1:, None]) - ndtr(
+            (offs[None, :] - 0.5 * dx - means[1:, None]) / stds[1:, None]
+        )
+        for i in range(2, n + 1):
+            mass = np.convolve(mass, kernels[i - 2])[hw : hw + size]
+            mass[~((nodes >= lo[i]) & (nodes <= up[i]))] = 0.0
+            work += size + 2 * hw
+            running[i] = mass.sum()
+            if running[i] == 0.0:
+                return -math.inf, running, work
+    end = tube.end_bounds()
+    if end is not None:
+        mass = np.where((nodes >= end[0]) & (nodes <= end[1]), mass, 0.0)
+    total = mass.sum()
+    return (math.log(total) if total > 0 else -math.inf), running, work
+
+
+MOVING = dict(  # both bounds move both ways
+    g=((0, -1.0), (0.5, -0.6), (1, -1.4)),
+    h=((0, 1.0), (0.5, 2.0), (1, 1.2)),
+    alpha=0.3,
+    n=300,
+    f_offset=5,
+    end_window=(-0.5, 1.0),
+)
+THREE_ATOMS = tw.EnvironmentSpec.degenerate([(-1.5, 0.25), (0.0, 0.5), (1.5, 0.25)])
+SPECS = {
+    "shift": tw.EnvironmentSpec.random_shift_bernoulli(0.5),
+    "rademacher": tw.EnvironmentSpec.rademacher(),
+    "three": THREE_ATOMS,
+    "gauss": tw.EnvironmentSpec.random_mean_gaussian(0.5, 1.0),
+    "gauss-narrow": tw.EnvironmentSpec.random_mean_gaussian(0.2, 0.5),  # kernel shorter than the grid
+    "off-lattice": tw.EnvironmentSpec.degenerate([(-math.sqrt(0.5), 0.5), (math.sqrt(0.5), 0.5)]),
+}
+
+
+def _same(got, want, rel):
+    """Equal log_p and running total (exactly when rel == 0) and equal work."""
+    (lp, run, work), (lp_ref, run_ref, work_ref) = got, want
+    assert work == work_ref
+    if rel == 0.0:
+        assert lp == lp_ref
+        np.testing.assert_array_equal(run, run_ref)
+    else:
+        assert lp == pytest.approx(lp_ref, rel=rel, abs=0.0)
+        np.testing.assert_allclose(run, run_ref, rtol=rel, atol=0.0)
+
+
+@pytest.mark.parametrize("name, rel", [("shift", 0.0), ("rademacher", 0.0), ("three", 1e-13)])
+def test_dp_loop_reproduces_reference(name, rel):
+    tube = tw.TubeSpec(**MOVING)
+    env = tw.sample_environment(SPECS[name], tube.f_offset + tube.n, seed=21)
+    est, run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    _same((est.log_p, run, est.work), _reference_dp(env, tube, 0.0), rel)
+
+
+@pytest.mark.parametrize(
+    "name, grid_points, rel",
+    [
+        ("gauss", 300, 0.0),
+        ("gauss", 77, 0.0),
+        ("gauss-narrow", 300, 0.0),
+        ("shift", 300, 0.0),
+        ("three", 200, 1e-13),
+        ("off-lattice", 150, 1e-13),
+        ("off-lattice", 19, 1e-13),  # dx ~ 1: the two atoms split onto a shared node
+    ],
+)
+def test_grid_loop_reproduces_reference(name, grid_points, rel):
+    tube = tw.TubeSpec(**MOVING)
+    env = tw.sample_environment(SPECS[name], tube.f_offset + tube.n, seed=22)
+    got = quench_dp._grid_once(env, tube, 0.3, grid_points)
+    _same(got, _reference_grid(env, tube, 0.3, grid_points), rel)
+
+
+def test_loop_keeps_boundary_exact_nodes():
+    # 16**0.25 == 2: the +-1 walk reaches the bounds +-2 and the end window
+    # +-1 exactly, and closed intervals keep those nodes
+    tube = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.25, n=16, end_window=(-0.5, 0.5))
+    env = _rademacher_env(16)
+    est, run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    _same((est.log_p, run, est.work), _reference_dp(env, tube, 0.0), 0.0)
+    assert est.p == pytest.approx(tw.survival_brute_force(env, tube, 0.0).p, abs=1e-15)
+    _same(quench_dp._grid_once(env, tube, 0.0, 60), _reference_grid(env, tube, 0.0, 60), 0.0)
+
+
+def test_loop_reproduces_reference_extinction():
+    # tubes too narrow for the walk: the mass dies out after a few steps
+    tube = tw.TubeSpec(g=-0.5, h=0.5, alpha=0.01, n=40)
+    env = tw.sample_environment(SPECS["rademacher"], 40, seed=3)
+    est, run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    _same((est.log_p, run, est.work), _reference_dp(env, tube, 0.0), 0.0)
+    assert est.log_p == -math.inf and run[1] == 0.0
+    narrow = tw.TubeSpec(g=-0.05, h=0.05, alpha=0.01, n=40)
+    for name, dies in (("rademacher", True), ("gauss", False)):
+        genv = tw.sample_environment(SPECS[name], 40, seed=3)
+        got = quench_dp._grid_once(genv, narrow, 0.0, 60)
+        _same(got, _reference_grid(genv, narrow, 0.0, 60), 0.0)
+        assert (got[0] == -math.inf) == dies  # Gaussian mass thins out but never vanishes
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_kernel_blocks_do_not_change_results(monkeypatch, steps):
+    tube = tw.TubeSpec(**MOVING)
+    envs = {name: tw.sample_environment(SPECS[name], tube.f_offset + tube.n, seed=23) for name in SPECS}
+
+    def results():
+        out = [tw.survival_dp_lattice(envs[k], tube, 0.0, return_running=True) for k in ("shift", "three")]
+        out += [
+            tw.survival_grid(envs[k], tube, 0.2, 120, return_running=True)
+            for k in ("gauss", "gauss-narrow", "off-lattice")
+        ]
+        return [(est.log_p, est.work, run) for est, run in out]
+
+    default = results()
+    monkeypatch.setattr(quench_dp, "_block_steps", lambda width: steps)
+    for (lp, work, run), (lp_ref, work_ref, run_ref) in zip(results(), default):
+        assert lp == lp_ref and work == work_ref
+        np.testing.assert_array_equal(run, run_ref)
+
+
+def test_dp_pinned_value():
+    cfg = tw_config.validate(tw_config.load_builtin("random-shift-bernoulli"))
+    tube = cfg.template.make(3200)
+    env = tw.sample_environment(cfg.env_spec, tube.f_offset + 3200, derive_seed(0, 11, 0))
+    est = tw.survival_dp_lattice(env, tube, tube.default_x0())
+    assert est.log_p.hex() == (-35.82087266526615).hex()
+
+
+def _deep_rademacher(n):
+    template = tw.TubeTemplate(g=-1.0, h=1.0, alpha=0.1, f_coeff=1.0, f_power=0.5)
+    tube = template.make(n)
+    return _rademacher_env(tube.f_offset + n, seed=1), tube
+
+
+def test_dp_follows_spectral_rate_past_underflow():
+    # 5 sites in the tube for every n below: the killed +-1 walk decays by
+    # cos(pi/6) per step, and even n share the same constant
+    rate = math.log(math.cos(math.pi / 6))
+    excess = {}
+    for n in (2000, 6000, 20000):
+        env, tube = _deep_rademacher(n)
+        est = tw.survival_dp_lattice(env, tube, 0.0)
+        excess[n] = est.log_p - n * rate
+    assert est.p == 0.0 and est.log_p == pytest.approx(-2876.8, abs=0.5)
+    assert excess[6000] == pytest.approx(excess[2000], abs=1e-9)
+    assert excess[20000] == pytest.approx(excess[2000], abs=1e-9)
+
+
+def test_grid_follows_dp_past_underflow():
+    env, tube = _deep_rademacher(20000)
+    dp = tw.survival_dp_lattice(env, tube, 0.0)
+    grid = tw.survival_grid(env, tube, 0.0)
+    assert grid.log_p == pytest.approx(dp.log_p, abs=1e-9)

@@ -32,6 +32,14 @@ def test_zero_probability_representation():
     assert est.p == 0.0 and est.log_p == -math.inf
 
 
+def test_underflowing_probability_keeps_finite_log():
+    est = from_log(-2876.8, "dp_lattice", work=1)
+    assert est.p == 0.0 and est.log_p == -2876.8
+    assert from_log(-740.0, "grid", work=1).p == math.exp(-740.0) > 0.0
+    with pytest.raises(ValueError):
+        SurvivalEstimate(p=0.0, log_p=-700.0, method="dp_lattice", work=1)
+
+
 def test_probability_range_checked():
     with pytest.raises(ValueError):
         SurvivalEstimate(p=1.5, log_p=math.log(1.5), method="dp_lattice", work=1)
