@@ -25,12 +25,10 @@ from .gamma import (
     bm_tube_rate,
     estimate_gamma,
     quenched_bm_confinement,
-    reference_rates,
 )
 from .mc import survival_naive_mc, survival_splitting
 from .quench_dp import (
     NonLatticeError,
-    SubDensity,
     survival_brute_force,
     survival_dp_lattice,
     survival_grid,
@@ -54,7 +52,6 @@ __all__ = [
     "NonLatticeError",
     "RateFit",
     "StepLaw",
-    "SubDensity",
     "SurvivalEstimate",
     "TubeSpec",
     "TubeTemplate",
@@ -68,7 +65,6 @@ __all__ = [
     "moments",
     "predicted_rate",
     "quenched_bm_confinement",
-    "reference_rates",
     "sample_environment",
     "sample_path",
     "survival_brute_force",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -53,6 +54,15 @@ _ESTIMATOR_DEFAULTS = {
 _GAMMA_DEFAULTS = {"beta": [0.0], "t": 8.0, "dt": 1e-3, "grid_points": 400, "replicas": 8}
 _OUTPUT_DEFAULTS = {"dir": "out", "formats": ["csv", "json"], "svg": False, "dump_path": False}
 
+# Memory a run may take, and what one unit of effort holds at once: a
+# splitting particle keeps positions, flags, end positions and resampling
+# indices (8 bytes each, with temporaries); an environment step keeps its
+# law, its tube bounds and the estimators' per-step arrays (measured 70-128
+# bytes with tracemalloc for 0-3 atoms per law).
+_MEMORY_BUDGET = 2**30
+_PATH_BYTES = 64
+_STEP_BYTES, _ATOM_BYTES = 64, 32
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad key."""
@@ -74,6 +84,15 @@ def _check_effort(est: dict, n_list: tuple[int, ...]) -> None:
     """Reject estimator effort values the estimators would refuse late."""
     for key, low in (("replicas", 100), ("particles", 100), ("grid_points", 50), ("checkpoints", 1)):
         _int_at_least(est[key], low, f"estimator.{key}")
+    # naive MC holds one chunk of replicas at a time, but its replicas are
+    # the particles of a one-block splitting run and share their bound
+    for key in ("particles", "replicas"):
+        if est[key] > _MEMORY_BUDGET // _PATH_BYTES:
+            raise ConfigError(
+                f"estimator.{key} must be <= {_MEMORY_BUDGET // _PATH_BYTES} "
+                f"({_PATH_BYTES} bytes per path within a {_MEMORY_BUDGET >> 30} GiB memory budget), "
+                f"got {est[key]}"
+            )
     _positive(est["tolerance"], "estimator.tolerance")
     if est["method"] == "splitting" and est["checkpoints"] > min(n_list):
         raise ConfigError(
@@ -167,7 +186,25 @@ def _build_env(table: dict) -> EnvironmentSpec:
     raise ConfigError(f"environment.family: unknown family {family!r}")
 
 
-def _build_tube(table: dict) -> tuple[TubeTemplate, tuple[int, ...], float | None, str, bool]:
+def _check_env_length(template: TubeTemplate, n_max: int, env_spec: EnvironmentSpec) -> None:
+    """Reject tubes whose environment, f_offset(max n) + max n steps, overflows the budget."""
+    atoms = {"degenerate": len(env_spec.atoms or ()), "random_shift_bernoulli": 2}.get(env_spec.family, 0)
+    step_bytes = _STEP_BYTES + _ATOM_BYTES * atoms
+    try:
+        steps = template.f_offset(n_max) + n_max
+    except (OverflowError, ValueError):  # an infinite or nan offset
+        steps = math.inf
+    if steps > _MEMORY_BUDGET // step_bytes:
+        raise ConfigError(
+            f"tube.n_list, tube.f_coeff and tube.f_power give an environment of f_offset(max n) + max n "
+            f"= {steps} steps; at most {_MEMORY_BUDGET // step_bytes} fit ({step_bytes} bytes per "
+            f"step within a {_MEMORY_BUDGET >> 30} GiB memory budget)"
+        )
+
+
+def _build_tube(
+    table: dict, env_spec: EnvironmentSpec
+) -> tuple[TubeTemplate, tuple[int, ...], float | None, str, bool]:
     for key in ("alpha", "g", "h"):
         if key not in table:
             raise ConfigError(f"tube.{key} is required")
@@ -190,6 +227,7 @@ def _build_tube(table: dict) -> tuple[TubeTemplate, tuple[int, ...], float | Non
             f_coeff=float(table.get("f_coeff", 1.0)),
             f_power=float(table.get("f_power", 0.5)),
         )
+        _check_env_length(template, max(n_list), env_spec)
         for n in n_list:
             template.make(n)  # validates windows against boundaries
     except ConfigError:
@@ -230,7 +268,7 @@ def validate(raw: dict) -> ExperimentConfig:
         out.update(raw["output"])
 
     env_spec = _build_env(raw["environment"])
-    template, n_list, x0, xi_mode, sweep = _build_tube(raw["tube"])
+    template, n_list, x0, xi_mode, sweep = _build_tube(raw["tube"], env_spec)
     _check_effort(est, n_list)
     env_seed = raw["environment"].get("seed")
     return ExperimentConfig(

@@ -10,13 +10,18 @@ scheme is needed.
 
 All W replicas are propagated together as one (replicas, grid_points)
 array.  A step is a batched circular convolution through a zero-padded
-real FFT of length n = next_fast_len(grid_points + reach), where reach
-covers 8 sd plus the largest drift in grid cells; the step kernel's
-transform is written in closed form by Poisson summation (see
-`_kernel_transform`), built a block of steps at a time, and FFT round-off
-is clipped at zero.  `estimate_gamma` propagates at most 64 replicas per
-batch and each block of transforms holds at most 2**18 complex entries,
-so memory stays bounded whatever the replica count.
+real FFT of length n = `_fast_len(grid_points + reach)` (the smallest
+2**a 3**b 5**c at least that long), where reach covers 8 sd plus the
+largest drift in grid cells; the step kernel's transform is written in
+closed form by Poisson summation (see `_kernel_transform`), built a block
+of steps at a time, and FFT round-off is clipped at zero.  The first
+step's bin masses come from the same transform (`_bin_masses`, which the
+grid estimator in `quench_dp` shares), so no Gaussian CDF is evaluated.
+`estimate_gamma` propagates at most 64 replicas per batch and each block
+of transforms holds at most 2**18 complex entries, so memory stays
+bounded whatever the replica count; at beta = 0 every replica is the same
+and one is propagated.  scipy is imported only by `_t_quantile`, for the
+confidence intervals, on its first call.
 
 Two systematic errors are handled explicitly:
 
@@ -36,8 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.special import ndtr, stdtrit
 
 from .rng import STREAM_GAMMA_W, substream
 
@@ -62,9 +65,25 @@ def bm_tube_rate(sigma: float, width: float) -> float:
     return math.pi**2 * sigma**2 / (2.0 * width**2)
 
 
-def reference_rates() -> dict:
-    """Closed-form reference constants: gamma(0) and the static-tube rate."""
-    return {"gamma_zero": GAMMA_ZERO, "bm_tube_rate": bm_tube_rate}
+def _t_quantile(dof: int, prob: float) -> float:
+    """Student-t quantile; scipy is imported on the first call only."""
+    from scipy.special import stdtrit
+
+    return float(stdtrit(dof, prob))
+
+
+def _fast_len(target: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= target: scipy's next_fast_len(target, real=True)."""
+    best = 1 << max(target - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            quotient = -(-target // p35)  # ceil(target / p35)
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _kernel_transform(drifts, sd: float, dx: float, n: int) -> np.ndarray:
@@ -93,6 +112,26 @@ def _kernel_transform(drifts, sd: float, dx: float, n: int) -> np.ndarray:
             band = slice(keep[0], keep[-1] + 1)
             out[..., band] += amp[band] * np.exp(-1j * theta[band] * shift)
     return out
+
+
+def _bin_masses(drifts, sds, dx: float, n: int, first: int, count: int) -> np.ndarray:
+    """Bin masses of N(d, sd^2) steps on the `count` bins first, first+1, ...
+    cells from the origin, one row per drift; `sds` broadcasts against the
+    1-D `drifts`.
+
+    Each row is the inverse real FFT of `_kernel_transform` (one transform
+    per distinct sd) read at the bins' offsets mod n, with FFT round-off
+    clipped at zero.  Mass wraps around unless n covers the bins' span plus
+    the kernel's reach on either side.
+    """
+    drifts = np.asarray(drifts, dtype=float)
+    sds = np.broadcast_to(sds, drifts.shape)
+    k_hat = np.empty(drifts.shape + (n // 2 + 1,), dtype=complex)
+    for sd in np.unique(sds):
+        rows = sds == sd
+        k_hat[rows] = _kernel_transform(drifts[rows], sd, dx, n)
+    offsets = np.arange(first, first + count) % n
+    return np.maximum(np.fft.irfft(k_hat, n)[:, offsets], 0.0)
 
 
 def _confinement_profiles(
@@ -131,19 +170,19 @@ def _confinement_profiles(
 
     wanted = set(checkpoints)
     totals = {}
-    first = drifts[:, :1]
-    mass = ndtr((edges[1:] - y0 - first) / sd) - ndtr((edges[:-1] - y0 - first) / sd)
+    reach = int(math.ceil((8.0 * sd + np.abs(drifts).max()) / dx)) + 1
+    n = _fast_len(grid_points + reach)
+    # the grid sits at the head of a zero-padded length-n row, so the
+    # circular convolution equals the linear one on the grid; what it
+    # pushes past either barrier lands in the padding and is dropped
+    padded = np.zeros((replicas, n))
+    mass = padded[:, :grid_points]
+    # first step: the point source at y0 moved by the step kernel
+    node0 = edges[0] + 0.5 * dx
+    mass[:] = _bin_masses(y0 + drifts[:, 0] - node0, sd, dx, n, 0, grid_points)
     if 1 in wanted:
         totals[1] = mass.sum(axis=1)
     if last > 1:
-        reach = int(math.ceil((8.0 * sd + np.abs(drifts).max()) / dx)) + 1
-        n = next_fast_len(grid_points + reach, real=True)
-        # the grid sits at the head of a zero-padded length-n row, so the
-        # circular convolution equals the linear one on the grid; what it
-        # pushes past either barrier lands in the padding and is dropped
-        padded = np.zeros((replicas, n))
-        padded[:, :grid_points] = mass
-        mass = padded[:, :grid_points]
         # step k applies drifts[:, k - 1]; transforms are built a block at a time
         block = max(1, _BLOCK_ENTRIES // (replicas * (n // 2 + 1)))
         for lo in range(1, last, block):
@@ -241,9 +280,11 @@ def estimate_gamma(
     ts = np.array(cps) * dt
 
     sd = math.sqrt(dt)
+    # at beta = 0 the drift -beta*dW is 0 and every replica is the same
+    distinct = env_replicas if beta > 0 else 1
     slopes = []
-    for lo in range(0, env_replicas, _REPLICA_BATCH):
-        batch = range(lo, min(lo + _REPLICA_BATCH, env_replicas))
+    for lo in range(0, distinct, _REPLICA_BATCH):
+        batch = range(lo, min(lo + _REPLICA_BATCH, distinct))
         w_inc = np.stack([substream(seed, STREAM_GAMMA_W, r).normal(0.0, sd, steps) for r in batch])
         probs = _confinement_profiles(w_inc, beta, dt, grid_points, 0.0, barrier_correction, cps)
         if probs.min() <= 0.0:
@@ -252,9 +293,10 @@ def estimate_gamma(
                 "increase grid_points or shorten dt / the horizon"
             )
         slopes.extend(float(v) for v in np.polyfit(ts, -np.log(probs.T), 1)[0])
+    slopes *= env_replicas // distinct
     gamma_hat = float(np.mean(slopes))
     spread = float(np.std(slopes, ddof=1))
-    half = float(stdtrit(env_replicas - 1, 0.975)) * spread / math.sqrt(env_replicas)
+    half = _t_quantile(env_replicas - 1, 0.975) * spread / math.sqrt(env_replicas)
     return GammaEstimate(
         beta=beta,
         horizon_t=horizon_t,

@@ -16,10 +16,17 @@ scale and may underflow to 0 for events the log result still resolves.
 whose atoms live on a lattice (1/q)Z and serves as the oracle for the
 Monte Carlo estimators.  ``survival_brute_force`` is the independent
 enumeration oracle used to certify the DP on small instances.
-``survival_grid`` handles Gaussian step laws by bin-edge-CDF transition
-masses on a uniform grid; finite atom laws are handled on the same grid by
-exact shifts with linear mass splitting (exact when the grid is aligned to
-the lattice, which is done automatically).
+``survival_grid`` handles Gaussian step laws by bin-edge transition masses
+on a uniform grid; finite atom laws are handled on the same grid by exact
+shifts with linear mass splitting (exact when the grid is aligned to the
+lattice, which is done automatically).  The Gaussian masses, of the first
+step's point source and of every step kernel, come from the closed-form
+transform gamma uses (`gamma._bin_masses`): one inverse FFT per block of
+kernels, at a 5-smooth length that holds the kernel, with round-off of
+about 1e-16 clipped at zero.  The kernels are still applied by direct
+correlation: on one vector of 200-400 nodes a padded FFT step pays two FFT
+calls of about 10 us each and beat the direct product only for the widest
+kernels (647 taps).
 """
 
 from __future__ import annotations
@@ -27,12 +34,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .env import EnvRealization
+from .gamma import _bin_masses, _fast_len
 from .results import (
     METHOD_BRUTE_FORCE,
     METHOD_DP_LATTICE,
@@ -45,33 +51,16 @@ from .tube import TubeSpec
 _LATTICE_TOL = 1e-9
 _BRUTE_LIMIT = 64_000_000  # max enumerated paths
 _BLOCK_ENTRIES = 2**14  # step-kernel entries built at a time
+# Gaussian kernels come from batched inverse FFTs with a fixed per-call
+# cost (tens of numpy calls holding the interpreter lock); pooled grid runs
+# need it spread over bigger blocks.
+_FFT_BLOCK_ENTRIES = 2**16
 _RESCALE_BELOW = 2.0**-500  # carried mass total that triggers a rescale
 _LN2 = math.log(2.0)
 
 
 class NonLatticeError(ValueError):
     """Environment steps are not all on a common lattice; use survival_grid."""
-
-
-@dataclass(frozen=True, eq=False)
-class SubDensity:
-    """Discretised sub-probability measure of the surviving walk."""
-
-    grid: np.ndarray  # ordered positions
-    mass: np.ndarray  # nonnegative mass per position
-
-    @property
-    def total(self) -> float:
-        return float(self.mass.sum())
-
-    def validate(self, lower: float, upper: float) -> None:
-        if np.any(self.mass < 0):
-            raise AssertionError("negative mass in sub-density")
-        if self.total > 1.0 + 1e-12:
-            raise AssertionError("sub-density total exceeds 1")
-        live = self.mass > 0
-        if np.any((self.grid[live] < lower) | (self.grid[live] > upper)):
-            raise AssertionError("live mass outside current tube bounds")
 
 
 def _xi_terms(tube: TubeSpec) -> tuple[int, int]:
@@ -118,9 +107,9 @@ def _finish(log_p: float, method: str, work: int, running=None, **kw):
     return (est, running) if running is not None else est
 
 
-def _block_steps(width: int) -> int:
-    """Steps whose kernels are built at once: about _BLOCK_ENTRIES entries."""
-    return max(1, _BLOCK_ENTRIES // width)
+def _block_steps(width: int, entries: int) -> int:
+    """Steps whose kernels are built at once: about `entries` entries."""
+    return max(1, entries // width)
 
 
 def _kept(nodes: np.ndarray, lo, up) -> tuple[list[int], list[int]]:
@@ -129,14 +118,13 @@ def _kept(nodes: np.ndarray, lo, up) -> tuple[list[int], list[int]]:
     return a.tolist(), np.maximum(np.searchsorted(nodes, up, "right"), a).tolist()
 
 
-def _steps(build, nodes: np.ndarray, lo: np.ndarray, up: np.ndarray, t0: int, width: int):
-    """(kernel, a, b) for steps t0+1..n, a block of steps at a time.
+def _steps(build, nodes: np.ndarray, lo: np.ndarray, up: np.ndarray, t0: int, block: int):
+    """(kernel, a, b) for steps t0+1..n, `block` steps at a time.
 
     The reversed kernel of the step and the index range [a, b) of nodes
     inside the tube after it.
     """
     n = len(lo) - 1
-    block = _block_steps(width)
     for j in range(t0, n, block):
         j1 = min(j + block, n)
         yield from zip(build(j, j1), *_kept(nodes, lo[j + 1 : j1 + 1], up[j + 1 : j1 + 1]))
@@ -148,7 +136,7 @@ def _shift_kernels(moves: np.ndarray, weights: np.ndarray, size: int):
     Step j moves mass by ``moves[j, a]`` nodes with probability
     ``weights[a]``; a move between two nodes is split linearly between
     them.  Moves of a whole window or more carry nothing into it and are
-    dropped.  Returns (width, r, build) as `_propagate` takes them.
+    dropped.  Returns (width, r, block, build) as `_propagate` takes them.
     """
     low = min(max(math.floor(moves.min()), 1 - size), 0)
     high = max(min(math.ceil(moves.max()), size - 1), 0)
@@ -167,25 +155,25 @@ def _shift_kernels(moves: np.ndarray, weights: np.ndarray, size: int):
                 kern[rows[ok], (high - shift[ok]).astype(np.intp)] += wf[ok]
         return kern
 
-    return width, -low, build
+    return width, -low, _block_steps(width, _BLOCK_ENTRIES), build
 
 
 def _propagate(mass, nodes, lo, up, end, t0: int, kernels, running) -> tuple[float, int]:
     """Carry the sub-density `mass` on `nodes` from time t0 to time n.
 
     Step i takes the mass to ``np.convolve(mass, kernel_i)[r : r + size]``;
-    ``build(j0, j1)`` of the `kernels` triple (width, r, build) gives the
-    kernels of steps j0+1..j1 as rows, each reversed.  At each time i the
-    mass is then zeroed outside the nodes in [lo[i], up[i]], rescaled by an
-    exact power of two when its total drops below _RESCALE_BELOW, and
-    ``running[i]`` gets the unscaled total.  The end window [end[0],
+    ``build(j0, j1)`` of the `kernels` tuple (width, r, block, build) gives
+    the kernels of steps j0+1..j1 as rows, each reversed, `block` steps at
+    a time.  At each time i the mass is then zeroed outside the nodes in
+    [lo[i], up[i]], rescaled by an exact power of two when its total drops
+    below _RESCALE_BELOW, and ``running[i]`` gets the unscaled total.  The end window [end[0],
     end[1]] (or None) applies at time n.  Returns (log of the final mass,
     last time reached); the log is -inf when the mass died out then.
     `mass` is updated in place.
     """
     n = len(lo) - 1
     size = len(nodes)
-    width, r, build = kernels
+    width, r, block, build = kernels
     # np.correlate with a reversed kernel gives np.convolve's bits without
     # its wrapper, as long as the kernel is not the longer operand
     narrow = width <= size
@@ -193,7 +181,7 @@ def _propagate(mass, nodes, lo, up, end, t0: int, kernels, running) -> tuple[flo
     mass[:live_lo] = 0.0  # the mass is zero outside [live_lo, live_up)
     mass[live_up:] = 0.0
     exp2 = 0  # the true mass is mass * 2**exp2
-    steps = itertools.chain([None], _steps(build, nodes, lo, up, t0, width))
+    steps = itertools.chain([None], _steps(build, nodes, lo, up, t0, block))
     for i, step in zip(range(t0, n + 1), steps):
         if step is not None:
             kernel, a, b = step
@@ -341,18 +329,20 @@ def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int)
         size = len(nodes)
         means = env.quenched_mean[f : f + n]
         stds = env.stds[f : f + n]
-        # first step: exact bin masses from the point source at x0
-        mass = ndtr((edges[1:] - x0 - means[0]) / stds[0]) - ndtr((edges[:-1] - x0 - means[0]) / stds[0])
         hw = int(math.ceil((8.0 * stds.max() + np.abs(means).max()) / dx)) + 1
-        offs = np.arange(hw, -hw - 1, -1) * dx  # reversed kernel order
-        right, left = offs + 0.5 * dx, offs - 0.5 * dx
+        # first step: the point source at x0 moved by the step kernel
+        drift = np.array([x0 + means[0] - nodes[0]])
+        mass = _bin_masses(drift, stds[0], dx, _fast_len(size + hw), 0, size)[0]
+        # Toeplitz transition: center-to-bin masses depend only on the offset
+        width = 2 * hw + 1
+        length = _fast_len(width)
 
         def build(j0: int, j1: int) -> np.ndarray:
-            # Toeplitz transition: center-to-bin masses depend only on the offset
-            m, s = means[j0:j1, None], stds[j0:j1, None]
-            return ndtr((right - m) / s) - ndtr((left - m) / s)
+            # tap t of a reversed kernel is the mass a N(m, s^2) step puts
+            # hw - t cells on, i.e. the mass a N(-m, s^2) step puts t - hw on
+            return _bin_masses(-means[j0:j1], stds[j0:j1], dx, length, -hw, width)
 
-        t0, kernels = 1, (2 * hw + 1, hw, build)
+        t0, kernels = 1, (width, hw, _block_steps(width, _FFT_BLOCK_ENTRIES), build)
         step_work = size + 2 * hw
     log_total, last = _propagate(mass, nodes, lo, up, tube.end_bounds(), t0, kernels, running)
     work = t0 * size + (last - t0) * step_work

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -252,6 +256,73 @@ def test_cli_rejects_bad_gamma_and_seed(tmp_path, capsys, args, key):
     assert cli.main(["gamma", "--config", cfg, *args, "--out", str(tmp_path / "x")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"estimator": {"particles": 10**8}}, "estimator.particles"),
+        ({"estimator": {"replicas": 2**24 + 1}}, "estimator.replicas"),
+        ({"tube": {"f_coeff": 1e9}}, "tube.f_coeff"),
+        ({"tube": {"n_list": [64, 128, 10**9]}}, "tube.n_list"),
+        ({"tube": {"f_power": 1e300}}, "tube.f_power"),
+        ({"tube": {"f_coeff": float("inf")}}, "tube.f_coeff"),
+    ],
+)
+def test_validate_caps_memory(overrides, key):
+    # validation alone: nothing is sampled or propagated
+    raw = {**SMALL, **{table: {**SMALL[table], **values} for table, values in overrides.items()}}
+    with pytest.raises(ConfigError, match="GiB memory budget") as info:
+        validate(raw)
+    assert key in str(info.value)
+
+
+def test_validate_accepts_effort_at_the_cap():
+    at_cap = {"particles": 2**24, "replicas": 2**24}
+    validate({**SMALL, "estimator": {**SMALL["estimator"], **at_cap}})
+    # 8388608 steps of 128 bytes: the Rademacher environment at the budget
+    validate({**SMALL, "tube": {**SMALL["tube"], "n_list": [64, 128, 2**23], "f_coeff": 0.0}})
+
+
+_SCIPY_FREE_RUNS = """
+import sys
+
+import tubewalk
+import tubewalk.cli as cli
+
+assert "scipy" not in sys.modules, "import tubewalk"
+out = sys.argv[1]
+for name in ("degenerate-rademacher", "random-shift-bernoulli", "random-mean-gaussian"):
+    for method in ("dp", "grid", "splitting", "naive"):
+        if method == "dp" and name == "random-mean-gaussian":
+            continue  # no lattice
+        sets = ["tube.n_list=[16,24,32]", f"estimator.method={method}", "estimator.particles=200",
+                "estimator.replicas=200", "estimator.checkpoints=4", "estimator.grid_points=60"]
+        args = ["simulate", "--config", f"builtin:{name}", "--out", out]
+        assert cli.main(args + [a for s in sets for a in ("--set", s)]) == 0, (name, method)
+        assert "scipy" not in sys.modules, (name, method)
+sets = ["tube.n_list=[16,24,32]", "gamma.t=0.5", "gamma.dt=0.01", "gamma.grid_points=60"]
+args = ["report", "--config", "builtin:random-shift-bernoulli", "--out", out]
+assert cli.main(args + [a for s in sets for a in ("--set", s)]) in (0, 1)
+assert "scipy" in sys.modules
+"""
+
+
+def test_import_and_simulate_leave_scipy_unloaded(tmp_path):
+    # scipy is imported only for the t quantile of gamma, fit and report
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUNS, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    payload = json.loads((tmp_path / "report.json").read_text())
+    header, (row,) = payload["gamma"]["header"], payload["gamma"]["rows"]
+    ci_lo, gamma_hat, ci_hi = (row[header.index(k)] for k in ("ci_lo", "gamma_hat", "ci_hi"))
+    assert ci_lo < gamma_hat < ci_hi
+    slope_lo, slope_hi = payload["fit"]["fit"]["slope_ci95"]
+    assert slope_lo < payload["fit"]["fit"]["slope"] < slope_hi
 
 
 @pytest.mark.parametrize("name", ["degenerate-rademacher", "random-shift-bernoulli", "random-mean-gaussian"])

@@ -6,13 +6,15 @@ from scipy.fft import next_fast_len
 from scipy.special import ndtr
 
 import tubewalk as tw
+import tubewalk.gamma as gamma_mod
 from tubewalk.gamma import (
     BARRIER_SHIFT,
     _confinement_profile,
     _confinement_profiles,
+    _fast_len,
     _kernel_transform,
 )
-from tubewalk.rng import derive_seed
+from tubewalk.rng import STREAM_GAMMA_W, derive_seed, substream
 
 PI2_2 = math.pi**2 / 2
 
@@ -155,10 +157,9 @@ def test_estimate_gamma_underflow_guidance():
 
 
 def test_reference_rates():
-    refs = tw.reference_rates()
-    assert refs["gamma_zero"] == pytest.approx(PI2_2)
-    assert refs["bm_tube_rate"](1.0, 2.0) == pytest.approx(math.pi**2 / 8)
-    assert tw.bm_tube_rate(1.0, 1.0) == pytest.approx(refs["gamma_zero"])
+    assert tw.GAMMA_ZERO == pytest.approx(PI2_2)
+    assert tw.bm_tube_rate(1.0, 2.0) == pytest.approx(math.pi**2 / 8)
+    assert tw.bm_tube_rate(1.0, 1.0) == pytest.approx(tw.GAMMA_ZERO)
     assert tw.bm_tube_rate(2.0, 2.0) == pytest.approx(4 * math.pi**2 / 8)
     with pytest.raises(ValueError):
         tw.bm_tube_rate(0.0, 1.0)
@@ -216,11 +217,65 @@ def test_estimate_gamma_pinned_value():
 
 def test_estimate_gamma_does_not_depend_on_batching(monkeypatch):
     # replica batches and transform blocks only bound memory
-    import tubewalk.gamma as gamma_mod
-
     kwargs = dict(horizon_t=1.0, dt=0.01, grid_points=60, env_replicas=11, seed=5)
     whole = tw.estimate_gamma(0.7, **kwargs)
     monkeypatch.setattr(gamma_mod, "_REPLICA_BATCH", 4)
     monkeypatch.setattr(gamma_mod, "_BLOCK_ENTRIES", 1000)
     split = tw.estimate_gamma(0.7, **kwargs)
     np.testing.assert_allclose(split.per_replica_values, whole.per_replica_values, rtol=1e-12)
+
+
+def test_fast_len_matches_scipy():
+    assert [_fast_len(t) for t in range(1, 5001)] == [
+        next_fast_len(t, real=True) for t in range(1, 5001)
+    ]
+
+
+@pytest.mark.parametrize("y0", [0.0, 0.4, -0.45])
+def test_point_source_first_step_matches_ndtr(monkeypatch, y0):
+    # the first step's masses are the step kernel at drift y0 + dW - node0
+    firsts = []
+
+    def spy(*args):
+        out = real(*args)
+        firsts.append(out.copy())
+        return out
+
+    real = gamma_mod._bin_masses
+    monkeypatch.setattr(gamma_mod, "_bin_masses", spy)
+    dt, grid, beta = 1e-3, 400, 1.0
+    w = np.random.default_rng(4).normal(0.0, math.sqrt(dt), (5, 3))
+    _confinement_profiles(w, beta, dt, grid, y0, True, (1,))
+    sd = math.sqrt(dt)
+    half = 0.5 - BARRIER_SHIFT * sd
+    edges = np.linspace(-half, half, grid + 1)
+    # the bins of spacing dx that the later FFT steps assume; np.linspace's
+    # edges stray from them by up to ~2e-14, which moves masses by ~7e-15
+    edges = edges[0] + np.arange(grid + 1) * (edges[1] - edges[0])
+    first = -beta * w[:, :1]
+    want = ndtr((edges[1:] - y0 - first) / sd) - ndtr((edges[:-1] - y0 - first) / sd)
+    assert len(firsts) == 1
+    assert np.abs(firsts[0] - want).max() <= 1e-15 and firsts[0].min() >= 0.0
+
+
+def test_beta_zero_propagates_one_replica(monkeypatch):
+    # reference: the all-replica path, every replica propagated
+    kwargs = dict(horizon_t=1.0, dt=0.01, grid_points=60, env_replicas=11, seed=5)
+    steps, cps = 100, (50, 75, 100)
+    w = np.stack([substream(5, STREAM_GAMMA_W, r).normal(0.0, 0.1, steps) for r in range(11)])
+    probs = _confinement_profiles(w, 0.0, 0.01, 60, 0.0, True, cps)
+    slopes = [float(v) for v in np.polyfit(np.array(cps) * 0.01, -np.log(probs.T), 1)[0]]
+    shapes = []
+
+    def spy(w_increments, *args):
+        shapes.append(np.shape(w_increments))
+        return real(w_increments, *args)
+
+    real = gamma_mod._confinement_profiles
+    monkeypatch.setattr(gamma_mod, "_confinement_profiles", spy)
+    est = tw.estimate_gamma(0.0, **kwargs)
+    assert shapes == [(1, steps)]
+    assert est.per_replica_values == tuple(slopes)
+    assert est.gamma_hat == float(np.mean(slopes))
+    half = gamma_mod._t_quantile(10, 0.975) * float(np.std(slopes, ddof=1)) / math.sqrt(11)
+    assert est.ci95 == (est.gamma_hat - half, est.gamma_hat + half)

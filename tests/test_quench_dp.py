@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.special import ndtr
 import tubewalk as tw
 from tubewalk import config as tw_config
 from tubewalk import quench_dp
-from tubewalk.quench_dp import SubDensity, xi_log_factor
+from tubewalk.quench_dp import xi_log_factor
 from tubewalk.rng import derive_seed
 
 # tube whose raw bounds are +-(1 + 1e-9): the integer-lattice event |S_i| <= 1
@@ -197,17 +198,6 @@ def test_grid_reports_refinement_delta():
     assert "grid_coarse" in coarse.flags
 
 
-def test_subdensity_invariants():
-    dens = SubDensity(grid=np.array([-1.0, 0.0, 1.0]), mass=np.array([0.2, 0.5, 0.1]))
-    assert dens.total == pytest.approx(0.8)
-    dens.validate(-1.0, 1.0)
-    with pytest.raises(AssertionError):
-        dens.validate(-0.5, 1.0)  # live mass below the lower bound
-    bad = SubDensity(grid=np.array([0.0]), mass=np.array([1.5]))
-    with pytest.raises(AssertionError):
-        bad.validate(-1.0, 1.0)
-
-
 def test_start_sweep_grid_of_points():
     env = _rademacher_env(25)
     tube = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.3, n=20, start_window=(-0.5, 0.5))
@@ -366,9 +356,10 @@ def test_dp_loop_reproduces_reference(name, rel):
 @pytest.mark.parametrize(
     "name, grid_points, rel",
     [
-        ("gauss", 300, 0.0),
-        ("gauss", 77, 0.0),
-        ("gauss-narrow", 300, 0.0),
+        # Gaussian kernels come from an inverse FFT, the reference samples ndtr
+        ("gauss", 300, 1e-12),
+        ("gauss", 77, 1e-12),
+        ("gauss-narrow", 300, 1e-12),
         ("shift", 300, 0.0),
         ("three", 200, 1e-13),
         ("off-lattice", 150, 1e-13),
@@ -401,11 +392,46 @@ def test_loop_reproduces_reference_extinction():
     _same((est.log_p, run, est.work), _reference_dp(env, tube, 0.0), 0.0)
     assert est.log_p == -math.inf and run[1] == 0.0
     narrow = tw.TubeSpec(g=-0.05, h=0.05, alpha=0.01, n=40)
-    for name, dies in (("rademacher", True), ("gauss", False)):
+    for name, dies, rel in (("rademacher", True, 0.0), ("gauss", False, 1e-12)):
         genv = tw.sample_environment(SPECS[name], 40, seed=3)
         got = quench_dp._grid_once(genv, narrow, 0.0, 60)
-        _same(got, _reference_grid(genv, narrow, 0.0, 60), 0.0)
+        _same(got, _reference_grid(genv, narrow, 0.0, 60), rel)
         assert (got[0] == -math.inf) == dies  # Gaussian mass thins out but never vanishes
+
+
+@pytest.mark.parametrize("name, grid_points", [("gauss", 300), ("gauss", 77), ("gauss-narrow", 300)])
+def test_point_source_first_step_matches_ndtr(monkeypatch, name, grid_points):
+    firsts = []
+
+    def spy(mass, *args):
+        firsts.append(mass.copy())
+        return real(mass, *args)
+
+    real = quench_dp._propagate
+    monkeypatch.setattr(quench_dp, "_propagate", spy)
+    tube = tw.TubeSpec(**MOVING)
+    env = tw.sample_environment(SPECS[name], tube.f_offset + tube.n, seed=24)
+    lo, up = tube.bounds_arrays()
+    dx = quench_dp._grid_spacing(env, up.max() - lo.min(), grid_points)
+    edges = np.arange(grid_points + 1) * dx + lo.min()
+    m, s = env.quenched_mean[tube.f_offset], env.stds[tube.f_offset]
+    for x0 in (0.3, 0.98 * lo[0], 0.98 * up[0]):  # the middle and both ends of the grid
+        quench_dp._grid_once(env, tube, x0, grid_points)
+        want = ndtr((edges[1:] - x0 - m) / s) - ndtr((edges[:-1] - x0 - m) / s)
+        got = firsts.pop()
+        assert np.abs(got - want).max() <= 1e-15 and got.min() >= 0.0
+
+
+def test_grid_with_per_step_stds_reproduces_reference():
+    # kernels of one block are built one distinct sd at a time
+    tube = tw.TubeSpec(**MOVING)
+    env = tw.sample_environment(SPECS["gauss"], tube.f_offset + tube.n, seed=25)
+    rng = np.random.default_rng(25)
+    for stds in (rng.choice([0.5, 0.8, 1.2], env.length), rng.uniform(0.4, 1.3, env.length)):
+        varied = dataclasses.replace(env, stds=stds, quenched_var=stds**2)
+        for grid_points in (300, 77):
+            got = quench_dp._grid_once(varied, tube, 0.3, grid_points)
+            _same(got, _reference_grid(varied, tube, 0.3, grid_points), 1e-12)
 
 
 @pytest.mark.parametrize("steps", [1, 3])
@@ -422,7 +448,7 @@ def test_kernel_blocks_do_not_change_results(monkeypatch, steps):
         return [(est.log_p, est.work, run) for est, run in out]
 
     default = results()
-    monkeypatch.setattr(quench_dp, "_block_steps", lambda width: steps)
+    monkeypatch.setattr(quench_dp, "_block_steps", lambda width, entries: steps)
     for (lp, work, run), (lp_ref, work_ref, run_ref) in zip(results(), default):
         assert lp == lp_ref and work == work_ref
         np.testing.assert_array_equal(run, run_ref)
