@@ -18,6 +18,7 @@ from importlib import resources
 import yaml
 
 from .env import EnvironmentSpec
+from .gamma import _REPLICA_BATCH, BARRIER_SHIFT, _layout, _run_bytes
 from .tube import TubeTemplate
 
 SCHEMA_VERSION = 1
@@ -58,10 +59,12 @@ _OUTPUT_DEFAULTS = {"dir": "out", "formats": ["csv", "json"], "svg": False, "dum
 # splitting particle keeps positions, flags, end positions and resampling
 # indices (8 bytes each, with temporaries); an environment step keeps its
 # law, its tube bounds and the estimators' per-step arrays (measured 70-128
-# bytes with tracemalloc for 0-3 atoms per law).
+# bytes with tracemalloc for 0-3 atoms per law).  gamma holds a batch of W
+# increment paths, 8 bytes an entry, and the arrays `gamma._run_bytes` counts.
 _MEMORY_BUDGET = 2**30
 _PATH_BYTES = 64
 _STEP_BYTES, _ATOM_BYTES = 64, 32
+_FLOAT_BYTES = 8
 
 
 class ConfigError(ValueError):
@@ -107,8 +110,37 @@ def _check_gamma(gam: dict) -> None:
         _int_at_least(gam[key], low, f"gamma.{key}")
     for key in ("t", "dt"):
         _positive(gam[key], f"gamma.{key}")
-    if round(gam["t"] / gam["dt"]) < 4:
+    ratio = gam["t"] / gam["dt"]
+    steps = round(ratio) if math.isfinite(ratio) else math.inf
+    if steps < 4:
         raise ConfigError(f"gamma.t / gamma.dt must give at least 4 steps, got {gam['t']}/{gam['dt']}")
+    if BARRIER_SHIFT * math.sqrt(gam["dt"]) >= 0.5:
+        raise ConfigError(
+            f"gamma.dt must be < {(0.5 / BARRIER_SHIFT) ** 2:.6g} (the barrier correction "
+            f"0.5826 sqrt(dt) must stay inside the tube half-width 1/2), got {gam['dt']}"
+        )
+    batch = min(gam["replicas"], _REPLICA_BATCH)
+    if steps > _MEMORY_BUDGET // (_FLOAT_BYTES * batch):
+        raise ConfigError(
+            f"gamma.t / gamma.dt must give at most {_MEMORY_BUDGET // (_FLOAT_BYTES * batch)} steps "
+            f"({_FLOAT_BYTES} bytes per W increment, {batch} replicas at a time, within a "
+            f"{_MEMORY_BUDGET >> 30} GiB memory budget), got {steps}"
+        )
+    # the padded row holds at least grid_points entries a replica; past that
+    # bound the layout is not sized (it may not fit a float)
+    if gam["grid_points"] > _MEMORY_BUDGET // (_FLOAT_BYTES * batch):
+        need = None
+    else:
+        _, _, n, band = _layout(gam["dt"], gam["grid_points"])
+        need = _run_bytes(gam["grid_points"], n, band, batch)
+    if need is None or need > _MEMORY_BUDGET:
+        need = f"{gam['grid_points']} grid points" if need is None else f"{need} bytes"
+        raise ConfigError(
+            f"gamma.dt and gamma.grid_points must let {batch} replicas propagate together (the "
+            f"cut operator of the step-kernel band, the padded rows of the first step and a "
+            f"block of step kernels) within a {_MEMORY_BUDGET >> 30} GiB memory budget; they "
+            f"need {need} (lower gamma.grid_points)"
+        )
 
 
 def _check_keys(table: dict, allowed: set, where: str) -> None:

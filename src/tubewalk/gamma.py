@@ -8,20 +8,34 @@ of Y_s = B_s - beta*W_s on a static grid: given W, the Y-steps are
 independent Gaussians with mean -beta*dW_k and variance dt, so no 2-D
 scheme is needed.
 
-All W replicas are propagated together as one (replicas, grid_points)
-array.  A step is a batched circular convolution through a zero-padded
-real FFT of length n = `_fast_len(grid_points + reach)` (the smallest
-2**a 3**b 5**c at least that long), where reach covers 8 sd plus the
-largest drift in grid cells; the step kernel's transform is written in
-closed form by Poisson summation (see `_kernel_transform`), built a block
-of steps at a time, and FFT round-off is clipped at zero.  The first
-step's bin masses come from the same transform (`_bin_masses`, which the
-grid estimator in `quench_dp` shares), so no Gaussian CDF is evaluated.
-`estimate_gamma` propagates at most 64 replicas per batch and each block
-of transforms holds at most 2**18 complex entries, so memory stays
-bounded whatever the replica count; at beta = 0 every replica is the same
-and one is propagated.  scipy is imported only by `_t_quantile`, for the
-confidence intervals, on its first call.
+All W replicas are propagated together, as the first K real-DFT modes of
+each replica's grid mass, an array of shape (replicas, K).  The grid sits
+at the head of a zero-padded row of length n = `_fast_len(grid_points +
+reach)` (the smallest 2**a 3**b 5**c at least that long), where reach
+covers 8 sd plus the largest drift in grid cells, so a circular
+convolution of the row equals the linear one on the grid.  The step
+kernel's transform is written in closed form by Poisson summation (see
+`_kernel_transform`); below an amplitude of 1e-17 it vanishes outside modes
+0..K-1, so those modes are all a step can reach.  K depends on dt, not on
+grid_points: about 1.4/sqrt(dt) + 11 (58 of 271 modes at dt = 1e-3 and 400
+points) until sd/dx falls below about 2.8, where alias bands reach the top
+mode and K is every mode, n // 2 + 1.  A step multiplies the modes by the
+kernel's transform and applies one real window operator, built once per
+call in closed form (`_window_operator`), that cuts the row back to the
+grid and returns its first K modes; mass past either barrier falls in the
+padding and is dropped.  The operator is I - L @ R with factors of rank
+r = n - grid_points, applied as such when r < K (at 4Kr multiply-adds per
+replica, as when alias bands make K every mode) and as one dense (2K, 2K)
+matrix otherwise ((2K)^2).  No real-space mass exists between steps, so
+none is clipped, and the survival total is mode 0.  The first step's bin
+masses come from the same transform (`_bin_masses`, which the grid
+estimator in `quench_dp` shares), so no Gaussian CDF is evaluated.
+`estimate_gamma` propagates at most 64 replicas per batch and each block of
+transforms holds at most 2**18 complex entries, so memory stays bounded
+whatever the replica count (`_run_bytes` bounds it, and `config.validate`
+caps it); at beta = 0 every replica is the same and one is propagated.
+The Student-t quantile of the confidence intervals is computed here too
+(`_t_quantile`), so no scipy import remains.
 
 Two systematic errors are handled explicitly:
 
@@ -66,10 +80,41 @@ def bm_tube_rate(sigma: float, width: float) -> float:
 
 
 def _t_quantile(dof: int, prob: float) -> float:
-    """Student-t quantile; scipy is imported on the first call only."""
-    from scipy.special import stdtrit
+    """Student-t quantile at an integer number of degrees of freedom and
+    prob >= 1/2.
 
-    return float(stdtrit(dof, prob))
+    Newton's method, from t = 0, on the closed-form two-sided CDF
+    A(t) = P(|T| <= t) (Abramowitz & Stegun 26.7.3 for odd dof, 26.7.4 for
+    even), whose derivative is twice the t density.  The CDF is concave for
+    t > 0, so the iterates rise monotonically to the root.  The sums run
+    over powers of cos^2(theta) = 1/(1 + t^2/dof); each power is taken as
+    exp(k * -log1p(t^2/dof)) rather than by repeated products of a rounded
+    cos^2, which would shift the quantile by about 1e-16 * dof / t^2
+    relative at large dof.  Agrees with scipy's ``stdtrit`` to about 1e-14
+    relative for dof up to 20000; scipy is not imported.
+    """
+    log_scale = math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2) - 0.5 * math.log(math.pi * dof)
+
+    def two_sided(t: float) -> float:
+        ratio = t * t / dof  # tan^2(theta)
+        log_cos2 = -math.log1p(ratio)
+        coef, terms = 1.0, []
+        for k in range((dof - 1) // 2 if dof % 2 else dof // 2):
+            terms.append(coef * math.exp(k * log_cos2))
+            coef *= (2 * k + 2) / (2 * k + 3) if dof % 2 else (2 * k + 1) / (2 * k + 2)
+        if dof % 2:  # (2/pi) * (theta + sin(theta) cos(theta) * sum)
+            theta = math.atan(t / math.sqrt(dof))
+            return (2.0 / math.pi) * (theta + math.sqrt(ratio) / (1.0 + ratio) * math.fsum(terms))
+        return math.sqrt(ratio / (1.0 + ratio)) * math.fsum(terms)  # sin(theta) * sum
+
+    target, t = 2.0 * prob - 1.0, 0.0
+    for _ in range(200):
+        density = math.exp(log_scale - 0.5 * (dof + 1) * math.log1p(t * t / dof))
+        step = (target - two_sided(t)) / (2.0 * density)
+        t += step
+        if step <= 1e-12 * t:  # quadratic convergence: the error left is far below round-off
+            break
+    return t
 
 
 def _fast_len(target: int) -> int:
@@ -86,31 +131,137 @@ def _fast_len(target: int) -> int:
     return best
 
 
+def _band_modes(s: float, n: int) -> int:
+    """Number K of leading real-DFT modes that hold the step kernel's transform.
+
+    `_kernel_transform` at sd/dx = s and length n drops every term whose
+    amplitude is below the floor.  The main band's amplitude falls
+    monotonically from mode 0 to the top mode n // 2, so its last kept mode
+    is found by bisection; the strongest alias is l = -1 at the top mode, and
+    when it clears the floor the band is every mode.  Scalar arithmetic
+    only, so `config.validate` can size the band without allocating it.
+    """
+    top = n // 2
+
+    def amplitude(cycles: float) -> float:
+        x = math.pi * cycles
+        return abs(math.sin(x) / x) * math.exp(-0.5 * (2.0 * s * x) ** 2)
+
+    if amplitude(top / n - 1.0) > _AMPLITUDE_FLOOR:
+        return top + 1
+    kept, dropped = 0, top + 1  # amplitude(0) = 1
+    while dropped - kept > 1:
+        mid = (kept + dropped) // 2
+        if amplitude(mid / n) > _AMPLITUDE_FLOOR:
+            kept = mid
+        else:
+            dropped = mid
+    return kept + 1
+
+
+def _layout(dt: float, grid_points: int, barrier_correction: bool = True, max_drift: float = 0.0):
+    """Tube half-width, grid spacing dx, padded row length n and band K of a
+    run whose drifts stay within `max_drift`.
+
+    The grid sits at the head of a zero-padded row of n = `_fast_len(
+    grid_points + reach)` entries, reach covering 8 sd plus `max_drift` in
+    grid cells, so a circular convolution of the row equals the linear one
+    on the grid; K = `_band_modes(sd/dx, n)`.  Scalar arithmetic only, so
+    `config.validate` can size a run without allocating it.
+    """
+    sd = math.sqrt(dt)
+    half = 0.5 - (BARRIER_SHIFT * sd if barrier_correction else 0.0)
+    if half <= 0:
+        raise ValueError("dt too coarse: barrier correction exceeds the tube half-width")
+    dx = (2.0 * half / grid_points - half) + half  # the spacing np.linspace(-half, half, .) gives
+    n = _fast_len(grid_points + math.ceil((8.0 * sd + max_drift) / dx) + 1)
+    return half, dx, n, _band_modes(sd / dx, n)
+
+
+def _run_bytes(grid_points: int, n: int, band: int, batch: int) -> int:
+    """Bytes `_confinement_profiles` holds at most for `batch` replicas on a
+    layout from `_layout`, besides the W increments passed in.
+
+    The window factors, (2K, r) each with r = n - grid_points, take three
+    factors' worth while built; the dense operator, when used, (2K)^2 more.
+    Four (batch, n) float rows bound both the first step (the padded copies
+    and outputs of its inverse and forward FFT) and the step loop's state
+    and cut buffers.  The step kernels take four blocks of complex entries:
+    the block being applied, the next one being built, and two alias terms
+    of its phase tables.  Scalar arithmetic only.
+    """
+    rank = n - grid_points
+    dense = (2 * band) ** 2 if rank >= band else 0
+    block = max(_BLOCK_ENTRIES, batch * band)
+    return 8 * (3 * 2 * band * rank + dense + 4 * batch * n) + 16 * 4 * block
+
+
+def _unit_phases(angle0: np.ndarray, step: np.ndarray, count: int) -> np.ndarray:
+    """exp(-1j * (angle0 + k * step)) for k < count, with angle0 and step of
+    shape (..., 1).
+
+    Writing k = i + a*j with a = ceil(sqrt(count)) needs cos and sin of about
+    2*sqrt(count) angles per row; the rest is one complex product each.
+    """
+
+    def cis(angles: np.ndarray) -> np.ndarray:
+        out = np.empty(angles.shape, dtype=complex)
+        np.cos(angles, out=out.real)
+        np.sin(angles, out=out.imag)
+        np.negative(out.imag, out=out.imag)
+        return out
+
+    a = math.isqrt(count - 1) + 1
+    b = -(-count // a)
+    head = cis(angle0 + np.arange(a) * step)
+    tail = cis(np.arange(b) * (a * step))
+    both = head[..., None, :] * tail[..., :, None]
+    return both.reshape(both.shape[:-2] + (a * b,))[..., :count]
+
+
 def _kernel_transform(drifts, sd: float, dx: float, n: int) -> np.ndarray:
-    """Real DFT of the bin-edge step kernel, one row per drift.
+    """Real DFT of the bin-edge step kernel on its band, one row per drift.
 
     The kernel puts mass Phi((x + dx/2)/sd) - Phi((x - dx/2)/sd) on offset
     j (x = j*dx - d), the probability that a N(d, sd^2) step lands in the
     bin j cells away.  By Poisson summation the length-n DFT of its
     periodisation is a sum over aliases theta = 2*pi*(m/n + l) of the
     continuous transform sinc * Gaussian * phase, so no kernel is sampled.
-    Aliases whose amplitude is below 1e-17 are dropped.  Returns shape
-    ``drifts.shape + (n // 2 + 1,)``.
+    Terms whose amplitude is below 1e-17 are dropped, which leaves the
+    K = `_band_modes` leading modes; the rest of the n // 2 + 1 are zero
+    and are not stored (``np.fft.irfft(., n)`` zero-pads them).  The phases
+    come from cos and sin (`_unit_phases`).  The transform of a real kernel
+    is real at mode 0 and at the Nyquist mode, so the round-off the aliases
+    leave in their imaginary parts is zeroed.  Returns shape
+    ``drifts.shape + (K,)``.
     """
     shift = np.asarray(drifts, dtype=float)[..., None] / dx
     s = sd / dx
-    freq = np.arange(n // 2 + 1) / n
-    out = np.zeros(shift.shape[:-1] + freq.shape, dtype=complex)
-    aliases = math.ceil(1.5 / s)
+    band = _band_modes(s, n)
+    freq = np.arange(band) / n
+    step = (2.0 * math.pi / n) * shift
+    theta = 2.0 * math.pi * freq
+    # the main term (l = 0) clears the floor on every mode of the band: it
+    # sets the band, and no alias is larger at the same mode
+    out = _unit_phases(theta[0] * shift, step, band)
+    out *= np.sinc(freq) * np.exp(-0.5 * (s * theta) ** 2)
+    aliases = math.ceil(1.5 / s) if band > n // 2 else 0
     for l in range(-aliases, aliases + 1):
+        if l == 0:
+            continue
         cycles = freq + l
         theta = 2.0 * math.pi * cycles
         amp = np.sinc(cycles) * np.exp(-0.5 * (s * theta) ** 2)
         keep = np.flatnonzero(np.abs(amp) > _AMPLITUDE_FLOOR)
         if keep.size:
             # |amp| is monotone in |theta| away from m = 0, so kept modes are contiguous
-            band = slice(keep[0], keep[-1] + 1)
-            out[..., band] += amp[band] * np.exp(-1j * theta[band] * shift)
+            lo, hi = keep[0], keep[-1] + 1
+            term = _unit_phases(theta[lo] * shift, step, hi - lo)
+            term *= amp[lo:hi]
+            out[..., lo:hi] += term
+    out[..., 0].imag = 0.0
+    if n % 2 == 0 and band > n // 2:
+        out[..., n // 2].imag = 0.0
     return out
 
 
@@ -120,18 +271,60 @@ def _bin_masses(drifts, sds, dx: float, n: int, first: int, count: int) -> np.nd
     1-D `drifts`.
 
     Each row is the inverse real FFT of `_kernel_transform` (one transform
-    per distinct sd) read at the bins' offsets mod n, with FFT round-off
-    clipped at zero.  Mass wraps around unless n covers the bins' span plus
-    the kernel's reach on either side.
+    per distinct sd, zero-padded to n) read at the bins' offsets mod n, with
+    FFT round-off clipped at zero.  Mass wraps around unless n covers the
+    bins' span plus the kernel's reach on either side.
     """
     drifts = np.asarray(drifts, dtype=float)
     sds = np.broadcast_to(sds, drifts.shape)
-    k_hat = np.empty(drifts.shape + (n // 2 + 1,), dtype=complex)
-    for sd in np.unique(sds):
-        rows = sds == sd
-        k_hat[rows] = _kernel_transform(drifts[rows], sd, dx, n)
+    parts = [(sds == sd, _kernel_transform(drifts[sds == sd], sd, dx, n)) for sd in np.unique(sds)]
+    k_hat = np.zeros(drifts.shape + (max(part.shape[-1] for _, part in parts),), dtype=complex)
+    for rows, part in parts:
+        k_hat[rows, : part.shape[-1]] = part
     offsets = np.arange(first, first + count) % n
     return np.maximum(np.fft.irfft(k_hat, n)[:, offsets], 0.0)
+
+
+def _window_operator(n: int, grid_points: int, band: int):
+    """The real operator that maps the first K = `band` real-DFT modes of a
+    length-n row to those of the row cut to its first `grid_points` entries,
+    acting from the right on the interleaved (real, imaginary) view of the
+    modes; modes K and up of the row are taken as zero.
+
+    The cut removes the r = n - grid_points padding entries, so the
+    operator is I - L @ R with closed-form factors: row 2j (2j + 1) of the
+    (2K, r) matrix L holds the inverse real DFT of mode j (of 1j * mode j)
+    on the padding, (2/n) cos(2 pi j t / n) (-(2/n) sin), halved at modes 0
+    and n/2, where the inverse DFT counts a mode once, and zero for their
+    imaginary parts, which it ignores; the (r, 2K) matrix R holds the
+    forward DFT of each padding entry, cos and -sin.  Angles are reduced
+    exactly as integers j*t mod n.  A step costs 4Kr multiply-adds per
+    replica as I - L @ R and (2K)^2 as one dense matrix, so the pair (L, R)
+    is returned when r < K (the padding is short, as when alias bands make
+    K every mode) and the dense (2K, 2K) matrix otherwise.
+    """
+    rank = n - grid_points
+    turns = np.outer(np.arange(band), np.arange(grid_points, n)) % n
+    angles = (2.0 * math.pi / n) * turns
+    del turns
+    right = np.empty((rank, 2 * band))
+    np.cos(angles.T, out=right[:, 0::2])
+    np.sin(angles.T, out=right[:, 1::2])
+    np.negative(right[:, 1::2], out=right[:, 1::2])
+    del angles
+    scale = np.full(band, 2.0 / n)
+    scale[0] = 1.0 / n
+    if n % 2 == 0 and band > n // 2:
+        # the Nyquist mode of a real row is real, but sin(pi) rounds to 1.2e-16
+        right[:, 2 * (n // 2) + 1] = 0.0
+        scale[n // 2] = 1.0 / n
+    left = right.T * np.repeat(scale, 2)[:, None]
+    if rank < band:
+        return left, right
+    window = np.matmul(left, right)
+    np.negative(window, out=window)
+    window[np.diag_indices(2 * band)] += 1.0
+    return window
 
 
 def _confinement_profiles(
@@ -158,40 +351,45 @@ def _confinement_profiles(
         return dead
 
     sd = math.sqrt(dt)
-    half = 0.5 - (BARRIER_SHIFT * sd if barrier_correction else 0.0)
-    if half <= 0:
-        raise ValueError("dt too coarse: barrier correction exceeds the tube half-width")
+    # the drifts -beta * dW are formed a block at a time, never all at once
+    max_drift = abs(beta) * max(w_increments.max(), -w_increments.min())
+    half, dx, n, band = _layout(dt, grid_points, barrier_correction, max_drift)
     if abs(y0) >= half:
         return dead
-    edges = np.linspace(-half, half, grid_points + 1)
-    dx = edges[1] - edges[0]
-    drifts = -beta * w_increments
     last = max(checkpoints)
-
     wanted = set(checkpoints)
     totals = {}
-    reach = int(math.ceil((8.0 * sd + np.abs(drifts).max()) / dx)) + 1
-    n = _fast_len(grid_points + reach)
-    # the grid sits at the head of a zero-padded length-n row, so the
-    # circular convolution equals the linear one on the grid; what it
-    # pushes past either barrier lands in the padding and is dropped
-    padded = np.zeros((replicas, n))
-    mass = padded[:, :grid_points]
+    # the state is the padded row's first `band` rfft modes, all the step
+    # kernel reaches; `window` cuts the row back to the grid
+    window = _window_operator(n, grid_points, band)
     # first step: the point source at y0 moved by the step kernel
-    node0 = edges[0] + 0.5 * dx
-    mass[:] = _bin_masses(y0 + drifts[:, 0] - node0, sd, dx, n, 0, grid_points)
+    node0 = 0.5 * dx - half
+    first = _bin_masses(y0 - beta * w_increments[:, 0] - node0, sd, dx, n, 0, grid_points)
+    modes = np.ascontiguousarray(np.fft.rfft(first, n)[:, :band])
+    del first
+    moved = np.empty_like(modes)
+    modes_re, moved_re = modes.view(float), moved.view(float)
+    if isinstance(window, tuple):
+        left, right = window
+        lost = np.empty((replicas, left.shape[1]))
     if 1 in wanted:
-        totals[1] = mass.sum(axis=1)
-    if last > 1:
-        # step k applies drifts[:, k - 1]; transforms are built a block at a time
-        block = max(1, _BLOCK_ENTRIES // (replicas * (n // 2 + 1)))
-        for lo in range(1, last, block):
-            k_hat = _kernel_transform(drifts[:, lo : min(lo + block, last)].T, sd, dx, n)
-            for c, k_step in enumerate(k_hat, start=lo + 1):
-                stepped = np.fft.irfft(np.fft.rfft(padded) * k_step, n)
-                np.maximum(stepped[:, :grid_points], 0.0, out=mass)  # clip FFT round-off
-                if c in wanted:
-                    totals[c] = mass.sum(axis=1)
+        totals[1] = modes[:, 0].real.copy()
+    # step k applies drift -beta * w[:, k - 1]: multiply by its transform,
+    # then cut the row back to the grid (mass past either barrier is dropped)
+    block = max(1, _BLOCK_ENTRIES // (replicas * band))
+    for lo in range(1, last, block):
+        drifts = -beta * w_increments[:, lo : min(lo + block, last)]
+        k_hat = _kernel_transform(drifts.T, sd, dx, n)
+        for c, k_step in enumerate(k_hat, start=lo + 1):
+            np.multiply(modes, k_step, out=moved)
+            if isinstance(window, tuple):
+                np.matmul(moved_re, left, out=lost)
+                np.matmul(lost, right, out=modes_re)
+                np.subtract(moved_re, modes_re, out=modes_re)
+            else:
+                np.matmul(moved_re, window, out=modes_re)
+            if c in wanted:
+                totals[c] = modes[:, 0].real.copy()
     return np.stack([totals[c] for c in checkpoints], axis=1)
 
 
@@ -285,7 +483,9 @@ def estimate_gamma(
     slopes = []
     for lo in range(0, distinct, _REPLICA_BATCH):
         batch = range(lo, min(lo + _REPLICA_BATCH, distinct))
-        w_inc = np.stack([substream(seed, STREAM_GAMMA_W, r).normal(0.0, sd, steps) for r in batch])
+        w_inc = np.empty((len(batch), steps))
+        for row, r in enumerate(batch):
+            w_inc[row] = substream(seed, STREAM_GAMMA_W, r).normal(0.0, sd, steps)
         probs = _confinement_profiles(w_inc, beta, dt, grid_points, 0.0, barrier_correction, cps)
         if probs.min() <= 0.0:
             raise RuntimeError(

@@ -23,7 +23,9 @@ lattice, which is done automatically).  The Gaussian masses, of the first
 step's point source and of every step kernel, come from the closed-form
 transform gamma uses (`gamma._bin_masses`): one inverse FFT per block of
 kernels, at a 5-smooth length that holds the kernel, with round-off of
-about 1e-16 clipped at zero.  The kernels are still applied by direct
+about 1e-16 clipped at zero.  The transform is built only on the leading
+modes where it is above 1e-17 (the band gamma propagates on) and the
+inverse FFT zero-pads the rest.  The kernels are still applied by direct
 correlation: on one vector of 200-400 nodes a padded FFT step pays two FFT
 calls of about 10 us each and beat the direct product only for the widest
 kernels (647 taps).

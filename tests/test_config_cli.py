@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -284,8 +285,70 @@ def test_validate_accepts_effort_at_the_cap():
     validate({**SMALL, "tube": {**SMALL["tube"], "n_list": [64, 128, 2**23], "f_coeff": 0.0}})
 
 
+# SMALL's gamma table holds 8 replicas: at most 2**30 // (8 * 8) = 16777216
+# steps of W increments; 1000 replicas run 64 at a time, so 2**30 // (8 * 64).
+# The layout's bytes (`gamma._run_bytes`) reach the budget at dt = 1e-3 through
+# the padded rows (n = 1296000 for 1026403 grid points, 1310720 one point
+# more), and at dt = 1e-8 through the factors of the cut operator (K = 14089
+# band modes and 101 padding entries, then 14427 and 3100).
+_GAMMA_AT_CAP = [
+    {"t": 0.5 * 16777216, "dt": 0.5},
+    {"t": 0.5 * 2097152, "dt": 0.5, "replicas": 1000},
+    {"t": 0.01, "dt": 1e-3, "grid_points": 1026403},
+    {"t": 0.01, "dt": 1e-3, "grid_points": 320750, "replicas": 1000},
+    {"t": 1e-6, "dt": 1e-8, "grid_points": 124899},
+]
+_GAMMA_OVER_CAP = [
+    ({"t": 0.5 * 16777217, "dt": 0.5}, "gamma.t / gamma.dt"),
+    ({"t": 0.5 * 2097153, "dt": 0.5, "replicas": 1000}, "gamma.t / gamma.dt"),
+    ({"t": 0.01, "dt": 1e-3, "grid_points": 1026404}, "gamma.dt and gamma.grid_points"),
+    ({"t": 0.01, "dt": 1e-3, "grid_points": 320751, "replicas": 1000}, "gamma.dt and gamma.grid_points"),
+    ({"t": 1e-6, "dt": 1e-8, "grid_points": 124900}, "gamma.dt and gamma.grid_points"),
+    ({"t": 1e300, "dt": 1e-300}, "gamma.t / gamma.dt"),
+    ({"grid_points": 10**400}, "gamma.dt and gamma.grid_points"),
+]
+
+
+def _gamma_raw(values):
+    return {**SMALL, "gamma": {**SMALL["gamma"], **values}}
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("values", _GAMMA_AT_CAP)
+def test_validate_accepts_gamma_at_the_cap(values):
+    # validation sizes the W batch and the band operator without building them
+    assert _peak_bytes(lambda: validate(_gamma_raw(values))) < 2**20
+
+
+@pytest.mark.parametrize("values, key", _GAMMA_OVER_CAP)
+def test_validate_caps_gamma_memory(values, key):
+    def rejected():
+        with pytest.raises(ConfigError, match="GiB memory budget") as info:
+            validate(_gamma_raw(values))
+        assert key in str(info.value)
+
+    assert _peak_bytes(rejected) < 2**20
+
+
+def test_validate_rejects_gamma_dt_past_the_barrier_shift():
+    # 0.5826 sqrt(dt) >= 1/2 from dt = 0.7365 on: no tube is left to propagate in
+    validate(_gamma_raw({"t": 8.0, "dt": 0.73}))
+    with pytest.raises(ConfigError, match="gamma.dt must be <"):
+        validate(_gamma_raw({"t": 8.0, "dt": 0.74}))
+
+
 _SCIPY_FREE_RUNS = """
 import sys
+import tracemalloc
 
 import tubewalk
 import tubewalk.cli as cli
@@ -304,12 +367,12 @@ for name in ("degenerate-rademacher", "random-shift-bernoulli", "random-mean-gau
 sets = ["tube.n_list=[16,24,32]", "gamma.t=0.5", "gamma.dt=0.01", "gamma.grid_points=60"]
 args = ["report", "--config", "builtin:random-shift-bernoulli", "--out", out]
 assert cli.main(args + [a for s in sets for a in ("--set", s)]) in (0, 1)
-assert "scipy" in sys.modules
+assert "scipy" not in sys.modules, "report"
 """
 
 
 def test_import_and_simulate_leave_scipy_unloaded(tmp_path):
-    # scipy is imported only for the t quantile of gamma, fit and report
+    # no command imports scipy, report's t quantiles included
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
-from scipy.special import ndtr
+from scipy.special import ndtr, stdtrit
 
 import tubewalk as tw
 import tubewalk.gamma as gamma_mod
@@ -182,31 +183,101 @@ def test_kernel_transform_matches_fft_of_sampled_kernel(dt, grid_points):
         wrapped = np.zeros(n)
         wrapped[: reach + 1] = kernel[reach:]
         wrapped[n - reach :] = kernel[:reach]
-        closed = _kernel_transform(np.array([drift]), sd, dx, n)[0]
+        band = _kernel_transform(np.array([drift]), sd, dx, n)[0]
+        # the transform of a real kernel is real at modes 0 and n/2
+        assert band[0].imag == 0.0 and (len(band) <= n // 2 or n % 2 or band[n // 2].imag == 0.0)
+        closed = np.zeros(n // 2 + 1, dtype=complex)  # modes past the band are zero
+        closed[: len(band)] = band
         assert np.abs(closed - np.fft.rfft(wrapped)).max() <= 1e-13
 
 
-def test_batched_fft_profile_matches_direct_convolution():
-    # reference: one replica at a time, np.convolve with sampled ndtr kernels
-    dt, grid, steps, cps = 1e-3, 100, 300, (100, 200, 300)
-    w = np.random.default_rng(11).normal(0.0, math.sqrt(dt), (3, steps))
-    got = _confinement_profiles(w, 1.0, dt, grid, 0.0, True, cps)
+def _direct_profiles(w, beta, dt, grid, cps):
+    """One replica at a time, np.convolve with sampled ndtr kernels."""
     sd = math.sqrt(dt)
     half = 0.5 - BARRIER_SHIFT * sd
     edges = np.linspace(-half, half, grid + 1)
     dx = edges[1] - edges[0]
-    for row, drifts in zip(got, -w):
+    rows = []
+    for drifts in -beta * w:
         hw = math.ceil((8.0 * sd + np.abs(drifts).max()) / dx) + 1
         offs = np.arange(-hw, hw + 1) * dx
         mass = ndtr((edges[1:] - drifts[0]) / sd) - ndtr((edges[:-1] - drifts[0]) / sd)
         want = []
-        for k in range(2, steps + 1):
+        for k in range(2, len(drifts) + 1):
             d = drifts[k - 1]
             kernel = ndtr((offs + 0.5 * dx - d) / sd) - ndtr((offs - 0.5 * dx - d) / sd)
             mass = np.convolve(mass, kernel)[hw : hw + grid]
             if k in cps:
                 want.append(mass.sum())
-        np.testing.assert_allclose(row, want, rtol=1e-12, atol=0.0)
+        rows.append(want)
+    return np.array(rows)
+
+
+def test_batched_fft_profile_matches_direct_convolution():
+    dt, grid, steps, cps = 1e-3, 100, 300, (100, 200, 300)
+    w = np.random.default_rng(11).normal(0.0, math.sqrt(dt), (3, steps))
+    got = _confinement_profiles(w, 1.0, dt, grid, 0.0, True, cps)
+    np.testing.assert_allclose(got, _direct_profiles(w, 1.0, dt, grid, cps), rtol=1e-12, atol=0.0)
+
+
+def test_band_profile_matches_direct_convolution_with_aliases():
+    # sd/dx = 0.4: alias bands of the kernel transform reach the top mode, so
+    # the band is every mode of the padded row (at zero drift n = 108), and
+    # the padding is shorter than the band, so the cut runs as I - L @ R
+    dt, grid, steps, cps = 1.6e-5, 100, 300, (100, 200, 300)
+    _, dx, n, band = gamma_mod._layout(dt, grid)
+    sd = math.sqrt(dt)
+    assert sd / dx < 1.5 and (n, band) == (108, 108 // 2 + 1)
+    w = np.random.default_rng(12).normal(0.0, sd, (3, steps))
+    _, _, n, band = gamma_mod._layout(dt, grid, max_drift=np.abs(w).max())
+    assert isinstance(gamma_mod._window_operator(n, grid, band), tuple)
+    got = _confinement_profiles(w, 1.0, dt, grid, 0.0, True, cps)
+    np.testing.assert_allclose(got, _direct_profiles(w, 1.0, dt, grid, cps), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n, grid, band", [(120, 60, 25), (108, 100, 55), (125, 100, 63), (540, 400, 58)])
+def test_window_operator_matches_fft_of_cut_basis(n, grid, band):
+    # reference: rfft of each band basis mode's irfft, cut to the grid
+    basis = np.eye(2 * band).view(complex)  # row 2j: mode j; row 2j + 1: 1j * mode j
+    want = np.ascontiguousarray(np.fft.rfft(np.fft.irfft(basis, n)[:, :grid], n)[:, :band]).view(float)
+    window = gamma_mod._window_operator(n, grid, band)
+    assert isinstance(window, tuple) == (n - grid < band)
+    if isinstance(window, tuple):  # short padding: W = I - L @ R
+        left, right = window
+        window = np.eye(2 * band) - left @ right
+    # the operator passes on the imaginary parts of modes 0 and n/2, which
+    # the inverse FFT drops; the state keeps them zero
+    for j in (0, n // 2) if n % 2 == 0 and band > n // 2 else (0,):
+        assert window[2 * j + 1, 2 * j + 1] == 1.0
+        window[2 * j + 1, 2 * j + 1] = 0.0
+        assert not window[2 * j + 1].any() and not window[:, 2 * j + 1].any()
+    np.testing.assert_allclose(window, want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "dt, grid, replicas",
+    [(1e-3, 400, 8), (1e-4, 3000, 64), (1.6e-5, 100, 8), (1e-6, 2000, 64)],
+    ids=["dense", "dense-64", "cut-aliases", "cut-aliases-64"],
+)
+def test_run_bytes_bound_the_traced_peak(dt, grid, replicas):
+    # config.validate caps gamma's memory with _run_bytes, so it must bound
+    # what a call allocates besides its W increments
+    w = np.random.default_rng(13).normal(0.0, math.sqrt(dt), (replicas, 20))
+    _, _, n, band = gamma_mod._layout(dt, grid, max_drift=0.5 * np.abs(w).max())
+    tracemalloc.start()
+    try:
+        _confinement_profiles(w, 0.5, dt, grid, 0.0, True, (20,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= gamma_mod._run_bytes(grid, n, band, replicas)
+
+
+def test_t_quantile_matches_scipy():
+    dofs = [*range(1, 301), 1000, 20000]
+    for prob in (0.95, 0.975, 0.995):
+        got = np.array([gamma_mod._t_quantile(dof, prob) for dof in dofs])
+        np.testing.assert_allclose(got, stdtrit(dofs, prob), rtol=1e-11, atol=0.0)
 
 
 def test_estimate_gamma_pinned_value():
@@ -275,7 +346,11 @@ def test_beta_zero_propagates_one_replica(monkeypatch):
     monkeypatch.setattr(gamma_mod, "_confinement_profiles", spy)
     est = tw.estimate_gamma(0.0, **kwargs)
     assert shapes == [(1, steps)]
-    assert est.per_replica_values == tuple(slopes)
-    assert est.gamma_hat == float(np.mean(slopes))
+    assert est.per_replica_values == (est.per_replica_values[0],) * 11
+    # a one-row matrix product (gemv) may round differently from an
+    # eleven-row one (gemm), so the values agree to round-off, not bit for bit
+    np.testing.assert_allclose(est.per_replica_values, slopes, rtol=1e-14, atol=0.0)
+    mean = float(np.mean(slopes))
+    np.testing.assert_allclose(est.gamma_hat, mean, rtol=1e-14, atol=0.0)
     half = gamma_mod._t_quantile(10, 0.975) * float(np.std(slopes, ddof=1)) / math.sqrt(11)
-    assert est.ci95 == (est.gamma_hat - half, est.gamma_hat + half)
+    np.testing.assert_allclose(est.ci95, (mean - half, mean + half), rtol=1e-14, atol=0.0)
