@@ -36,7 +36,7 @@ from .quench_dp import (
 )
 from .rate import CheckReport, RateFit, decay_fit, make_estimator, theorem_check
 from .results import SurvivalEstimate
-from .tube import TubeSpec, TubeTemplate, bounds_at, c_gh, predicted_rate
+from .tube import TubeSpec, TubeTemplate, c_gh, predicted_rate
 from .walk import WalkPath, sample_path
 
 __version__ = "0.1.0"
@@ -57,7 +57,6 @@ __all__ = [
     "TubeTemplate",
     "WalkPath",
     "bm_tube_rate",
-    "bounds_at",
     "c_gh",
     "decay_fit",
     "estimate_gamma",

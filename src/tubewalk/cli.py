@@ -35,7 +35,7 @@ from .config import (
 )
 from .env import EnvironmentSpec, moments, sample_environment, verify_assumptions
 from .gamma import GammaEstimate, estimate_gamma
-from .parallel import thread_map
+from .parallel import thread_cap, thread_map
 from .quench_dp import survival_brute_force, survival_dp_lattice, survival_start_sweep
 from .rate import make_estimator, theorem_check
 from .rng import derive_seed
@@ -521,6 +521,11 @@ def main(argv=None) -> int:
             raw["seed"] = args.seed
         cfg = validate(raw)
     except (ConfigError, OSError, yaml.YAMLError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        thread_cap()
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

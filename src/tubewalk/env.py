@@ -251,9 +251,8 @@ class EnvRealization:
     """One sampled environment: a length-long sequence of concrete step laws.
 
     Stored as structure-of-arrays for vectorised samplers; ``step_law(i)``
-    and ``steps`` give the per-step object view.  Immutable and safe to
-    share across workers; sampling is a pure function of (spec, seed,
-    length).
+    gives the per-step object view.  Immutable and safe to share across
+    workers; sampling is a pure function of (spec, seed, length).
     """
 
     spec: EnvironmentSpec
@@ -278,8 +277,16 @@ class EnvRealization:
         return StepLaw.gaussian(self.quenched_mean[i], self.stds[i])
 
     @cached_property
-    def steps(self) -> tuple[StepLaw, ...]:
-        return tuple(self.step_law(i) for i in range(self.length))
+    def atom_select(self) -> tuple[np.ndarray, np.ndarray]:
+        """What `walk.draw_increments` selects atoms from, built once.
+
+        Returns the cumulative weights cw, shape (k,), and a (k, length)
+        uint64 table: row 0 holds the bit pattern of each step's atom 0,
+        row j >= 1 the bits in which atom j differs from atom j-1 (their
+        XOR).
+        """
+        bits = np.ascontiguousarray(self.atom_pos, dtype=np.float64).view(np.uint64).T
+        return np.cumsum(self.atom_w), np.vstack([bits[:1], bits[:-1] ^ bits[1:]])
 
     def xi_cdf(self, r: float) -> float:
         """P(xi_i <= r) under the per-element exponential law (same for all i)."""

@@ -46,31 +46,40 @@ def _advance(
     """Advance particles from `start` through len(lo) steps inside [lo, up].
 
     Returns the per-particle survival mask and the final positions.  Rows
-    are processed in blocks of about ROW_BYTES, so apart from those two
-    outputs memory does not grow with the particle count.  The generator
-    fills arrays in row-major order from one stream, so drawing the rows
-    block by block consumes the same numbers as one whole-array draw: all
-    increment rows first, then (with `xi_p`) all xi rows.
+    are processed in blocks of about ROW_BYTES through one workspace,
+    allocated once per call, so apart from those two outputs memory does
+    not grow with the particle count.  The generator fills arrays in
+    row-major order from one stream, so drawing the rows block by block
+    consumes the same numbers as one whole-array draw: all increment rows
+    first, then (with `xi_p`) all xi rows.
     """
     particles, length = len(start), len(lo)
-    rows = max(1, ROW_BYTES // (8 * length))
+    rows = max(1, min(particles, ROW_BYTES // (8 * length)))
     ok = np.empty(particles, dtype=bool)
     last = np.empty(particles)
-    bad = np.empty((min(rows, particles), length), dtype=bool)
+    inc = np.empty((rows, length))
+    masks = len(env.atom_w) - 1 if env.kind == "atoms" else 0
+    select = np.empty((masks, rows, length), dtype=bool)
+    bad = np.empty((rows, length), dtype=bool)
+    over = np.empty((rows, length), dtype=bool)
     for r0 in range(0, particles, rows):
-        r1 = min(r0 + rows, particles)
-        b = bad[: r1 - r0]
-        s = draw_increments(env, start_index, length, rng, size=r1 - r0)
+        m = min(rows, particles - r0)
+        s = draw_increments(env, start_index, length, rng, m, out=inc[:m], select=select[:, :m])
         np.cumsum(s, axis=1, out=s)
-        s += start[r0:r1, None]
+        s += start[r0 : r0 + m, None]
+        b, o = bad[:m], over[:m]
         np.less(s, lo, out=b)
-        b |= s > up
-        np.logical_not(b.any(axis=1), out=ok[r0:r1])
-        last[r0:r1] = s[:, -1]
+        np.greater(s, up, out=o)
+        b |= o
+        np.any(b, axis=1, out=ok[r0 : r0 + m])  # left the tube; negated below
+        last[r0 : r0 + m] = s[:, -1]
+    np.logical_not(ok, out=ok)
     if xi_p is not None:
         for r0 in range(0, particles, rows):
-            r1 = min(r0 + rows, particles)
-            ok[r0:r1] &= np.all(rng.random((r1 - r0, length)) < xi_p, axis=1)
+            m = min(rows, particles - r0)
+            b = bad[:m]
+            np.less(rng.random(out=inc[:m]), xi_p, out=b)
+            ok[r0 : r0 + m] &= b.all(axis=1)
     return ok, last
 
 

@@ -118,10 +118,6 @@ class TubeSpec:
         return 0.5 * (lo + hi) * self.scale
 
 
-def bounds_at(tube: TubeSpec, i: int) -> tuple[float, float]:
-    return tube.bounds_at(i)
-
-
 def _segments(tube: TubeSpec) -> list[tuple[float, float]]:
     knots = sorted({s for s, _ in tube.g} | {s for s, _ in tube.h})
     return list(zip(knots, knots[1:]))

@@ -44,39 +44,64 @@ class WalkPath:
 
 
 def draw_increments(
-    env: EnvRealization, start_index: int, length: int, rng: np.random.Generator, size: int = 1
+    env: EnvRealization,
+    start_index: int,
+    length: int,
+    rng: np.random.Generator,
+    size: int = 1,
+    out: np.ndarray | None = None,
+    select: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sample `size` independent increment rows from steps [start, start+length).
 
     Draw order is fixed (one uniform or normal block per call), so results
     depend only on the generator state, not on how callers batch replicas.
+    The rows are written into `out`, a C-contiguous float64 (size, length)
+    array, and returned; atom laws with k atoms also use `select`, a bool
+    (k-1, size, length) array, as scratch.  Either is allocated when not
+    given; `mc._advance` passes the same pair for every row block.
     """
     if start_index < 0 or start_index + length > env.length:
         raise IndexError(
             f"steps [{start_index}, {start_index + length}) outside environment of length {env.length}"
         )
+    if out is None:
+        out = np.empty((size, length))
     if length == 0:
-        return np.zeros((size, 0))
-    if env.kind == "atoms":
-        pos = env.atom_pos[start_index : start_index + length]  # (length, k)
-        cw = np.cumsum(env.atom_w)
-        u = rng.random((size, length))
-        # Atom j is taken where u >= cw[j-1]; cw is nondecreasing, so the
-        # last such j is min(searchsorted(cw, u, "right"), k-1).  Step laws
-        # have at least two atoms, so the result is a fresh array.
-        out = pos[:, 0]
-        for j in range(1, len(cw)):
-            out = np.where(u >= cw[j - 1], pos[:, j], out)
         return out
-    z = rng.standard_normal((size, length))
-    z *= env.stds[start_index : start_index + length]
-    z += env.quenched_mean[start_index : start_index + length]
-    return z
+    window = slice(start_index, start_index + length)
+    if env.kind == "gaussian":
+        rng.standard_normal(out=out)
+        out *= env.stds[window]
+        out += env.quenched_mean[window]
+        return out
+    cw, table = env.atom_select
+    k = len(cw)
+    if select is None:
+        select = np.empty((k - 1, size, length), dtype=bool)
+    rng.random(out=out)
+    # Atom j is taken where u >= cw[j-1].  cw is nondecreasing, so these
+    # 0/1 masks M_j are nested, and the chosen atom's bits are
+    #     a_0 ^ M_1 (D_1 ^ M_2 (D_2 ^ ... M_{k-1} D_{k-1}))
+    # with D_j = a_{j-1} ^ a_j (`table`).  Evaluated inside out on the
+    # uint64 view of `out` once the uniforms are spent, this copies each
+    # atom exactly (-0.0 included) without a data-dependent branch.  Step
+    # laws have at least two atoms (zero variance is refused), so k >= 2.
+    for j in range(1, k):
+        np.greater_equal(out, cw[j - 1], out=select[j - 1])
+    bits = out.view(np.uint64)
+    table = table[:, window]
+    np.multiply(select[k - 2], table[k - 1], out=bits)
+    for j in range(k - 2, 0, -1):
+        bits ^= table[j]
+        bits *= select[j - 1]
+    bits ^= table[0]
+    return out
 
 
 def sample_path(env: EnvRealization, start_index: int, length: int, x0: float, seed: int) -> WalkPath:
     """Sample one quenched path started at x0, step i drawn from
-    env.steps[start_index + i].
+    env.step_law(start_index + i).
 
     The path is assembled from its decomposition -- u accumulates the
     centred increments, m the quenched means, s = (x0 + m) + u -- so the

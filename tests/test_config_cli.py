@@ -105,6 +105,32 @@ def test_cli_simulate_deterministic(tmp_path, monkeypatch):
     assert header.endswith("master_seed,config_hash")
 
 
+@pytest.mark.parametrize("threads", ["two", "-3", "1.5"])
+def test_bad_thread_count_rejected(tmp_path, monkeypatch, capsys, threads):
+    from tubewalk.parallel import max_workers
+
+    monkeypatch.setenv("TUBEWALK_THREADS", threads)
+    with pytest.raises(ValueError, match="TUBEWALK_THREADS"):
+        max_workers(5)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", _write(tmp_path, SMALL), "--out", str(out)]) == 2
+    assert "TUBEWALK_THREADS" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any estimate ran
+
+
+def test_default_thread_count(monkeypatch):
+    from tubewalk.parallel import max_workers
+
+    default = max(1, min(4, os.cpu_count() or 1, 5))
+    monkeypatch.delenv("TUBEWALK_THREADS", raising=False)
+    assert max_workers(5) == default
+    for raw in ("", " ", "0"):
+        monkeypatch.setenv("TUBEWALK_THREADS", raw)
+        assert max_workers(5) == default
+    monkeypatch.setenv("TUBEWALK_THREADS", " 3 ")
+    assert max_workers(5) == 3 and max_workers(2) == 2
+
+
 def test_cli_gamma_csv(tmp_path):
     cfg = _write(tmp_path, SMALL)
     out = tmp_path / "g"

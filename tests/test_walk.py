@@ -84,8 +84,11 @@ class _FixedUniforms:
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, shape):
-        return self.u.reshape(shape).copy()
+    def random(self, shape=None, out=None):
+        if out is None:
+            return self.u.reshape(shape).copy()
+        out[...] = self.u.reshape(out.shape)
+        return out
 
 
 def _searchsorted_increments(env, start, length, u):
@@ -96,12 +99,18 @@ def _searchsorted_increments(env, start, length, u):
     return pos[np.arange(length)[None, :], idx]
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
 @pytest.mark.parametrize(
     "spec",
     [
         tw.EnvironmentSpec.rademacher(),
         tw.EnvironmentSpec.random_shift_bernoulli(0.5),
         tw.EnvironmentSpec.degenerate([(-1.0, 0.3), (0.0, 0.4), (1.0, 0.3)]),
+        # -0.0 == 0.0, so only a bitwise comparison sees an atom whose sign is lost
+        tw.EnvironmentSpec.degenerate([(-0.0, 0.5), (1.0, 0.25), (-1.0, 0.25)]),
     ],
 )
 def test_atom_draws_match_searchsorted(spec):
@@ -112,12 +121,24 @@ def test_atom_draws_match_searchsorted(spec):
     edges = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cw, np.nextafter(cw, 0.0)])
     u = np.concatenate([np.random.default_rng(5).random(40 * 50), np.resize(edges, 40 * 10)])
     got = draw_increments(env, 0, 40, _FixedUniforms(u), size=60)
-    assert np.array_equal(got, _searchsorted_increments(env, 0, 40, u.reshape(60, 40)))
+    assert np.array_equal(_bits(got), _bits(_searchsorted_increments(env, 0, 40, u.reshape(60, 40))))
     assert got.shape == (60, 40) and got.flags.writeable  # mc._advance cumulates in place
     # the same with a generator, over a window that does not start at step 0
     got = draw_increments(env, 7, 25, substream(8, 1), size=333)
     ref = _searchsorted_increments(env, 7, 25, substream(8, 1).random((333, 25)))
-    assert np.array_equal(got, ref)
+    assert np.array_equal(_bits(got), _bits(ref))
+    # one pair of buffers, filled with garbage and reused over windows of two
+    # lengths, gives the bits of fresh draws: no stale entry leaks through
+    k = len(env.atom_w)
+    flat = np.random.default_rng(6).random(333 * 40)
+    scratch = np.random.default_rng(7).random(k * 333 * 40) < 0.5
+    for start, length in ((0, 40), (7, 25)):
+        out = flat[: 333 * length].reshape(333, length)
+        select = scratch[: (k - 1) * 333 * length].reshape(k - 1, 333, length)
+        got = draw_increments(env, start, length, substream(8, length), 333, out=out, select=select)
+        assert got is out
+        fresh = draw_increments(env, start, length, substream(8, length), size=333)
+        assert np.array_equal(_bits(got), _bits(fresh))
 
 
 def test_gaussian_draws_match_affine_transform():
