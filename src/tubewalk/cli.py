@@ -8,7 +8,11 @@ fit        decay-constant fit vs predicted rate -> JSON + CSV (+ SVG)
 verify     assumption checks and invariant self-tests -> report, exit status
 report     consolidated JSON combining simulate, gamma and fit outputs
 
-Every output embeds the master seed and a config hash; with a fixed config,
+``simulate``, ``fit`` and ``report`` take their per-n survival estimates
+from one runner, `rate.run_points`; ``report`` runs it once and builds
+both its simulate rows and its fit from the same points (with a start
+sweep, whose starts are not the fit's, the fit runs it again).  Every output
+embeds the master seed and a config hash; with a fixed config,
 seed and any ``TUBEWALK_THREADS`` value, reruns are byte-identical.
 """
 
@@ -25,19 +29,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .config import (
-    SCHEMA_VERSION,
-    ConfigError,
-    ExperimentConfig,
-    apply_overrides,
-    load_builtin,
-    validate,
-)
+from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, load_raw, validate
 from .env import EnvironmentSpec, moments, sample_environment, verify_assumptions
 from .gamma import GammaEstimate, estimate_gamma
 from .parallel import thread_cap, thread_map
-from .quench_dp import survival_brute_force, survival_dp_lattice, survival_start_sweep
-from .rate import make_estimator, theorem_check
+from .quench_dp import survival_brute_force, survival_dp_lattice
+from .rate import RunPoint, make_estimator, run_points, task_environment, theorem_check
 from .rng import derive_seed
 from .tube import c_gh
 from .walk import path_to_csv, sample_path
@@ -85,10 +82,6 @@ def _out_dir(cfg: ExperimentConfig, override: str | None) -> Path:
     return out
 
 
-def _env_base_seed(cfg: ExperimentConfig) -> int:
-    return cfg.env_seed if cfg.env_seed is not None else cfg.seed
-
-
 # ---------------------------------------------------------------- simulate
 
 _SIM_HEADER = [
@@ -110,74 +103,47 @@ _SIM_HEADER = [
 ]
 
 
-def _simulate_rows(cfg: ExperimentConfig) -> list[list]:
-    run = make_estimator(
-        cfg.estimator["method"],
-        replicas=cfg.estimator["replicas"],
-        particles=cfg.estimator["particles"],
-        checkpoints=cfg.estimator["checkpoints"],
-        grid_points=cfg.estimator["grid_points"],
-        xi_mode=cfg.xi_mode,
-    )
-    base = _env_base_seed(cfg)
+def _points(cfg: ExperimentConfig, sweep_starts: bool) -> list[RunPoint]:
+    """The survival points of the config's n ladder, from the one per-n runner."""
+    return run_points(cfg.env_spec, cfg.template, cfg.n_list, make_estimator(**cfg.estimator_params),
+                      seed=cfg.seed, env_seed=cfg.env_seed, shared_env=cfg.shared_env, x0=cfg.x0,
+                      sweep_starts=sweep_starts)
+
+
+def _simulate_rows(cfg: ExperimentConfig) -> tuple[list[list], list[RunPoint]]:
+    """The simulate table rows and the points behind them, one row a point."""
+    points = _points(cfg, cfg.sweep_starts)
     chash = cfg.config_hash
-    shared = None
-    if cfg.shared_env:
-        n_max = max(cfg.n_list)
-        shared = sample_environment(
-            cfg.env_spec, cfg.template.f_offset(n_max) + n_max, derive_seed(base, 11)
-        )
-
-    def one(item):
-        idx, n = item
-        tube = cfg.template.make(n)
-        env = shared
-        if env is None:
-            env = sample_environment(cfg.env_spec, tube.f_offset + n, derive_seed(base, 11, idx))
-        est_seed = derive_seed(cfg.seed, 13, idx)
-        if cfg.sweep_starts:
-            points = survival_start_sweep(env, tube, lambda e, t, x: run(e, t, x, seed=est_seed))
-        else:
-            x0 = cfg.x0 if cfg.x0 is not None else tube.default_x0()
-            points = [(x0, run(env, tube, x0, seed=est_seed))]
-        rows = []
-        for x0, est in points:
-            rows.append(
-                [
-                    cfg.env_spec.family,
-                    est.method,
-                    n,
-                    cfg.template.alpha,
-                    tube.f_offset,
-                    x0,
-                    est.p,
-                    est.log_p,
-                    est.stderr_log,
-                    est.refine_delta_log,
-                    est.work,
-                    est.seed,
-                    ";".join(est.flags),
-                    cfg.seed,
-                    chash,
-                ]
-            )
-        return rows
-
-    nested = thread_map(one, enumerate(cfg.n_list))
-    return [row for rows in nested for row in rows]
+    rows = [
+        [
+            cfg.env_spec.family,
+            p.estimate.method,
+            p.n,
+            cfg.template.alpha,
+            p.f_offset,
+            p.x0,
+            p.estimate.p,
+            p.estimate.log_p,
+            p.estimate.stderr_log,
+            p.estimate.refine_delta_log,
+            p.estimate.work,
+            p.estimate.seed,
+            ";".join(p.estimate.flags),
+            cfg.seed,
+            chash,
+        ]
+        for p in points
+    ]
+    return rows, points
 
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
-    rows = _simulate_rows(cfg)
+    rows, points = _simulate_rows(cfg)
     _write_csv(out / "simulate.csv", _SIM_HEADER, rows)
     if cfg.output.get("dump_path"):
-        n = cfg.n_list[0]
-        tube = cfg.template.make(n)
-        env = sample_environment(
-            cfg.env_spec, tube.f_offset + n, derive_seed(_env_base_seed(cfg), 11, 0)
-        )
-        x0 = cfg.x0 if cfg.x0 is not None else tube.default_x0()
-        path = sample_path(env, tube.f_offset, n, x0, derive_seed(cfg.seed, 19))
+        first = points[0]
+        env = task_environment(cfg.env_spec, cfg.template, cfg.n_list, 0, cfg.env_seed, cfg.shared_env)
+        path = sample_path(env, first.f_offset, first.n, first.x0, derive_seed(cfg.seed, 19))
         with open(out / "path.csv", "w", encoding="utf-8") as fh:
             path_to_csv(path, fh)
     print(f"wrote {out / 'simulate.csv'} ({len(rows)} rows)")
@@ -202,15 +168,7 @@ _GAMMA_HEADER = [
 
 def _table_estimate(cfg: ExperimentConfig, idx: int) -> GammaEstimate:
     """The estimate of gamma at gamma.beta[idx], seeded as the table's row."""
-    g = cfg.gamma
-    return estimate_gamma(
-        float(g["beta"][idx]),
-        horizon_t=float(g["t"]),
-        dt=float(g["dt"]),
-        grid_points=int(g["grid_points"]),
-        env_replicas=int(g["replicas"]),
-        seed=derive_seed(cfg.seed, 7, idx),
-    )
+    return estimate_gamma(cfg.gamma["beta"][idx], seed=derive_seed(cfg.seed, 7, idx), **cfg.gamma_params)
 
 
 def _gamma_rows(cfg: ExperimentConfig) -> tuple[list[list], list[GammaEstimate]]:
@@ -294,36 +252,24 @@ def _fit_gamma(cfg: ExperimentConfig, estimates: list[GammaEstimate] | None = No
     return "auto"
 
 
-def _fit_report(cfg: ExperimentConfig, gamma_source=None) -> dict:
-    """The theorem check; ``gamma_source`` defaults to `_fit_gamma(cfg)`."""
+def _fit_report(cfg: ExperimentConfig, points=None, gamma_source=None) -> dict:
+    """The theorem check on the plan's ``points`` (run here when None);
+    ``gamma_source`` defaults to `_fit_gamma(cfg)`."""
     if len(cfg.n_list) < 3:
         raise ConfigError("fit needs tube.n_list with at least 3 values")
+    if points is None:
+        points = _points(cfg, sweep_starts=False)
     if gamma_source is None:
         gamma_source = _fit_gamma(cfg)
     report = theorem_check(
         cfg.env_spec,
         cfg.template,
         cfg.n_list,
-        estimator=cfg.estimator["method"],
-        estimator_params={
-            "replicas": cfg.estimator["replicas"],
-            "particles": cfg.estimator["particles"],
-            "checkpoints": cfg.estimator["checkpoints"],
-            "grid_points": cfg.estimator["grid_points"],
-            "xi_mode": cfg.xi_mode,
-        },
-        gamma_params={
-            "horizon_t": float(cfg.gamma["t"]),
-            "dt": float(cfg.gamma["dt"]),
-            "grid_points": int(cfg.gamma["grid_points"]),
-            "env_replicas": int(cfg.gamma["replicas"]),
-        },
+        points=points,
         gamma_source=gamma_source,
+        gamma_params=cfg.gamma_params,
         seed=cfg.seed,
         tolerance=float(cfg.estimator["tolerance"]),
-        shared_env=cfg.shared_env,
-        env_seed=_env_base_seed(cfg),
-        x0=cfg.x0,
     )
     return _jsonable(report)
 
@@ -425,8 +371,8 @@ def _verify_checks(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
         checks.append(("path-decomposition", False, str(exc)))
 
     small = _small_copy(cfg)
-    rows_a = _simulate_rows(small)
-    rows_b = _simulate_rows(small)
+    rows_a, _ = _simulate_rows(small)
+    rows_b, _ = _simulate_rows(small)
     checks.append(("determinism", rows_a == rows_b, "simulate rows identical across reruns"))
     return checks
 
@@ -450,9 +396,13 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 # ------------------------------------------------------------------ report
 
 def cmd_report(cfg: ExperimentConfig, out: Path) -> int:
-    sim_rows = _simulate_rows(cfg)
+    sim_rows, points = _simulate_rows(cfg)
     gamma_rows, estimates = _gamma_rows(cfg)
-    fit = _fit_report(cfg, _fit_gamma(cfg, estimates)) if len(cfg.n_list) >= 3 else None
+    fit = None
+    if len(cfg.n_list) >= 3:
+        # a start sweep gives many starts per n, none of them the fit's one
+        # start, so the fit then runs the ladder again at that start
+        fit = _fit_report(cfg, None if cfg.sweep_starts else points, _fit_gamma(cfg, estimates))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "master_seed": cfg.seed,
@@ -508,24 +458,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.config.startswith("builtin:"):
-            raw = load_builtin(args.config[len("builtin:") :])
-        else:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{args.config}: config must be a mapping")
-        if args.overrides:
-            raw = apply_overrides(raw, args.overrides)
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        cfg = validate(raw)
-    except (ConfigError, OSError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        cfg = validate(load_raw(args.config, args.overrides, args.seed))
         thread_cap()
-    except ValueError as exc:
+    except (ValueError, OSError, yaml.YAMLError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

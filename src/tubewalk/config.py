@@ -10,6 +10,7 @@ config be re-run directly.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +19,8 @@ from importlib import resources
 import yaml
 
 from .env import EnvironmentSpec
-from .gamma import _REPLICA_BATCH, BARRIER_SHIFT, _layout, _run_bytes
+from .gamma import _REPLICA_BATCH, BARRIER_SHIFT, _layout, _run_bytes, estimate_gamma
+from .rate import ESTIMATORS, make_estimator, theorem_check
 from .tube import TubeTemplate
 
 SCHEMA_VERSION = 1
@@ -40,20 +42,26 @@ _TUBE_KEYS = {
     "x0",
     "sweep_starts",
 }
-_EST_KEYS = {"method", "replicas", "particles", "checkpoints", "grid_points", "tolerance"}
-_GAMMA_KEYS = {"beta", "t", "dt", "grid_points", "replicas"}
-_OUT_KEYS = {"dir", "formats", "svg", "dump_path"}
+_OUT_KEYS = {"dir", "svg", "dump_path"}
+
+# The estimator and gamma keys, each by the parameter of make_estimator,
+# theorem_check or estimate_gamma it sets; those signatures hold the defaults.
+_EST_ARGS = {k: k for k in ("method", "replicas", "particles", "checkpoints", "grid_points")}
+_GAMMA_ARGS = {"t": "horizon_t", "dt": "dt", "grid_points": "grid_points", "replicas": "env_replicas"}
+
+
+def _defaults(fn, args: dict) -> dict:
+    params = inspect.signature(fn).parameters
+    return {key: params[arg].default for key, arg in args.items()}
+
 
 _ESTIMATOR_DEFAULTS = {
-    "method": "auto",
-    "replicas": 100_000,
-    "particles": 10_000,
-    "checkpoints": 20,
-    "grid_points": 400,
-    "tolerance": 0.20,
+    **_defaults(make_estimator, _EST_ARGS),
+    **_defaults(theorem_check, {"tolerance": "tolerance"}),
 }
-_GAMMA_DEFAULTS = {"beta": [0.0], "t": 8.0, "dt": 1e-3, "grid_points": 400, "replicas": 8}
-_OUTPUT_DEFAULTS = {"dir": "out", "formats": ["csv", "json"], "svg": False, "dump_path": False}
+_GAMMA_DEFAULTS = {"beta": [0.0], **_defaults(estimate_gamma, _GAMMA_ARGS)}
+_OUTPUT_DEFAULTS = {"dir": "out", "svg": False, "dump_path": False}
+_EST_KEYS, _GAMMA_KEYS = set(_ESTIMATOR_DEFAULTS), set(_GAMMA_DEFAULTS)
 
 # Memory a run may take, and what one unit of effort holds at once: a
 # splitting particle keeps positions, flags, end positions and resampling
@@ -165,7 +173,7 @@ class ExperimentConfig:
 
     seed: int
     env_spec: EnvironmentSpec
-    env_seed: int | None
+    env_seed: int  # environment.seed, or the master seed
     shared_env: bool
     template: TubeTemplate
     n_list: tuple[int, ...]
@@ -180,6 +188,16 @@ class ExperimentConfig:
     @property
     def config_hash(self) -> str:
         return config_hash(self.raw)
+
+    @property
+    def estimator_params(self) -> dict:
+        """The keyword arguments of `make_estimator` this config sets."""
+        return {arg: self.estimator[key] for key, arg in _EST_ARGS.items()} | {"xi_mode": self.xi_mode}
+
+    @property
+    def gamma_params(self) -> dict:
+        """The keyword arguments of `estimate_gamma` this config sets, beta and seed aside."""
+        return {arg: self.gamma[key] for key, arg in _GAMMA_ARGS.items()}
 
 
 def config_hash(raw: dict) -> str:
@@ -245,6 +263,8 @@ def _build_tube(
     n_list = [int(table["n"])] if "n" in table else [int(v) for v in table["n_list"]]
     if any(n < 1 for n in n_list):
         raise ConfigError("tube.n values must be >= 1")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError(f"tube.n_list must be strictly increasing, got {n_list}")
     xi_mode = table.get("xi_mode", "analytic")
     if xi_mode not in ("analytic", "sampled"):
         raise ConfigError("tube.xi_mode must be 'analytic' or 'sampled'")
@@ -282,7 +302,7 @@ def validate(raw: dict) -> ExperimentConfig:
     if "estimator" in raw:
         _check_keys(raw["estimator"], _EST_KEYS, "estimator")
         est.update(raw["estimator"])
-    if est["method"] not in ("auto", "dp", "grid", "naive", "splitting", "brute"):
+    if est["method"] not in ESTIMATORS:
         raise ConfigError(f"estimator.method: unknown method {est['method']!r}")
     gam = dict(_GAMMA_DEFAULTS)
     if "gamma" in raw:
@@ -294,6 +314,7 @@ def validate(raw: dict) -> ExperimentConfig:
     if any(b < 0 for b in gam["beta"]):
         raise ConfigError("gamma.beta values must be >= 0")
     _check_gamma(gam)
+    gam["t"], gam["dt"] = float(gam["t"]), float(gam["dt"])
     out = dict(_OUTPUT_DEFAULTS)
     if "output" in raw:
         _check_keys(raw["output"], _OUT_KEYS, "output")
@@ -302,11 +323,11 @@ def validate(raw: dict) -> ExperimentConfig:
     env_spec = _build_env(raw["environment"])
     template, n_list, x0, xi_mode, sweep = _build_tube(raw["tube"], env_spec)
     _check_effort(est, n_list)
-    env_seed = raw["environment"].get("seed")
+    seed = _int_at_least(raw.get("seed", 12345), 0, "seed")
     return ExperimentConfig(
-        seed=_int_at_least(raw.get("seed", 12345), 0, "seed"),
+        seed=seed,
         env_spec=env_spec,
-        env_seed=_int_at_least(env_seed, 0, "environment.seed") if env_seed is not None else None,
+        env_seed=_int_at_least(raw["environment"].get("seed", seed), 0, "environment.seed"),
         shared_env=bool(raw["environment"].get("shared", False)),
         template=template,
         n_list=n_list,
@@ -320,13 +341,21 @@ def validate(raw: dict) -> ExperimentConfig:
     )
 
 
-def load(path: str) -> ExperimentConfig:
-    """Load and validate a YAML (or JSON) config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+def load_raw(source: str, overrides=(), seed: int | None = None) -> dict:
+    """The raw config mapping of a YAML (or JSON) file or ``builtin:NAME``,
+    with the ``--set`` overrides and then the master seed applied."""
+    if source.startswith("builtin:"):
+        raw = load_builtin(source[len("builtin:") :])
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a mapping")
-    return validate(raw)
+        raise ConfigError(f"{source}: config must be a mapping")
+    if overrides:
+        raw = apply_overrides(raw, overrides)
+    if seed is not None:
+        raw["seed"] = seed
+    return raw
 
 
 def parse_override(item: str) -> tuple[list[str], object]:

@@ -1,10 +1,15 @@
-"""Empirical decay constants and the end-to-end rate comparison.
+"""The per-n survival ladder, empirical decay constants and the end-to-end
+rate comparison.
 
+``run_points`` is the one per-n runner: for each n it builds the tube,
+picks the environment (``task_environment``) and the estimator seed, and
+estimates survival from the default start, a given one or a start sweep.
 ``decay_fit`` regresses log survival probabilities against n^(1-2 alpha);
 ``theorem_check`` runs the full pipeline for one environment family and
-tube shape: per-n quenched probabilities, the OLS slope, the predicted
-rate -C_{g,h} sigma_q^2 gamma(sigma_a/sigma_q), and their relative
-discrepancy against a configured tolerance.
+tube shape: per-n quenched probabilities from ``run_points`` (or handed
+in), the OLS slope, the predicted rate -C_{g,h} sigma_q^2
+gamma(sigma_a/sigma_q), and their relative discrepancy against a
+configured tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from . import gamma as gamma_mod
 from .env import EnvironmentSpec, moments, sample_environment
 from .mc import survival_naive_mc, survival_splitting
 from .parallel import thread_map
-from .quench_dp import survival_brute_force, survival_dp_lattice, survival_grid
+from .quench_dp import survival_brute_force, survival_dp_lattice, survival_grid, survival_start_sweep
 from .results import SurvivalEstimate
 from .rng import derive_seed
 from .tube import TubeTemplate, predicted_rate
@@ -78,12 +83,54 @@ def decay_fit(points, alpha: float) -> RateFit:
 
 @dataclass(frozen=True)
 class RunPoint:
-    """One per-n survival run inside a theorem check."""
+    """One survival estimate of the n ladder: tube n, its offset and the start."""
 
     n: int
     f_offset: int
     x0: float
     estimate: SurvivalEstimate
+
+
+def task_environment(env_spec: EnvironmentSpec, tube_template: TubeTemplate, n_list, idx: int,
+                     env_seed: int, shared_env: bool):
+    """The environment task ``idx`` of `run_points` runs in: with ``shared_env``
+    one realization for the largest n, seeded ``derive_seed(env_seed, 11)``, for
+    every task; otherwise the task's own, seeded ``derive_seed(env_seed, 11, idx)``."""
+    n = max(n_list) if shared_env else n_list[idx]
+    key = (11,) if shared_env else (11, idx)
+    return sample_environment(env_spec, tube_template.f_offset(n) + n, derive_seed(env_seed, *key))
+
+
+def run_points(env_spec: EnvironmentSpec, tube_template: TubeTemplate, n_list, run, *, seed: int = 0,
+               env_seed: int | None = None, shared_env: bool = False, x0: float | None = None,
+               sweep_starts: bool = False) -> list[RunPoint]:
+    """Survival estimates over the n ladder, in n_list order: the one per-n loop.
+
+    Task ``idx`` builds the tube for ``n_list[idx]``, takes its environment
+    from `task_environment` (``env_seed`` defaults to ``seed``) and calls
+    ``run(env, tube, x0, seed=derive_seed(seed, 13, idx))``.  It starts at
+    ``x0`` (the tube's default start when None) or, with ``sweep_starts``,
+    at each point of `survival_start_sweep`, which gives as many points for
+    the n.  The tasks run through `thread_map`.
+    """
+    n_list = [int(n) for n in n_list]
+    env_seed = seed if env_seed is None else env_seed
+    shared = task_environment(env_spec, tube_template, n_list, 0, env_seed, True) if shared_env else None
+
+    def one(idx) -> list[RunPoint]:
+        n = n_list[idx]
+        tube = tube_template.make(n)
+        env = shared if shared_env else task_environment(env_spec, tube_template, n_list, idx, env_seed, False)
+        est_seed = derive_seed(seed, 13, idx)
+        estimate = lambda e, t, start: run(e, t, start, seed=est_seed)
+        if sweep_starts:
+            starts = survival_start_sweep(env, tube, estimate)
+        else:
+            start = tube.default_x0() if x0 is None else x0
+            starts = [(start, estimate(env, tube, start))]
+        return [RunPoint(n=n, f_offset=tube.f_offset, x0=x, estimate=est) for x, est in starts]
+
+    return [p for points in thread_map(one, range(len(n_list))) for p in points]
 
 
 @dataclass(frozen=True)
@@ -106,23 +153,21 @@ class CheckReport:
     flags: tuple[str, ...] = ()
 
 
-def make_estimator(method: str = "auto", **params):
+def make_estimator(method: str = "auto", *, replicas: int = 100_000, particles: int = 10_000,
+                   checkpoints: int = 20, grid_points: int = 400, xi_mode: str = "analytic", **unknown):
     """Estimator closure (env, tube, x0, seed) -> SurvivalEstimate.
 
     ``auto`` picks the exact DP for lattice environments and grid
-    propagation otherwise.  Monte Carlo methods take their effort
-    parameters from `params` (replicas, particles, checkpoints,
-    grid_points, xi_mode).
+    propagation otherwise.  Monte Carlo methods take their effort from
+    ``replicas`` (naive), ``particles`` and ``checkpoints`` (splitting) and
+    ``xi_mode``; the grid takes ``grid_points``.  These defaults are the
+    config's (`config.validate` reads them from this signature).
     """
     if method not in ESTIMATORS:
         raise ValueError(f"unknown estimator {method!r}; expected one of {ESTIMATORS}")
-    replicas = int(params.pop("replicas", 100_000))
-    particles = int(params.pop("particles", 10_000))
-    checkpoints = int(params.pop("checkpoints", 20))
-    grid_points = int(params.pop("grid_points", 400))
-    xi_mode = params.pop("xi_mode", "analytic")
-    if params:
-        raise ValueError(f"unknown estimator parameters: {sorted(params)}")
+    if unknown:
+        raise ValueError(f"unknown estimator parameters: {sorted(unknown)}")
+    replicas, particles, checkpoints, grid_points = map(int, (replicas, particles, checkpoints, grid_points))
 
     def run(env, tube, x0, seed=0):
         kind = method
@@ -160,12 +205,7 @@ def _resolve_gamma(gamma_source, beta: float, gamma_params: dict | None, seed: i
             flags.append("reference_gamma_with_nonzero_beta")
         return gamma_mod.GAMMA_ZERO, "reference gamma(0)", flags
     if gamma_source == "estimate":
-        params = dict(gamma_params or {})
-        params.setdefault("horizon_t", 8.0)
-        params.setdefault("dt", 1e-3)
-        params.setdefault("grid_points", 400)
-        params.setdefault("env_replicas", 8)
-        est = gamma_mod.estimate_gamma(beta, seed=derive_seed(seed, 71), **params)
+        est = gamma_mod.estimate_gamma(beta, seed=derive_seed(seed, 71), **(gamma_params or {}))
         return est.gamma_hat, f"estimate(beta={beta:g}, replicas={est.env_replicas})", flags
     raise ValueError(f"unknown gamma_source {gamma_source!r}")
 
@@ -184,14 +224,18 @@ def theorem_check(
     shared_env: bool = False,
     env_seed: int | None = None,
     x0: float | None = None,
+    points=None,
 ) -> CheckReport:
     """Fit the per-n decay of quenched survival and compare to the prediction.
 
-    One fresh environment realization is sampled per n (the limit statement
-    holds for almost every environment sequence; fresh seeds decorrelate the
-    fit residuals).  ``shared_env`` reuses a single long realization for all
-    n instead.  The predicted rate uses the template's width functional and
-    gamma at beta = sigma_a/sigma_q.
+    The points come from `run_points` over the sorted, distinct n: one fresh
+    environment realization per n (the limit statement holds for almost
+    every environment sequence; fresh seeds decorrelate the fit residuals),
+    or with ``shared_env`` a single long realization for all n.  ``points``
+    hands in points already run that way, one per n of ``n_list``; the
+    estimator, environment and start arguments are then unused.  The
+    predicted rate uses the template's width functional and gamma at
+    beta = sigma_a/sigma_q.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if len(n_list) < 3:
@@ -199,27 +243,10 @@ def theorem_check(
     sa2, sq2 = moments(env_spec)
     beta = math.sqrt(sa2 / sq2)
     gamma_value, gamma_desc, flags = _resolve_gamma(gamma_source, beta, gamma_params, seed)
-    run = estimator if callable(estimator) else make_estimator(estimator, **(estimator_params or {}))
-    env_base = seed if env_seed is None else env_seed
-
-    shared = None
-    if shared_env:
-        n_max = n_list[-1]
-        shared = sample_environment(
-            env_spec, tube_template.f_offset(n_max) + n_max, derive_seed(env_base, 11)
-        )
-
-    def one(item) -> RunPoint:
-        idx, n = item
-        tube = tube_template.make(n)
-        env = shared
-        if env is None:
-            env = sample_environment(env_spec, tube.f_offset + n, derive_seed(env_base, 11, idx))
-        start = tube.default_x0() if x0 is None else x0
-        est = run(env, tube, start, seed=derive_seed(seed, 13, idx))
-        return RunPoint(n=n, f_offset=tube.f_offset, x0=start, estimate=est)
-
-    points = thread_map(one, enumerate(n_list))
+    if points is None:
+        run = estimator if callable(estimator) else make_estimator(estimator, **(estimator_params or {}))
+        points = run_points(env_spec, tube_template, n_list, run, seed=seed, env_seed=env_seed,
+                            shared_env=shared_env, x0=x0)
     fit = decay_fit([(p.n, p.estimate.log_p) for p in points], tube_template.alpha)
     predicted = predicted_rate(tube_template.make(n_list[0]), sa2, sq2, gamma_value)
     discrepancy = abs(fit.slope - predicted) / abs(predicted)

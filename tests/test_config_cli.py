@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -14,8 +16,10 @@ from tubewalk.config import (
     apply_overrides,
     builtin_config_names,
     load_builtin,
+    load_raw,
     validate,
 )
+from tubewalk.env import sample_environment
 from tubewalk.rng import derive_seed
 
 SMALL = {
@@ -53,6 +57,7 @@ def test_unknown_keys_rejected():
         {**SMALL, "tube": {**SMALL["tube"], "beta": 1}},
         {**SMALL, "estimator": {**SMALL["estimator"], "jobs": 4}},
         {**SMALL, "output": {**SMALL["output"], "format": "csv"}},
+        {**SMALL, "output": {**SMALL["output"], "formats": ["xml"]}},
     ):
         with pytest.raises(ConfigError, match="unknown"):
             validate(raw)
@@ -72,6 +77,26 @@ def test_required_keys_and_values():
     bad_method = {**SMALL, "estimator": {"method": "magic"}}
     with pytest.raises(ConfigError):
         validate(bad_method)
+
+
+@pytest.mark.parametrize("n_list", [[800, 200, 400], [64, 128, 128]])
+def test_n_list_must_increase_strictly(tmp_path, capsys, n_list):
+    with pytest.raises(ConfigError, match="tube.n_list"):
+        validate({**SMALL, "tube": {**SMALL["tube"], "n_list": n_list}})
+    out = tmp_path / "x"
+    args = ["report", "--config", _write(tmp_path, SMALL), "--set", f"tube.n_list={n_list}"]
+    assert cli.main([*args, "--out", str(out)]) == 2
+    assert "tube.n_list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_raw_applies_overrides_then_seed(tmp_path):
+    raw = load_raw("builtin:degenerate-rademacher", ["seed=5", "tube.alpha=0.25"], seed=7)
+    assert raw["seed"] == 7 and raw["tube"]["alpha"] == 0.25
+    assert load_raw(_write(tmp_path, SMALL)) == SMALL
+    (tmp_path / "list.yaml").write_text("- 1\n")
+    with pytest.raises(ConfigError, match="mapping"):
+        load_raw(str(tmp_path / "list.yaml"))
 
 
 def test_overrides():
@@ -499,3 +524,52 @@ def test_cli_dump_path(tmp_path):
     lines = (out / "path.csv").read_text().splitlines()
     assert lines[0] == "i,s,m,u,gamma"
     assert len(lines) == 64 + 2
+
+
+def test_cli_dump_path_in_the_shared_environment(tmp_path):
+    # the path is drawn in the realization the estimates used
+    raw = {
+        **SMALL,
+        "environment": {"family": "random_shift_bernoulli", "d": 0.5, "lattice_q": 2, "shared": True},
+        "output": {"dir": "out", "dump_path": True},
+    }
+    out = tmp_path / "sh"
+    assert cli.main(["simulate", "--config", _write(tmp_path, raw), "--out", str(out)]) == 0
+    cfg = validate(raw)
+    n, n_max = cfg.n_list[0], cfg.n_list[-1]
+    shared = sample_environment(
+        cfg.env_spec, cfg.template.f_offset(n_max) + n_max, derive_seed(cfg.seed, 11)
+    )
+    start = cfg.template.f_offset(n)
+    with open(out / "path.csv", encoding="utf-8") as fh:
+        m = [float(row["m"]) for row in csv.DictReader(fh)]
+    assert m[0] == 0.0
+    assert np.array_equal(m[1:], np.cumsum(shared.quenched_mean[start : start + n]))
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "report"])
+def test_cli_estimates_each_n_once(tmp_path, monkeypatch, command):
+    import tubewalk.rate as rate
+
+    estimated, sampled = [], []
+    real_dp, real_env = rate.survival_dp_lattice, rate.sample_environment
+
+    def dp(env, tube, *args, **kwargs):
+        estimated.append(tube.n)
+        return real_dp(env, tube, *args, **kwargs)
+
+    def env(*args, **kwargs):
+        sampled.append(args)
+        return real_env(*args, **kwargs)
+
+    monkeypatch.setattr(rate, "survival_dp_lattice", dp)
+    monkeypatch.setattr(rate, "sample_environment", env)
+    raw = {
+        **SMALL,
+        "environment": {"family": "random_shift_bernoulli", "d": 0.5, "lattice_q": 2},
+        "estimator": {"method": "dp", "tolerance": 10.0},
+        "gamma": {**SMALL["gamma"], "beta": [0.5]},
+    }
+    assert cli.main([command, "--config", _write(tmp_path, raw), "--out", str(tmp_path / "o")]) == 0
+    assert sorted(estimated) == [64, 128, 256]
+    assert len(sampled) == 3
