@@ -86,6 +86,16 @@ def _int_at_least(value, low: int, key: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """`value` as a float (booleans refused), else ConfigError."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def _positive(value, key: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
         raise ConfigError(f"{key} must be a number > 0, got {value!r}")
@@ -95,8 +105,7 @@ def _check_effort(est: dict, n_list: tuple[int, ...]) -> None:
     """Reject estimator effort values the estimators would refuse late."""
     for key, low in (("replicas", 100), ("particles", 100), ("grid_points", 50), ("checkpoints", 1)):
         _int_at_least(est[key], low, f"estimator.{key}")
-    # naive MC holds one chunk of replicas at a time, but its replicas are
-    # the particles of a one-block splitting run and share their bound
+    # naive MC's replicas are the particles of a one-block splitting run
     for key in ("particles", "replicas"):
         if est[key] > _MEMORY_BUDGET // _PATH_BYTES:
             raise ConfigError(
@@ -164,7 +173,7 @@ def _window(value, where: str):
         return None
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ConfigError(f"{where} must be a pair [lo, hi]")
-    return (float(value[0]), float(value[1]))
+    return (_number(value[0], where), _number(value[1], where))
 
 
 @dataclass(frozen=True)
@@ -209,25 +218,33 @@ def _build_env(table: dict) -> EnvironmentSpec:
     family = table.get("family")
     if family is None:
         raise ConfigError("environment.family is required")
-    xi_scale = float(table.get("xi_scale", 1.0))
+    xi_scale = _number(table.get("xi_scale", 1.0), "environment.xi_scale")
     try:
         if family == "degenerate":
             if "atoms" not in table:
                 raise ConfigError("environment.atoms is required for the degenerate family")
-            return EnvironmentSpec.degenerate(table["atoms"], xi_scale=xi_scale)
+            atoms = table["atoms"]
+            if not (isinstance(atoms, list) and all(isinstance(a, list) and len(a) == 2 for a in atoms)):
+                raise ConfigError(f"environment.atoms must be [position, weight] pairs, got {atoms!r}")
+            atoms = [(_number(p, "environment.atoms"), _number(w, "environment.atoms")) for p, w in atoms]
+            return EnvironmentSpec.degenerate(atoms, xi_scale=xi_scale)
         if family == "random_shift_bernoulli":
             if "d" not in table:
                 raise ConfigError("environment.d is required for random_shift_bernoulli")
             q = table.get("lattice_q")
             return EnvironmentSpec.random_shift_bernoulli(
-                float(table["d"]), q=int(q) if q is not None else None, xi_scale=xi_scale
+                _number(table["d"], "environment.d"),
+                q=None if q is None else _int_at_least(q, 1, "environment.lattice_q"),
+                xi_scale=xi_scale,
             )
         if family == "random_mean_gaussian":
             for key in ("sigma_a", "tau"):
                 if key not in table:
                     raise ConfigError(f"environment.{key} is required for random_mean_gaussian")
             return EnvironmentSpec.random_mean_gaussian(
-                float(table["sigma_a"]), float(table["tau"]), xi_scale=xi_scale
+                _number(table["sigma_a"], "environment.sigma_a"),
+                _number(table["tau"], "environment.tau"),
+                xi_scale=xi_scale,
             )
     except ConfigError:
         raise
@@ -260,9 +277,12 @@ def _build_tube(
             raise ConfigError(f"tube.{key} is required")
     if ("n" in table) == ("n_list" in table):
         raise ConfigError("tube needs exactly one of n or n_list")
-    n_list = [int(table["n"])] if "n" in table else [int(v) for v in table["n_list"]]
-    if any(n < 1 for n in n_list):
-        raise ConfigError("tube.n values must be >= 1")
+    if "n" in table:
+        n_list = [_int_at_least(table["n"], 1, "tube.n")]
+    elif isinstance(table["n_list"], (list, tuple)) and table["n_list"]:
+        n_list = [_int_at_least(n, 1, "tube.n_list") for n in table["n_list"]]
+    else:
+        raise ConfigError(f"tube.n_list must be a non-empty list of integers, got {table['n_list']!r}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError(f"tube.n_list must be strictly increasing, got {n_list}")
     xi_mode = table.get("xi_mode", "analytic")
@@ -272,12 +292,12 @@ def _build_tube(
         template = TubeTemplate(
             g=table["g"],
             h=table["h"],
-            alpha=float(table["alpha"]),
+            alpha=_number(table["alpha"], "tube.alpha"),
             start_window=_window(table.get("start_window"), "tube.start_window"),
             end_window=_window(table.get("end_window"), "tube.end_window"),
-            xi_threshold=float(table["r_n"]) if table.get("r_n") is not None else None,
-            f_coeff=float(table.get("f_coeff", 1.0)),
-            f_power=float(table.get("f_power", 0.5)),
+            xi_threshold=_number(table["r_n"], "tube.r_n") if table.get("r_n") is not None else None,
+            f_coeff=_number(table.get("f_coeff", 1.0), "tube.f_coeff"),
+            f_power=_number(table.get("f_power", 0.5), "tube.f_power"),
         )
         _check_env_length(template, max(n_list), env_spec)
         for n in n_list:
@@ -286,7 +306,9 @@ def _build_tube(
         raise
     except ValueError as exc:
         raise ConfigError(f"tube: {exc}") from exc
-    x0 = float(table["x0"]) if table.get("x0") is not None else None
+    x0 = _number(table["x0"], "tube.x0") if table.get("x0") is not None else None
+    if x0 is not None and not math.isfinite(x0):
+        raise ConfigError(f"tube.x0 must be finite, got {x0}")
     return template, tuple(n_list), x0, xi_mode, bool(table.get("sweep_starts", False))
 
 
@@ -308,11 +330,10 @@ def validate(raw: dict) -> ExperimentConfig:
     if "gamma" in raw:
         _check_keys(raw["gamma"], _GAMMA_KEYS, "gamma")
         gam.update(raw["gamma"])
-    if isinstance(gam["beta"], (int, float)):
-        gam["beta"] = [float(gam["beta"])]
-    gam["beta"] = [float(b) for b in gam["beta"]]
-    if any(b < 0 for b in gam["beta"]):
-        raise ConfigError("gamma.beta values must be >= 0")
+    betas = gam["beta"] if isinstance(gam["beta"], (list, tuple)) else [gam["beta"]]
+    gam["beta"] = [_number(b, "gamma.beta") for b in betas]
+    if not all(0 <= b < math.inf for b in gam["beta"]):
+        raise ConfigError(f"gamma.beta values must be finite and >= 0, got {gam['beta']}")
     _check_gamma(gam)
     gam["t"], gam["dt"] = float(gam["t"]), float(gam["dt"])
     out = dict(_OUTPUT_DEFAULTS)

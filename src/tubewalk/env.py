@@ -80,6 +80,8 @@ def _lattice_denominator(positions, max_q: int = 10**6) -> int | None:
     """Smallest q with all positions on (1/q)Z, or None if there is none."""
     q = 1
     for p in positions:
+        if not math.isfinite(p):
+            return None
         frac = Fraction(p).limit_denominator(max_q)
         if abs(float(frac) - p) > 1e-12:
             return None
@@ -113,12 +115,21 @@ class EnvironmentSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidSpecError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        for name in ("d", "sigma_a", "tau", "xi_scale"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidSpecError(f"{name} must be finite, got {value}")
+        if self.atoms is not None and not all(math.isfinite(v) for atom in self.atoms for v in atom):
+            raise InvalidSpecError(f"atoms must have finite positions and weights, got {self.atoms}")
         if self.xi_scale <= 0:
             raise InvalidSpecError("xi_scale must be > 0")
         if self.family == "degenerate":
             if not self.atoms:
                 raise InvalidSpecError("degenerate family needs a non-empty atom list")
-            law = StepLaw.from_atoms(self.atoms)  # validates weights
+            try:
+                law = StepLaw.from_atoms(self.atoms)  # validates weights
+            except OverflowError:
+                raise InvalidSpecError(f"atom variance overflows a float for atoms {self.atoms}") from None
             if any(w <= 0 for _, w in self.atoms):
                 raise InvalidSpecError("atom weights must be positive")
             if abs(law.quenched_mean) > _MOMENT_TOL:

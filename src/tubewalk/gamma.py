@@ -393,21 +393,6 @@ def _confinement_profiles(
     return np.stack([totals[c] for c in checkpoints], axis=1)
 
 
-def _confinement_profile(
-    w_increments: np.ndarray,
-    beta: float,
-    dt: float,
-    grid_points: int,
-    y0: float,
-    barrier_correction: bool,
-    checkpoints: tuple[int, ...],
-) -> list[float]:
-    """Survival probabilities at the requested step indices (ascending)."""
-    w = np.asarray(w_increments, dtype=float)[None, :]
-    probs = _confinement_profiles(w, beta, dt, grid_points, y0, barrier_correction, checkpoints)
-    return [float(p) for p in probs[0]]
-
-
 def quenched_bm_confinement(
     w_increments,
     beta: float,
@@ -423,10 +408,9 @@ def quenched_bm_confinement(
     With ``barrier_correction`` the discrete scheme targets the
     continuous-time event; switch it off to get the raw grid-time event.
     """
-    w_increments = np.asarray(w_increments, dtype=float)
-    return _confinement_profile(
-        w_increments, beta, dt, grid_points, y0, barrier_correction, (len(w_increments),)
-    )[0]
+    w = np.asarray(w_increments, dtype=float)[None, :]
+    probs = _confinement_profiles(w, beta, dt, grid_points, y0, barrier_correction, (w.shape[1],))
+    return float(probs[0, 0])
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,21 @@
 """Monte Carlo estimators of the quenched tube-survival probability.
 
+``survival_splitting`` is fixed-population multilevel splitting along the
+time axis: the particle population is advanced block by block, survivors
+are resampled back to full size, and the per-block survival fractions
+multiply up; it reaches probabilities down to about e^-60 at desk scale.
 ``survival_naive_mc`` is plain replication, usable when p is not much
-smaller than 1/replicas.  ``survival_splitting`` is fixed-population
-multilevel splitting along the time axis: the particle population is
-advanced block by block, survivors are resampled back to full size, and
-the per-block survival fractions multiply up; it reaches probabilities
-down to about e^-60 at desk scale.
+smaller than 1/replicas: splitting with one block, whose particles are
+the replicas (a particle system without a resampling step).
 
-Both advance their particles through one row-blocked kernel, `_advance`,
-and draw increments from counter-derived substreams keyed by replica
-chunk (naive) or block (splitting), so results are independent of worker
-count and batching.
+Particles advance through one row-blocked kernel, `_advance`, and draw
+their increments from one counter-derived substream per block, so results
+are independent of worker count and batching.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .env import EnvRealization
 from .quench_dp import _xi_terms, xi_log_factor
 from .results import METHOD_NAIVE_MC, METHOD_SPLITTING, SurvivalEstimate, from_log
-from .rng import CHUNK, STREAM_NAIVE, STREAM_SPLIT, substream
+from .rng import STREAM_SPLIT, substream
 from .tube import TubeSpec
 from .walk import draw_increments
 
@@ -101,30 +102,15 @@ def survival_naive_mc(
     seed: int,
     xi_mode: str = "analytic",
 ) -> SurvivalEstimate:
-    """Fraction of independent replica paths surviving the full tube event."""
+    """Fraction of independent replica paths surviving the full tube event.
+
+    This is `survival_splitting` with one block and `replicas` particles,
+    relabelled: ``method`` is naive_mc and ``work`` counts paths.
+    """
     if replicas < 100:
         raise ValueError("replicas must be >= 100")
-    if tube.f_offset + tube.n > env.length:
-        raise IndexError("environment too short for this tube")
-    lo, up = tube.bounds_arrays()
-    end = tube.end_bounds()
-    xi_p, xi_log = _xi_setup(env, tube, xi_mode)
-    survivors = 0
-    if lo[0] <= x0 <= up[0]:
-        for c in range(math.ceil(replicas / CHUNK)):
-            m = min(CHUNK, replicas - c * CHUNK)
-            rng = substream(seed, STREAM_NAIVE, c)
-            ok, last = _advance(env, tube.f_offset, np.full(m, x0), lo[1:], up[1:], rng, xi_p)
-            if end is not None:
-                ok &= (last >= end[0]) & (last <= end[1])
-            survivors += int(ok.sum())
-
-    phat = survivors / replicas
-    if phat == 0.0:
-        return from_log(-math.inf, METHOD_NAIVE_MC, replicas, seed=seed, stderr_log=math.inf)
-    log_p = math.log(phat) + xi_log
-    stderr_log = math.sqrt((1.0 - phat) / (phat * replicas))
-    return from_log(log_p, METHOD_NAIVE_MC, replicas, seed=seed, stderr_log=stderr_log)
+    est = survival_splitting(env, tube, x0, replicas, 1, seed, xi_mode)
+    return dataclasses.replace(est, method=METHOD_NAIVE_MC, work=replicas)
 
 
 def survival_splitting(
@@ -140,8 +126,8 @@ def survival_splitting(
 
     The n steps are cut into `checkpoints` blocks (equal length, remainder
     absorbed by the final block).  After each block the surviving fraction
-    phi_k is recorded and survivors are resampled multinomially back to the
-    full population; log_p = sum(ln phi_k) with a delta-method standard
+    phi_k is recorded and, before every block but the first, survivors are
+    resampled multinomially back to the full population; log_p = sum(ln phi_k) with a delta-method standard
     error over the block fractions.  Population extinction in a block
     returns p = 0 with an ``extinction`` flag.
     """
@@ -160,36 +146,32 @@ def survival_splitting(
     base = n // checkpoints
     lengths = [base] * (checkpoints - 1) + [n - base * (checkpoints - 1)]
 
+    extinct = from_log(
+        -math.inf, METHOD_SPLITTING, work, seed=seed, stderr_log=math.inf, flags=("extinction",)
+    )
     if not (lo[0] <= x0 <= up[0]):
-        return from_log(
-            -math.inf, METHOD_SPLITTING, work, seed=seed, stderr_log=math.inf, flags=("extinction",)
-        )
+        return extinct
 
     pos = np.full(particles, x0)
     log_acc = 0.0
     var_acc = 0.0
     step = 0
+    final = len(lengths) - 1
     for k, blen in enumerate(lengths):
         rng = substream(seed, STREAM_SPLIT, k)
         seg = slice(step + 1, step + blen + 1)
         ok, last = _advance(env, f + step, pos, lo[seg], up[seg], rng, xi_p)
         step += blen
-        if k == len(lengths) - 1 and end is not None:
+        if k == final and end is not None:
             ok &= (last >= end[0]) & (last <= end[1])
         alive = int(ok.sum())
         if alive == 0:
-            return from_log(
-                -math.inf,
-                METHOD_SPLITTING,
-                work,
-                seed=seed,
-                stderr_log=math.inf,
-                flags=("extinction",),
-            )
+            return extinct
         phi = alive / particles
         log_acc += math.log(phi)
         var_acc += (1.0 - phi) / (phi * particles)
-        pos = last[ok][rng.integers(0, alive, size=particles)]
+        if k < final:
+            pos = last[ok][rng.integers(0, alive, size=particles)]
 
     return from_log(
         log_acc + xi_log, METHOD_SPLITTING, work, seed=seed, stderr_log=math.sqrt(var_acc)

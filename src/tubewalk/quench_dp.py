@@ -104,11 +104,6 @@ def _require_open_start(tube: TubeSpec, x0: float) -> tuple[np.ndarray, np.ndarr
     return lo, up
 
 
-def _finish(log_p: float, method: str, work: int, running=None, **kw):
-    est = from_log(log_p, method, work, **kw)
-    return (est, running) if running is not None else est
-
-
 def _block_steps(width: int, entries: int) -> int:
     """Steps whose kernels are built at once: about `entries` entries."""
     return max(1, entries // width)
@@ -251,8 +246,8 @@ def survival_dp_lattice(
     kernels = _shift_kernels(deltas, env.atom_w, size)
     log_total, _ = _propagate(mass, positions, lo, up, tube.end_bounds(), 0, kernels, running)
     log_p = log_total + xi_log_factor(env, tube) if log_total > -math.inf else -math.inf
-    work = n * size
-    return _finish(log_p, METHOD_DP_LATTICE, work, running if return_running else None)
+    est = from_log(log_p, METHOD_DP_LATTICE, n * size)
+    return (est, running) if return_running else est
 
 
 def survival_brute_force(env: EnvRealization, tube: TubeSpec, x0: float) -> SurvivalEstimate:

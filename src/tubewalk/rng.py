@@ -2,7 +2,7 @@
 
 Every stochastic routine in this package derives its generator from a
 64-bit master seed plus a structured integer key (purpose tag, replica
-index, chunk index, ...) via ``numpy.random.SeedSequence`` spawn keys.
+index, block index, ...) via ``numpy.random.SeedSequence`` spawn keys.
 A stream is therefore a pure function of ``(seed, key)`` and results do
 not depend on execution order or worker count.
 """
@@ -15,14 +15,9 @@ import numpy as np
 # changing them changes every derived stream.
 STREAM_ENV = 1
 STREAM_PATH = 2
-STREAM_NAIVE = 3
 STREAM_SPLIT = 4
 STREAM_GAMMA_W = 5
 STREAM_SEED_DERIVE = 6
-
-# Replica chunk size for vectorised Monte Carlo.  Part of the determinism
-# contract: chunk c always covers replicas [c*CHUNK, (c+1)*CHUNK).
-CHUNK = 8192
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

@@ -17,11 +17,18 @@ import numpy as np
 Breakpoints = tuple[tuple[float, float], ...]
 
 
-def _as_breakpoints(spec) -> Breakpoints:
+def _as_breakpoints(spec, name: str) -> Breakpoints:
     """Accept a constant or a breakpoint list; normalise to ((s, v), ...)."""
     if isinstance(spec, (int, float)):
-        return ((0.0, float(spec)), (1.0, float(spec)))
-    pts = tuple((float(s), float(v)) for s, v in spec)
+        spec = ((0.0, spec), (1.0, spec))
+    try:
+        pts = tuple((float(s), float(v)) for s, v in spec)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"{name} must be a number or a list of (s, value) breakpoints, got {spec!r}"
+        ) from None
+    if not all(math.isfinite(v) for pt in pts for v in pt):
+        raise ValueError(f"{name} breakpoints must be finite, got {spec!r}")
     if len(pts) < 2 or pts[0][0] != 0.0 or pts[-1][0] != 1.0:
         raise ValueError("breakpoints must start at s=0 and end at s=1")
     ss = [s for s, _ in pts]
@@ -55,8 +62,8 @@ class TubeSpec:
     xi_threshold: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "g", _as_breakpoints(self.g))
-        object.__setattr__(self, "h", _as_breakpoints(self.h))
+        object.__setattr__(self, "g", _as_breakpoints(self.g, "g"))
+        object.__setattr__(self, "h", _as_breakpoints(self.h, "h"))
         if not 0.0 < self.alpha < 0.5:
             raise ValueError(f"alpha must lie strictly in (0, 1/2), got {self.alpha}")
         if self.n < 1:
@@ -74,8 +81,8 @@ class TubeSpec:
             a1, b1 = self.end_window
             if not (self.g_at(1.0) <= a1 < b1 <= self.h_at(1.0)):
                 raise ValueError("end window must satisfy g(1) <= a' < b' <= h(1)")
-        if self.xi_threshold is not None and self.xi_threshold <= 0:
-            raise ValueError("xi_threshold must be > 0")
+        if self.xi_threshold is not None and not self.xi_threshold > 0:
+            raise ValueError(f"xi_threshold must be > 0, got {self.xi_threshold}")
 
     @property
     def scale(self) -> float:
@@ -169,10 +176,10 @@ class TubeTemplate:
     f_power: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "g", _as_breakpoints(self.g))
-        object.__setattr__(self, "h", _as_breakpoints(self.h))
-        if self.f_coeff < 0 or self.f_power < 0:
-            raise ValueError("f_coeff and f_power must be >= 0")
+        object.__setattr__(self, "g", _as_breakpoints(self.g, "g"))
+        object.__setattr__(self, "h", _as_breakpoints(self.h, "h"))
+        if not (self.f_coeff >= 0 and self.f_power >= 0):
+            raise ValueError(f"f_coeff and f_power must be >= 0, got {self.f_coeff} and {self.f_power}")
 
     def f_offset(self, n: int) -> int:
         return int(math.floor(self.f_coeff * float(n) ** self.f_power))

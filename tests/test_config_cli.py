@@ -310,6 +310,48 @@ def test_cli_rejects_bad_gamma_and_seed(tmp_path, capsys, args, key):
     assert not (tmp_path / "x").exists()
 
 
+_SPLIT_GAUSS = ["tube.n_list=[8,16,32]", "estimator.method=splitting", "estimator.particles=1000",
+                "estimator.checkpoints=2"]
+
+
+@pytest.mark.parametrize(
+    "name, overrides, key",
+    [
+        # each of these once ran: p=1 from a nan mean, an OverflowError, p=nan, p=0
+        ("random-mean-gaussian", [*_SPLIT_GAUSS, "environment.sigma_a=.nan"], "environment: sigma_a"),
+        ("random-mean-gaussian", [*_SPLIT_GAUSS, "environment.tau=.inf"], "environment: tau"),
+        ("random-shift-bernoulli", ["tube.n_list=[8,16,32]", "environment.d=.inf"], "environment: d "),
+        ("random-mean-gaussian", [*_SPLIT_GAUSS, "tube.r_n=1", "environment.xi_scale=.nan"],
+         "environment: xi_scale"),
+        ("degenerate-rademacher", ["tube.n_list=[8,16,32]", "environment.atoms=[[-1,.nan],[1,0.5]]"],
+         "environment: atoms"),
+        # these once ran n = 1 or ended in a TypeError
+        ("degenerate-rademacher", ["tube.n_list=[1.5,3,4]"], "tube.n_list"),
+        ("degenerate-rademacher", ["tube.n_list=5"], "tube.n_list"),
+        ("degenerate-rademacher", ["tube.n_list=[]"], "tube.n_list"),
+        ("degenerate-rademacher", ["environment.atoms=5"], "environment.atoms"),
+        # non-finite tube and gamma numbers
+        ("degenerate-rademacher", ["tube.g=.nan"], "g breakpoints must be finite"),
+        ("degenerate-rademacher", ["tube.r_n=.nan"], "xi_threshold"),
+        ("degenerate-rademacher", ["tube.x0=.inf"], "tube.x0"),
+        ("degenerate-rademacher", ["gamma.beta=[0.5,.nan]"], "gamma.beta"),
+    ],
+)
+def test_cli_rejects_bad_values(tmp_path, capsys, name, overrides, key):
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    out = tmp_path / "x"
+    assert cli.main(["simulate", "--config", f"builtin:{name}", *sets, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, True, 0, "8", None])
+def test_tube_n_must_be_a_positive_integer(n):
+    tube = {k: v for k, v in SMALL["tube"].items() if k != "n_list"}
+    with pytest.raises(ConfigError, match="tube.n must be an integer >= 1"):
+        validate({**SMALL, "tube": {**tube, "n": n}})
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [

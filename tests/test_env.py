@@ -65,6 +65,14 @@ def test_assumptions_hold_for_all_families(spec):
         lambda: tw.EnvironmentSpec.degenerate([(-1.0, 0.4), (1.0, 0.4)]),  # weights
         lambda: tw.EnvironmentSpec.random_shift_bernoulli(-0.5),
         lambda: tw.EnvironmentSpec("no_such_family"),
+        lambda: tw.EnvironmentSpec.degenerate([(-1e200, 0.5), (1e200, 0.5)]),  # variance overflows
+        lambda: tw.EnvironmentSpec.random_mean_gaussian(math.nan, 1.0),
+        lambda: tw.EnvironmentSpec.random_mean_gaussian(0.5, math.inf),
+        lambda: tw.EnvironmentSpec.random_shift_bernoulli(math.inf, q=2),
+        lambda: tw.EnvironmentSpec.rademacher(xi_scale=math.nan),
+        lambda: tw.EnvironmentSpec.rademacher(xi_scale=math.inf),
+        lambda: tw.EnvironmentSpec.degenerate([(-1.0, math.nan), (1.0, 0.5)]),
+        lambda: tw.EnvironmentSpec.degenerate([(-math.inf, 0.5), (1.0, 0.5)]),
     ],
 )
 def test_invalid_specs_are_rejected(bad):

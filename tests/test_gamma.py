@@ -10,7 +10,6 @@ import tubewalk as tw
 import tubewalk.gamma as gamma_mod
 from tubewalk.gamma import (
     BARRIER_SHIFT,
-    _confinement_profile,
     _confinement_profiles,
     _fast_len,
     _kernel_transform,
@@ -67,11 +66,11 @@ def test_raw_discrete_monitoring_is_biased_low():
 def test_total_mass_nonincreasing_in_time_and_drift():
     dt, steps = 1e-3, 2000
     checkpoints = tuple(range(200, steps + 1, 200))
-    w = np.full(steps, math.sqrt(dt))  # all-positive increments
-    probs = _confinement_profile(w, 0.5, dt, 200, 0.0, True, checkpoints)
+    w = np.full((1, steps), math.sqrt(dt))  # all-positive increments
+    probs = _confinement_profiles(w, 0.5, dt, 200, 0.0, True, checkpoints)[0]
     assert all(b <= a for a, b in zip(probs, probs[1:]))
     finals = [
-        _confinement_profile(w, beta, dt, 200, 0.0, True, (steps,))[0] for beta in (0.0, 0.5, 1.0)
+        _confinement_profiles(w, beta, dt, 200, 0.0, True, (steps,))[0, 0] for beta in (0.0, 0.5, 1.0)
     ]
     assert finals[0] >= finals[1] >= finals[2]
 

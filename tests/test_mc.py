@@ -6,7 +6,7 @@ import pytest
 import tubewalk as tw
 import tubewalk.mc as mc
 from tubewalk.config import load_builtin, validate
-from tubewalk.rng import CHUNK, STREAM_NAIVE, STREAM_SPLIT, derive_seed, substream
+from tubewalk.rng import STREAM_SPLIT, derive_seed, substream
 from tubewalk.walk import draw_increments
 
 BND = (1 + 1e-9) / 2**0.25
@@ -47,7 +47,7 @@ def test_naive_empty_end_window_gives_zero():
         g=-3 / 2**0.25, h=3 / 2**0.25, alpha=0.25, n=2, end_window=(0.9 / 2**0.25, 1.1 / 2**0.25)
     )
     est = tw.survival_naive_mc(env, tube, 0.0, replicas=5000, seed=3)
-    assert est.p == 0.0 and est.log_p == -math.inf
+    assert est.p == 0.0 and est.log_p == -math.inf and est.flags == ("extinction",)
 
 
 def test_naive_deterministic_given_seed():
@@ -175,29 +175,8 @@ def test_preconditions():
         tw.survival_splitting(env, tube, 0.0, particles=100, checkpoints=5, seed=1)  # > n
 
 
-# Reference: the whole-block estimators that preceded the row-blocked kernel.
-# The kernel must reproduce them bit for bit.
-
-
-def _naive_whole_block(env, tube, x0, replicas, seed, xi_mode="analytic"):
-    lo, up = tube.bounds_arrays()
-    n, f = tube.n, tube.f_offset
-    end = tube.end_bounds()
-    xi_p, xi_log = mc._xi_setup(env, tube, xi_mode)
-    survivors = 0
-    for c in range(math.ceil(replicas / CHUNK)):
-        m = min(CHUNK, replicas - c * CHUNK)
-        rng = substream(seed, STREAM_NAIVE, c)
-        inc = draw_increments(env, f, n, rng, size=m)
-        s = x0 + np.cumsum(inc, axis=1)
-        ok = np.all((s >= lo[1:]) & (s <= up[1:]), axis=1)
-        if end is not None:
-            ok &= (s[:, -1] >= end[0]) & (s[:, -1] <= end[1])
-        if xi_p is not None:
-            ok &= np.all(rng.random((m, n)) < xi_p, axis=1)
-        survivors += int(ok.sum())
-    phat = survivors / replicas
-    return math.log(phat) + xi_log, math.sqrt((1.0 - phat) / (phat * replicas))
+# Reference: the whole-block splitting estimator that preceded the row-blocked
+# kernel.  The kernel must reproduce it bit for bit.
 
 
 def _splitting_whole_block(env, tube, x0, particles, checkpoints, seed, xi_mode="analytic"):
@@ -267,9 +246,14 @@ def test_kernel_reproduces_whole_block_estimators(monkeypatch, row_bytes, case):
         est = tw.survival_splitting(env, tube, x0, particles, checkpoints, seed=9, xi_mode=xi_mode)
         ref = _splitting_whole_block(env, tube, x0, particles, checkpoints, seed=9, xi_mode=xi_mode)
         assert (est.log_p, est.stderr_log) == ref
+    # naive MC is one-block splitting, relabelled
     est = tw.survival_naive_mc(env, tube, x0, replicas=8200, seed=9, xi_mode=xi_mode)
+    one = tw.survival_splitting(env, tube, x0, 8200, 1, seed=9, xi_mode=xi_mode)
     assert math.isfinite(est.log_p)
-    assert (est.log_p, est.stderr_log) == _naive_whole_block(env, tube, x0, 8200, seed=9, xi_mode=xi_mode)
+    assert (est.p, est.log_p, est.stderr_log, est.flags) == (one.p, one.log_p, one.stderr_log, one.flags)
+    ref = _splitting_whole_block(env, tube, x0, 8200, 1, seed=9, xi_mode=xi_mode)
+    assert (est.log_p, est.stderr_log) == ref
+    assert est.method == "naive_mc" and est.work == 8200
 
 
 @pytest.mark.parametrize("row_bytes", [mc.ROW_BYTES, 8 * 7 * 24])
