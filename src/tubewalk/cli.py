@@ -11,7 +11,7 @@ report     consolidated JSON combining simulate, gamma and fit outputs
 ``simulate``, ``fit`` and ``report`` take their per-n survival estimates
 from one runner, `rate.run_points`; ``report`` runs it once and builds
 both its simulate rows and its fit from the same points (with a start
-sweep, whose starts are not the fit's, the fit runs it again).  Every output
+sweep, the fit takes each n's middle start, which is the fit's own).  Every output
 embeds the master seed and a config hash; with a fixed config,
 seed and any ``TUBEWALK_THREADS`` value, reruns are byte-identical.
 """
@@ -108,6 +108,15 @@ def _points(cfg: ExperimentConfig, sweep_starts: bool) -> list[RunPoint]:
     return run_points(cfg.env_spec, cfg.template, cfg.n_list, make_estimator(**cfg.estimator_params),
                       seed=cfg.seed, env_seed=cfg.env_seed, shared_env=cfg.shared_env, x0=cfg.x0,
                       sweep_starts=sweep_starts)
+
+
+def _fit_points(cfg: ExperimentConfig, points: list[RunPoint]) -> list[RunPoint]:
+    """The fit's points among the plan's: with a start sweep, each n's middle
+    start, which `survival_start_sweep` makes the fit's start to the bit."""
+    if not cfg.sweep_starts:
+        return points
+    per_n = len(points) // len(cfg.n_list)
+    return points[per_n // 2 :: per_n]
 
 
 def _simulate_rows(cfg: ExperimentConfig) -> tuple[list[list], list[RunPoint]]:
@@ -400,9 +409,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> int:
     gamma_rows, estimates = _gamma_rows(cfg)
     fit = None
     if len(cfg.n_list) >= 3:
-        # a start sweep gives many starts per n, none of them the fit's one
-        # start, so the fit then runs the ladder again at that start
-        fit = _fit_report(cfg, None if cfg.sweep_starts else points, _fit_gamma(cfg, estimates))
+        fit = _fit_report(cfg, _fit_points(cfg, points), _fit_gamma(cfg, estimates))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "master_seed": cfg.seed,
@@ -460,11 +467,11 @@ def main(argv=None) -> int:
     try:
         cfg = validate(load_raw(args.config, args.overrides, args.seed))
         thread_cap()
+        out = _out_dir(cfg, args.out)
     except (ValueError, OSError, yaml.YAMLError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out = _out_dir(cfg, args.out)
     try:
         return _COMMANDS[args.command](cfg, out)
     except (ValueError, RuntimeError, IndexError) as exc:

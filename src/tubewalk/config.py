@@ -18,7 +18,7 @@ from importlib import resources
 
 import yaml
 
-from .env import EnvironmentSpec
+from .env import EnvironmentSpec, moments
 from .gamma import _REPLICA_BATCH, BARRIER_SHIFT, _layout, _run_bytes, estimate_gamma
 from .rate import ESTIMATORS, make_estimator, theorem_check
 from .tube import TubeTemplate
@@ -253,6 +253,19 @@ def _build_env(table: dict) -> EnvironmentSpec:
     raise ConfigError(f"environment.family: unknown family {family!r}")
 
 
+def _check_moments(env_spec: EnvironmentSpec) -> None:
+    """Reject an environment whose variances (`env.moments`) overflow a float."""
+    try:
+        moments(env_spec)
+    except OverflowError:
+        # a float product overflows to inf where ** raises
+        scales = {f"environment.{k}": getattr(env_spec, k) for k in ("d", "sigma_a", "tau")}
+        big = {k: v for k, v in scales.items() if v is not None and math.isinf(v * v)}
+        raise ConfigError(
+            f"{' and '.join(big)} must square to a finite variance, got {', '.join(map(repr, big.values()))}"
+        ) from None
+
+
 def _check_env_length(template: TubeTemplate, n_max: int, env_spec: EnvironmentSpec) -> None:
     """Reject tubes whose environment, f_offset(max n) + max n steps, overflows the budget."""
     atoms = {"degenerate": len(env_spec.atoms or ()), "random_shift_bernoulli": 2}.get(env_spec.family, 0)
@@ -309,7 +322,10 @@ def _build_tube(
     x0 = _number(table["x0"], "tube.x0") if table.get("x0") is not None else None
     if x0 is not None and not math.isfinite(x0):
         raise ConfigError(f"tube.x0 must be finite, got {x0}")
-    return template, tuple(n_list), x0, xi_mode, bool(table.get("sweep_starts", False))
+    sweep = bool(table.get("sweep_starts", False))
+    if x0 is not None and sweep:
+        raise ConfigError("tube.x0 and tube.sweep_starts exclude each other: a start sweep sets its own starts")
+    return template, tuple(n_list), x0, xi_mode, sweep
 
 
 def validate(raw: dict) -> ExperimentConfig:
@@ -340,8 +356,14 @@ def validate(raw: dict) -> ExperimentConfig:
     if "output" in raw:
         _check_keys(raw["output"], _OUT_KEYS, "output")
         out.update(raw["output"])
+    if not (isinstance(out["dir"], str) and out["dir"]):
+        raise ConfigError(f"output.dir must be a non-empty string, got {out['dir']!r}")
+    for key in ("svg", "dump_path"):
+        if not isinstance(out[key], bool):
+            raise ConfigError(f"output.{key} must be true or false, got {out[key]!r}")
 
     env_spec = _build_env(raw["environment"])
+    _check_moments(env_spec)
     template, n_list, x0, xi_mode, sweep = _build_tube(raw["tube"], env_spec)
     _check_effort(est, n_list)
     seed = _int_at_least(raw.get("seed", 12345), 0, "seed")

@@ -17,9 +17,9 @@ whose atoms live on a lattice (1/q)Z and serves as the oracle for the
 Monte Carlo estimators.  ``survival_brute_force`` is the independent
 enumeration oracle used to certify the DP on small instances.
 ``survival_grid`` handles Gaussian step laws by bin-edge transition masses
-on a uniform grid; finite atom laws are handled on the same grid by exact
-shifts with linear mass splitting (exact when the grid is aligned to the
-lattice, which is done automatically).  The Gaussian masses, of the first
+on a uniform grid; atom laws run the DP's own pass, on the lattice when
+the law has one (so the grid gives the DP's bits), else on span/grid_points
+nodes with each move split linearly.  The Gaussian masses, of the first
 step's point source and of every step kernel, come from the closed-form
 transform gamma uses (`gamma._bin_masses`): one inverse FFT per block of
 kernels, at a 5-smooth length that holds the kernel, with round-off of
@@ -97,11 +97,10 @@ def _check_span(env: EnvRealization, tube: TubeSpec) -> None:
         )
 
 
-def _require_open_start(tube: TubeSpec, x0: float) -> tuple[np.ndarray, np.ndarray]:
-    lo, up = tube.bounds_arrays()
-    if not lo[0] < x0 < up[0]:
-        raise ValueError(f"x0={x0} is not strictly inside the tube ({lo[0]}, {up[0]}) at time 0")
-    return lo, up
+def _require_open_start(tube: TubeSpec, x0: float) -> None:
+    lo, up = tube.bounds_at(0)
+    if not lo < x0 < up:
+        raise ValueError(f"x0={x0} is not strictly inside the tube ({lo}, {up}) at time 0")
 
 
 def _block_steps(width: int, entries: int) -> int:
@@ -210,6 +209,38 @@ def _propagate(mass, nodes, lo, up, end, t0: int, kernels, running) -> tuple[flo
     return math.log(total) + exp2 * _LN2, n
 
 
+def _off_node(moves: np.ndarray) -> float:
+    """Largest distance of a move from a whole number of nodes."""
+    return np.max(np.abs(moves - np.rint(moves)))
+
+
+def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float):
+    """Propagate an atom law from x0 on nodes x0 + j*dx; (log_p, running, size, last).
+
+    Moves all within _LATTICE_TOL of whole nodes are rounded, else split linearly.  The
+    law's own lattice, dx == 1/q, is laid as 1/q for the DP's bits: j*(1/q) can miss j/q.
+    """
+    lo, up = tube.bounds_arrays()
+    n, f, q = tube.n, tube.f_offset, env.lattice_q
+    num, den = (1.0, q) if q is not None and dx == 1.0 / q else (dx, 1.0)
+    jlo = int(math.ceil((lo.min() - x0) * den / num)) - 1
+    jhi = int(math.floor((up.max() - x0) * den / num)) + 1
+    size = jhi - jlo + 1
+    if size > 50_000_000:
+        raise ValueError(f"tube spans {size} nodes, too many to propagate")
+    mass = np.zeros(size)
+    mass[-jlo] = 1.0  # j = 0, position exactly x0
+    moves = env.atom_pos[f : f + n] * den / num
+    if _off_node(moves) <= _LATTICE_TOL:
+        moves = np.rint(moves)
+    running = np.zeros(n + 1)
+    nodes = x0 + np.arange(jlo, jhi + 1) * num / den
+    kernels = _shift_kernels(moves, env.atom_w, size)
+    log_total, last = _propagate(mass, nodes, lo, up, tube.end_bounds(), 0, kernels, running)
+    log_p = log_total + xi_log_factor(env, tube) if log_total > -math.inf else -math.inf
+    return log_p, running, size, last
+
+
 def survival_dp_lattice(
     env: EnvRealization, tube: TubeSpec, x0: float, return_running: bool = False
 ) -> SurvivalEstimate | tuple[SurvivalEstimate, np.ndarray]:
@@ -222,31 +253,12 @@ def survival_dp_lattice(
     if env.kind != "atoms" or env.lattice_q is None:
         raise NonLatticeError("environment steps are not lattice atom laws; use survival_grid")
     _check_span(env, tube)
-    lo, up = _require_open_start(tube, x0)
+    _require_open_start(tube, x0)
     q = env.lattice_q
-    n, f = tube.n, tube.f_offset
-
-    steps_pos = env.atom_pos[f : f + n]  # (n, k)
-    deltas = np.rint(steps_pos * q)
-    if np.max(np.abs(steps_pos * q - deltas)) > _LATTICE_TOL:
-        raise NonLatticeError(
-            f"atom positions do not lie on the lattice (1/{q})Z; use survival_grid"
-        )
-
-    jmin = int(math.ceil((lo.min() - x0) * q)) - 1
-    jmax = int(math.floor((up.max() - x0) * q)) + 1
-    size = jmax - jmin + 1
-    if size > 50_000_000:
-        raise ValueError(f"tube spans {size} lattice sites, too many for exact DP")
-    positions = x0 + np.arange(jmin, jmax + 1) / q
-
-    mass = np.zeros(size)
-    mass[-jmin] = 1.0  # j = 0, position exactly x0
-    running = np.zeros(n + 1)
-    kernels = _shift_kernels(deltas, env.atom_w, size)
-    log_total, _ = _propagate(mass, positions, lo, up, tube.end_bounds(), 0, kernels, running)
-    log_p = log_total + xi_log_factor(env, tube) if log_total > -math.inf else -math.inf
-    est = from_log(log_p, METHOD_DP_LATTICE, n * size)
+    if _off_node(env.atom_pos[tube.f_offset : tube.f_offset + tube.n] * q) > _LATTICE_TOL:
+        raise NonLatticeError(f"atom positions do not lie on the lattice (1/{q})Z; use survival_grid")
+    log_p, running, size, _ = _atom_pass(env, tube, x0, 1.0 / q)
+    est = from_log(log_p, METHOD_DP_LATTICE, tube.n * size)
     return (est, running) if return_running else est
 
 
@@ -260,7 +272,8 @@ def survival_brute_force(env: EnvRealization, tube: TubeSpec, x0: float) -> Surv
     if env.kind != "atoms":
         raise ValueError("brute force enumeration needs finite-support step laws")
     _check_span(env, tube)
-    lo, up = _require_open_start(tube, x0)
+    _require_open_start(tube, x0)
+    lo, up = tube.bounds_arrays()
     n, f = tube.n, tube.f_offset
     pos = np.array([x0])
     pr = np.array([1.0])
@@ -286,63 +299,46 @@ def survival_brute_force(env: EnvRealization, tube: TubeSpec, x0: float) -> Surv
 
 
 def _grid_spacing(env: EnvRealization, span: float, grid_points: int) -> float:
-    """Grid spacing ~ span/grid_points, aligned to the lattice when one exists.
-
-    Alignment makes atom shifts exact node-to-node moves; it is skipped when
-    the lattice is so fine that aligning would blow up the node count.
-    """
-    target = span / grid_points
-    if env.kind == "atoms" and env.lattice_q is not None:
-        base = 1.0 / env.lattice_q
-        dx = base / max(1, int(round(base / target)))
-        if span / dx <= max(5_000_000, grid_points):
-            return dx
-    return target
+    """The law's own lattice spacing 1/q if its nodes stay under the cap, else span/grid_points."""
+    q = env.lattice_q if env.kind == "atoms" else None
+    if q is not None and span * q <= max(5_000_000, grid_points):
+        return 1.0 / q
+    return span / grid_points
 
 
 def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int):
     """One propagation pass; returns (log_p, running, work)."""
     lo, up = tube.bounds_arrays()
     n, f = tube.n, tube.f_offset
-    running = np.zeros(n + 1)
     if not (lo[0] <= x0 <= up[0]):
-        return -math.inf, running, 0
+        return -math.inf, np.zeros(n + 1), 0
     env_lo, env_up = lo.min(), up.max()
     dx = _grid_spacing(env, env_up - env_lo, grid_points)
-
     if env.kind == "atoms":
-        # nodes anchored at x0 so the start and all lattice shifts are exact
-        jlo = int(math.ceil((env_lo - x0) / dx)) - 1
-        jhi = int(math.floor((env_up - x0) / dx)) + 1
-        nodes = x0 + np.arange(jlo, jhi + 1) * dx
-        size = len(nodes)
-        mass = np.zeros(size)
-        mass[-jlo] = 1.0
-        t0, kernels = 0, _shift_kernels(env.atom_pos[f : f + n] / dx, env.atom_w, size)
-        step_work = size
-    else:
-        edges = np.arange(grid_points + 1) * dx + env_lo
-        nodes = 0.5 * (edges[:-1] + edges[1:])
-        size = len(nodes)
-        means = env.quenched_mean[f : f + n]
-        stds = env.stds[f : f + n]
-        hw = int(math.ceil((8.0 * stds.max() + np.abs(means).max()) / dx)) + 1
-        # first step: the point source at x0 moved by the step kernel
-        drift = np.array([x0 + means[0] - nodes[0]])
-        mass = _bin_masses(drift, stds[0], dx, _fast_len(size + hw), 0, size)[0]
-        # Toeplitz transition: center-to-bin masses depend only on the offset
-        width = 2 * hw + 1
-        length = _fast_len(width)
+        log_p, running, size, last = _atom_pass(env, tube, x0, dx)
+        return log_p, running, last * size
+    edges = np.arange(grid_points + 1) * dx + env_lo
+    nodes = 0.5 * (edges[:-1] + edges[1:])
+    size = len(nodes)
+    means = env.quenched_mean[f : f + n]
+    stds = env.stds[f : f + n]
+    hw = int(math.ceil((8.0 * stds.max() + np.abs(means).max()) / dx)) + 1
+    # first step: the point source at x0 moved by the step kernel
+    drift = np.array([x0 + means[0] - nodes[0]])
+    mass = _bin_masses(drift, stds[0], dx, _fast_len(size + hw), 0, size)[0]
+    # Toeplitz transition: center-to-bin masses depend only on the offset
+    width = 2 * hw + 1
+    length = _fast_len(width)
 
-        def build(j0: int, j1: int) -> np.ndarray:
-            # tap t of a reversed kernel is the mass a N(m, s^2) step puts
-            # hw - t cells on, i.e. the mass a N(-m, s^2) step puts t - hw on
-            return _bin_masses(-means[j0:j1], stds[j0:j1], dx, length, -hw, width)
+    def build(j0: int, j1: int) -> np.ndarray:
+        # tap t of a reversed kernel is the mass a N(m, s^2) step puts
+        # hw - t cells on, i.e. the mass a N(-m, s^2) step puts t - hw on
+        return _bin_masses(-means[j0:j1], stds[j0:j1], dx, length, -hw, width)
 
-        t0, kernels = 1, (width, hw, _block_steps(width, _FFT_BLOCK_ENTRIES), build)
-        step_work = size + 2 * hw
-    log_total, last = _propagate(mass, nodes, lo, up, tube.end_bounds(), t0, kernels, running)
-    work = t0 * size + (last - t0) * step_work
+    kernels = (width, hw, _block_steps(width, _FFT_BLOCK_ENTRIES), build)
+    running = np.zeros(n + 1)
+    log_total, last = _propagate(mass, nodes, lo, up, tube.end_bounds(), 1, kernels, running)
+    work = size + (last - 1) * (size + 2 * hw)
     running[0] = 1.0
     log_p = log_total + xi_log_factor(env, tube) if log_total > -math.inf else -math.inf
     return log_p, running, work
@@ -386,11 +382,14 @@ def survival_start_sweep(
     """Evaluate an estimator on a grid of start points across the start window.
 
     Approximates the infimum over the admissible starting positions; with no
-    start window the sweep covers the interior of the tube at time 0.
+    start window the sweep covers the interior of the tube at time 0.  The
+    middle of an odd number of points is `tube.default_x0()` to the bit.
     """
     c = tube.scale
     if tube.start_window is not None:
         xs = np.linspace(tube.start_window[0] * c, tube.start_window[1] * c, points)
     else:
         xs = np.linspace(tube.g_at(0.0) * c, tube.h_at(0.0) * c, points + 2)[1:-1]
+    if points % 2:
+        xs[points // 2] = tube.default_x0()
     return [(float(x), estimator(env, tube, float(x))) for x in xs]

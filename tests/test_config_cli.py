@@ -335,12 +335,37 @@ _SPLIT_GAUSS = ["tube.n_list=[8,16,32]", "estimator.method=splitting", "estimato
         ("degenerate-rademacher", ["tube.r_n=.nan"], "xi_threshold"),
         ("degenerate-rademacher", ["tube.x0=.inf"], "tube.x0"),
         ("degenerate-rademacher", ["gamma.beta=[0.5,.nan]"], "gamma.beta"),
+        # the output table's types: these once ended in a TypeError, or wrote
+        # nothing where the flag looked set
+        ("degenerate-rademacher", ["output.dir=null"], "output.dir"),
+        ("degenerate-rademacher", ['output.dir=""'], "output.dir"),
+        ("degenerate-rademacher", ["output.svg=1"], "output.svg"),
+        ("degenerate-rademacher", ["output.dump_path=abc"], "output.dump_path"),
+        # a sweep sets its own starts; simulate once ignored x0 and fit used it
+        ("degenerate-rademacher", ["tube.x0=0.1", "tube.sweep_starts=true"], "tube.x0 and tube.sweep_starts"),
     ],
 )
 def test_cli_rejects_bad_values(tmp_path, capsys, name, overrides, key):
     sets = [arg for item in overrides for arg in ("--set", item)]
     out = tmp_path / "x"
     assert cli.main(["simulate", "--config", f"builtin:{name}", *sets, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, overrides, key",
+    [
+        # env.moments squares these; fit once ended in an OverflowError traceback
+        ("random-shift-bernoulli", ["environment.d=1e200"], "environment.d "),
+        ("random-mean-gaussian", ["environment.sigma_a=1e200"], "environment.sigma_a "),
+        ("random-mean-gaussian", ["environment.tau=1e300"], "environment.tau "),
+    ],
+)
+def test_cli_rejects_environment_scale_beyond_float(tmp_path, capsys, name, overrides, key):
+    sets = [arg for item in ["tube.n_list=[8,16,32]", *overrides] for arg in ("--set", item)]
+    out = tmp_path / "x"
+    assert cli.main(["fit", "--config", f"builtin:{name}", *sets, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
 
@@ -615,3 +640,33 @@ def test_cli_estimates_each_n_once(tmp_path, monkeypatch, command):
     assert cli.main([command, "--config", _write(tmp_path, raw), "--out", str(tmp_path / "o")]) == 0
     assert sorted(estimated) == [64, 128, 256]
     assert len(sampled) == 3
+
+
+def test_report_start_sweep_estimates_each_start_once(tmp_path, monkeypatch):
+    # 11 sweep starts per n, the middle one the fit's: report's fit is the
+    # fit command's, without a second run of the ladder
+    import tubewalk.rate as rate
+
+    estimated = []
+    real_dp = rate.survival_dp_lattice
+
+    def dp(env, tube, *args, **kwargs):
+        estimated.append(tube.n)
+        return real_dp(env, tube, *args, **kwargs)
+
+    monkeypatch.setattr(rate, "survival_dp_lattice", dp)
+    raw = {
+        **SMALL,
+        "environment": {"family": "random_shift_bernoulli", "d": 0.5, "lattice_q": 2},
+        "tube": {**SMALL["tube"], "start_window": [-0.31, 0.77], "sweep_starts": True},
+        "estimator": {"method": "dp", "tolerance": 10.0},
+        "gamma": {**SMALL["gamma"], "beta": [0.5]},
+    }
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["report", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    assert sorted(estimated) == [64] * 11 + [128] * 11 + [256] * 11
+    assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path / "f")]) == 0
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    fit = json.loads((tmp_path / "f" / "fit.json").read_text())
+    assert report["fit"] == fit["check"]
+    assert len(report["simulate"]["rows"]) == 33

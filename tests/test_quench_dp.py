@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -209,6 +210,17 @@ def test_start_sweep_grid_of_points():
     assert all(est.p >= 0 for _, est in pts)
 
 
+def test_start_sweep_middle_is_the_default_start():
+    # the fit's start is one of the sweep's, to the bit (linspace's middle
+    # missed it by an ulp for some of these)
+    for alpha, window, n in itertools.product(
+        (0.1, 0.2, 0.3, 0.37, 0.45), (None, (-0.5, 0.5), (-0.7, 0.3), (-0.31, 0.77)), (20, 200, 777, 3200)
+    ):
+        tube = tw.TubeSpec(g=-1.0, h=1.0, alpha=alpha, n=n, start_window=window)
+        pts = tw.survival_start_sweep(None, tube, lambda e, t, x: None)
+        assert pts[5][0] == tube.default_x0(), (alpha, window, n)
+
+
 # --- the shared step loop -------------------------------------------------
 #
 # The three loops below are the per-step propagators the shared loop
@@ -371,6 +383,22 @@ def test_grid_loop_reproduces_reference(name, grid_points, rel):
     env = tw.sample_environment(SPECS[name], tube.f_offset + tube.n, seed=22)
     got = quench_dp._grid_once(env, tube, 0.3, grid_points)
     _same(got, _reference_grid(env, tube, 0.3, grid_points), rel)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+def test_grid_on_lattice_law_is_the_dp(q):
+    # the grid runs a lattice law on its own lattice, through the DP's pass:
+    # the same bits, also where 1/q is inexact, and a refinement delta of 0
+    spec = tw.EnvironmentSpec.random_shift_bernoulli(1.0 / q, q=q)
+    tube = tw.TubeSpec(**MOVING)
+    env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=30 + q)
+    dp, dp_run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    log_p, run, _ = quench_dp._grid_once(env, tube, 0.0, 400)
+    assert math.isfinite(dp.log_p)
+    assert log_p == dp.log_p
+    np.testing.assert_array_equal(run, dp_run)
+    grid = tw.survival_grid(env, tube, 0.0, grid_points=400)
+    assert grid.log_p == dp.log_p and grid.work == 2 * dp.work and grid.refine_delta_log == 0.0
 
 
 def test_loop_keeps_boundary_exact_nodes():
