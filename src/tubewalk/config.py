@@ -38,7 +38,6 @@ _TUBE_KEYS = {
     "start_window",
     "end_window",
     "r_n",
-    "xi_mode",
     "x0",
     "sweep_starts",
 }
@@ -69,9 +68,13 @@ _EST_KEYS, _GAMMA_KEYS = set(_ESTIMATOR_DEFAULTS), set(_GAMMA_DEFAULTS)
 # law, its tube bounds and the estimators' per-step arrays (measured 70-128
 # bytes with tracemalloc for 0-3 atoms per law).  gamma holds a batch of W
 # increment paths, 8 bytes an entry, and the arrays `gamma._run_bytes` counts.
+# A grid pass on a Gaussian law holds its step kernel's transform, inverse
+# FFT and taps and the correlation's output (measured 41 bytes a tap with
+# tracemalloc for kernels of 4e4-4e5 taps).
 _MEMORY_BUDGET = 2**30
 _PATH_BYTES = 64
 _STEP_BYTES, _ATOM_BYTES = 64, 32
+_TAP_BYTES = 48
 _FLOAT_BYTES = 8
 
 
@@ -94,6 +97,13 @@ def _number(value, key: str) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _boolean(value, key: str) -> bool:
+    """`value` if it is a boolean, else ConfigError."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _positive(value, key: str) -> None:
@@ -187,7 +197,6 @@ class ExperimentConfig:
     template: TubeTemplate
     n_list: tuple[int, ...]
     x0: float | None
-    xi_mode: str
     sweep_starts: bool
     estimator: dict
     gamma: dict
@@ -201,7 +210,7 @@ class ExperimentConfig:
     @property
     def estimator_params(self) -> dict:
         """The keyword arguments of `make_estimator` this config sets."""
-        return {arg: self.estimator[key] for key, arg in _EST_ARGS.items()} | {"xi_mode": self.xi_mode}
+        return {arg: self.estimator[key] for key, arg in _EST_ARGS.items()}
 
     @property
     def gamma_params(self) -> dict:
@@ -282,9 +291,29 @@ def _check_env_length(template: TubeTemplate, n_max: int, env_spec: EnvironmentS
         )
 
 
+def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_min: int) -> None:
+    """Reject a Gaussian environment whose grid step kernel overflows the budget.
+
+    `quench_dp.survival_grid` reaches 8 tau + max|m| from a node; with
+    8 sigma_a for max|m| the kernel is widest at the smallest n, whose tube
+    span over `estimator.grid_points` gives the finest grid.
+    """
+    if env_spec.family != "random_mean_gaussian" or est["method"] not in ("grid", "auto"):
+        return
+    lo, up = template.make(n_min).bounds_arrays()
+    reach = (8.0 * env_spec.tau + 8.0 * env_spec.sigma_a) * est["grid_points"] / (up.max() - lo.min())
+    taps = 2 * math.ceil(reach) + 3 if math.isfinite(reach) else math.inf
+    if taps > _MEMORY_BUDGET // _TAP_BYTES:
+        raise ConfigError(
+            f"environment.sigma_a and environment.tau give a grid step kernel of {taps:.3g} taps at the "
+            f"smallest tube n ({n_min}); at most {_MEMORY_BUDGET // _TAP_BYTES} fit ({_TAP_BYTES} bytes "
+            f"per tap within a {_MEMORY_BUDGET >> 30} GiB memory budget; lower estimator.grid_points)"
+        )
+
+
 def _build_tube(
     table: dict, env_spec: EnvironmentSpec
-) -> tuple[TubeTemplate, tuple[int, ...], float | None, str, bool]:
+) -> tuple[TubeTemplate, tuple[int, ...], float | None, bool]:
     for key in ("alpha", "g", "h"):
         if key not in table:
             raise ConfigError(f"tube.{key} is required")
@@ -298,9 +327,6 @@ def _build_tube(
         raise ConfigError(f"tube.n_list must be a non-empty list of integers, got {table['n_list']!r}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError(f"tube.n_list must be strictly increasing, got {n_list}")
-    xi_mode = table.get("xi_mode", "analytic")
-    if xi_mode not in ("analytic", "sampled"):
-        raise ConfigError("tube.xi_mode must be 'analytic' or 'sampled'")
     try:
         template = TubeTemplate(
             g=table["g"],
@@ -322,10 +348,10 @@ def _build_tube(
     x0 = _number(table["x0"], "tube.x0") if table.get("x0") is not None else None
     if x0 is not None and not math.isfinite(x0):
         raise ConfigError(f"tube.x0 must be finite, got {x0}")
-    sweep = bool(table.get("sweep_starts", False))
+    sweep = _boolean(table.get("sweep_starts", False), "tube.sweep_starts")
     if x0 is not None and sweep:
         raise ConfigError("tube.x0 and tube.sweep_starts exclude each other: a start sweep sets its own starts")
-    return template, tuple(n_list), x0, xi_mode, sweep
+    return template, tuple(n_list), x0, sweep
 
 
 def validate(raw: dict) -> ExperimentConfig:
@@ -359,23 +385,22 @@ def validate(raw: dict) -> ExperimentConfig:
     if not (isinstance(out["dir"], str) and out["dir"]):
         raise ConfigError(f"output.dir must be a non-empty string, got {out['dir']!r}")
     for key in ("svg", "dump_path"):
-        if not isinstance(out[key], bool):
-            raise ConfigError(f"output.{key} must be true or false, got {out[key]!r}")
+        _boolean(out[key], f"output.{key}")
 
     env_spec = _build_env(raw["environment"])
     _check_moments(env_spec)
-    template, n_list, x0, xi_mode, sweep = _build_tube(raw["tube"], env_spec)
+    template, n_list, x0, sweep = _build_tube(raw["tube"], env_spec)
     _check_effort(est, n_list)
+    _check_grid_kernel(est, env_spec, template, min(n_list))
     seed = _int_at_least(raw.get("seed", 12345), 0, "seed")
     return ExperimentConfig(
         seed=seed,
         env_spec=env_spec,
         env_seed=_int_at_least(raw["environment"].get("seed", seed), 0, "environment.seed"),
-        shared_env=bool(raw["environment"].get("shared", False)),
+        shared_env=_boolean(raw["environment"].get("shared", False), "environment.shared"),
         template=template,
         n_list=n_list,
         x0=x0,
-        xi_mode=xi_mode,
         sweep_starts=sweep,
         estimator=est,
         gamma=gam,

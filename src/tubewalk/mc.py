@@ -10,7 +10,10 @@ the replicas (a particle system without a resampling step).
 
 Particles advance through one row-blocked kernel, `_advance`, and draw
 their increments from one counter-derived substream per block, so results
-are independent of worker count and batching.
+are independent of worker count and batching.  The auxiliary events
+xi_i <= r_n are independent of the walk given the environment, so they are
+not simulated: both estimators add the one analytic factor
+`quench_dp.xi_log_factor`, as the deterministic estimators do.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ import math
 import numpy as np
 
 from .env import EnvRealization
-from .quench_dp import _xi_terms, xi_log_factor
+from .quench_dp import xi_log_factor
 from .results import METHOD_NAIVE_MC, METHOD_SPLITTING, SurvivalEstimate, from_log
 from .rng import STREAM_SPLIT, substream
 from .tube import TubeSpec
 from .walk import draw_increments
-
-XI_MODES = ("analytic", "sampled")
 
 # Bytes of float64 increments per row block in `_advance`: small enough for
 # the block and its mask to stay in cache, large enough to amortise the
@@ -42,7 +43,6 @@ def _advance(
     lo: np.ndarray,
     up: np.ndarray,
     rng: np.random.Generator,
-    xi_p: float | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance particles from `start` through len(lo) steps inside [lo, up].
 
@@ -51,8 +51,7 @@ def _advance(
     allocated once per call, so apart from those two outputs memory does
     not grow with the particle count.  The generator fills arrays in
     row-major order from one stream, so drawing the rows block by block
-    consumes the same numbers as one whole-array draw: all increment rows
-    first, then (with `xi_p`) all xi rows.
+    consumes the same numbers as one whole-array draw.
     """
     particles, length = len(start), len(lo)
     rows = max(1, min(particles, ROW_BYTES // (8 * length)))
@@ -75,23 +74,7 @@ def _advance(
         np.any(b, axis=1, out=ok[r0 : r0 + m])  # left the tube; negated below
         last[r0 : r0 + m] = s[:, -1]
     np.logical_not(ok, out=ok)
-    if xi_p is not None:
-        for r0 in range(0, particles, rows):
-            m = min(rows, particles - r0)
-            b = bad[:m]
-            np.less(rng.random(out=inc[:m]), xi_p, out=b)
-            ok[r0 : r0 + m] &= b.all(axis=1)
     return ok, last
-
-
-def _xi_setup(env: EnvRealization, tube: TubeSpec, xi_mode: str) -> tuple[float | None, float]:
-    """Per-step sampled-event probability (or None) and the analytic log factor."""
-    if xi_mode not in XI_MODES:
-        raise ValueError(f"xi_mode must be one of {XI_MODES}")
-    steps, _ = _xi_terms(tube)
-    if steps and xi_mode == "sampled":
-        return env.xi_cdf(tube.xi_threshold), xi_log_factor(env, tube, include_steps=False)
-    return None, xi_log_factor(env, tube)
 
 
 def survival_naive_mc(
@@ -100,7 +83,6 @@ def survival_naive_mc(
     x0: float,
     replicas: int,
     seed: int,
-    xi_mode: str = "analytic",
 ) -> SurvivalEstimate:
     """Fraction of independent replica paths surviving the full tube event.
 
@@ -109,7 +91,7 @@ def survival_naive_mc(
     """
     if replicas < 100:
         raise ValueError("replicas must be >= 100")
-    est = survival_splitting(env, tube, x0, replicas, 1, seed, xi_mode)
+    est = survival_splitting(env, tube, x0, replicas, 1, seed)
     return dataclasses.replace(est, method=METHOD_NAIVE_MC, work=replicas)
 
 
@@ -120,7 +102,6 @@ def survival_splitting(
     particles: int,
     checkpoints: int,
     seed: int,
-    xi_mode: str = "analytic",
 ) -> SurvivalEstimate:
     """Fixed-effort multilevel splitting along the time axis.
 
@@ -140,7 +121,6 @@ def survival_splitting(
         raise IndexError("environment too short for this tube")
     lo, up = tube.bounds_arrays()
     end = tube.end_bounds()
-    xi_p, xi_log = _xi_setup(env, tube, xi_mode)
     work = particles * n
 
     base = n // checkpoints
@@ -160,7 +140,7 @@ def survival_splitting(
     for k, blen in enumerate(lengths):
         rng = substream(seed, STREAM_SPLIT, k)
         seg = slice(step + 1, step + blen + 1)
-        ok, last = _advance(env, f + step, pos, lo[seg], up[seg], rng, xi_p)
+        ok, last = _advance(env, f + step, pos, lo[seg], up[seg], rng)
         step += blen
         if k == final and end is not None:
             ok &= (last >= end[0]) & (last <= end[1])
@@ -173,6 +153,5 @@ def survival_splitting(
         if k < final:
             pos = last[ok][rng.integers(0, alive, size=particles)]
 
-    return from_log(
-        log_acc + xi_log, METHOD_SPLITTING, work, seed=seed, stderr_log=math.sqrt(var_acc)
-    )
+    log_acc += xi_log_factor(env, tube)
+    return from_log(log_acc, METHOD_SPLITTING, work, seed=seed, stderr_log=math.sqrt(var_acc))

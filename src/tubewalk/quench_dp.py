@@ -65,29 +65,18 @@ class NonLatticeError(ValueError):
     """Environment steps are not all on a common lattice; use survival_grid."""
 
 
-def _xi_terms(tube: TubeSpec) -> tuple[int, int]:
-    """(step-attached, extra) counts of xi events for this tube.
+def xi_log_factor(env: EnvRealization, tube: TubeSpec) -> float:
+    """log Prod_i P(xi_i <= r_n) over the indices f(n)..f(n)+n (f(n) only if >= 1).
 
-    The auxiliary event covers the n+1 environment indices f(n)..f(n)+n;
-    the n step-attached ones can be sampled inside Monte Carlo replicas,
-    the one attached to the starting index (present when f(n) >= 1) is
-    always applied analytically.
+    The xi_i are independent of the walk given the environment, so every
+    estimator multiplies the walk's survival by this one factor.
     """
     if tube.xi_threshold is None:
-        return 0, 0
-    return tube.n, 1 if tube.f_offset >= 1 else 0
-
-
-def xi_log_factor(env: EnvRealization, tube: TubeSpec, include_steps: bool = True) -> float:
-    """log of the analytic xi factor Prod_i P(xi_i <= r_n)."""
-    steps, extra = _xi_terms(tube)
-    terms = (steps if include_steps else 0) + extra
-    if terms == 0:
         return 0.0
     cdf = env.xi_cdf(tube.xi_threshold)
     if cdf <= 0.0:
         return -math.inf
-    return terms * math.log(cdf)
+    return (tube.n + (tube.f_offset >= 1)) * math.log(cdf)
 
 
 def _check_span(env: EnvRealization, tube: TubeSpec) -> None:
@@ -237,8 +226,7 @@ def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float):
     nodes = x0 + np.arange(jlo, jhi + 1) * num / den
     kernels = _shift_kernels(moves, env.atom_w, size)
     log_total, last = _propagate(mass, nodes, lo, up, tube.end_bounds(), 0, kernels, running)
-    log_p = log_total + xi_log_factor(env, tube) if log_total > -math.inf else -math.inf
-    return log_p, running, size, last
+    return log_total + xi_log_factor(env, tube), running, size, last
 
 
 def survival_dp_lattice(
@@ -340,8 +328,7 @@ def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int)
     log_total, last = _propagate(mass, nodes, lo, up, tube.end_bounds(), 1, kernels, running)
     work = size + (last - 1) * (size + 2 * hw)
     running[0] = 1.0
-    log_p = log_total + xi_log_factor(env, tube) if log_total > -math.inf else -math.inf
-    return log_p, running, work
+    return log_total + xi_log_factor(env, tube), running, work
 
 
 def survival_grid(
@@ -356,13 +343,21 @@ def survival_grid(
 
     Runs at `grid_points` and at half resolution and reports the log-scale
     difference as ``refine_delta_log``; when the relative delta exceeds
-    `refine_tol` the estimate is flagged ``grid_coarse`` (not fatal).
+    `refine_tol` the estimate is flagged ``grid_coarse`` (not fatal).  A
+    lattice law propagates on its own lattice at both resolutions, so it
+    runs once, with a delta of 0.
     """
     if grid_points < 50:
         raise ValueError("grid_points must be >= 50")
     _check_span(env, tube)
     log_p, running, work = _grid_once(env, tube, x0, grid_points)
-    log_half, _, work_half = _grid_once(env, tube, x0, max(25, grid_points // 2))
+    half = max(25, grid_points // 2)
+    lo, up = tube.bounds_arrays()
+    span = up.max() - lo.min()
+    if _grid_spacing(env, span, half) == _grid_spacing(env, span, grid_points):
+        log_half, work_half = log_p, 0
+    else:
+        log_half, _, work_half = _grid_once(env, tube, x0, half)
     if math.isfinite(log_p) and math.isfinite(log_half):
         delta = log_p - log_half
     else:

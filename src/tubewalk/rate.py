@@ -154,14 +154,14 @@ class CheckReport:
 
 
 def make_estimator(method: str = "auto", *, replicas: int = 100_000, particles: int = 10_000,
-                   checkpoints: int = 20, grid_points: int = 400, xi_mode: str = "analytic", **unknown):
+                   checkpoints: int = 20, grid_points: int = 400, **unknown):
     """Estimator closure (env, tube, x0, seed) -> SurvivalEstimate.
 
     ``auto`` picks the exact DP for lattice environments and grid
     propagation otherwise.  Monte Carlo methods take their effort from
-    ``replicas`` (naive), ``particles`` and ``checkpoints`` (splitting) and
-    ``xi_mode``; the grid takes ``grid_points``.  These defaults are the
-    config's (`config.validate` reads them from this signature).
+    ``replicas`` (naive), ``particles`` and ``checkpoints`` (splitting);
+    the grid takes ``grid_points``.  These defaults are the config's
+    (`config.validate` reads them from this signature).
     """
     if method not in ESTIMATORS:
         raise ValueError(f"unknown estimator {method!r}; expected one of {ESTIMATORS}")
@@ -180,8 +180,8 @@ def make_estimator(method: str = "auto", *, replicas: int = 100_000, particles: 
         if kind == "brute":
             return survival_brute_force(env, tube, x0)
         if kind == "naive":
-            return survival_naive_mc(env, tube, x0, replicas, seed, xi_mode=xi_mode)
-        return survival_splitting(env, tube, x0, particles, checkpoints, seed, xi_mode=xi_mode)
+            return survival_naive_mc(env, tube, x0, replicas, seed)
+        return survival_splitting(env, tube, x0, particles, checkpoints, seed)
 
     return run
 

@@ -343,6 +343,14 @@ _SPLIT_GAUSS = ["tube.n_list=[8,16,32]", "estimator.method=splitting", "estimato
         ("degenerate-rademacher", ["output.dump_path=abc"], "output.dump_path"),
         # a sweep sets its own starts; simulate once ignored x0 and fit used it
         ("degenerate-rademacher", ["tube.x0=0.1", "tube.sweep_starts=true"], "tube.x0 and tube.sweep_starts"),
+        # these strings once read as true
+        ("degenerate-rademacher", ['tube.sweep_starts="false"'], "tube.sweep_starts"),
+        ("degenerate-rademacher", ['environment.shared="no"'], "environment.shared"),
+        # the xi events enter every estimator as one analytic factor; the mode key is gone
+        ("degenerate-rademacher", ["tube.xi_mode=analytic"], "xi_mode"),
+        # a grid kernel of 8 sigma_a / dx taps on each side: this one would need gigabytes
+        ("random-mean-gaussian", ["tube.n_list=[8,16,32]", "environment.sigma_a=1e5"],
+         "environment.sigma_a and environment.tau"),
     ],
 )
 def test_cli_rejects_bad_values(tmp_path, capsys, name, overrides, key):
@@ -368,6 +376,24 @@ def test_cli_rejects_environment_scale_beyond_float(tmp_path, capsys, name, over
     assert cli.main(["fit", "--config", f"builtin:{name}", *sets, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["auto", "splitting"])
+def test_validate_bounds_the_grid_kernel_only_where_the_grid_runs(method):
+    overrides = ["environment.sigma_a=1e5", f"estimator.method={method}"]
+    raw = apply_overrides(load_builtin("random-mean-gaussian"), overrides)
+    if method == "splitting":
+        validate(raw)
+    else:
+        with pytest.raises(ConfigError, match="environment.sigma_a and environment.tau"):
+            validate(raw)
+
+
+def test_readme_config_block_validates():
+    # the documented keys are the schema's: a removed key fails here
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("```yaml\n", 1)[1].split("```", 1)[0]
+    validate(yaml.safe_load(block))
 
 
 @pytest.mark.parametrize("n", [2.0, 2.5, True, 0, "8", None])

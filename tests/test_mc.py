@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import tubewalk as tw
 import tubewalk.mc as mc
 from tubewalk.config import load_builtin, validate
+from tubewalk.quench_dp import xi_log_factor
 from tubewalk.rng import STREAM_SPLIT, derive_seed, substream
 from tubewalk.walk import draw_increments
 
@@ -107,16 +109,6 @@ def test_splitting_matches_dp_on_structured_instance():
     assert abs(est.log_p - dp.log_p) <= max(4 * est.stderr_log, 0.10 * abs(dp.log_p))
 
 
-def test_splitting_sampled_xi_matches_analytic():
-    spec = tw.EnvironmentSpec.rademacher(xi_scale=1.0)
-    env = tw.sample_environment(spec, 45, seed=3)
-    tube = tw.TubeSpec(g=-1.2, h=1.2, alpha=0.3, n=40, f_offset=5, xi_threshold=2.5)
-    ana = tw.survival_splitting(env, tube, 0.0, particles=20_000, checkpoints=8, seed=5)
-    smp = tw.survival_splitting(env, tube, 0.0, particles=20_000, checkpoints=8, seed=5, xi_mode="sampled")
-    se = math.hypot(ana.stderr_log, smp.stderr_log)
-    assert abs(ana.log_p - smp.log_p) <= 4 * se + 0.02
-
-
 def test_splitting_deterministic_given_seed():
     env, tube = _rare_instance()
     a = tw.survival_splitting(env, tube, 0.0, particles=1000, checkpoints=10, seed=23)
@@ -155,16 +147,6 @@ def test_monotone_in_width_with_shared_draws():
     assert np.mean(ln_w) >= np.mean(ln_n)
 
 
-def test_xi_sampled_mode_agrees_with_analytic():
-    spec = tw.EnvironmentSpec.rademacher(xi_scale=1.0)
-    env = tw.sample_environment(spec, 25, seed=3)
-    tube = tw.TubeSpec(g=-1.5, h=1.5, alpha=0.3, n=20, f_offset=5, xi_threshold=2.0)
-    ana = tw.survival_naive_mc(env, tube, 0.0, replicas=40_000, seed=5, xi_mode="analytic")
-    smp = tw.survival_naive_mc(env, tube, 0.0, replicas=40_000, seed=5, xi_mode="sampled")
-    se = math.hypot(ana.stderr_log, smp.stderr_log)
-    assert abs(ana.log_p - smp.log_p) <= 4 * se
-
-
 def test_preconditions():
     env, tube = _half_instance()
     with pytest.raises(ValueError):
@@ -179,11 +161,10 @@ def test_preconditions():
 # kernel.  The kernel must reproduce it bit for bit.
 
 
-def _splitting_whole_block(env, tube, x0, particles, checkpoints, seed, xi_mode="analytic"):
+def _splitting_whole_block(env, tube, x0, particles, checkpoints, seed):
     n, f = tube.n, tube.f_offset
     lo, up = tube.bounds_arrays()
     end = tube.end_bounds()
-    xi_p, xi_log = mc._xi_setup(env, tube, xi_mode)
     base = n // checkpoints
     lengths = [base] * (checkpoints - 1) + [n - base * (checkpoints - 1)]
     pos = np.full(particles, x0)
@@ -196,8 +177,6 @@ def _splitting_whole_block(env, tube, x0, particles, checkpoints, seed, xi_mode=
         seg_lo = lo[step + 1 : step + blen + 1]
         seg_up = up[step + 1 : step + blen + 1]
         ok = np.all((s >= seg_lo) & (s <= seg_up), axis=1)
-        if xi_p is not None:
-            ok &= np.all(rng.random((particles, blen)) < xi_p, axis=1)
         step += blen
         if k == len(lengths) - 1 and end is not None:
             ok &= (s[:, -1] >= end[0]) & (s[:, -1] <= end[1])
@@ -207,11 +186,11 @@ def _splitting_whole_block(env, tube, x0, particles, checkpoints, seed, xi_mode=
         var_acc += (1.0 - phi) / (phi * particles)
         surv = s[ok, -1]
         pos = surv[rng.integers(0, alive, size=particles)]
-    return log_acc + xi_log, math.sqrt(var_acc)
+    return log_acc + xi_log_factor(env, tube), math.sqrt(var_acc)
 
 
 def _kernel_cases():
-    """(env, tube, x0, xi_mode): lattice, 3-atom and Gaussian laws, end window, sampled xi."""
+    """(env, tube, x0): lattice, 3-atom and Gaussian laws, end window, xi threshold or none."""
     shift = tw.sample_environment(tw.EnvironmentSpec.random_shift_bernoulli(0.5), 100, seed=71)
     moving = tw.TubeSpec(
         g=((0, -0.8), (0.5, -0.5), (1, -0.9)),
@@ -227,11 +206,12 @@ def _kernel_cases():
     )
     gauss = tw.sample_environment(tw.EnvironmentSpec.random_mean_gaussian(1.0, 1.3), 64, seed=6)
     flat = tw.TubeSpec(g=-2.0, h=2.0, alpha=0.3, n=24, f_offset=4, xi_threshold=3.0)
+    plain = dataclasses.replace(moving, end_window=None, xi_threshold=None)
     return [
-        (shift, moving, 0.0, "analytic"),
-        (shift, moving, 0.0, "sampled"),
-        (three, flat, 0.0, "analytic"),
-        (gauss, flat, 0.3, "sampled"),
+        (shift, moving, 0.0),
+        (shift, plain, 0.25),
+        (three, flat, 0.0),
+        (gauss, flat, 0.3),
     ]
 
 
@@ -241,17 +221,17 @@ def test_kernel_reproduces_whole_block_estimators(monkeypatch, row_bytes, case):
     # row_bytes 8*7*24 cuts a 24-step block into rows of 7: 1234 and 8200
     # are not multiples of it, and shorter blocks get uneven row counts.
     monkeypatch.setattr(mc, "ROW_BYTES", row_bytes)
-    env, tube, x0, xi_mode = _kernel_cases()[case]
+    env, tube, x0 = _kernel_cases()[case]
     for particles, checkpoints in ((1234, 7), (1234, tube.n)):  # tube.n: blocks of length 1
-        est = tw.survival_splitting(env, tube, x0, particles, checkpoints, seed=9, xi_mode=xi_mode)
-        ref = _splitting_whole_block(env, tube, x0, particles, checkpoints, seed=9, xi_mode=xi_mode)
+        est = tw.survival_splitting(env, tube, x0, particles, checkpoints, seed=9)
+        ref = _splitting_whole_block(env, tube, x0, particles, checkpoints, seed=9)
         assert (est.log_p, est.stderr_log) == ref
     # naive MC is one-block splitting, relabelled
-    est = tw.survival_naive_mc(env, tube, x0, replicas=8200, seed=9, xi_mode=xi_mode)
-    one = tw.survival_splitting(env, tube, x0, 8200, 1, seed=9, xi_mode=xi_mode)
+    est = tw.survival_naive_mc(env, tube, x0, replicas=8200, seed=9)
+    one = tw.survival_splitting(env, tube, x0, 8200, 1, seed=9)
     assert math.isfinite(est.log_p)
     assert (est.p, est.log_p, est.stderr_log, est.flags) == (one.p, one.log_p, one.stderr_log, one.flags)
-    ref = _splitting_whole_block(env, tube, x0, 8200, 1, seed=9, xi_mode=xi_mode)
+    ref = _splitting_whole_block(env, tube, x0, 8200, 1, seed=9)
     assert (est.log_p, est.stderr_log) == ref
     assert est.method == "naive_mc" and est.work == 8200
 
@@ -261,16 +241,13 @@ def test_kernel_reproduces_whole_block_estimators(monkeypatch, row_bytes, case):
 def test_kernel_reproduces_whole_block_arrays(monkeypatch, row_bytes, case):
     # survival flags and end positions themselves, from scattered starts
     monkeypatch.setattr(mc, "ROW_BYTES", row_bytes)
-    env, tube, _, xi_mode = _kernel_cases()[case]
+    env, tube, _ = _kernel_cases()[case]
     lo, up = tube.bounds_arrays()
-    xi_p, _ = mc._xi_setup(env, tube, xi_mode)
     start = substream(3, 0).uniform(lo[0], up[0], size=1234)
-    ok, last = mc._advance(env, tube.f_offset, start, lo[1:], up[1:], substream(3, 1), xi_p)
-    rng = substream(3, 1)
-    s = start[:, None] + np.cumsum(draw_increments(env, tube.f_offset, tube.n, rng, size=1234), axis=1)
+    ok, last = mc._advance(env, tube.f_offset, start, lo[1:], up[1:], substream(3, 1))
+    inc = draw_increments(env, tube.f_offset, tube.n, substream(3, 1), size=1234)
+    s = start[:, None] + np.cumsum(inc, axis=1)
     ref_ok = np.all((s >= lo[1:]) & (s <= up[1:]), axis=1)
-    if xi_p is not None:
-        ref_ok &= np.all(rng.random((1234, tube.n)) < xi_p, axis=1)
     assert 0 < ok.sum() < len(ok)
     assert np.array_equal(ok, ref_ok) and np.array_equal(last, s[:, -1])
 
