@@ -20,6 +20,7 @@ import yaml
 
 from .env import EnvironmentSpec, moments
 from .gamma import _REPLICA_BATCH, BARRIER_SHIFT, _layout, _run_bytes, estimate_gamma
+from .parallel import max_workers
 from .rate import ESTIMATORS, make_estimator, theorem_check
 from .tube import TubeTemplate
 
@@ -62,15 +63,17 @@ _GAMMA_DEFAULTS = {"beta": [0.0], **_defaults(estimate_gamma, _GAMMA_ARGS)}
 _OUTPUT_DEFAULTS = {"dir": "out", "svg": False, "dump_path": False}
 _EST_KEYS, _GAMMA_KEYS = set(_ESTIMATOR_DEFAULTS), set(_GAMMA_DEFAULTS)
 
-# Memory a run may take, and what one unit of effort holds at once: a
-# splitting particle keeps positions, flags, end positions and resampling
-# indices (8 bytes each, with temporaries); an environment step keeps its
-# law, its tube bounds and the estimators' per-step arrays (measured 70-128
-# bytes with tracemalloc for 0-3 atoms per law).  gamma holds a batch of W
-# increment paths, 8 bytes an entry, and the arrays `gamma._run_bytes` counts.
-# A grid pass on a Gaussian law holds its step kernel's transform, inverse
-# FFT and taps and the correlation's output (measured 41 bytes a tap with
-# tracemalloc for kernels of 4e4-4e5 taps).
+# Memory a run may take, and what one unit of effort holds at once.  The
+# budget is shared by the tasks `parallel.thread_map` runs at once (the n of
+# `rate.run_points`, or the betas of the gamma table), so each task gets its
+# share (`_task_budget`).  A splitting particle keeps positions, flags, end
+# positions and resampling indices (8 bytes each, with temporaries); an
+# environment step keeps its law, its tube bounds and the estimators'
+# per-step arrays (measured 70-128 bytes with tracemalloc for 0-3 atoms per
+# law).  gamma holds a batch of W increment paths, 8 bytes an entry, and the
+# arrays `gamma._run_bytes` counts.  A grid pass on a Gaussian law holds its
+# step kernel's transform, inverse FFT and taps and the correlation's output
+# (measured 41 bytes a tap with tracemalloc for kernels of 4e4-4e5 taps).
 _MEMORY_BUDGET = 2**30
 _PATH_BYTES = 64
 _STEP_BYTES, _ATOM_BYTES = 64, 32
@@ -80,6 +83,17 @@ _FLOAT_BYTES = 8
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad key."""
+
+
+def _task_budget(tasks: int) -> tuple[int, str]:
+    """Bytes one of `tasks` pooled tasks may hold, and the budget's description.
+
+    `parallel.thread_map` runs up to ``max_workers(tasks)`` of them at once,
+    and they share _MEMORY_BUDGET.
+    """
+    width = max_workers(tasks)
+    shared = f" shared by {width} tasks at once" if width > 1 else ""
+    return _MEMORY_BUDGET // width, f"{_MEMORY_BUDGET >> 30} GiB memory budget{shared}"
 
 
 def _int_at_least(value, low: int, key: str) -> int:
@@ -116,12 +130,12 @@ def _check_effort(est: dict, n_list: tuple[int, ...]) -> None:
     for key, low in (("replicas", 100), ("particles", 100), ("grid_points", 50), ("checkpoints", 1)):
         _int_at_least(est[key], low, f"estimator.{key}")
     # naive MC's replicas are the particles of a one-block splitting run
+    budget, named = _task_budget(len(n_list))
     for key in ("particles", "replicas"):
-        if est[key] > _MEMORY_BUDGET // _PATH_BYTES:
+        if est[key] > budget // _PATH_BYTES:
             raise ConfigError(
-                f"estimator.{key} must be <= {_MEMORY_BUDGET // _PATH_BYTES} "
-                f"({_PATH_BYTES} bytes per path within a {_MEMORY_BUDGET >> 30} GiB memory budget), "
-                f"got {est[key]}"
+                f"estimator.{key} must be <= {budget // _PATH_BYTES} "
+                f"({_PATH_BYTES} bytes per path within a {named}), got {est[key]}"
             )
     _positive(est["tolerance"], "estimator.tolerance")
     if est["method"] == "splitting" and est["checkpoints"] > min(n_list):
@@ -147,25 +161,26 @@ def _check_gamma(gam: dict) -> None:
             f"0.5826 sqrt(dt) must stay inside the tube half-width 1/2), got {gam['dt']}"
         )
     batch = min(gam["replicas"], _REPLICA_BATCH)
-    if steps > _MEMORY_BUDGET // (_FLOAT_BYTES * batch):
+    budget, named = _task_budget(len(gam["beta"]))
+    if steps > budget // (_FLOAT_BYTES * batch):
         raise ConfigError(
-            f"gamma.t / gamma.dt must give at most {_MEMORY_BUDGET // (_FLOAT_BYTES * batch)} steps "
+            f"gamma.t / gamma.dt must give at most {budget // (_FLOAT_BYTES * batch)} steps "
             f"({_FLOAT_BYTES} bytes per W increment, {batch} replicas at a time, within a "
-            f"{_MEMORY_BUDGET >> 30} GiB memory budget), got {steps}"
+            f"{named}), got {steps}"
         )
     # the padded row holds at least grid_points entries a replica; past that
     # bound the layout is not sized (it may not fit a float)
-    if gam["grid_points"] > _MEMORY_BUDGET // (_FLOAT_BYTES * batch):
+    if gam["grid_points"] > budget // (_FLOAT_BYTES * batch):
         need = None
     else:
         _, _, n, band = _layout(gam["dt"], gam["grid_points"])
         need = _run_bytes(gam["grid_points"], n, band, batch)
-    if need is None or need > _MEMORY_BUDGET:
+    if need is None or need > budget:
         need = f"{gam['grid_points']} grid points" if need is None else f"{need} bytes"
         raise ConfigError(
             f"gamma.dt and gamma.grid_points must let {batch} replicas propagate together (the "
             f"cut operator of the step-kernel band, the padded rows of the first step and a "
-            f"block of step kernels) within a {_MEMORY_BUDGET >> 30} GiB memory budget; they "
+            f"block of step kernels) within a {named}; they "
             f"need {need} (lower gamma.grid_points)"
         )
 
@@ -275,24 +290,26 @@ def _check_moments(env_spec: EnvironmentSpec) -> None:
         ) from None
 
 
-def _check_env_length(template: TubeTemplate, n_max: int, env_spec: EnvironmentSpec) -> None:
-    """Reject tubes whose environment, f_offset(max n) + max n steps, overflows the budget."""
+def _check_env_length(template: TubeTemplate, n_list, env_spec: EnvironmentSpec) -> None:
+    """Reject tubes whose environment, f_offset(max n) + max n steps, overflows a task's budget."""
     atoms = {"degenerate": len(env_spec.atoms or ()), "random_shift_bernoulli": 2}.get(env_spec.family, 0)
     step_bytes = _STEP_BYTES + _ATOM_BYTES * atoms
+    n_max = max(n_list)
     try:
         steps = template.f_offset(n_max) + n_max
     except (OverflowError, ValueError):  # an infinite or nan offset
         steps = math.inf
-    if steps > _MEMORY_BUDGET // step_bytes:
+    budget, named = _task_budget(len(n_list))
+    if steps > budget // step_bytes:
         raise ConfigError(
             f"tube.n_list, tube.f_coeff and tube.f_power give an environment of f_offset(max n) + max n "
-            f"= {steps} steps; at most {_MEMORY_BUDGET // step_bytes} fit ({step_bytes} bytes per "
-            f"step within a {_MEMORY_BUDGET >> 30} GiB memory budget)"
+            f"= {steps} steps; at most {budget // step_bytes} fit ({step_bytes} bytes per "
+            f"step within a {named})"
         )
 
 
-def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_min: int) -> None:
-    """Reject a Gaussian environment whose grid step kernel overflows the budget.
+def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_list) -> None:
+    """Reject a Gaussian environment whose grid step kernel overflows a task's budget.
 
     `quench_dp.survival_grid` reaches 8 tau + max|m| from a node; with
     8 sigma_a for max|m| the kernel is widest at the smallest n, whose tube
@@ -300,14 +317,16 @@ def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTempl
     """
     if env_spec.family != "random_mean_gaussian" or est["method"] not in ("grid", "auto"):
         return
+    n_min = min(n_list)
     lo, up = template.make(n_min).bounds_arrays()
     reach = (8.0 * env_spec.tau + 8.0 * env_spec.sigma_a) * est["grid_points"] / (up.max() - lo.min())
     taps = 2 * math.ceil(reach) + 3 if math.isfinite(reach) else math.inf
-    if taps > _MEMORY_BUDGET // _TAP_BYTES:
+    budget, named = _task_budget(len(n_list))
+    if taps > budget // _TAP_BYTES:
         raise ConfigError(
             f"environment.sigma_a and environment.tau give a grid step kernel of {taps:.3g} taps at the "
-            f"smallest tube n ({n_min}); at most {_MEMORY_BUDGET // _TAP_BYTES} fit ({_TAP_BYTES} bytes "
-            f"per tap within a {_MEMORY_BUDGET >> 30} GiB memory budget; lower estimator.grid_points)"
+            f"smallest tube n ({n_min}); at most {budget // _TAP_BYTES} fit ({_TAP_BYTES} bytes "
+            f"per tap within a {named}; lower estimator.grid_points)"
         )
 
 
@@ -338,7 +357,7 @@ def _build_tube(
             f_coeff=_number(table.get("f_coeff", 1.0), "tube.f_coeff"),
             f_power=_number(table.get("f_power", 0.5), "tube.f_power"),
         )
-        _check_env_length(template, max(n_list), env_spec)
+        _check_env_length(template, n_list, env_spec)
         for n in n_list:
             template.make(n)  # validates windows against boundaries
     except ConfigError:
@@ -391,7 +410,7 @@ def validate(raw: dict) -> ExperimentConfig:
     _check_moments(env_spec)
     template, n_list, x0, sweep = _build_tube(raw["tube"], env_spec)
     _check_effort(est, n_list)
-    _check_grid_kernel(est, env_spec, template, min(n_list))
+    _check_grid_kernel(est, env_spec, template, n_list)
     seed = _int_at_least(raw.get("seed", 12345), 0, "seed")
     return ExperimentConfig(
         seed=seed,

@@ -28,8 +28,9 @@ r = n - grid_points, applied as such when r < K (at 4Kr multiply-adds per
 replica, as when alias bands make K every mode) and as one dense (2K, 2K)
 matrix otherwise ((2K)^2).  No real-space mass exists between steps, so
 none is clipped, and the survival total is mode 0.  The first step's bin
-masses come from the same transform (`_bin_masses`, which the grid
-estimator in `quench_dp` shares), so no Gaussian CDF is evaluated.
+masses come from the same transform (`_bin_masses`), so no Gaussian CDF
+is evaluated.  The grid estimator in `quench_dp` shares the transforms
+(`_step_transforms`) and the band's DFT rows (`_band_basis`).
 `estimate_gamma` propagates at most 64 replicas per batch and each block of
 transforms holds at most 2**18 complex entries, so memory stays bounded
 whatever the replica count (`_run_bytes` bounds it, and `config.validate`
@@ -265,49 +266,54 @@ def _kernel_transform(drifts, sd: float, dx: float, n: int) -> np.ndarray:
     return out
 
 
+def _step_transforms(drifts, sds, dx: float, n: int, band: int) -> np.ndarray:
+    """`_kernel_transform` of N(d, sd^2) steps, one row per drift, zero-padded
+    to `band` modes; `sds` broadcasts against the 1-D `drifts`, and one
+    transform is built per distinct sd.  `band` is at least
+    ``_band_modes(min(sds) / dx, n)``, the band of the narrowest step.
+    """
+    drifts = np.asarray(drifts, dtype=float)
+    sds = np.broadcast_to(sds, drifts.shape)
+    k_hat = np.zeros(drifts.shape + (band,), dtype=complex)
+    for sd in np.unique(sds):
+        rows = sds == sd
+        part = _kernel_transform(drifts[rows], sd, dx, n)
+        k_hat[rows, : part.shape[-1]] = part
+    return k_hat
+
+
 def _bin_masses(drifts, sds, dx: float, n: int, first: int, count: int) -> np.ndarray:
     """Bin masses of N(d, sd^2) steps on the `count` bins first, first+1, ...
     cells from the origin, one row per drift; `sds` broadcasts against the
     1-D `drifts`.
 
-    Each row is the inverse real FFT of `_kernel_transform` (one transform
-    per distinct sd, zero-padded to n) read at the bins' offsets mod n, with
-    FFT round-off clipped at zero.  Mass wraps around unless n covers the
-    bins' span plus the kernel's reach on either side.
+    Each row is the inverse real FFT of its `_step_transforms` row (zero-padded
+    to n) read at the bins' offsets mod n, with FFT round-off clipped at zero.
+    Mass wraps around unless n covers the bins' span plus the kernel's reach
+    on either side.
     """
-    drifts = np.asarray(drifts, dtype=float)
-    sds = np.broadcast_to(sds, drifts.shape)
-    parts = [(sds == sd, _kernel_transform(drifts[sds == sd], sd, dx, n)) for sd in np.unique(sds)]
-    k_hat = np.zeros(drifts.shape + (max(part.shape[-1] for _, part in parts),), dtype=complex)
-    for rows, part in parts:
-        k_hat[rows, : part.shape[-1]] = part
+    k_hat = _step_transforms(drifts, sds, dx, n, _band_modes(np.min(sds) / dx, n))
     offsets = np.arange(first, first + count) % n
     return np.maximum(np.fft.irfft(k_hat, n)[:, offsets], 0.0)
 
 
-def _window_operator(n: int, grid_points: int, band: int):
-    """The real operator that maps the first K = `band` real-DFT modes of a
-    length-n row to those of the row cut to its first `grid_points` entries,
-    acting from the right on the interleaved (real, imaginary) view of the
-    modes; modes K and up of the row are taken as zero.
+def _band_basis(n: int, band: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse and forward rows of the first K = `band` real-DFT modes of a
+    length-n row at the entries `positions`, on the interleaved (real,
+    imaginary) view of the modes.
 
-    The cut removes the r = n - grid_points padding entries, so the
-    operator is I - L @ R with closed-form factors: row 2j (2j + 1) of the
-    (2K, r) matrix L holds the inverse real DFT of mode j (of 1j * mode j)
-    on the padding, (2/n) cos(2 pi j t / n) (-(2/n) sin), halved at modes 0
-    and n/2, where the inverse DFT counts a mode once, and zero for their
-    imaginary parts, which it ignores; the (r, 2K) matrix R holds the
-    forward DFT of each padding entry, cos and -sin.  Angles are reduced
-    exactly as integers j*t mod n.  A step costs 4Kr multiply-adds per
-    replica as I - L @ R and (2K)^2 as one dense matrix, so the pair (L, R)
-    is returned when r < K (the padding is short, as when alias bands make
-    K every mode) and the dense (2K, 2K) matrix otherwise.
+    The (len(positions), 2K) forward matrix R holds the forward DFT of each
+    entry t, cos(2 pi j t / n) and -sin for mode j; the (2K, len(positions))
+    inverse matrix L holds the inverse real DFT of mode j (of 1j * mode j) at
+    each entry, (2/n) cos (-(2/n) sin), halved at modes 0 and n/2, where the
+    inverse DFT counts a mode once, and zero for their imaginary parts, which
+    it ignores.  So ``modes @ L @ R`` keeps the part of the row on
+    `positions`.  Angles are reduced exactly as integers j*t mod n.
     """
-    rank = n - grid_points
-    turns = np.outer(np.arange(band), np.arange(grid_points, n)) % n
+    turns = np.outer(np.arange(band), positions) % n
     angles = (2.0 * math.pi / n) * turns
     del turns
-    right = np.empty((rank, 2 * band))
+    right = np.empty((len(positions), 2 * band))
     np.cos(angles.T, out=right[:, 0::2])
     np.sin(angles.T, out=right[:, 1::2])
     np.negative(right[:, 1::2], out=right[:, 1::2])
@@ -319,6 +325,24 @@ def _window_operator(n: int, grid_points: int, band: int):
         right[:, 2 * (n // 2) + 1] = 0.0
         scale[n // 2] = 1.0 / n
     left = right.T * np.repeat(scale, 2)[:, None]
+    return left, right
+
+
+def _window_operator(n: int, grid_points: int, band: int):
+    """The real operator that maps the first K = `band` real-DFT modes of a
+    length-n row to those of the row cut to its first `grid_points` entries,
+    acting from the right on the interleaved (real, imaginary) view of the
+    modes; modes K and up of the row are taken as zero.
+
+    The cut removes the r = n - grid_points padding entries, so the
+    operator is I - L @ R with the `_band_basis` factors of the padding, L
+    of shape (2K, r) and R of shape (r, 2K).  A step costs 4Kr multiply-adds
+    per replica as I - L @ R and (2K)^2 as one dense matrix, so the pair
+    (L, R) is returned when r < K (the padding is short, as when alias bands
+    make K every mode) and the dense (2K, 2K) matrix otherwise.
+    """
+    rank = n - grid_points
+    left, right = _band_basis(n, band, np.arange(grid_points, n))
     if rank < band:
         return left, right
     window = np.matmul(left, right)

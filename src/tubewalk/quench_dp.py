@@ -3,8 +3,8 @@
 Both estimators evolve the quenched sub-probability measure of the surviving
 walk one step at a time, killing mass outside the tube.  Tube membership
 uses closed intervals, so boundary-exact hits survive.  They share one step
-loop, ``_propagate``: each step convolves the mass with that step's kernel,
-zeroes it outside the index range of nodes inside the tube and sums it.
+loop, ``_propagate``: each step moves the mass by that step's kernel, cuts
+it to the index range of nodes inside the tube and takes its total.
 When the sum falls below ``_RESCALE_BELOW`` the mass is multiplied by an
 exact power of two and the exponent is carried on a log scale (the scaled
 forward algorithm), so deep events neither underflow nor stall on
@@ -21,14 +21,28 @@ on a uniform grid; atom laws run the DP's own pass, on the lattice when
 the law has one (so the grid gives the DP's bits), else on span/grid_points
 nodes with each move split linearly.  The Gaussian masses, of the first
 step's point source and of every step kernel, come from the closed-form
-transform gamma uses (`gamma._bin_masses`): one inverse FFT per block of
-kernels, at a 5-smooth length that holds the kernel, with round-off of
-about 1e-16 clipped at zero.  The transform is built only on the leading
-modes where it is above 1e-17 (the band gamma propagates on) and the
-inverse FFT zero-pads the rest.  The kernels are still applied by direct
-correlation: on one vector of 200-400 nodes a padded FFT step pays two FFT
-calls of about 10 us each and beat the direct product only for the widest
-kernels (647 taps).
+transform gamma uses (`gamma._kernel_transform`), which vanishes below
+1e-17 outside its first K modes.  A Gaussian pass takes one of two steps,
+whichever needs fewer multiply-adds:
+
+* the band step (`_band_step`), at (2K)^2 a step: the state is the first K
+  real-DFT modes of the mass zero-padded past the kernel's reach, a step
+  multiplies them by the kernel's transform and cuts them to the nodes
+  inside the tube with a dense (2K, 2K) operator, built once per range of
+  kept nodes and updated by rank-one terms as nodes enter or leave;
+* the taps step (`_correlate_step`, the atom laws' step too), at
+  size * (2 hw + 1): each kernel is read from a batched inverse FFT of its
+  transform, with round-off of about 1e-16 clipped at zero, and applied by
+  direct correlation.
+
+The band runs when (2K)^2 < size * (2 hw + 1) and its operator holds at
+most _FFT_BLOCK_ENTRIES entries.  On the Gaussian builtin at 400 nodes
+(n = 400-6400, K = 31-57, 295-649 taps) a pass costs 6.5-11 us a step with
+the band against 31-77 us with the taps (a 2-vCPU VM, one BLAS thread);
+narrow kernels on wide tubes keep the taps (N(m, 0.5^2) steps on 300
+nodes over a span of 37: K = 127 against 81 taps).  A cut that keeps less
+than _ROUNDOFF_KEPT of the mass carried into it flags the estimate
+``grid_roundoff``: round-off may dominate what it kept.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ import sys
 import numpy as np
 
 from .env import EnvRealization
-from .gamma import _bin_masses, _fast_len
+from .gamma import _band_basis, _band_modes, _bin_masses, _fast_len, _step_transforms
 from .results import (
     METHOD_BRUTE_FORCE,
     METHOD_DP_LATTICE,
@@ -53,12 +67,20 @@ from .tube import TubeSpec
 _LATTICE_TOL = 1e-9
 _BRUTE_LIMIT = 64_000_000  # max enumerated paths
 _BLOCK_ENTRIES = 2**14  # step-kernel entries built at a time
-# Gaussian kernels come from batched inverse FFTs with a fixed per-call
-# cost (tens of numpy calls holding the interpreter lock); pooled grid runs
-# need it spread over bigger blocks.
+# Gaussian kernels and their transforms are built by batched calls with a
+# fixed per-call cost (tens of numpy calls holding the interpreter lock);
+# pooled grid runs need it spread over bigger blocks.  The band step's cut
+# operator is held to as many entries.
 _FFT_BLOCK_ENTRIES = 2**16
 _RESCALE_BELOW = 2.0**-500  # carried mass total that triggers a rescale
+# A Gaussian kernel's masses carry round-off of about 1e-17 (of the FFT, or
+# of the band's amplitude floor); in a cut that keeps less than this
+# fraction of the mass carried into it, round-off may dominate what it kept.
+_ROUNDOFF_KEPT = 1e-12
 _LN2 = math.log(2.0)
+# ndarray.sum's reduction, and bits, without its Python wrapper (a few
+# hundred ns of a DP step's few us)
+_sum = np.add.reduce
 
 
 class NonLatticeError(ValueError):
@@ -103,16 +125,19 @@ def _kept(nodes: np.ndarray, lo, up) -> tuple[list[int], list[int]]:
     return a.tolist(), np.maximum(np.searchsorted(nodes, up, "right"), a).tolist()
 
 
-def _steps(build, nodes: np.ndarray, lo: np.ndarray, up: np.ndarray, t0: int, block: int):
-    """(kernel, a, b) for steps t0+1..n, `block` steps at a time.
+def _ranges(nodes: np.ndarray, lo: np.ndarray, up: np.ndarray, t0: int):
+    """(a, b): the index range of nodes inside the tube at times t0+1..n."""
+    return itertools.chain.from_iterable(
+        zip(*_kept(nodes, lo[j : j + _BLOCK_ENTRIES], up[j : j + _BLOCK_ENTRIES]))
+        for j in range(t0 + 1, len(lo), _BLOCK_ENTRIES)
+    )
 
-    The reversed kernel of the step and the index range [a, b) of nodes
-    inside the tube after it.
-    """
-    n = len(lo) - 1
-    for j in range(t0, n, block):
-        j1 = min(j + block, n)
-        yield from zip(build(j, j1), *_kept(nodes, lo[j + 1 : j1 + 1], up[j + 1 : j1 + 1]))
+
+def _cut(mass: np.ndarray, a: int, b: int) -> tuple[np.ndarray, float]:
+    """Zero `mass` outside the nodes [a, b); (mass, its total)."""
+    mass[:a] = 0.0
+    mass[b:] = 0.0
+    return mass, _sum(mass)
 
 
 def _shift_kernels(moves: np.ndarray, weights: np.ndarray, size: int):
@@ -121,7 +146,7 @@ def _shift_kernels(moves: np.ndarray, weights: np.ndarray, size: int):
     Step j moves mass by ``moves[j, a]`` nodes with probability
     ``weights[a]``; a move between two nodes is split linearly between
     them.  Moves of a whole window or more carry nothing into it and are
-    dropped.  Returns (width, r, block, build) as `_propagate` takes them.
+    dropped.  Returns (width, r, block, build) as `_correlate_step` takes them.
     """
     low = min(max(math.floor(moves.min()), 1 - size), 0)
     high = max(min(math.ceil(moves.max()), size - 1), 0)
@@ -143,59 +168,151 @@ def _shift_kernels(moves: np.ndarray, weights: np.ndarray, size: int):
     return width, -low, _block_steps(width, _BLOCK_ENTRIES), build
 
 
-def _propagate(mass, nodes, lo, up, end, t0: int, kernels, running) -> tuple[float, int]:
-    """Carry the sub-density `mass` on `nodes` from time t0 to time n.
+def _correlate_step(kernels, t0: int, n: int, size: int):
+    """The `_propagate` step that correlates the mass on `size` nodes with
+    each step's kernel.
 
-    Step i takes the mass to ``np.convolve(mass, kernel_i)[r : r + size]``;
     ``build(j0, j1)`` of the `kernels` tuple (width, r, block, build) gives
     the kernels of steps j0+1..j1 as rows, each reversed, `block` steps at
-    a time.  At each time i the mass is then zeroed outside the nodes in
-    [lo[i], up[i]], rescaled by an exact power of two when its total drops
-    below _RESCALE_BELOW, and ``running[i]`` gets the unscaled total.  The end window [end[0],
-    end[1]] (or None) applies at time n.  Returns (log of the final mass,
-    last time reached); the log is -inf when the mass died out then.
-    `mass` is updated in place.
+    a time; step i takes the mass to ``np.convolve(mass, kernel_i)[r : r +
+    size]`` on the nodes it keeps.
     """
-    n = len(lo) - 1
-    size = len(nodes)
     width, r, block, build = kernels
+    rows = itertools.chain.from_iterable(build(j, min(j + block, n)) for j in range(t0, n, block))
+    next_kernel = rows.__next__
     # np.correlate with a reversed kernel gives np.convolve's bits without
     # its wrapper, as long as the kernel is not the longer operand
     narrow = width <= size
-    (live_lo,), (live_up,) = _kept(nodes, lo[t0 : t0 + 1], up[t0 : t0 + 1])
-    mass[:live_lo] = 0.0  # the mass is zero outside [live_lo, live_up)
-    mass[live_up:] = 0.0
-    exp2 = 0  # the true mass is mass * 2**exp2
-    steps = itertools.chain([None], _steps(build, nodes, lo, up, t0, block))
-    for i, step in zip(range(t0, n + 1), steps):
-        if step is not None:
-            kernel, a, b = step
-            full = np.correlate(mass, kernel, "full") if narrow else np.convolve(mass, kernel[::-1])
-            if a > live_lo:
-                mass[live_lo : min(a, live_up)] = 0.0
-            if b < live_up:
-                mass[max(b, live_lo) : live_up] = 0.0
-            mass[a:b] = full[r + a : r + b]
-            live_lo, live_up = a, b
-        total = mass.sum()
+    live_lo, live_up = 0, size  # the mass is zero outside [live_lo, live_up)
+
+    def step(mass, a, b, move=True):
+        nonlocal live_lo, live_up
+        if not move:
+            return _cut(mass, a, b)
+        kernel = next_kernel()
+        full = np.correlate(mass, kernel, "full") if narrow else np.convolve(mass, kernel[::-1])
+        if a > live_lo:
+            mass[live_lo : min(a, live_up)] = 0.0
+        if b < live_up:
+            mass[max(b, live_lo) : live_up] = 0.0
+        mass[a:b] = full[r + a : r + b]
+        live_lo, live_up = a, b
+        return mass, _sum(mass)
+
+    return step
+
+
+def _band_step(means: np.ndarray, stds: np.ndarray, dx: float, length: int, band: int, t0: int):
+    """The `_propagate` step for Gaussian laws on the step kernel's Fourier band.
+
+    The state is the first K = `band` real-DFT modes of the mass, zero-padded
+    to `length` nodes, as rows (cut, uncut) of interleaved (real, imaginary)
+    floats.  Step i multiplies the modes by the closed-form transform of its
+    kernel (`gamma._step_transforms` of N(means[i-1], stds[i-1]^2)) and cuts
+    them to the nodes [a, b) it keeps with the dense (2K, 2K) operator L @ R
+    of `gamma._band_basis` over those nodes.  The operator is built when a
+    range first appears and then follows the range by the rank-one terms of
+    the nodes that enter or leave it, while they are fewer than the nodes
+    kept.  The total is the real part of mode 0.  The first call takes the
+    real mass and transforms it; a cut without a move (the end window) is
+    applied to the uncut modes of the last step, on the nodes both keep.
+    """
+    n = len(means)
+    block = _block_steps(band, _FFT_BLOCK_ENTRIES)
+    rows = itertools.chain.from_iterable(
+        _step_transforms(means[j : j + block], stds[j : j + block], dx, length, band)
+        for j in range(t0, n, block)
+    )
+    modes = np.zeros((2, band), dtype=complex)
+    state = modes.view(float)
+    cut_c, uncut_c = modes
+    cut_f, uncut_f = state
+    chunk = max(1, _FFT_BLOCK_ENTRIES // (2 * band))  # nodes whose basis rows are built at once
+    op = np.zeros((2 * band, 2 * band))
+    held_a = held_b = 0  # the node range [held_a, held_b) `op` keeps
+
+    def update(a: int, b: int, ufunc) -> None:
+        for c in range(a, b, chunk):
+            left, right = _band_basis(length, band, np.arange(c, min(c + chunk, b)))
+            ufunc(op, np.matmul(left, right), out=op)
+
+    def operator(a: int, b: int) -> np.ndarray:
+        nonlocal held_a, held_b
+        if (a, b) != (held_a, held_b):
+            if abs(a - held_a) + abs(b - held_b) >= b - a:
+                op.fill(0.0)
+                update(a, b, np.add)
+            else:
+                update(a, held_a, np.add)
+                update(held_b, b, np.add)
+                update(held_a, a, np.subtract)
+                update(b, held_b, np.subtract)
+            held_a, held_b = a, b
+        return op
+
+    def step(prev, a, b, move=True):
+        if prev is not state:  # the real mass of the first step
+            if not move:
+                return _cut(prev, a, b)
+            cut_c[:] = np.fft.rfft(prev, length)[:band]
+        if move:
+            np.multiply(cut_c, next(rows), out=uncut_c)
+        else:
+            a, b = max(a, held_a), min(b, held_b)
+        np.matmul(uncut_f, operator(a, b), out=cut_f)
+        return state, float(cut_f[0])
+
+    return step
+
+
+def _propagate(mass, nodes, lo, up, end, t0: int, step, running) -> tuple[float, int, float]:
+    """Carry the sub-density `mass` on `nodes` from time t0 to time n.
+
+    At time t0 the mass is zeroed outside the nodes in [lo[t0], up[t0]].
+    Step i calls ``step(state, a, b)`` (the state is `mass` at first), which
+    moves the state by that step's kernel, cuts it to the index range [a, b)
+    of nodes in [lo[i], up[i]] and returns the new state and its total.  At
+    each time i the state is then rescaled by an exact power of two when its
+    total drops below _RESCALE_BELOW, and ``running[i]`` gets the unscaled
+    total.  At time n, ``step(state, a, b, move=False)`` cuts the state to
+    the end window's nodes [a, b) (to all nodes when `end` is None).
+    Returns (log of the final mass, last time reached, smallest fraction of
+    the mass carried into a cut that it kept); the log is -inf when the
+    total is not positive then.  `mass` is updated in place.
+    """
+    n = len(lo) - 1
+    (a,), (b,) = _kept(nodes, lo[t0 : t0 + 1], up[t0 : t0 + 1])
+    state, total = _cut(mass, a, b)
+    exp2 = 0  # the true mass is the state's * 2**exp2
+    kept = 1.0
+    ranges = itertools.chain([(None, None)], _ranges(nodes, lo, up, t0))
+    for i, (a, b) in zip(range(t0, n + 1), ranges):
+        if a is not None:
+            state, moved = step(state, a, b)
+            if moved < kept * total:
+                kept = moved / total
+            total = moved
         running[i] = math.ldexp(total, exp2)
         if total < _RESCALE_BELOW:
-            if total == 0.0:
-                return -math.inf, i
+            if total <= 0.0:  # round-off can leave a band state a negative total
+                running[i] = 0.0
+                return -math.inf, i, kept
             e = math.frexp(total)[1]
-            np.ldexp(mass, -e, out=mass)
+            np.ldexp(state, -e, out=state)
             exp2 += e
+            total = math.ldexp(total, -e)
     if end is not None:
         (a,), (b,) = _kept(nodes, end[:1], end[1:])
-        mass[:a] = 0.0
-        mass[b:] = 0.0
-    total = mass.sum()
-    if total == 0.0:
-        return -math.inf, n
-    linear = math.ldexp(total, exp2)
+    else:
+        a, b = 0, len(nodes)
+    state, final = step(state, a, b, move=False)
+    kept = min(kept, final / total)
+    if final <= 0.0:
+        return -math.inf, n, kept
+    linear = math.ldexp(final, exp2)
     if linear >= sys.float_info.min:
-        return math.log(linear), n
-    return math.log(total) + exp2 * _LN2, n
+        return math.log(linear), n, kept
+    return math.log(final) + exp2 * _LN2, n, kept
 
 
 def _off_node(moves: np.ndarray) -> float:
@@ -224,8 +341,8 @@ def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float):
         moves = np.rint(moves)
     running = np.zeros(n + 1)
     nodes = x0 + np.arange(jlo, jhi + 1) * num / den
-    kernels = _shift_kernels(moves, env.atom_w, size)
-    log_total, last = _propagate(mass, nodes, lo, up, tube.end_bounds(), 0, kernels, running)
+    step = _correlate_step(_shift_kernels(moves, env.atom_w, size), 0, n, size)
+    log_total, last, _ = _propagate(mass, nodes, lo, up, tube.end_bounds(), 0, step, running)
     return log_total + xi_log_factor(env, tube), running, size, last
 
 
@@ -295,16 +412,20 @@ def _grid_spacing(env: EnvRealization, span: float, grid_points: int) -> float:
 
 
 def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int):
-    """One propagation pass; returns (log_p, running, work)."""
+    """One propagation pass; returns (log_p, running, work, roundoff).
+
+    ``roundoff`` is True when a Gaussian cut kept less than _ROUNDOFF_KEPT
+    of the mass carried into it.
+    """
     lo, up = tube.bounds_arrays()
     n, f = tube.n, tube.f_offset
     if not (lo[0] <= x0 <= up[0]):
-        return -math.inf, np.zeros(n + 1), 0
+        return -math.inf, np.zeros(n + 1), 0, False
     env_lo, env_up = lo.min(), up.max()
     dx = _grid_spacing(env, env_up - env_lo, grid_points)
     if env.kind == "atoms":
         log_p, running, size, last = _atom_pass(env, tube, x0, dx)
-        return log_p, running, last * size
+        return log_p, running, last * size, False
     edges = np.arange(grid_points + 1) * dx + env_lo
     nodes = 0.5 * (edges[:-1] + edges[1:])
     size = len(nodes)
@@ -312,23 +433,28 @@ def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int)
     stds = env.stds[f : f + n]
     hw = int(math.ceil((8.0 * stds.max() + np.abs(means).max()) / dx)) + 1
     # first step: the point source at x0 moved by the step kernel
+    length = _fast_len(size + hw)
     drift = np.array([x0 + means[0] - nodes[0]])
-    mass = _bin_masses(drift, stds[0], dx, _fast_len(size + hw), 0, size)[0]
-    # Toeplitz transition: center-to-bin masses depend only on the offset
+    mass = _bin_masses(drift, stds[0], dx, length, 0, size)[0]
     width = 2 * hw + 1
-    length = _fast_len(width)
+    band = _band_modes(stds.min() / dx, length)
+    if (2 * band) ** 2 < size * width and (2 * band) ** 2 <= _FFT_BLOCK_ENTRIES:
+        step = _band_step(means, stds, dx, length, band, 1)
+    else:
+        taps = _fast_len(width)
 
-    def build(j0: int, j1: int) -> np.ndarray:
-        # tap t of a reversed kernel is the mass a N(m, s^2) step puts
-        # hw - t cells on, i.e. the mass a N(-m, s^2) step puts t - hw on
-        return _bin_masses(-means[j0:j1], stds[j0:j1], dx, length, -hw, width)
+        def build(j0: int, j1: int) -> np.ndarray:
+            # tap t of a reversed kernel is the mass a N(m, s^2) step puts
+            # hw - t cells on, i.e. the mass a N(-m, s^2) step puts t - hw on
+            return _bin_masses(-means[j0:j1], stds[j0:j1], dx, taps, -hw, width)
 
-    kernels = (width, hw, _block_steps(width, _FFT_BLOCK_ENTRIES), build)
+        kernels = (width, hw, _block_steps(width, _FFT_BLOCK_ENTRIES), build)
+        step = _correlate_step(kernels, 1, n, size)
     running = np.zeros(n + 1)
-    log_total, last = _propagate(mass, nodes, lo, up, tube.end_bounds(), 1, kernels, running)
+    log_total, last, kept = _propagate(mass, nodes, lo, up, tube.end_bounds(), 1, step, running)
     work = size + (last - 1) * (size + 2 * hw)
     running[0] = 1.0
-    return log_total + xi_log_factor(env, tube), running, work
+    return log_total + xi_log_factor(env, tube), running, work, kept < _ROUNDOFF_KEPT
 
 
 def survival_grid(
@@ -350,14 +476,15 @@ def survival_grid(
     if grid_points < 50:
         raise ValueError("grid_points must be >= 50")
     _check_span(env, tube)
-    log_p, running, work = _grid_once(env, tube, x0, grid_points)
+    log_p, running, work, roundoff = _grid_once(env, tube, x0, grid_points)
     half = max(25, grid_points // 2)
     lo, up = tube.bounds_arrays()
     span = up.max() - lo.min()
     if _grid_spacing(env, span, half) == _grid_spacing(env, span, grid_points):
         log_half, work_half = log_p, 0
     else:
-        log_half, _, work_half = _grid_once(env, tube, x0, half)
+        log_half, _, work_half, roundoff_half = _grid_once(env, tube, x0, half)
+        roundoff = roundoff or roundoff_half
     if math.isfinite(log_p) and math.isfinite(log_half):
         delta = log_p - log_half
     else:
@@ -365,6 +492,8 @@ def survival_grid(
     flags = ()
     if abs(delta) > refine_tol * max(1.0, abs(log_p)):
         flags = ("grid_coarse",)
+    if roundoff:
+        flags += ("grid_roundoff",)
     est = from_log(
         log_p, METHOD_GRID, work + work_half, refine_delta_log=float(delta), flags=flags
     )

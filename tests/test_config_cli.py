@@ -422,11 +422,37 @@ def test_validate_caps_memory(overrides, key):
     assert key in str(info.value)
 
 
-def test_validate_accepts_effort_at_the_cap():
+def test_validate_accepts_effort_at_the_cap(monkeypatch):
+    # the caps of one task at a time: pooled tasks share the budget
+    monkeypatch.setenv("TUBEWALK_THREADS", "1")
     at_cap = {"particles": 2**24, "replicas": 2**24}
     validate({**SMALL, "estimator": {**SMALL["estimator"], **at_cap}})
     # 8388608 steps of 128 bytes: the Rademacher environment at the budget
     validate({**SMALL, "tube": {**SMALL["tube"], "n_list": [64, 128, 2**23], "f_coeff": 0.0}})
+
+
+# The grid step kernel of sigma_a = 24341 (tau = 1, 400 grid points) at
+# SMALL's tube at n = 64 has 22369297 taps, just inside the 2**30 // 48 =
+# 22369621 one task may hold; sigma_a = 24342 gives 22370215.
+_GAUSS_AT_CAP = {
+    **SMALL,
+    "environment": {"family": "random_mean_gaussian", "sigma_a": 24341, "tau": 1.0},
+    "tube": {**SMALL["tube"], "n_list": [64, 128, 256, 512]},
+    "estimator": {"method": "grid", "grid_points": 400},
+}
+
+
+def test_validate_divides_the_budget_among_pooled_tasks(monkeypatch):
+    monkeypatch.setenv("TUBEWALK_THREADS", "1")
+    validate(_GAUSS_AT_CAP)
+    over = {**_GAUSS_AT_CAP, "environment": {**_GAUSS_AT_CAP["environment"], "sigma_a": 24342}}
+    with pytest.raises(ConfigError, match="GiB memory budget"):
+        validate(over)
+    # four n run at once, each within a quarter of the budget
+    monkeypatch.setenv("TUBEWALK_THREADS", "4")
+    with pytest.raises(ConfigError, match="shared by 4 tasks at once") as info:
+        validate(_GAUSS_AT_CAP)
+    assert "environment.sigma_a" in str(info.value) and "at most 5592405 fit" in str(info.value)
 
 
 # SMALL's gamma table holds 8 replicas: at most 2**30 // (8 * 8) = 16777216

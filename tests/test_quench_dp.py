@@ -343,11 +343,20 @@ SPECS = {
     "gauss-narrow": tw.EnvironmentSpec.random_mean_gaussian(0.2, 0.5),  # kernel shorter than the grid
     "off-lattice": tw.EnvironmentSpec.degenerate([(-math.sqrt(0.5), 0.5), (math.sqrt(0.5), 0.5)]),
 }
+BUILTIN_GAUSS = tw_config.validate(tw_config.load_builtin("random-mean-gaussian"))
+
+
+def _case(name, n=None):
+    """(spec, tube): "builtin-gauss" is the Gaussian builtin on its constant
+    tube at n = 400, any other name a law of SPECS on MOVING (at n steps)."""
+    if name == "builtin-gauss":
+        return BUILTIN_GAUSS.env_spec, BUILTIN_GAUSS.template.make(n or 400)
+    return SPECS[name], tw.TubeSpec(**{**MOVING, "n": n or MOVING["n"]})
 
 
 def _same(got, want, rel):
     """Equal log_p and running total (exactly when rel == 0) and equal work."""
-    (lp, run, work), (lp_ref, run_ref, work_ref) = got, want
+    (lp, run, work), (lp_ref, run_ref, work_ref) = got[:3], want
     assert work == work_ref
     if rel == 0.0:
         assert lp == lp_ref
@@ -372,6 +381,7 @@ def test_dp_loop_reproduces_reference(name, rel):
         ("gauss", 300, 1e-12),
         ("gauss", 77, 1e-12),
         ("gauss-narrow", 300, 1e-12),
+        ("builtin-gauss", 400, 1e-12),  # a constant tube: the band's cut operator is built once
         ("shift", 300, 0.0),
         ("three", 200, 1e-13),
         ("off-lattice", 150, 1e-13),
@@ -379,8 +389,8 @@ def test_dp_loop_reproduces_reference(name, rel):
     ],
 )
 def test_grid_loop_reproduces_reference(name, grid_points, rel):
-    tube = tw.TubeSpec(**MOVING)
-    env = tw.sample_environment(SPECS[name], tube.f_offset + tube.n, seed=22)
+    spec, tube = _case(name)
+    env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=22)
     got = quench_dp._grid_once(env, tube, 0.3, grid_points)
     _same(got, _reference_grid(env, tube, 0.3, grid_points), rel)
 
@@ -394,7 +404,7 @@ def test_grid_on_lattice_law_is_the_dp(q):
     tube = tw.TubeSpec(**MOVING)
     env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=30 + q)
     dp, dp_run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
-    log_p, run, _ = quench_dp._grid_once(env, tube, 0.0, 400)
+    log_p, run, _, _ = quench_dp._grid_once(env, tube, 0.0, 400)
     assert math.isfinite(dp.log_p)
     assert log_p == dp.log_p
     np.testing.assert_array_equal(run, dp_run)
@@ -481,6 +491,59 @@ def test_kernel_blocks_do_not_change_results(monkeypatch, steps):
     for (lp, work, run), (lp_ref, work_ref, run_ref) in zip(results(), default):
         assert lp == lp_ref and work == work_ref
         np.testing.assert_array_equal(run, run_ref)
+
+
+def _spy_sides(monkeypatch):
+    """The Gaussian step ("band" or "taps") of each grid pass, in call order."""
+    sides = []
+
+    def spy(real, side):
+        def build(*args):
+            sides.append(side)
+            return real(*args)
+
+        return build
+
+    monkeypatch.setattr(quench_dp, "_band_step", spy(quench_dp._band_step, "band"))
+    monkeypatch.setattr(quench_dp, "_correlate_step", spy(quench_dp._correlate_step, "taps"))
+    return sides
+
+
+@pytest.mark.parametrize(
+    "name, n, grid_points, side",
+    [
+        ("builtin-gauss", 400, 400, "band"),
+        ("builtin-gauss", 400, 200, "band"),
+        ("builtin-gauss", 6400, 400, "band"),
+        ("gauss", 300, 120, "band"),  # a band case of test_kernel_blocks_do_not_change_results
+        ("gauss", 300, 77, "taps"),
+        ("gauss-narrow", 300, 120, "taps"),
+        ("gauss-narrow", 3000, 300, "taps"),
+    ],
+)
+def test_gaussian_grid_picks_the_cheaper_step(monkeypatch, name, n, grid_points, side):
+    # the band when (2K)^2 < size (2 hw + 1) and (2K)^2 <= _FFT_BLOCK_ENTRIES
+    sides = _spy_sides(monkeypatch)
+    spec, tube = _case(name, n)
+    env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=22)
+    quench_dp._grid_once(env, tube, 0.3, grid_points)
+    assert sides == [side]
+
+
+@pytest.mark.parametrize("name, grid_points, side", [("builtin-gauss", 400, "band"), ("gauss-narrow", 300, "taps")])
+def test_grid_flags_steps_lost_in_roundoff(monkeypatch, name, grid_points, side):
+    # a step mean of 50 carries the mass far past the tube: that step alone
+    # keeps below 1e-300 of it, far under the kernels' round-off of ~1e-17
+    sides = _spy_sides(monkeypatch)
+    spec, tube = _case(name)
+    env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=3)
+    x0 = tube.default_x0()
+    assert "grid_roundoff" not in tw.survival_grid(env, tube, x0, grid_points).flags
+    means = env.quenched_mean.copy()
+    means[tube.f_offset + 100] = 50.0
+    est = tw.survival_grid(dataclasses.replace(env, quenched_mean=means), tube, x0, grid_points)
+    assert "grid_roundoff" in est.flags
+    assert set(sides[2:]) == {side}
 
 
 def test_dp_pinned_value():
