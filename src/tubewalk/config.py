@@ -169,11 +169,13 @@ def _check_gamma(gam: dict) -> None:
             f"{named}), got {steps}"
         )
     # the padded row holds at least grid_points entries a replica; past that
-    # bound the layout is not sized (it may not fit a float)
+    # bound the layout is not sized (it may not fit a float).  Its padding
+    # covers drifts beta * dW up to the kernel's own reach, |dW| <= 8 sqrt(dt)
     if gam["grid_points"] > budget // (_FLOAT_BYTES * batch):
         need = None
     else:
-        _, _, n, band = _layout(gam["dt"], gam["grid_points"])
+        drift = max(gam["beta"], default=0.0) * 8.0 * math.sqrt(gam["dt"])
+        _, _, n, band = _layout(gam["dt"], gam["grid_points"], max_drift=drift)
         need = _run_bytes(gam["grid_points"], n, band, batch)
     if need is None or need > budget:
         need = f"{gam['grid_points']} grid points" if need is None else f"{need} bytes"

@@ -8,35 +8,35 @@ of Y_s = B_s - beta*W_s on a static grid: given W, the Y-steps are
 independent Gaussians with mean -beta*dW_k and variance dt, so no 2-D
 scheme is needed.
 
-All W replicas are propagated together, as the first K real-DFT modes of
-each replica's grid mass, an array of shape (replicas, K).  The grid sits
-at the head of a zero-padded row of length n = `_fast_len(grid_points +
-reach)` (the smallest 2**a 3**b 5**c at least that long), where reach
-covers 8 sd plus the largest drift in grid cells, so a circular
-convolution of the row equals the linear one on the grid.  The step
-kernel's transform is written in closed form by Poisson summation (see
-`_kernel_transform`); below an amplitude of 1e-17 it vanishes outside modes
-0..K-1, so those modes are all a step can reach.  K depends on dt, not on
-grid_points: about 1.4/sqrt(dt) + 11 (58 of 271 modes at dt = 1e-3 and 400
-points) until sd/dx falls below about 2.8, where alias bands reach the top
-mode and K is every mode, n // 2 + 1.  A step multiplies the modes by the
-kernel's transform and applies one real window operator, built once per
-call in closed form (`_window_operator`), that cuts the row back to the
-grid and returns its first K modes; mass past either barrier falls in the
-padding and is dropped.  The operator is I - L @ R with factors of rank
-r = n - grid_points, applied as such when r < K (at 4Kr multiply-adds per
-replica, as when alias bands make K every mode) and as one dense (2K, 2K)
-matrix otherwise ((2K)^2).  No real-space mass exists between steps, so
-none is clipped, and the survival total is mode 0.  The first step's bin
-masses come from the same transform (`_bin_masses`), so no Gaussian CDF
-is evaluated.  The grid estimator in `quench_dp` shares the transforms
-(`_step_transforms`) and the band's DFT rows (`_band_basis`).
-`estimate_gamma` propagates at most 64 replicas per batch and each block of
-transforms holds at most 2**18 complex entries, so memory stays bounded
-whatever the replica count (`_run_bytes` bounds it, and `config.validate`
-caps it); at beta = 0 every replica is the same and one is propagated.
-The Student-t quantile of the confidence intervals is computed here too
-(`_t_quantile`), so no scipy import remains.
+A replica is the Gaussian grid pass of `quench_dp` on the constant tube
+[-half, half] with step means -beta*dW, and it runs through the same
+Fourier-band step, `_band_step`, which lives here with the other band
+primitives; all W replicas of a batch are its rows.  The grid sits at the
+head of a zero-padded row of length n = `_fast_len(grid_points + reach)`
+(the smallest 2**a 3**b 5**c at least that long), where reach covers 8 sd
+plus the largest drift in grid cells, so a circular convolution of the row
+equals the linear one on the grid.  The step kernel's transform is written
+in closed form by Poisson summation (see `_kernel_transform`); below an
+amplitude of 1e-17 it vanishes outside modes 0..K-1, so those modes are
+all a step can reach.  K depends on dt, not on grid_points: about
+1.4/sqrt(dt) + 11 (58 of 271 modes at dt = 1e-3 and 400 points) until
+sd/dx falls below about 2.8, where alias bands reach the top mode and K is
+every mode, n // 2 + 1.  The state is an array (replicas, K) of modes; a
+step multiplies it by the kernel's transform and cuts the row back to the
+grid with one real operator of band DFT rows (`_band_basis`); mass past
+either barrier falls in the padding and is dropped.  The operator is the
+dense (2K, 2K) L @ R of the kept nodes, at (2K)^2 multiply-adds per
+replica, or, when the r = n - grid_points padding entries are fewer than
+K (as when alias bands make K every mode), I - L @ R with the factors of
+the padding, at 4Kr.  No real-space mass exists between steps, so none is
+clipped, and the survival total is mode 0.  The first step's bin masses
+come from the same transform (`_bin_masses`), so no Gaussian CDF is
+evaluated.  `estimate_gamma` propagates at most 64 replicas per batch and
+each block of transforms holds at most 2**16 complex entries, so memory
+stays bounded whatever the replica count (`_run_bytes` bounds it, and
+`config.validate` caps it); at beta = 0 every replica is the same and one
+is propagated.  The Student-t quantile of the confidence intervals is
+computed here too (`_t_quantile`), so no scipy import remains.
 
 Two systematic errors are handled explicitly:
 
@@ -52,6 +52,7 @@ Two systematic errors are handled explicitly:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,8 +68,12 @@ BARRIER_SHIFT = 0.5825971579390107
 
 # Complex entries per block of kernel transforms and W replicas per batch
 # (together they bound the memory), and the amplitude below which an alias
-# of the kernel transform is dropped.
-_BLOCK_ENTRIES = 2**18
+# of the kernel transform is dropped.  Transforms are built by batched calls
+# with a fixed per-call cost (tens of numpy calls holding the interpreter
+# lock), so a block is not made smaller; the band step's dense cut operator
+# is held to as many entries by `quench_dp`, and built from basis rows of
+# as many entries at a time.
+_FFT_BLOCK_ENTRIES = 2**16
 _REPLICA_BATCH = 64
 _AMPLITUDE_FLOOR = 1e-17
 
@@ -181,20 +186,29 @@ def _layout(dt: float, grid_points: int, barrier_correction: bool = True, max_dr
 
 def _run_bytes(grid_points: int, n: int, band: int, batch: int) -> int:
     """Bytes `_confinement_profiles` holds at most for `batch` replicas on a
-    layout from `_layout`, besides the W increments passed in.
+    layout from `_layout`, besides the drifts passed in.
 
-    The window factors, (2K, r) each with r = n - grid_points, take three
-    factors' worth while built; the dense operator, when used, (2K)^2 more.
-    Four (batch, n) float rows bound both the first step (the padded copies
-    and outputs of its inverse and forward FFT) and the step loop's state
-    and cut buffers.  The step kernels take four blocks of complex entries:
-    the block being applied, the next one being built, and two alias terms
-    of its phase tables.  Scalar arithmetic only.
+    The cut operator of `_band_step`: when the r = n - grid_points padding
+    entries are fewer than K, its factors, three (2K, r) factors' worth while
+    built, and a (batch, r) product; else the dense (2K)^2 operator, as much
+    again for each term summed into it, and three factors' worth of basis
+    rows for the nodes built at once.  Five (batch, n) float rows bound the
+    state with the first step's FFTs, and four blocks of complex entries the
+    step kernels being built.  Scalar arithmetic only.
     """
     rank = n - grid_points
-    dense = (2 * band) ** 2 if rank >= band else 0
-    block = max(_BLOCK_ENTRIES, batch * band)
-    return 8 * (3 * 2 * band * rank + dense + 4 * batch * n) + 16 * 4 * block
+    if rank < band:
+        cut = 3 * 2 * band * rank + batch * rank
+    else:
+        nodes = min(grid_points, max(1, _FFT_BLOCK_ENTRIES // (2 * band)))
+        cut = 2 * (2 * band) ** 2 + 3 * 2 * band * nodes
+    block = max(_FFT_BLOCK_ENTRIES, batch * band)
+    return 8 * (cut + 5 * batch * n) + 16 * 4 * block
+
+
+def _block_steps(width: int, entries: int) -> int:
+    """Steps whose kernels are built at once: about `entries` entries."""
+    return max(1, entries // width)
 
 
 def _unit_phases(angle0: np.ndarray, step: np.ndarray, count: int) -> np.ndarray:
@@ -268,12 +282,15 @@ def _kernel_transform(drifts, sd: float, dx: float, n: int) -> np.ndarray:
 
 def _step_transforms(drifts, sds, dx: float, n: int, band: int) -> np.ndarray:
     """`_kernel_transform` of N(d, sd^2) steps, one row per drift, zero-padded
-    to `band` modes; `sds` broadcasts against the 1-D `drifts`, and one
-    transform is built per distinct sd.  `band` is at least
-    ``_band_modes(min(sds) / dx, n)``, the band of the narrowest step.
+    to `band` modes; `sds` broadcasts against `drifts`, and one transform is
+    built per distinct sd (with no copy when one sd fills the band).  `band`
+    is at least ``_band_modes(min(sds) / dx, n)``, the narrowest step's band.
     """
     drifts = np.asarray(drifts, dtype=float)
     sds = np.broadcast_to(sds, drifts.shape)
+    sd = sds.min()
+    if sd == sds.max() and _band_modes(sd / dx, n) == band:
+        return _kernel_transform(drifts, sd, dx, n)
     k_hat = np.zeros(drifts.shape + (band,), dtype=complex)
     for sd in np.unique(sds):
         rows = sds == sd
@@ -328,92 +345,135 @@ def _band_basis(n: int, band: int, positions: np.ndarray) -> tuple[np.ndarray, n
     return left, right
 
 
-def _window_operator(n: int, grid_points: int, band: int):
-    """The real operator that maps the first K = `band` real-DFT modes of a
-    length-n row to those of the row cut to its first `grid_points` entries,
-    acting from the right on the interleaved (real, imaginary) view of the
-    modes; modes K and up of the row are taken as zero.
+def _band_step(means: np.ndarray, stds: np.ndarray, dx: float, length: int, band: int, t0: int):
+    """The `quench_dp._propagate` step for Gaussian laws on the step kernel's
+    Fourier band, for one row of mass or for R rows at once.
 
-    The cut removes the r = n - grid_points padding entries, so the
-    operator is I - L @ R with the `_band_basis` factors of the padding, L
-    of shape (2K, r) and R of shape (r, 2K).  A step costs 4Kr multiply-adds
-    per replica as I - L @ R and (2K)^2 as one dense matrix, so the pair
-    (L, R) is returned when r < K (the padding is short, as when alias bands
-    make K every mode) and the dense (2K, 2K) matrix otherwise.
+    `means` has shape (n,) for one row, or (n, R) for R rows; step i moves
+    row r by N(means[i-1, r], stds[i-1]^2).  The state is the first K =
+    `band` real-DFT modes of each row, zero-padded to `length` nodes, as the
+    arrays (cut, uncut) of interleaved (real, imaginary) floats.  Step i
+    multiplies the modes by the closed-form transform of its kernels
+    (`_step_transforms`) and cuts them to the nodes [a, b) it keeps, by
+    one real operator of `_band_basis` rows, in one of two forms:
+    * when fewer than K nodes are dropped, I - L @ R with the factors of
+      the dropped nodes, built for each new range, at 4Kr multiply-adds a
+      row for r dropped nodes (as when alias bands make K every mode);
+    * otherwise the dense (2K, 2K) operator L @ R of the kept nodes, at
+      (2K)^2 a row, built when a range first appears and then following the
+      range by the rank-one terms of the nodes that enter or leave it, while
+      they are fewer than the nodes kept.
+    The total is the real part of mode 0, a float for one row and an array
+    for R.  The first call takes the real mass and transforms it; a cut
+    without a move (the end window) applies to the uncut modes of the last
+    step, on the nodes both keep.
     """
-    rank = n - grid_points
-    left, right = _band_basis(n, band, np.arange(grid_points, n))
-    if rank < band:
-        return left, right
-    window = np.matmul(left, right)
-    np.negative(window, out=window)
-    window[np.diag_indices(2 * band)] += 1.0
-    return window
+    n, rows = len(means), means.shape[1:]
+    block = _block_steps(band * math.prod(rows), _FFT_BLOCK_ENTRIES)
+    sds = np.reshape(stds, (-1,) + (1,) * len(rows))
+    kernels = itertools.chain.from_iterable(
+        _step_transforms(means[j : j + block], sds[j : j + block], dx, length, band)
+        for j in range(t0, n, block)
+    )
+    modes = np.zeros((2,) + rows + (band,), dtype=complex)
+    state = modes.view(float)
+    cut_c, uncut_c = modes
+    cut_f, uncut_f = state
+    chunk = max(1, _FFT_BLOCK_ENTRIES // (2 * band))  # nodes whose basis rows are built at once
+    op = None  # the dense operator, allocated when first used
+    held_a = held_b = 0  # the node range [held_a, held_b) `op` keeps
+    factors, factored = None, None  # (L, R, buffer) of the nodes dropped by the range `factored`
+    last_a = last_b = 0  # the node range of the last cut
+
+    def update(a: int, b: int, ufunc) -> None:
+        for c in range(a, b, chunk):
+            left, right = _band_basis(length, band, np.arange(c, min(c + chunk, b)))
+            ufunc(op, np.matmul(left, right), out=op)
+
+    def operator(a: int, b: int) -> np.ndarray:
+        nonlocal op, held_a, held_b
+        if op is None:
+            op = np.zeros((2 * band, 2 * band))
+        if (a, b) != (held_a, held_b):
+            if abs(a - held_a) + abs(b - held_b) >= b - a:
+                op.fill(0.0)
+                update(a, b, np.add)
+            else:
+                update(a, held_a, np.add)
+                update(held_b, b, np.add)
+                update(held_a, a, np.subtract)
+                update(b, held_b, np.subtract)
+            held_a, held_b = a, b
+        return op
+
+    def step(prev, a, b, move=True):
+        nonlocal factors, factored, last_a, last_b
+        if prev is not state:  # the real mass of the first step
+            if not move:
+                prev[..., :a] = 0.0
+                prev[..., b:] = 0.0
+                return prev, prev.sum(axis=-1)
+            cut_c[...] = np.fft.rfft(prev, length)[..., :band]
+        if move:
+            np.multiply(cut_c, next(kernels), out=uncut_c)
+        else:
+            a, b = max(a, last_a), min(b, last_b)
+        if length - (b - a) < band:
+            if (a, b) != factored:
+                left, right = _band_basis(length, band, np.r_[0:a, b:length])
+                factors, factored = (left, right, np.empty(rows + (left.shape[1],))), (a, b)
+            left, right, lost = factors
+            np.matmul(uncut_f, left, out=lost)
+            np.matmul(lost, right, out=cut_f)
+            np.subtract(uncut_f, cut_f, out=cut_f)
+        else:
+            np.matmul(uncut_f, operator(a, b), out=cut_f)
+        last_a, last_b = a, b
+        return state, cut_f[:, 0].copy() if rows else float(cut_f[0])
+
+    return step
 
 
 def _confinement_profiles(
-    w_increments: np.ndarray,
-    beta: float,
+    drifts: np.ndarray,
     dt: float,
     grid_points: int,
     y0: float,
     barrier_correction: bool,
     checkpoints: tuple[int, ...],
 ) -> np.ndarray:
-    """Survival probabilities, shape (replicas, len(checkpoints)), for W
-    increments of shape (replicas, steps); checkpoints are step indices."""
+    """Survival probabilities, shape (replicas, len(checkpoints)), for step
+    means `drifts` (-beta * dW) of shape (replicas, steps); checkpoints are
+    step indices.
+
+    This is the Gaussian grid pass of `quench_dp` on the constant tube
+    [-half, half]: the first step's bin masses, then `_band_step` on every
+    grid node, one row per replica.
+    """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if grid_points < 50:
         raise ValueError("grid_points must be >= 50")
-    w_increments = np.asarray(w_increments, dtype=float)
-    replicas, steps = w_increments.shape
+    drifts = np.asarray(drifts, dtype=float)
+    replicas, steps = drifts.shape
     if steps < 1 or max(checkpoints) > steps:
         raise ValueError("checkpoints must lie within the increment horizon")
     dead = np.zeros((replicas, len(checkpoints)))
     if abs(y0) >= 0.5:
         return dead
-
     sd = math.sqrt(dt)
-    # the drifts -beta * dW are formed a block at a time, never all at once
-    max_drift = abs(beta) * max(w_increments.max(), -w_increments.min())
+    max_drift = max(drifts.max(), -drifts.min())
     half, dx, n, band = _layout(dt, grid_points, barrier_correction, max_drift)
     if abs(y0) >= half:
         return dead
-    last = max(checkpoints)
-    wanted = set(checkpoints)
-    totals = {}
-    # the state is the padded row's first `band` rfft modes, all the step
-    # kernel reaches; `window` cuts the row back to the grid
-    window = _window_operator(n, grid_points, band)
     # first step: the point source at y0 moved by the step kernel
-    node0 = 0.5 * dx - half
-    first = _bin_masses(y0 - beta * w_increments[:, 0] - node0, sd, dx, n, 0, grid_points)
-    modes = np.ascontiguousarray(np.fft.rfft(first, n)[:, :band])
-    del first
-    moved = np.empty_like(modes)
-    modes_re, moved_re = modes.view(float), moved.view(float)
-    if isinstance(window, tuple):
-        left, right = window
-        lost = np.empty((replicas, left.shape[1]))
-    if 1 in wanted:
-        totals[1] = modes[:, 0].real.copy()
-    # step k applies drift -beta * w[:, k - 1]: multiply by its transform,
-    # then cut the row back to the grid (mass past either barrier is dropped)
-    block = max(1, _BLOCK_ENTRIES // (replicas * band))
-    for lo in range(1, last, block):
-        drifts = -beta * w_increments[:, lo : min(lo + block, last)]
-        k_hat = _kernel_transform(drifts.T, sd, dx, n)
-        for c, k_step in enumerate(k_hat, start=lo + 1):
-            np.multiply(modes, k_step, out=moved)
-            if isinstance(window, tuple):
-                np.matmul(moved_re, left, out=lost)
-                np.matmul(lost, right, out=modes_re)
-                np.subtract(moved_re, modes_re, out=modes_re)
-            else:
-                np.matmul(moved_re, window, out=modes_re)
-            if c in wanted:
-                totals[c] = modes[:, 0].real.copy()
+    mass = _bin_masses(y0 + drifts[:, 0] - (0.5 * dx - half), sd, dx, n, 0, grid_points)
+    step = _band_step(drifts.T, np.broadcast_to(sd, steps), dx, n, band, 1)
+    totals = {1: mass.sum(axis=1)}
+    for c in range(2, max(checkpoints) + 1):
+        mass, total = step(mass, 0, grid_points)
+        if c in checkpoints:
+            totals[c] = total
     return np.stack([totals[c] for c in checkpoints], axis=1)
 
 
@@ -432,8 +492,8 @@ def quenched_bm_confinement(
     With ``barrier_correction`` the discrete scheme targets the
     continuous-time event; switch it off to get the raw grid-time event.
     """
-    w = np.asarray(w_increments, dtype=float)[None, :]
-    probs = _confinement_profiles(w, beta, dt, grid_points, y0, barrier_correction, (w.shape[1],))
+    drifts = -beta * np.asarray(w_increments, dtype=float)[None, :]
+    probs = _confinement_profiles(drifts, dt, grid_points, y0, barrier_correction, (drifts.shape[1],))
     return float(probs[0, 0])
 
 
@@ -491,10 +551,11 @@ def estimate_gamma(
     slopes = []
     for lo in range(0, distinct, _REPLICA_BATCH):
         batch = range(lo, min(lo + _REPLICA_BATCH, distinct))
-        w_inc = np.empty((len(batch), steps))
+        drifts = np.empty((len(batch), steps))
         for row, r in enumerate(batch):
-            w_inc[row] = substream(seed, STREAM_GAMMA_W, r).normal(0.0, sd, steps)
-        probs = _confinement_profiles(w_inc, beta, dt, grid_points, 0.0, barrier_correction, cps)
+            drifts[row] = substream(seed, STREAM_GAMMA_W, r).normal(0.0, sd, steps)
+        drifts *= -beta
+        probs = _confinement_profiles(drifts, dt, grid_points, 0.0, barrier_correction, cps)
         if probs.min() <= 0.0:
             raise RuntimeError(
                 "confinement probability vanished on a replica; "

@@ -25,11 +25,13 @@ transform gamma uses (`gamma._kernel_transform`), which vanishes below
 1e-17 outside its first K modes.  A Gaussian pass takes one of two steps,
 whichever needs fewer multiply-adds:
 
-* the band step (`_band_step`), at (2K)^2 a step: the state is the first K
-  real-DFT modes of the mass zero-padded past the kernel's reach, a step
-  multiplies them by the kernel's transform and cuts them to the nodes
-  inside the tube with a dense (2K, 2K) operator, built once per range of
-  kept nodes and updated by rank-one terms as nodes enter or leave;
+* the band step (`gamma._band_step`, the one gamma's replicas run as rows),
+  at (2K)^2 a step: the state is the first K real-DFT modes of the mass
+  zero-padded past the kernel's reach, a step multiplies them by the
+  kernel's transform and cuts them to the nodes inside the tube with a
+  dense (2K, 2K) operator, built once per range of kept nodes and updated
+  by rank-one terms as nodes enter or leave (or, when fewer than K nodes
+  are dropped, with the factors of the dropped nodes, at 4Kr);
 * the taps step (`_correlate_step`, the atom laws' step too), at
   size * (2 hw + 1): each kernel is read from a batched inverse FFT of its
   transform, with round-off of about 1e-16 clipped at zero, and applied by
@@ -40,9 +42,11 @@ most _FFT_BLOCK_ENTRIES entries.  On the Gaussian builtin at 400 nodes
 (n = 400-6400, K = 31-57, 295-649 taps) a pass costs 6.5-11 us a step with
 the band against 31-77 us with the taps (a 2-vCPU VM, one BLAS thread);
 narrow kernels on wide tubes keep the taps (N(m, 0.5^2) steps on 300
-nodes over a span of 37: K = 127 against 81 taps).  A cut that keeps less
-than _ROUNDOFF_KEPT of the mass carried into it flags the estimate
-``grid_roundoff``: round-off may dominate what it kept.
+nodes over a span of 37: K = 127 against 81 taps).  Both steps carry
+round-off of about 5e-15 of the peak mass into every node; a cut that keeps
+so little of the mass carried into it that this round-off, over the grid's
+nodes, exceeds _ROUNDOFF_REL of what it kept flags the estimate
+``grid_roundoff``.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import sys
 import numpy as np
 
 from .env import EnvRealization
-from .gamma import _band_basis, _band_modes, _bin_masses, _fast_len, _step_transforms
+from .gamma import _FFT_BLOCK_ENTRIES, _band_modes, _band_step, _bin_masses, _block_steps, _fast_len
 from .results import (
     METHOD_BRUTE_FORCE,
     METHOD_DP_LATTICE,
@@ -67,16 +71,13 @@ from .tube import TubeSpec
 _LATTICE_TOL = 1e-9
 _BRUTE_LIMIT = 64_000_000  # max enumerated paths
 _BLOCK_ENTRIES = 2**14  # step-kernel entries built at a time
-# Gaussian kernels and their transforms are built by batched calls with a
-# fixed per-call cost (tens of numpy calls holding the interpreter lock);
-# pooled grid runs need it spread over bigger blocks.  The band step's cut
-# operator is held to as many entries.
-_FFT_BLOCK_ENTRIES = 2**16
 _RESCALE_BELOW = 2.0**-500  # carried mass total that triggers a rescale
-# A Gaussian kernel's masses carry round-off of about 1e-17 (of the FFT, or
-# of the band's amplitude floor); in a cut that keeps less than this
-# fraction of the mass carried into it, round-off may dominate what it kept.
-_ROUNDOFF_KEPT = 1e-12
+# A Gaussian pass carries round-off of about 5e-15 of the peak mass into
+# every node (measured on the tails of FFT-built masses).  A cut that keeps
+# the fraction `kept` of the mass carried into it is flagged when that
+# round-off, summed over the nodes, exceeds _ROUNDOFF_REL of what it kept.
+_ROUNDOFF_PER_NODE = 5e-15
+_ROUNDOFF_REL = 1e-6
 _LN2 = math.log(2.0)
 # ndarray.sum's reduction, and bits, without its Python wrapper (a few
 # hundred ns of a DP step's few us)
@@ -112,11 +113,6 @@ def _require_open_start(tube: TubeSpec, x0: float) -> None:
     lo, up = tube.bounds_at(0)
     if not lo < x0 < up:
         raise ValueError(f"x0={x0} is not strictly inside the tube ({lo}, {up}) at time 0")
-
-
-def _block_steps(width: int, entries: int) -> int:
-    """Steps whose kernels are built at once: about `entries` entries."""
-    return max(1, entries // width)
 
 
 def _kept(nodes: np.ndarray, lo, up) -> tuple[list[int], list[int]]:
@@ -198,69 +194,6 @@ def _correlate_step(kernels, t0: int, n: int, size: int):
         mass[a:b] = full[r + a : r + b]
         live_lo, live_up = a, b
         return mass, _sum(mass)
-
-    return step
-
-
-def _band_step(means: np.ndarray, stds: np.ndarray, dx: float, length: int, band: int, t0: int):
-    """The `_propagate` step for Gaussian laws on the step kernel's Fourier band.
-
-    The state is the first K = `band` real-DFT modes of the mass, zero-padded
-    to `length` nodes, as rows (cut, uncut) of interleaved (real, imaginary)
-    floats.  Step i multiplies the modes by the closed-form transform of its
-    kernel (`gamma._step_transforms` of N(means[i-1], stds[i-1]^2)) and cuts
-    them to the nodes [a, b) it keeps with the dense (2K, 2K) operator L @ R
-    of `gamma._band_basis` over those nodes.  The operator is built when a
-    range first appears and then follows the range by the rank-one terms of
-    the nodes that enter or leave it, while they are fewer than the nodes
-    kept.  The total is the real part of mode 0.  The first call takes the
-    real mass and transforms it; a cut without a move (the end window) is
-    applied to the uncut modes of the last step, on the nodes both keep.
-    """
-    n = len(means)
-    block = _block_steps(band, _FFT_BLOCK_ENTRIES)
-    rows = itertools.chain.from_iterable(
-        _step_transforms(means[j : j + block], stds[j : j + block], dx, length, band)
-        for j in range(t0, n, block)
-    )
-    modes = np.zeros((2, band), dtype=complex)
-    state = modes.view(float)
-    cut_c, uncut_c = modes
-    cut_f, uncut_f = state
-    chunk = max(1, _FFT_BLOCK_ENTRIES // (2 * band))  # nodes whose basis rows are built at once
-    op = np.zeros((2 * band, 2 * band))
-    held_a = held_b = 0  # the node range [held_a, held_b) `op` keeps
-
-    def update(a: int, b: int, ufunc) -> None:
-        for c in range(a, b, chunk):
-            left, right = _band_basis(length, band, np.arange(c, min(c + chunk, b)))
-            ufunc(op, np.matmul(left, right), out=op)
-
-    def operator(a: int, b: int) -> np.ndarray:
-        nonlocal held_a, held_b
-        if (a, b) != (held_a, held_b):
-            if abs(a - held_a) + abs(b - held_b) >= b - a:
-                op.fill(0.0)
-                update(a, b, np.add)
-            else:
-                update(a, held_a, np.add)
-                update(held_b, b, np.add)
-                update(held_a, a, np.subtract)
-                update(b, held_b, np.subtract)
-            held_a, held_b = a, b
-        return op
-
-    def step(prev, a, b, move=True):
-        if prev is not state:  # the real mass of the first step
-            if not move:
-                return _cut(prev, a, b)
-            cut_c[:] = np.fft.rfft(prev, length)[:band]
-        if move:
-            np.multiply(cut_c, next(rows), out=uncut_c)
-        else:
-            a, b = max(a, held_a), min(b, held_b)
-        np.matmul(uncut_f, operator(a, b), out=cut_f)
-        return state, float(cut_f[0])
 
     return step
 
@@ -414,8 +347,9 @@ def _grid_spacing(env: EnvRealization, span: float, grid_points: int) -> float:
 def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int):
     """One propagation pass; returns (log_p, running, work, roundoff).
 
-    ``roundoff`` is True when a Gaussian cut kept less than _ROUNDOFF_KEPT
-    of the mass carried into it.
+    ``roundoff`` is True when a Gaussian cut kept so little of the mass
+    carried into it that the round-off of its nodes may exceed
+    _ROUNDOFF_REL of what it kept.
     """
     lo, up = tube.bounds_arrays()
     n, f = tube.n, tube.f_offset
@@ -454,7 +388,8 @@ def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int)
     log_total, last, kept = _propagate(mass, nodes, lo, up, tube.end_bounds(), 1, step, running)
     work = size + (last - 1) * (size + 2 * hw)
     running[0] = 1.0
-    return log_total + xi_log_factor(env, tube), running, work, kept < _ROUNDOFF_KEPT
+    roundoff = size * _ROUNDOFF_PER_NODE > _ROUNDOFF_REL * kept
+    return log_total + xi_log_factor(env, tube), running, work, roundoff
 
 
 def survival_grid(

@@ -458,24 +458,26 @@ def test_validate_divides_the_budget_among_pooled_tasks(monkeypatch):
 # SMALL's gamma table holds 8 replicas: at most 2**30 // (8 * 8) = 16777216
 # steps of W increments; 1000 replicas run 64 at a time, so 2**30 // (8 * 64).
 # The layout's bytes (`gamma._run_bytes`) reach the budget at dt = 1e-3 through
-# the padded rows (n = 1296000 for 1026403 grid points, 1310720 one point
+# the padded rows (n = 3317760 for 2627594 grid points, 3359232 one point
 # more), and at dt = 1e-8 through the factors of the cut operator (K = 14089
 # band modes and 101 padding entries, then 14427 and 3100).
 _GAMMA_AT_CAP = [
     {"t": 0.5 * 16777216, "dt": 0.5},
     {"t": 0.5 * 2097152, "dt": 0.5, "replicas": 1000},
-    {"t": 0.01, "dt": 1e-3, "grid_points": 1026403},
-    {"t": 0.01, "dt": 1e-3, "grid_points": 320750, "replicas": 1000},
+    {"t": 0.01, "dt": 1e-3, "grid_points": 2627594},
+    {"t": 0.01, "dt": 1e-3, "grid_points": 328448, "replicas": 1000},
     {"t": 1e-6, "dt": 1e-8, "grid_points": 124899},
 ]
 _GAMMA_OVER_CAP = [
     ({"t": 0.5 * 16777217, "dt": 0.5}, "gamma.t / gamma.dt"),
     ({"t": 0.5 * 2097153, "dt": 0.5, "replicas": 1000}, "gamma.t / gamma.dt"),
-    ({"t": 0.01, "dt": 1e-3, "grid_points": 1026404}, "gamma.dt and gamma.grid_points"),
-    ({"t": 0.01, "dt": 1e-3, "grid_points": 320751, "replicas": 1000}, "gamma.dt and gamma.grid_points"),
+    ({"t": 0.01, "dt": 1e-3, "grid_points": 2627595}, "gamma.dt and gamma.grid_points"),
+    ({"t": 0.01, "dt": 1e-3, "grid_points": 328449, "replicas": 1000}, "gamma.dt and gamma.grid_points"),
     ({"t": 1e-6, "dt": 1e-8, "grid_points": 124900}, "gamma.dt and gamma.grid_points"),
     ({"t": 1e300, "dt": 1e-300}, "gamma.t / gamma.dt"),
     ({"grid_points": 10**400}, "gamma.dt and gamma.grid_points"),
+    # the same grid at beta = 20: the drift 20 |dW| pads each row about 5x longer
+    ({"t": 0.01, "dt": 1e-3, "grid_points": 2627594, "beta": [20.0]}, "gamma.dt and gamma.grid_points"),
 ]
 
 

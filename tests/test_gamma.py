@@ -8,6 +8,7 @@ from scipy.special import ndtr, stdtrit
 
 import tubewalk as tw
 import tubewalk.gamma as gamma_mod
+from tubewalk import quench_dp
 from tubewalk.gamma import (
     BARRIER_SHIFT,
     _confinement_profiles,
@@ -67,10 +68,10 @@ def test_total_mass_nonincreasing_in_time_and_drift():
     dt, steps = 1e-3, 2000
     checkpoints = tuple(range(200, steps + 1, 200))
     w = np.full((1, steps), math.sqrt(dt))  # all-positive increments
-    probs = _confinement_profiles(w, 0.5, dt, 200, 0.0, True, checkpoints)[0]
+    probs = _confinement_profiles(-0.5 * w, dt, 200, 0.0, True, checkpoints)[0]
     assert all(b <= a for a, b in zip(probs, probs[1:]))
     finals = [
-        _confinement_profiles(w, beta, dt, 200, 0.0, True, (steps,))[0, 0] for beta in (0.0, 0.5, 1.0)
+        _confinement_profiles(-beta * w, dt, 200, 0.0, True, (steps,))[0, 0] for beta in (0.0, 0.5, 1.0)
     ]
     assert finals[0] >= finals[1] >= finals[2]
 
@@ -215,57 +216,142 @@ def _direct_profiles(w, beta, dt, grid, cps):
 def test_batched_fft_profile_matches_direct_convolution():
     dt, grid, steps, cps = 1e-3, 100, 300, (100, 200, 300)
     w = np.random.default_rng(11).normal(0.0, math.sqrt(dt), (3, steps))
-    got = _confinement_profiles(w, 1.0, dt, grid, 0.0, True, cps)
+    got = _confinement_profiles(-w, dt, grid, 0.0, True, cps)
     np.testing.assert_allclose(got, _direct_profiles(w, 1.0, dt, grid, cps), rtol=1e-12, atol=0.0)
 
 
-def test_band_profile_matches_direct_convolution_with_aliases():
+def _spy_basis(monkeypatch):
+    """The node positions of each `_band_basis` call, in call order."""
+    calls = []
+
+    def spy(n, band, positions):
+        calls.append(np.array(positions))
+        return real(n, band, positions)
+
+    real = gamma_mod._band_basis
+    monkeypatch.setattr(gamma_mod, "_band_basis", spy)
+    return calls
+
+
+def test_band_profile_matches_direct_convolution_with_aliases(monkeypatch):
     # sd/dx = 0.4: alias bands of the kernel transform reach the top mode, so
     # the band is every mode of the padded row (at zero drift n = 108), and
     # the padding is shorter than the band, so the cut runs as I - L @ R
+    # with the factors of the padding entries
     dt, grid, steps, cps = 1.6e-5, 100, 300, (100, 200, 300)
     _, dx, n, band = gamma_mod._layout(dt, grid)
     sd = math.sqrt(dt)
     assert sd / dx < 1.5 and (n, band) == (108, 108 // 2 + 1)
     w = np.random.default_rng(12).normal(0.0, sd, (3, steps))
     _, _, n, band = gamma_mod._layout(dt, grid, max_drift=np.abs(w).max())
-    assert isinstance(gamma_mod._window_operator(n, grid, band), tuple)
-    got = _confinement_profiles(w, 1.0, dt, grid, 0.0, True, cps)
+    calls = _spy_basis(monkeypatch)
+    got = _confinement_profiles(-w, dt, grid, 0.0, True, cps)
+    assert n - grid < band and len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.arange(grid, n))
     np.testing.assert_allclose(got, _direct_profiles(w, 1.0, dt, grid, cps), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("first", [0, 9], ids=["fixed", "moving"])
 @pytest.mark.parametrize("n, grid, band", [(120, 60, 25), (108, 100, 55), (125, 100, 63), (540, 400, 58)])
-def test_window_operator_matches_fft_of_cut_basis(n, grid, band):
-    # reference: rfft of each band basis mode's irfft, cut to the grid
-    basis = np.eye(2 * band).view(complex)  # row 2j: mode j; row 2j + 1: 1j * mode j
-    want = np.ascontiguousarray(np.fft.rfft(np.fft.irfft(basis, n)[:, :grid], n)[:, :band]).view(float)
-    window = gamma_mod._window_operator(n, grid, band)
-    assert isinstance(window, tuple) == (n - grid < band)
-    if isinstance(window, tuple):  # short padding: W = I - L @ R
-        left, right = window
-        window = np.eye(2 * band) - left @ right
-    # the operator passes on the imaginary parts of modes 0 and n/2, which
-    # the inverse FFT drops; the state keeps them zero
+def test_band_cut_matches_fft_of_cut_basis(monkeypatch, n, grid, band, first):
+    # the operator a band step applies, read off by cutting 2K identity rows:
+    # one step keeps the nodes [0, grid), then a cut without a move keeps
+    # [first, grid), so a moving range updates the operator (or its factors)
+    a, b = first, grid
+    sd = next(s for s in np.arange(0.5, 64.0, 0.5) if gamma_mod._band_modes(s, n) <= band)
+    rows = 2 * band
+    step = gamma_mod._band_step(np.zeros((2, rows)), np.full(2, sd), 1.0, n, band, 1)
+    state, _ = step(np.ones((rows, grid)), 0, grid)
+    calls = _spy_basis(monkeypatch)
+    state[1] = np.eye(rows)
+    got = step(state, a, b, move=False)[0][0].copy()
+    # reference: rfft of each band basis mode's irfft, cut to the nodes [a, b)
+    basis = np.eye(rows).view(complex)  # row 2j: mode j; row 2j + 1: 1j * mode j
+    cut = np.fft.irfft(basis, n)
+    cut[:, :a] = 0.0
+    cut[:, b:] = 0.0
+    want = np.ascontiguousarray(np.fft.rfft(cut, n)[:, :band]).view(float)
+    # fewer dropped nodes than modes: the factors of the dropped nodes, else
+    # the dense operator, updated by the nodes that leave the range
+    factored = n - (b - a) < band
+    if first:
+        dropped = [np.array_equal(p, np.r_[0:a, b:n]) for p in calls]
+        assert dropped == ([True] if factored else [False] * len(calls)) and calls
+    # the operator passes on (factors) or zeroes (dense) the imaginary parts of
+    # modes 0 and n/2, which the inverse FFT drops; the state keeps them zero
     for j in (0, n // 2) if n % 2 == 0 and band > n // 2 else (0,):
-        assert window[2 * j + 1, 2 * j + 1] == 1.0
-        window[2 * j + 1, 2 * j + 1] = 0.0
-        assert not window[2 * j + 1].any() and not window[:, 2 * j + 1].any()
-    np.testing.assert_allclose(window, want, rtol=0.0, atol=1e-15)
+        assert got[2 * j + 1, 2 * j + 1] == (1.0 if factored else 0.0)
+        got[2 * j + 1, 2 * j + 1] = 0.0
+        assert not got[2 * j + 1].any() and not got[:, 2 * j + 1].any()
+    # the dense operator sums a term per kept node: 2.7e-15 off at 400 nodes
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 if factored else 1e-17 * max(100, b - a))
+
+
+@pytest.mark.parametrize("dt, grid", [(1e-3, 400), (1.6e-5, 100)], ids=["dense", "factors"])
+def test_band_rows_equal_single_row_passes(dt, grid):
+    # R rows take one matrix product a step (gemm), one row a vector product
+    # (gemv): the rounding may differ, the values agree to round-off
+    sd = math.sqrt(dt)
+    drifts = np.random.default_rng(14).normal(0.0, 0.5 * sd, (5, 100))
+    half, dx, n, band = gamma_mod._layout(dt, grid, max_drift=np.abs(drifts).max())
+    first = gamma_mod._bin_masses(drifts[:, 0] - (0.5 * dx - half), sd, dx, n, 0, grid)
+    stds = np.full(drifts.shape[1], sd)
+
+    def profile(means, mass):
+        step = gamma_mod._band_step(means, stds, dx, n, band, 1)
+        totals = []
+        for _ in range(1, drifts.shape[1]):
+            mass, total = step(mass, 0, grid)
+            totals.append(total)
+        return np.array(totals)
+
+    rows = profile(drifts.T, first.copy())
+    assert rows.shape == (99, 5)
+    for r in range(5):
+        np.testing.assert_allclose(rows[:, r], profile(drifts[r], first[r].copy()), rtol=1e-14, atol=0.0)
+
+
+def test_confinement_row_is_the_grid_pass_on_a_constant_tube():
+    # one W row of gamma's profiles is `quench_dp._propagate` with the same
+    # band step on the nodes of [-half, half]
+    dt, grid, steps, cps = 1e-3, 400, 300, (1, 150, 300)
+    sd = math.sqrt(dt)
+    drifts = -0.5 * np.random.default_rng(15).normal(0.0, sd, (3, steps))
+    profiles = _confinement_profiles(drifts, dt, grid, 0.0, True, cps)
+    half, dx, n, band = gamma_mod._layout(dt, grid, max_drift=np.abs(drifts).max())
+    nodes = -half + (np.arange(grid) + 0.5) * dx
+    bounds = np.full(steps + 1, half)
+    for row, means in zip(profiles, drifts):
+        mass = gamma_mod._bin_masses(means[:1] - nodes[0], sd, dx, n, 0, grid)[0]
+        step = gamma_mod._band_step(means, np.full(steps, sd), dx, n, band, 1)
+        running = np.zeros(steps + 1)
+        quench_dp._propagate(mass, nodes, -bounds, bounds, None, 1, step, running)
+        np.testing.assert_allclose(row, running[list(cps)], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize(
-    "dt, grid, replicas",
-    [(1e-3, 400, 8), (1e-4, 3000, 64), (1.6e-5, 100, 8), (1e-6, 2000, 64)],
-    ids=["dense", "dense-64", "cut-aliases", "cut-aliases-64"],
+    "dt, grid, replicas, beta",
+    [
+        (1e-3, 400, 8, 0.5),
+        (1e-4, 3000, 64, 0.5),
+        (1.6e-5, 100, 8, 0.5),
+        (1e-6, 2000, 64, 0.5),
+        (1e-3, 400, 8, 20.0),
+        (1e-4, 3000, 64, 20.0),
+    ],
+    ids=["dense", "dense-64", "cut-aliases", "cut-aliases-64", "dense-beta-20", "dense-64-beta-20"],
 )
-def test_run_bytes_bound_the_traced_peak(dt, grid, replicas):
-    # config.validate caps gamma's memory with _run_bytes, so it must bound
-    # what a call allocates besides its W increments
-    w = np.random.default_rng(13).normal(0.0, math.sqrt(dt), (replicas, 20))
-    _, _, n, band = gamma_mod._layout(dt, grid, max_drift=0.5 * np.abs(w).max())
+def test_run_bytes_bound_the_traced_peak(dt, grid, replicas, beta):
+    # config.validate caps gamma's memory with _run_bytes on the layout of
+    # drifts up to beta * 8 sqrt(dt), the kernel's own reach, so that must
+    # bound what a call allocates besides its drifts
+    sd = math.sqrt(dt)
+    drifts = -beta * np.random.default_rng(13).normal(0.0, sd, (replicas, 20))
+    assert np.abs(drifts).max() <= beta * 8.0 * sd
+    _, _, n, band = gamma_mod._layout(dt, grid, max_drift=beta * 8.0 * sd)
     tracemalloc.start()
     try:
-        _confinement_profiles(w, 0.5, dt, grid, 0.0, True, (20,))
+        _confinement_profiles(drifts, dt, grid, 0.0, True, (20,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,7 +376,7 @@ def test_estimate_gamma_does_not_depend_on_batching(monkeypatch):
     kwargs = dict(horizon_t=1.0, dt=0.01, grid_points=60, env_replicas=11, seed=5)
     whole = tw.estimate_gamma(0.7, **kwargs)
     monkeypatch.setattr(gamma_mod, "_REPLICA_BATCH", 4)
-    monkeypatch.setattr(gamma_mod, "_BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(gamma_mod, "_FFT_BLOCK_ENTRIES", 1000)
     split = tw.estimate_gamma(0.7, **kwargs)
     np.testing.assert_allclose(split.per_replica_values, whole.per_replica_values, rtol=1e-12)
 
@@ -315,7 +401,7 @@ def test_point_source_first_step_matches_ndtr(monkeypatch, y0):
     monkeypatch.setattr(gamma_mod, "_bin_masses", spy)
     dt, grid, beta = 1e-3, 400, 1.0
     w = np.random.default_rng(4).normal(0.0, math.sqrt(dt), (5, 3))
-    _confinement_profiles(w, beta, dt, grid, y0, True, (1,))
+    _confinement_profiles(-beta * w, dt, grid, y0, True, (1,))
     sd = math.sqrt(dt)
     half = 0.5 - BARRIER_SHIFT * sd
     edges = np.linspace(-half, half, grid + 1)
@@ -333,13 +419,13 @@ def test_beta_zero_propagates_one_replica(monkeypatch):
     kwargs = dict(horizon_t=1.0, dt=0.01, grid_points=60, env_replicas=11, seed=5)
     steps, cps = 100, (50, 75, 100)
     w = np.stack([substream(5, STREAM_GAMMA_W, r).normal(0.0, 0.1, steps) for r in range(11)])
-    probs = _confinement_profiles(w, 0.0, 0.01, 60, 0.0, True, cps)
+    probs = _confinement_profiles(-0.0 * w, 0.01, 60, 0.0, True, cps)
     slopes = [float(v) for v in np.polyfit(np.array(cps) * 0.01, -np.log(probs.T), 1)[0]]
     shapes = []
 
-    def spy(w_increments, *args):
-        shapes.append(np.shape(w_increments))
-        return real(w_increments, *args)
+    def spy(drifts, *args):
+        shapes.append(np.shape(drifts))
+        return real(drifts, *args)
 
     real = gamma_mod._confinement_profiles
     monkeypatch.setattr(gamma_mod, "_confinement_profiles", spy)

@@ -8,6 +8,7 @@ from scipy.special import ndtr
 
 import tubewalk as tw
 from tubewalk import config as tw_config
+import tubewalk.gamma as gamma_mod
 from tubewalk import quench_dp
 from tubewalk.quench_dp import xi_log_factor
 from tubewalk.rng import derive_seed
@@ -488,6 +489,7 @@ def test_kernel_blocks_do_not_change_results(monkeypatch, steps):
 
     default = results()
     monkeypatch.setattr(quench_dp, "_block_steps", lambda width, entries: steps)
+    monkeypatch.setattr(gamma_mod, "_block_steps", lambda width, entries: steps)  # the band step's
     for (lp, work, run), (lp_ref, work_ref, run_ref) in zip(results(), default):
         assert lp == lp_ref and work == work_ref
         np.testing.assert_array_equal(run, run_ref)
@@ -544,6 +546,18 @@ def test_grid_flags_steps_lost_in_roundoff(monkeypatch, name, grid_points, side)
     est = tw.survival_grid(dataclasses.replace(env, quenched_mean=means), tube, x0, grid_points)
     assert "grid_roundoff" in est.flags
     assert set(sides[2:]) == {side}
+
+
+def test_grid_flags_a_cut_whose_kept_mass_is_near_its_roundoff():
+    # one cut keeps 4.4e-10 of the mass carried into it: over 77 nodes the
+    # band's round-off of about 5e-15 each is 1e-6 of what it kept, and log p
+    # is about 1e-3 off, though the cut keeps far more than the kernels' 1e-17
+    spec = tw.EnvironmentSpec.random_mean_gaussian(1.0127, 0.2325)
+    tube = tw.TubeSpec(g=-0.802, h=0.903, alpha=0.235, n=50, f_offset=3)
+    env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=130)
+    roundoff = quench_dp._grid_once(env, tube, 0.7255, 77)[3]
+    assert roundoff
+    assert "grid_roundoff" in tw.survival_grid(env, tube, 0.7255, 77).flags
 
 
 def test_dp_pinned_value():
