@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, load_raw, validate
+from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, check_fit_gamma, load_raw, validate
 from .env import EnvironmentSpec, moments, sample_environment, verify_assumptions
 from .gamma import GammaEstimate, estimate_gamma
 from .parallel import thread_cap, thread_map
@@ -466,6 +466,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = validate(load_raw(args.config, args.overrides, args.seed))
+        if args.command in ("fit", "report"):
+            check_fit_gamma(cfg)
         thread_cap()
         out = _out_dir(cfg, args.out)
     except (ValueError, OSError, yaml.YAMLError) as exc:  # ConfigError is a ValueError

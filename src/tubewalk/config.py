@@ -168,23 +168,34 @@ def _check_gamma(gam: dict) -> None:
             f"({_FLOAT_BYTES} bytes per W increment, {batch} replicas at a time, within a "
             f"{named}), got {steps}"
         )
-    # the padded row holds at least grid_points entries a replica; past that
-    # bound the layout is not sized (it may not fit a float).  Its padding
-    # covers drifts beta * dW up to the kernel's own reach, |dW| <= 8 sqrt(dt)
-    if gam["grid_points"] > budget // (_FLOAT_BYTES * batch):
-        need = None
+    _check_gamma_layout(gam, max(gam["beta"], default=0.0))
+
+
+def _check_gamma_layout(gam: dict, beta: float, at: str = "") -> None:
+    """Reject a gamma run at drift `beta` whose layout overflows a task's budget;
+    `at` says where `beta` comes from."""
+    batch = min(gam["replicas"], _REPLICA_BATCH)
+    budget, named = _task_budget(len(gam["beta"]))
+    # the padded row holds at least grid_points entries a replica, and its
+    # padding covers drifts beta * dW up to the kernel's own reach, |dW| <= 8
+    # sqrt(dt), in cells under 1/grid_points; past the bound the layout is
+    # not sized (it may not fit a float)
+    drift = beta * 8.0 * math.sqrt(gam["dt"])
+    row_cap = budget // (_FLOAT_BYTES * batch)
+    if gam["grid_points"] > row_cap or gam["grid_points"] * (1.0 + drift) > row_cap:
+        need = f"rows of more than {row_cap} entries"
     else:
-        drift = max(gam["beta"], default=0.0) * 8.0 * math.sqrt(gam["dt"])
         _, _, n, band = _layout(gam["dt"], gam["grid_points"], max_drift=drift)
-        need = _run_bytes(gam["grid_points"], n, band, batch)
-    if need is None or need > budget:
-        need = f"{gam['grid_points']} grid points" if need is None else f"{need} bytes"
-        raise ConfigError(
-            f"gamma.dt and gamma.grid_points must let {batch} replicas propagate together (the "
-            f"cut operator of the step-kernel band, the padded rows of the first step and a "
-            f"block of step kernels) within a {named}; they "
-            f"need {need} (lower gamma.grid_points)"
-        )
+        size = _run_bytes(gam["grid_points"], n, band, batch)
+        if size <= budget:
+            return
+        need = f"{size} bytes"
+    raise ConfigError(
+        f"gamma.dt and gamma.grid_points must let {batch} replicas propagate together (the "
+        f"cut operator of the step-kernel band, the padded rows of the first step and a "
+        f"block of step kernels){at} within a {named}; they "
+        f"need {need} (lower gamma.grid_points)"
+    )
 
 
 def _check_keys(table: dict, allowed: set, where: str) -> None:
@@ -428,6 +439,22 @@ def validate(raw: dict) -> ExperimentConfig:
         output=out,
         raw=raw,
     )
+
+
+# the environment key that sets the fit's beta = sigma_a / sigma_q, by family
+_BETA_KEYS = {"random_shift_bernoulli": "environment.d", "random_mean_gaussian": "environment.sigma_a"}
+
+
+def check_fit_gamma(cfg: ExperimentConfig) -> None:
+    """Reject a config whose gamma, sized at the beta = sigma_a/sigma_q at
+    which ``fit`` and ``report`` estimate it when gamma.beta does not list
+    it, overflows the memory budget; `validate` sizes it at gamma.beta only,
+    as ``simulate`` and ``gamma`` never run another beta."""
+    sa2, sq2 = moments(cfg.env_spec)
+    beta = math.sqrt(sa2 / sq2)
+    if beta > max(cfg.gamma["beta"], default=0.0):
+        key = _BETA_KEYS[cfg.env_spec.family]
+        _check_gamma_layout(cfg.gamma, beta, f" at the fit's beta = sigma_a/sigma_q = {beta:.6g} (from {key})")
 
 
 def load_raw(source: str, overrides=(), seed: int | None = None) -> dict:

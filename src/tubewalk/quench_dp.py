@@ -12,6 +12,14 @@ denormals; while the mass stays above the threshold no bit differs from
 propagating it unscaled.  The running totals are reported on the linear
 scale and may underflow to 0 for events the log result still resolves.
 
+Totals on demand: the running totals are computed only when asked for
+(``return_running``).  Without them an atom pass, whose total is a sum
+over the mass that cost about 40% of a step, sums it every _CHECK_STEPS
+steps only; a check that finds the total near the threshold restores the
+mass saved at the check before and replays those steps with a total each,
+so the rescales and the step at which the mass dies out, and every bit of
+the result, are those of a total at every step (`_propagate`).
+
 ``survival_dp_lattice`` is exact (up to float summation) for environments
 whose atoms live on a lattice (1/q)Z and serves as the oracle for the
 Monte Carlo estimators.  ``survival_brute_force`` is the independent
@@ -72,6 +80,7 @@ _LATTICE_TOL = 1e-9
 _BRUTE_LIMIT = 64_000_000  # max enumerated paths
 _BLOCK_ENTRIES = 2**14  # step-kernel entries built at a time
 _RESCALE_BELOW = 2.0**-500  # carried mass total that triggers a rescale
+_CHECK_STEPS = 16  # steps between the totals of a lazy pass
 # A Gaussian pass carries round-off of about 5e-15 of the peak mass into
 # every node (measured on the tails of FFT-built masses).  A cut that keeps
 # the fraction `kept` of the mass carried into it is flagged when that
@@ -169,23 +178,33 @@ def _correlate_step(kernels, t0: int, n: int, size: int):
     each step's kernel.
 
     ``build(j0, j1)`` of the `kernels` tuple (width, r, block, build) gives
-    the kernels of steps j0+1..j1 as rows, each reversed, `block` steps at
-    a time; step i takes the mass to ``np.convolve(mass, kernel_i)[r : r +
-    size]`` on the nodes it keeps.
+    the kernels of steps j0+1..j1 as rows, each reversed, in blocks of
+    `block` steps from t0; step i takes the mass to ``np.convolve(mass,
+    kernel_i)[r : r + size]`` on the nodes it keeps.  The step reads kernel
+    i by its index, so ``step.rewind(i, a, b)``, called once the mass holds
+    its state of time i again (cut to the nodes [a, b)), takes the pass back
+    to time i, also across a block.  ``step(mass, a, b, total=False)``
+    returns None for the total.
     """
     width, r, block, build = kernels
-    rows = itertools.chain.from_iterable(build(j, min(j + block, n)) for j in range(t0, n, block))
-    next_kernel = rows.__next__
     # np.correlate with a reversed kernel gives np.convolve's bits without
     # its wrapper, as long as the kernel is not the longer operand
     narrow = width <= size
+    i = t0  # the mass is at time i
+    j0, rows = t0 - block, None  # rows[k] is the kernel of step j0 + k + 1
     live_lo, live_up = 0, size  # the mass is zero outside [live_lo, live_up)
 
-    def step(mass, a, b, move=True):
-        nonlocal live_lo, live_up
+    def step(mass, a, b, move=True, total=True):
+        nonlocal i, j0, rows, live_lo, live_up
         if not move:
             return _cut(mass, a, b)
-        kernel = next_kernel()
+        k = i - j0
+        if not 0 <= k < block:
+            j0 = i - (i - t0) % block
+            rows = build(j0, min(j0 + block, n))
+            k = i - j0
+        kernel = rows[k]
+        i += 1
         full = np.correlate(mass, kernel, "full") if narrow else np.convolve(mass, kernel[::-1])
         if a > live_lo:
             mass[live_lo : min(a, live_up)] = 0.0
@@ -193,12 +212,17 @@ def _correlate_step(kernels, t0: int, n: int, size: int):
             mass[max(b, live_lo) : live_up] = 0.0
         mass[a:b] = full[r + a : r + b]
         live_lo, live_up = a, b
-        return mass, _sum(mass)
+        return mass, _sum(mass) if total else None
 
+    def rewind(time: int, a: int, b: int) -> None:
+        nonlocal i, live_lo, live_up
+        i, live_lo, live_up = time, a, b
+
+    step.rewind = rewind
     return step
 
 
-def _propagate(mass, nodes, lo, up, end, t0: int, step, running) -> tuple[float, int, float]:
+def _propagate(mass, nodes, lo, up, end, t0: int, step, running=None, lazy=False) -> tuple[float, int, float]:
     """Carry the sub-density `mass` on `nodes` from time t0 to time n.
 
     At time t0 the mass is zeroed outside the nodes in [lo[t0], up[t0]].
@@ -206,34 +230,72 @@ def _propagate(mass, nodes, lo, up, end, t0: int, step, running) -> tuple[float,
     moves the state by that step's kernel, cuts it to the index range [a, b)
     of nodes in [lo[i], up[i]] and returns the new state and its total.  At
     each time i the state is then rescaled by an exact power of two when its
-    total drops below _RESCALE_BELOW, and ``running[i]`` gets the unscaled
-    total.  At time n, ``step(state, a, b, move=False)`` cuts the state to
-    the end window's nodes [a, b) (to all nodes when `end` is None).
-    Returns (log of the final mass, last time reached, smallest fraction of
-    the mass carried into a cut that it kept); the log is -inf when the
-    total is not positive then.  `mass` is updated in place.
+    total drops below _RESCALE_BELOW, the pass ends at the first time whose
+    total is not positive, and ``running[i]`` (when `running` is given) gets
+    the unscaled total.  At time n, ``step(state, a, b, move=False)`` cuts
+    the state to the end window's nodes [a, b) (to all nodes when `end` is
+    None).  Returns (log of the final mass, last time reached, smallest
+    fraction of the mass carried into a cut that it kept); the log is -inf
+    when the total is not positive then.  `mass` is updated in place.
+
+    Totals on demand: a `lazy` pass without `running` (the atom laws', whose
+    total is a sum over the mass and whose kept fraction no one reads) moves
+    the state in place _CHECK_STEPS steps at a time, with ``total=False``,
+    and takes the total at the last step of each run of steps only.  It
+    copies the state into one buffer before each run.  A run whose last
+    total is below twice _RESCALE_BELOW (totals shrink over steps but for
+    round-off) may have crossed the threshold or died out on the way: the
+    buffer is copied back, the step rewound (`_correlate_step`) and the run
+    replayed with a total at every step, so every rescale and the last time
+    fall on the same step, and every bit of the result is the same, as with
+    a total at every step.  The kept fraction is then that of the replayed
+    steps only.
     """
     n = len(lo) - 1
     (a,), (b,) = _kept(nodes, lo[t0 : t0 + 1], up[t0 : t0 + 1])
     state, total = _cut(mass, a, b)
     exp2 = 0  # the true mass is the state's * 2**exp2
     kept = 1.0
-    ranges = itertools.chain([(None, None)], _ranges(nodes, lo, up, t0))
-    for i, (a, b) in zip(range(t0, n + 1), ranges):
-        if a is not None:
-            state, moved = step(state, a, b)
-            if moved < kept * total:
-                kept = moved / total
-            total = moved
-        running[i] = math.ldexp(total, exp2)
-        if total < _RESCALE_BELOW:
-            if total <= 0.0:  # round-off can leave a band state a negative total
-                running[i] = 0.0
-                return -math.inf, i, kept
-            e = math.frexp(total)[1]
-            np.ldexp(state, -e, out=state)
-            exp2 += e
-            total = math.ldexp(total, -e)
+    ranges = _ranges(nodes, lo, up, t0)
+    saved = np.empty_like(mass) if lazy and running is None else None
+    i = t0 - 1
+    pending = [None]  # time t0: the cut above, no move
+    if saved is None:
+        pending = itertools.chain(pending, ranges)
+    while True:
+        for cut in pending:  # times with a total
+            i += 1
+            if cut is not None:
+                a, b = cut
+                state, moved = step(state, a, b)
+                if moved < kept * total:
+                    kept = moved / total
+                total = moved
+            if running is not None:
+                running[i] = math.ldexp(total, exp2)
+            if total < _RESCALE_BELOW:
+                if total <= 0.0:  # round-off can leave a band state a negative total
+                    if running is not None:
+                        running[i] = 0.0
+                    return -math.inf, i, kept
+                e = math.frexp(total)[1]
+                np.ldexp(state, -e, out=state)
+                exp2 += e
+                total = math.ldexp(total, -e)
+        if i == n:
+            break
+        pending = list(itertools.islice(ranges, _CHECK_STEPS))
+        np.copyto(saved, state)
+        for c, d in pending[:-1]:
+            step(state, c, d, True, False)
+        moved = step(state, *pending[-1])[1]
+        if moved >= 2.0 * _RESCALE_BELOW:
+            i += len(pending)
+            (a, b), total = pending[-1], moved
+            pending = ()
+        else:
+            np.copyto(state, saved)
+            step.rewind(i, a, b)
     if end is not None:
         (a,), (b,) = _kept(nodes, end[:1], end[1:])
     else:
@@ -253,11 +315,13 @@ def _off_node(moves: np.ndarray) -> float:
     return np.max(np.abs(moves - np.rint(moves)))
 
 
-def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float):
+def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return_running: bool = False):
     """Propagate an atom law from x0 on nodes x0 + j*dx; (log_p, running, size, last).
 
     Moves all within _LATTICE_TOL of whole nodes are rounded, else split linearly.  The
     law's own lattice, dx == 1/q, is laid as 1/q for the DP's bits: j*(1/q) can miss j/q.
+    The running totals are None unless `return_running`; the pass then takes its
+    totals on demand (`_propagate`).
     """
     lo, up = tube.bounds_arrays()
     n, f, q = tube.n, tube.f_offset, env.lattice_q
@@ -272,10 +336,10 @@ def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float):
     moves = env.atom_pos[f : f + n] * den / num
     if _off_node(moves) <= _LATTICE_TOL:
         moves = np.rint(moves)
-    running = np.zeros(n + 1)
+    running = np.zeros(n + 1) if return_running else None
     nodes = x0 + np.arange(jlo, jhi + 1) * num / den
     step = _correlate_step(_shift_kernels(moves, env.atom_w, size), 0, n, size)
-    log_total, last, _ = _propagate(mass, nodes, lo, up, tube.end_bounds(), 0, step, running)
+    log_total, last, _ = _propagate(mass, nodes, lo, up, tube.end_bounds(), 0, step, running, lazy=True)
     return log_total + xi_log_factor(env, tube), running, size, last
 
 
@@ -295,7 +359,7 @@ def survival_dp_lattice(
     q = env.lattice_q
     if _off_node(env.atom_pos[tube.f_offset : tube.f_offset + tube.n] * q) > _LATTICE_TOL:
         raise NonLatticeError(f"atom positions do not lie on the lattice (1/{q})Z; use survival_grid")
-    log_p, running, size, _ = _atom_pass(env, tube, x0, 1.0 / q)
+    log_p, running, size, _ = _atom_pass(env, tube, x0, 1.0 / q, return_running)
     est = from_log(log_p, METHOD_DP_LATTICE, tube.n * size)
     return (est, running) if return_running else est
 
@@ -344,9 +408,10 @@ def _grid_spacing(env: EnvRealization, span: float, grid_points: int) -> float:
     return span / grid_points
 
 
-def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int):
+def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int, return_running: bool = False):
     """One propagation pass; returns (log_p, running, work, roundoff).
 
+    The running totals are None unless `return_running`.
     ``roundoff`` is True when a Gaussian cut kept so little of the mass
     carried into it that the round-off of its nodes may exceed
     _ROUNDOFF_REL of what it kept.
@@ -354,11 +419,11 @@ def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int)
     lo, up = tube.bounds_arrays()
     n, f = tube.n, tube.f_offset
     if not (lo[0] <= x0 <= up[0]):
-        return -math.inf, np.zeros(n + 1), 0, False
+        return -math.inf, np.zeros(n + 1) if return_running else None, 0, False
     env_lo, env_up = lo.min(), up.max()
     dx = _grid_spacing(env, env_up - env_lo, grid_points)
     if env.kind == "atoms":
-        log_p, running, size, last = _atom_pass(env, tube, x0, dx)
+        log_p, running, size, last = _atom_pass(env, tube, x0, dx, return_running)
         return log_p, running, last * size, False
     edges = np.arange(grid_points + 1) * dx + env_lo
     nodes = 0.5 * (edges[:-1] + edges[1:])
@@ -384,10 +449,11 @@ def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int)
 
         kernels = (width, hw, _block_steps(width, _FFT_BLOCK_ENTRIES), build)
         step = _correlate_step(kernels, 1, n, size)
-    running = np.zeros(n + 1)
+    running = np.zeros(n + 1) if return_running else None
     log_total, last, kept = _propagate(mass, nodes, lo, up, tube.end_bounds(), 1, step, running)
     work = size + (last - 1) * (size + 2 * hw)
-    running[0] = 1.0
+    if return_running:
+        running[0] = 1.0
     roundoff = size * _ROUNDOFF_PER_NODE > _ROUNDOFF_REL * kept
     return log_total + xi_log_factor(env, tube), running, work, roundoff
 
@@ -411,7 +477,7 @@ def survival_grid(
     if grid_points < 50:
         raise ValueError("grid_points must be >= 50")
     _check_span(env, tube)
-    log_p, running, work, roundoff = _grid_once(env, tube, x0, grid_points)
+    log_p, running, work, roundoff = _grid_once(env, tube, x0, grid_points, return_running)
     half = max(25, grid_points // 2)
     lo, up = tube.bounds_arrays()
     span = up.max() - lo.min()

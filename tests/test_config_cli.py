@@ -15,6 +15,7 @@ from tubewalk.config import (
     ConfigError,
     apply_overrides,
     builtin_config_names,
+    check_fit_gamma,
     load_builtin,
     load_raw,
     validate,
@@ -509,6 +510,25 @@ def test_validate_caps_gamma_memory(values, key):
         assert key in str(info.value)
 
     assert _peak_bytes(rejected) < 2**20
+
+
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_fit_sizes_gamma_at_its_own_beta(tmp_path, capsys, command):
+    # the fit estimates gamma at beta = sigma_a/sigma_q = 20, which gamma.beta
+    # does not list: 5284 MiB of layout there against 1018 MiB at beta = 0
+    sets = ["environment.sigma_a=20", "gamma.beta=[0.0]", "gamma.t=0.01", "gamma.dt=0.001",
+            "gamma.grid_points=2627594", "gamma.replicas=8"]
+    cfg = validate(apply_overrides(load_builtin("random-mean-gaussian"), sets))  # simulate and gamma run
+    with pytest.raises(ConfigError, match="GiB memory budget") as info:
+        check_fit_gamma(cfg)
+    assert "environment.sigma_a" in str(info.value) and "gamma.grid_points" in str(info.value)
+    out = tmp_path / "x"
+    args = [command, "--config", "builtin:random-mean-gaussian", "--out", str(out)]
+    args += [arg for item in sets for arg in ("--set", item)]
+    codes = []
+    assert _peak_bytes(lambda: codes.append(cli.main(args))) < 2**20
+    assert codes == [2] and "environment.sigma_a" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_rejects_gamma_dt_past_the_barrier_shift():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -392,7 +393,7 @@ def test_dp_loop_reproduces_reference(name, rel):
 def test_grid_loop_reproduces_reference(name, grid_points, rel):
     spec, tube = _case(name)
     env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=22)
-    got = quench_dp._grid_once(env, tube, 0.3, grid_points)
+    got = quench_dp._grid_once(env, tube, 0.3, grid_points, return_running=True)
     _same(got, _reference_grid(env, tube, 0.3, grid_points), rel)
 
 
@@ -405,7 +406,7 @@ def test_grid_on_lattice_law_is_the_dp(q):
     tube = tw.TubeSpec(**MOVING)
     env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=30 + q)
     dp, dp_run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
-    log_p, run, _, _ = quench_dp._grid_once(env, tube, 0.0, 400)
+    log_p, run, _, _ = quench_dp._grid_once(env, tube, 0.0, 400, return_running=True)
     assert math.isfinite(dp.log_p)
     assert log_p == dp.log_p
     np.testing.assert_array_equal(run, dp_run)
@@ -421,7 +422,7 @@ def test_loop_keeps_boundary_exact_nodes():
     est, run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
     _same((est.log_p, run, est.work), _reference_dp(env, tube, 0.0), 0.0)
     assert est.p == pytest.approx(tw.survival_brute_force(env, tube, 0.0).p, abs=1e-15)
-    _same(quench_dp._grid_once(env, tube, 0.0, 60), _reference_grid(env, tube, 0.0, 60), 0.0)
+    _same(quench_dp._grid_once(env, tube, 0.0, 60, return_running=True), _reference_grid(env, tube, 0.0, 60), 0.0)
 
 
 def test_loop_reproduces_reference_extinction():
@@ -434,7 +435,7 @@ def test_loop_reproduces_reference_extinction():
     narrow = tw.TubeSpec(g=-0.05, h=0.05, alpha=0.01, n=40)
     for name, dies, rel in (("rademacher", True, 0.0), ("gauss", False, 1e-12)):
         genv = tw.sample_environment(SPECS[name], 40, seed=3)
-        got = quench_dp._grid_once(genv, narrow, 0.0, 60)
+        got = quench_dp._grid_once(genv, narrow, 0.0, 60, return_running=True)
         _same(got, _reference_grid(genv, narrow, 0.0, 60), rel)
         assert (got[0] == -math.inf) == dies  # Gaussian mass thins out but never vanishes
 
@@ -470,7 +471,7 @@ def test_grid_with_per_step_stds_reproduces_reference():
     for stds in (rng.choice([0.5, 0.8, 1.2], env.length), rng.uniform(0.4, 1.3, env.length)):
         varied = dataclasses.replace(env, stds=stds, quenched_var=stds**2)
         for grid_points in (300, 77):
-            got = quench_dp._grid_once(varied, tube, 0.3, grid_points)
+            got = quench_dp._grid_once(varied, tube, 0.3, grid_points, return_running=True)
             _same(got, _reference_grid(varied, tube, 0.3, grid_points), 1e-12)
 
 
@@ -593,3 +594,118 @@ def test_grid_follows_dp_past_underflow():
     dp = tw.survival_dp_lattice(env, tube, 0.0)
     grid = tw.survival_grid(env, tube, 0.0)
     assert grid.log_p == pytest.approx(dp.log_p, abs=1e-9)
+
+
+def _same_bits(lazy, eager):
+    """A pass with totals on demand gives every bit of one with running totals."""
+    assert lazy.log_p.hex() == eager.log_p.hex()
+    assert lazy.work == eager.work and lazy.flags == eager.flags
+
+
+def _spy_rescales(monkeypatch):
+    """The totals at which `_propagate` rescales the mass, in order."""
+    totals = []
+
+    def frexp(x):
+        totals.append(x)
+        return math.frexp(x)
+
+    monkeypatch.setattr(quench_dp, "math", SimpleNamespace(**{**vars(math), "frexp": frexp}))
+    return totals
+
+
+def test_lazy_totals_keep_every_bit_on_the_builtin_ladder():
+    cfg = tw_config.validate(tw_config.load_builtin("random-shift-bernoulli"))
+    for k, n in enumerate(cfg.n_list):
+        tube = cfg.template.make(n)
+        env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, derive_seed(cfg.seed, 11, k))
+        x0 = tube.default_x0()
+        eager, _ = tw.survival_dp_lattice(env, tube, x0, return_running=True)
+        _same_bits(tw.survival_dp_lattice(env, tube, x0), eager)
+
+
+def test_lazy_totals_rescale_on_the_same_totals(monkeypatch):
+    # log p = -2877: the mass is rescaled every ~500 steps, each time after a
+    # run of steps whose check found the total below the threshold
+    env, tube = _deep_rademacher(20000)
+    eager_rescales = _spy_rescales(monkeypatch)
+    eager, _ = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    lazy_rescales = _spy_rescales(monkeypatch)
+    _same_bits(tw.survival_dp_lattice(env, tube, 0.0), eager)
+    assert len(eager_rescales) >= 8 and lazy_rescales == eager_rescales
+
+
+def test_lazy_totals_die_out_on_the_same_step():
+    tube = tw.TubeSpec(g=-0.5, h=0.5, alpha=0.01, n=40)
+    env = tw.sample_environment(SPECS["rademacher"], 40, seed=3)
+    eager, run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    assert run[1] == 0.0
+    _same_bits(tw.survival_dp_lattice(env, tube, 0.0), eager)
+    # the grid's atom branch: its work counts the steps up to the last one
+    narrow = tw.TubeSpec(g=-0.05, h=0.05, alpha=0.01, n=40)
+    lazy = quench_dp._grid_once(env, narrow, 0.0, 60)
+    eager = quench_dp._grid_once(env, narrow, 0.0, 60, return_running=True)
+    assert lazy[0] == eager[0] == -math.inf and lazy[1] is None
+    assert lazy[2:] == eager[2:] and 0 < eager[2] < narrow.n * 60
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_lazy_replay_reads_kernels_across_blocks(monkeypatch, steps):
+    # three atoms on a thin MOVING tube reach 2**-500 after ~1150 steps; a
+    # replay that goes back past a block of `steps` kernels builds it again
+    starts = []
+
+    def logged(*args):
+        width, r, block, build = real(*args)
+        return width, r, block, lambda j0, j1: starts.append(j0) or build(j0, j1)
+
+    real = quench_dp._shift_kernels
+    monkeypatch.setattr(quench_dp, "_shift_kernels", logged)
+    monkeypatch.setattr(quench_dp, "_block_steps", lambda width, entries: steps)
+    tube = tw.TubeSpec(**{**MOVING, "alpha": 0.05, "n": 2000})
+    env = tw.sample_environment(THREE_ATOMS, tube.f_offset + tube.n, seed=23)
+    lazy = tw.survival_dp_lattice(env, tube, 0.0)
+    assert any(later < earlier for earlier, later in zip(starts, starts[1:]))
+    eager, _ = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    _same_bits(lazy, eager)
+    assert lazy.log_p < -500 * math.log(2)
+
+
+def test_dp_sums_the_mass_only_at_checks(monkeypatch):
+    # without running totals the DP sums the mass every _CHECK_STEPS steps,
+    # not every step
+    sums = []
+
+    def counted(mass):
+        sums.append(len(mass))
+        return real(mass)
+
+    real = quench_dp._sum
+    monkeypatch.setattr(quench_dp, "_sum", counted)
+    cfg = tw_config.validate(tw_config.load_builtin("random-shift-bernoulli"))
+    tube = cfg.template.make(3200)
+    env = tw.sample_environment(cfg.env_spec, tube.f_offset + 3200, derive_seed(0, 11, 0))
+    est = tw.survival_dp_lattice(env, tube, tube.default_x0())
+    assert est.log_p.hex() == (-35.82087266526615).hex()
+    assert 0 < len(sums) <= tube.n // 8
+
+
+def test_correlate_step_rewinds_its_time_and_live_range():
+    # the cut narrows from all 12 nodes to [4, 8): a step rewound to time 1
+    # must again clear the nodes the restored mass holds outside the next cut
+    cuts = [(0, 12), (2, 10), (4, 8), (3, 9)]
+    moves = np.array([[-1.0, 1.0], [-2.0, 0.0], [0.0, 1.0], [-1.0, 2.0]])
+    kernels = quench_dp._shift_kernels(moves, np.array([0.25, 0.75]), 12)
+
+    def masses(step, mass, cuts):
+        return [step(mass, a, b)[0].copy() for a, b in cuts]
+
+    fresh = quench_dp._correlate_step(kernels, 0, len(cuts), 12)
+    want = masses(fresh, np.linspace(1.0, 2.0, 12), cuts)
+    step = quench_dp._correlate_step(kernels, 0, len(cuts), 12)
+    mass = np.linspace(1.0, 2.0, 12)
+    masses(step, mass, cuts[:3])
+    mass[:] = want[0]
+    step.rewind(1, *cuts[0])
+    for got, ref in zip(masses(step, mass, cuts[1:]), want[1:]):
+        np.testing.assert_array_equal(got, ref)
