@@ -12,8 +12,9 @@ report     consolidated JSON combining simulate, gamma and fit outputs
 from one runner, `rate.run_points`; ``report`` runs it once and builds
 both its simulate rows and its fit from the same points (with a start
 sweep, the fit takes each n's middle start, which is the fit's own).  Every output
-embeds the master seed and a config hash; with a fixed config,
-seed and any ``TUBEWALK_THREADS`` value, reruns are byte-identical.
+embeds the master seed and a config hash; with a fixed config and seed,
+reruns are byte-identical.  Every run is sequential; the environment
+variable ``TUBEWALK_THREADS`` is not read.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import __version__
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, check_fit_gamma, load_raw, validate
 from .env import EnvironmentSpec, moments, sample_environment, verify_assumptions
 from .gamma import GammaEstimate, estimate_gamma
-from .parallel import thread_cap, thread_map
+from .parallel import thread_map
 from .quench_dp import survival_brute_force, survival_dp_lattice
 from .rate import RunPoint, make_estimator, run_points, task_environment, theorem_check
 from .rng import derive_seed
@@ -468,7 +469,6 @@ def main(argv=None) -> int:
         cfg = validate(load_raw(args.config, args.overrides, args.seed))
         if args.command in ("fit", "report"):
             check_fit_gamma(cfg)
-        thread_cap()
         out = _out_dir(cfg, args.out)
     except (ValueError, OSError, yaml.YAMLError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

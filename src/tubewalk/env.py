@@ -262,8 +262,8 @@ class EnvRealization:
     """One sampled environment: a length-long sequence of concrete step laws.
 
     Stored as structure-of-arrays for vectorised samplers; ``step_law(i)``
-    gives the per-step object view.  Immutable and safe to share across
-    workers; sampling is a pure function of (spec, seed, length).
+    gives the per-step object view.  Immutable, so one realization may serve
+    every n of a run; sampling is a pure function of (spec, seed, length).
     """
 
     spec: EnvironmentSpec
@@ -310,7 +310,7 @@ def sample_environment(spec: EnvironmentSpec, length: int, seed: int) -> EnvReal
     """Draw `length` i.i.d. step laws from the spec's meta-law.
 
     Deterministic: the same (spec, seed, length) always yields bit-identical
-    arrays, independent of any parallel schedule.
+    arrays, whatever was sampled before.
     """
     if length < 1:
         raise InvalidSpecError("length must be >= 1")

@@ -10,7 +10,7 @@ the replicas (a particle system without a resampling step).
 
 Particles advance through one row-blocked kernel, `_advance`, and draw
 their increments from one counter-derived substream per block, so results
-are independent of worker count and batching.  The auxiliary events
+are independent of batching.  The auxiliary events
 xi_i <= r_n are independent of the walk given the environment, so they are
 not simulated: both estimators add the one analytic factor
 `quench_dp.xi_log_factor`, as the deterministic estimators do.

@@ -1,38 +1,21 @@
-"""Deterministic worker-pool helper.
+"""The task map of the per-n ladder and the gamma table.
 
-Tasks carry their own derived random streams, so values never depend on
-scheduling; results are gathered in task order.  ``TUBEWALK_THREADS``
-caps the pool size (1 disables threading; unset, empty or 0 means the
-default, min(4, CPU count)).
+Every run is sequential: ``thread_map`` is a plain ordered map, and
+``max_workers`` is 1 for any task count.  A thread pool never paid here,
+as each task's Python glue holds the interpreter lock.  The module stays
+only because the benchmark's tracer wraps both names to time the tasks;
+deleting it, and the tracer's pool figures with it, is a change to the
+benchmark of its own.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_cap() -> int:
-    """The ``TUBEWALK_THREADS`` pool cap; ValueError unless a non-negative integer."""
-    raw = os.environ.get("TUBEWALK_THREADS", "").strip()
-    try:
-        cap = int(raw) if raw else 0
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValueError(f"TUBEWALK_THREADS must be a non-negative integer, got {raw!r}")
-    return cap or min(4, os.cpu_count() or 1)
-
 
 def max_workers(n_tasks: int) -> int:
-    return max(1, min(thread_cap(), n_tasks))
+    """The tasks run at once: always 1."""
+    return 1
 
 
 def thread_map(fn, items) -> list:
-    """Map preserving order; parallel when the pool allows it."""
-    items = list(items)
-    workers = max_workers(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(item) for item in items]``, in order."""
+    return [fn(item) for item in items]

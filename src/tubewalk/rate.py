@@ -111,7 +111,7 @@ def run_points(env_spec: EnvironmentSpec, tube_template: TubeTemplate, n_list, r
     ``run(env, tube, x0, seed=derive_seed(seed, 13, idx))``.  It starts at
     ``x0`` (the tube's default start when None) or, with ``sweep_starts``,
     at each point of `survival_start_sweep`, which gives as many points for
-    the n.  The tasks run through `thread_map`.
+    the n.  The tasks run in order, through the plain map `thread_map`.
     """
     n_list = [int(n) for n in n_list]
     env_seed = seed if env_seed is None else env_seed

@@ -4,7 +4,7 @@ Every stochastic routine in this package derives its generator from a
 64-bit master seed plus a structured integer key (purpose tag, replica
 index, block index, ...) via ``numpy.random.SeedSequence`` spawn keys.
 A stream is therefore a pure function of ``(seed, key)`` and results do
-not depend on execution order or worker count.
+not depend on execution order.
 """
 
 from __future__ import annotations

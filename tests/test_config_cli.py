@@ -118,43 +118,18 @@ def test_config_hash_tracks_content():
 
 
 def test_cli_simulate_deterministic(tmp_path, monkeypatch):
+    # TUBEWALK_THREADS is not read: any value, a malformed one too, gives the same bytes
     cfg = _write(tmp_path, SMALL)
     outs = []
-    for threads, sub in (("1", "a"), ("3", "b"), ("3", "c")):
+    for threads, sub in (("1", "a"), ("3", "b"), ("3", "c"), ("two", "d")):
         monkeypatch.setenv("TUBEWALK_THREADS", threads)
         out = tmp_path / sub
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         outs.append((out / "simulate.csv").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
     header = outs[0].decode().splitlines()[0]
     assert header.startswith("family,method,n,alpha,f_offset,x0,p,log_p")
     assert header.endswith("master_seed,config_hash")
-
-
-@pytest.mark.parametrize("threads", ["two", "-3", "1.5"])
-def test_bad_thread_count_rejected(tmp_path, monkeypatch, capsys, threads):
-    from tubewalk.parallel import max_workers
-
-    monkeypatch.setenv("TUBEWALK_THREADS", threads)
-    with pytest.raises(ValueError, match="TUBEWALK_THREADS"):
-        max_workers(5)
-    out = tmp_path / "o"
-    assert cli.main(["simulate", "--config", _write(tmp_path, SMALL), "--out", str(out)]) == 2
-    assert "TUBEWALK_THREADS" in capsys.readouterr().err
-    assert not out.exists()  # rejected before any estimate ran
-
-
-def test_default_thread_count(monkeypatch):
-    from tubewalk.parallel import max_workers
-
-    default = max(1, min(4, os.cpu_count() or 1, 5))
-    monkeypatch.delenv("TUBEWALK_THREADS", raising=False)
-    assert max_workers(5) == default
-    for raw in ("", " ", "0"):
-        monkeypatch.setenv("TUBEWALK_THREADS", raw)
-        assert max_workers(5) == default
-    monkeypatch.setenv("TUBEWALK_THREADS", " 3 ")
-    assert max_workers(5) == 3 and max_workers(2) == 2
 
 
 def test_cli_gamma_csv(tmp_path):
@@ -352,6 +327,10 @@ _SPLIT_GAUSS = ["tube.n_list=[8,16,32]", "estimator.method=splitting", "estimato
         # a grid kernel of 8 sigma_a / dx taps on each side: this one would need gigabytes
         ("random-mean-gaussian", ["tube.n_list=[8,16,32]", "environment.sigma_a=1e5"],
          "environment.sigma_a and environment.tau"),
+        # starts outside the tube: dp once failed after sampling, grid and splitting wrote p = 0;
+        # 5.0 is outside only at n = 200 (+-4.90), so every n is checked
+        ("degenerate-rademacher", ["tube.x0=1000"], "tube.x0"),
+        ("degenerate-rademacher", ["tube.x0=5.0"], "at n = 200"),
     ],
 )
 def test_cli_rejects_bad_values(tmp_path, capsys, name, overrides, key):
@@ -423,9 +402,7 @@ def test_validate_caps_memory(overrides, key):
     assert key in str(info.value)
 
 
-def test_validate_accepts_effort_at_the_cap(monkeypatch):
-    # the caps of one task at a time: pooled tasks share the budget
-    monkeypatch.setenv("TUBEWALK_THREADS", "1")
+def test_validate_accepts_effort_at_the_cap():
     at_cap = {"particles": 2**24, "replicas": 2**24}
     validate({**SMALL, "estimator": {**SMALL["estimator"], **at_cap}})
     # 8388608 steps of 128 bytes: the Rademacher environment at the budget
@@ -434,7 +411,7 @@ def test_validate_accepts_effort_at_the_cap(monkeypatch):
 
 # The grid step kernel of sigma_a = 24341 (tau = 1, 400 grid points) at
 # SMALL's tube at n = 64 has 22369297 taps, just inside the 2**30 // 48 =
-# 22369621 one task may hold; sigma_a = 24342 gives 22370215.
+# 22369621 a run may hold; sigma_a = 24342 gives 22370215.
 _GAUSS_AT_CAP = {
     **SMALL,
     "environment": {"family": "random_mean_gaussian", "sigma_a": 24341, "tau": 1.0},
@@ -443,17 +420,15 @@ _GAUSS_AT_CAP = {
 }
 
 
-def test_validate_divides_the_budget_among_pooled_tasks(monkeypatch):
-    monkeypatch.setenv("TUBEWALK_THREADS", "1")
+def test_validate_sizes_each_run_against_the_whole_budget(monkeypatch):
     validate(_GAUSS_AT_CAP)
     over = {**_GAUSS_AT_CAP, "environment": {**_GAUSS_AT_CAP["environment"], "sigma_a": 24342}}
-    with pytest.raises(ConfigError, match="GiB memory budget"):
+    with pytest.raises(ConfigError, match="GiB memory budget") as info:
         validate(over)
-    # four n run at once, each within a quarter of the budget
+    assert "environment.sigma_a" in str(info.value) and "at most 22369621 fit" in str(info.value)
+    # the n run one at a time, whatever TUBEWALK_THREADS says
     monkeypatch.setenv("TUBEWALK_THREADS", "4")
-    with pytest.raises(ConfigError, match="shared by 4 tasks at once") as info:
-        validate(_GAUSS_AT_CAP)
-    assert "environment.sigma_a" in str(info.value) and "at most 5592405 fit" in str(info.value)
+    validate(_GAUSS_AT_CAP)
 
 
 # SMALL's gamma table holds 8 replicas: at most 2**30 // (8 * 8) = 16777216
@@ -578,6 +553,32 @@ def test_import_and_simulate_leave_scipy_unloaded(tmp_path):
     assert ci_lo < gamma_hat < ci_hi
     slope_lo, slope_hi = payload["fit"]["fit"]["slope_ci95"]
     assert slope_lo < payload["fit"]["fit"]["slope"] < slope_hi
+
+
+_SEQUENTIAL_REPORT = """
+import sys
+import threading
+
+import tubewalk.cli as cli
+
+sets = ["tube.n_list=[16,24,32]", "gamma.beta=[0.0,0.5]", "gamma.t=0.5", "gamma.dt=0.01",
+        "gamma.grid_points=60"]
+args = ["report", "--config", "builtin:random-shift-bernoulli", "--out", sys.argv[1]]
+assert cli.main(args + [a for s in sets for a in ("--set", s)]) in (0, 1)
+assert "concurrent.futures" not in sys.modules
+assert threading.active_count() == 1, threading.enumerate()
+"""
+
+
+def test_report_runs_sequentially_without_a_thread_pool(tmp_path):
+    env = dict(os.environ, TUBEWALK_THREADS="4")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run(
+        [sys.executable, "-c", _SEQUENTIAL_REPORT, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("name", ["degenerate-rademacher", "random-shift-bernoulli", "random-mean-gaussian"])
