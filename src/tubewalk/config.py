@@ -65,7 +65,7 @@ _EST_KEYS, _GAMMA_KEYS = set(_ESTIMATOR_DEFAULTS), set(_GAMMA_DEFAULTS)
 # Memory a run may take, and what one unit of effort holds at once.  Runs
 # are sequential, so each check sizes one run against the whole budget.
 # A splitting particle keeps positions, flags, end positions and resampling
-# indices (8 bytes each, with temporaries); an environment step keeps its
+# indices (measured 39 bytes a particle, 22 on the lattice kernel); an environment step keeps its
 # law, its tube bounds and the estimators' per-step arrays (measured 70-128
 # bytes with tracemalloc for 0-3 atoms per law).  gamma holds a batch of W
 # increment paths, 8 bytes an entry, and the arrays `gamma._run_bytes`

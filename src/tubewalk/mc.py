@@ -8,9 +8,9 @@ multiply up; it reaches probabilities down to about e^-60 at desk scale.
 smaller than 1/replicas: splitting with one block, whose particles are
 the replicas (a particle system without a resampling step).
 
-Particles advance through one row-blocked kernel, `_advance`, and draw
-their increments from one counter-derived substream per block, so results
-are independent of batching.  The auxiliary events
+Particles advance through `_advance_nodes` (lattice laws with dyadic
+weights, on raw random bits) or `_advance`, drawing from one counter-derived
+substream per block, so results are independent of batching.  The auxiliary events
 xi_i <= r_n are independent of the walk given the environment, so they are
 not simulated: both estimators add the one analytic factor
 `quench_dp.xi_log_factor`, as the deterministic estimators do.
@@ -24,15 +24,14 @@ import math
 import numpy as np
 
 from .env import EnvRealization
-from .quench_dp import xi_log_factor
+from .quench_dp import _kept, _lattice, _off_node, _require_open_start, xi_log_factor
 from .results import METHOD_NAIVE_MC, METHOD_SPLITTING, SurvivalEstimate, from_log
 from .rng import STREAM_SPLIT, substream
 from .tube import TubeSpec
 from .walk import draw_increments
 
-# Bytes of float64 increments per row block in `_advance`: small enough for
-# the block and its mask to stay in cache, large enough to amortise the
-# per-call overhead.  Blocking does not change results (see `_advance`).
+# Bytes of a row block in `_advance` or a step chunk in `_advance_nodes`: small enough to stay
+# in cache, large enough to amortise the per-call overhead.  Results do not depend on it.
 ROW_BYTES = 2**18
 
 
@@ -77,6 +76,61 @@ def _advance(
     return ok, last
 
 
+def _bit_law(env: EnvRealization, tube: TubeSpec, x0: float):
+    """(nodes, moves, start, cuts, bits) for `_advance_nodes` (`quench_dp._lattice`'s three),
+    or None for the float kernel.  A particle-step's `bits` <= 8 random bits, read as an
+    integer v, take atom j where v >= cuts[j-1] = (w_0 + ... + w_{j-1}) 2^bits."""
+    if env.kind != "atoms" or env.lattice_q is None:
+        return None
+    bits = next((b for b in range(1, 9) if np.all(np.ldexp(env.atom_w, b) % 1 == 0)), None)
+    try:
+        nodes, moves, start = _lattice(env, tube, x0, 1.0 / env.lattice_q)
+    except ValueError:  # too many nodes to lay out; the float kernel needs none
+        return None
+    if bits is None or _off_node(moves) > 0:
+        return None
+    return nodes, moves, start, np.ldexp(np.cumsum(env.atom_w)[:-1], bits).astype(int).tolist(), bits
+
+
+def _advance_nodes(law, start_index: int, start: np.ndarray, lo: np.ndarray, up: np.ndarray, rng):
+    """`_advance` on `_bit_law`'s node indices.  A particle dies at the first node the DP does
+    not keep (`quench_dp._kept`), then keeps moving.  A step draws bits * ceil(P/64) raw words;
+    particle i takes bit i mod 64 of word k * ceil(P/64) + i // 64 as its k-th most significant
+    bit, in chunks of steps that change no result.  Positions are int16 when len(nodes) +
+    steps * max |move| fits, else int32 (or int64)."""
+    nodes, moves, _, cuts, bits = law
+    particles, length, words = len(start), len(lo), -(-len(start) // 64)
+    moves = moves[start_index : start_index + length]
+    reach = len(nodes) + length * int(np.abs(moves).max())
+    dtype = next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
+    first, steps = moves[:, 0].astype(dtype), np.diff(moves, axis=1).astype(dtype)
+    rows = max(1, min(length, ROW_BYTES // (particles * dtype.itemsize)))
+    pos, dead = start.astype(dtype), np.zeros(particles, dtype=bool)
+    path, hit = np.empty((rows, particles), dtype), np.empty((rows, particles), dtype=bool)
+    for t0 in range(0, length, rows):
+        m = min(rows, length - t0)
+        raw = rng.bit_generator.random_raw(m * bits * words).astype("<u8", copy=False).view(np.uint8)
+        u = np.unpackbits(raw.reshape(m, bits, 8 * words), axis=-1, bitorder="little")[..., :particles]
+        v = u[:, 0] if bits == 1 else np.packbits(u, axis=1)[:, 0] >> 8 - bits
+        s, h, chunk = path[:m], hit[:m], slice(t0, t0 + m)
+        # nested masks M_j = [v >= cuts[j-1]], no lookup: m_0 + M_1 (D_1 + M_2 (D_2 + ...))
+        np.multiply(np.greater_equal(v, cuts[-1], out=h), steps[chunk, -1:], out=s)
+        for j in range(len(cuts) - 1, 0, -1):
+            s += steps[chunk, j - 1 : j]
+            s *= np.greater_equal(v, cuts[j - 1], out=h)
+        s += first[chunk, None]
+        s[0] += pos
+        for t in range(1, m):
+            np.add(s[t - 1], s[t], out=s[t])
+        np.copyto(pos, s[m - 1])
+        # outside [a, b) where s - a, read unsigned, is >= b - a (|s - a| <= reach)
+        a, b = (np.array(x, dtype)[:, None] for x in _kept(nodes, lo[chunk], up[chunk]))
+        s -= a
+        unsigned = f"u{dtype.itemsize}"
+        dead |= np.greater_equal(s.view(unsigned), (b - a).view(unsigned), out=h).any(axis=0)
+    return ~dead, pos
+
+
 def survival_naive_mc(
     env: EnvRealization,
     tube: TubeSpec,
@@ -119,6 +173,7 @@ def survival_splitting(
         raise ValueError("checkpoints must satisfy 1 <= checkpoints <= n")
     if f + n > env.length:
         raise IndexError("environment too short for this tube")
+    _require_open_start(tube, x0)
     lo, up = tube.bounds_arrays()
     end = tube.end_bounds()
     work = particles * n
@@ -129,10 +184,14 @@ def survival_splitting(
     extinct = from_log(
         -math.inf, METHOD_SPLITTING, work, seed=seed, stderr_log=math.inf, flags=("extinction",)
     )
-    if not (lo[0] <= x0 <= up[0]):
-        return extinct
-
-    pos = np.full(particles, x0)
+    law = _bit_law(env, tube, x0)
+    if law is None:
+        advance, pos = (lambda t, *args: _advance(env, f + t, *args)), np.full(particles, x0)
+    else:
+        advance, pos = (lambda t, *args: _advance_nodes(law, t, *args)), np.full(particles, law[2])
+        if end is not None:  # the end window's node indices, closed
+            (a,), (b,) = _kept(law[0], end[:1], end[1:])
+            end = (a, b - 1)
     log_acc = 0.0
     var_acc = 0.0
     step = 0
@@ -140,7 +199,7 @@ def survival_splitting(
     for k, blen in enumerate(lengths):
         rng = substream(seed, STREAM_SPLIT, k)
         seg = slice(step + 1, step + blen + 1)
-        ok, last = _advance(env, f + step, pos, lo[seg], up[seg], rng)
+        ok, last = advance(step, pos, lo[seg], up[seg], rng)
         step += blen
         if k == final and end is not None:
             ok &= (last >= end[0]) & (last <= end[1])

@@ -315,32 +315,34 @@ def _off_node(moves: np.ndarray) -> float:
     return np.max(np.abs(moves - np.rint(moves)))
 
 
-def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return_running: bool = False):
-    """Propagate an atom law from x0 on nodes x0 + j*dx; (log_p, running, size, last).
-
-    Moves all within _LATTICE_TOL of whole nodes are rounded, else split linearly.  The
-    law's own lattice, dx == 1/q, is laid as 1/q for the DP's bits: j*(1/q) can miss j/q.
-    The running totals are None unless `return_running`; the pass then takes its
-    totals on demand (`_propagate`).
-    """
+def _lattice(env: EnvRealization, tube: TubeSpec, x0: float, dx: float):
+    """(nodes x0 + j*dx over the tube, moves[i, a] = atom a of step i + 1 in nodes, the index
+    of x0); moves all within _LATTICE_TOL of whole nodes are rounded.  The law's own lattice,
+    dx == 1/q, is laid as 1/q for the DP's bits: j*(1/q) can miss j/q."""
     lo, up = tube.bounds_arrays()
     n, f, q = tube.n, tube.f_offset, env.lattice_q
     num, den = (1.0, q) if q is not None and dx == 1.0 / q else (dx, 1.0)
     jlo = int(math.ceil((lo.min() - x0) * den / num)) - 1
     jhi = int(math.floor((up.max() - x0) * den / num)) + 1
-    size = jhi - jlo + 1
-    if size > 50_000_000:
-        raise ValueError(f"tube spans {size} nodes, too many to propagate")
-    mass = np.zeros(size)
-    mass[-jlo] = 1.0  # j = 0, position exactly x0
+    if jhi - jlo + 1 > 50_000_000:
+        raise ValueError(f"tube spans {jhi - jlo + 1} nodes, too many to propagate")
     moves = env.atom_pos[f : f + n] * den / num
     if _off_node(moves) <= _LATTICE_TOL:
         moves = np.rint(moves)
-    running = np.zeros(n + 1) if return_running else None
-    nodes = x0 + np.arange(jlo, jhi + 1) * num / den
-    step = _correlate_step(_shift_kernels(moves, env.atom_w, size), 0, n, size)
+    return x0 + np.arange(jlo, jhi + 1) * num / den, moves, -jlo
+
+
+def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return_running: bool = False):
+    """Propagate an atom law from x0 on `_lattice`'s nodes; (log_p, running, size, last).
+    Without `return_running`, running is None and the pass takes totals on demand (`_propagate`)."""
+    nodes, moves, start = _lattice(env, tube, x0, dx)
+    lo, up = tube.bounds_arrays()
+    mass = np.zeros(len(nodes))
+    mass[start] = 1.0
+    running = np.zeros(tube.n + 1) if return_running else None
+    step = _correlate_step(_shift_kernels(moves, env.atom_w, len(nodes)), 0, tube.n, len(nodes))
     log_total, last, _ = _propagate(mass, nodes, lo, up, tube.end_bounds(), 0, step, running, lazy=True)
-    return log_total + xi_log_factor(env, tube), running, size, last
+    return log_total + xi_log_factor(env, tube), running, len(nodes), last
 
 
 def survival_dp_lattice(
@@ -418,8 +420,6 @@ def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int,
     """
     lo, up = tube.bounds_arrays()
     n, f = tube.n, tube.f_offset
-    if not (lo[0] <= x0 <= up[0]):
-        return -math.inf, np.zeros(n + 1) if return_running else None, 0, False
     env_lo, env_up = lo.min(), up.max()
     dx = _grid_spacing(env, env_up - env_lo, grid_points)
     if env.kind == "atoms":
@@ -477,6 +477,7 @@ def survival_grid(
     if grid_points < 50:
         raise ValueError("grid_points must be >= 50")
     _check_span(env, tube)
+    _require_open_start(tube, x0)
     log_p, running, work, roundoff = _grid_once(env, tube, x0, grid_points, return_running)
     half = max(25, grid_points // 2)
     lo, up = tube.bounds_arrays()

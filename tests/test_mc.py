@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tubewalk as tw
 import tubewalk.mc as mc
-from tubewalk.config import load_builtin, validate
+import tubewalk.quench_dp as quench_dp
+from tubewalk.config import _PATH_BYTES, load_builtin, validate
 from tubewalk.quench_dp import xi_log_factor
+from tubewalk.rate import make_estimator
 from tubewalk.rng import STREAM_SPLIT, derive_seed, substream
 from tubewalk.walk import draw_increments
 
@@ -157,8 +160,44 @@ def test_preconditions():
         tw.survival_splitting(env, tube, 0.0, particles=100, checkpoints=5, seed=1)  # > n
 
 
+@pytest.mark.parametrize("where", ["lower bound", "above the tube"])
+@pytest.mark.parametrize("method", ["dp", "grid", "splitting", "naive"])
+def test_start_not_strictly_inside_is_refused(method, where):
+    # The DP refused these starts while grid, splitting and naive MC returned
+    # a finite log p at the bound, and -inf (flagged extinction for particles
+    # that never started) above it.
+    env = tw.sample_environment(tw.EnvironmentSpec.rademacher(), 40, seed=1)
+    tube = tw.TubeSpec(g=-1, h=1, alpha=0.3, n=40)
+    lo, up = tube.bounds_at(0)
+    x0 = lo if where == "lower bound" else up + 1
+    run = make_estimator(method, replicas=1000, particles=1000, checkpoints=4)
+    with pytest.raises(ValueError, match="strictly inside"):
+        run(env, tube, x0, seed=1)
+
+
 # Reference: the whole-block splitting estimator that preceded the row-blocked
-# kernel.  The kernel must reproduce it bit for bit.
+# kernels.  The kernels must reproduce it bit for bit.  Where the lattice
+# kernel runs, the reference reads the same raw bits and rebuilds each
+# particle's float path from its atoms; on these dyadic lattices the floats
+# are exact, so the paths are the kernel's nodes.
+
+
+def _on_bits(env):
+    """Whether the lattice kernel runs: a lattice law with weights k/2^b, b <= 8."""
+    return env.kind == "atoms" and env.lattice_q is not None and np.all(env.atom_w * 256 % 1 == 0)
+
+
+def _bit_increments(env, start_index, length, rng, size):
+    """(size, length) increments from the lattice kernel's draw contract, by shifts and a lookup."""
+    w = env.atom_w
+    bits = min(b for b in range(1, 9) if np.all(w * 2**b % 1 == 0))
+    words = -(-size // 64)
+    raw = rng.bit_generator.random_raw(length * bits * words).reshape(length, bits, words)
+    i = np.arange(size)
+    plane = (raw[:, :, i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
+    v = sum(plane[:, k].astype(np.int64) << (bits - 1 - k) for k in range(bits))
+    atom = np.searchsorted(np.cumsum(w) * 2**bits, v, "right")
+    return env.atom_pos[start_index + np.arange(length)[:, None], atom].T
 
 
 def _splitting_whole_block(env, tube, x0, particles, checkpoints, seed):
@@ -167,12 +206,13 @@ def _splitting_whole_block(env, tube, x0, particles, checkpoints, seed):
     end = tube.end_bounds()
     base = n // checkpoints
     lengths = [base] * (checkpoints - 1) + [n - base * (checkpoints - 1)]
+    draw = _bit_increments if _on_bits(env) else draw_increments
     pos = np.full(particles, x0)
     log_acc = var_acc = 0.0
     step = 0
     for k, blen in enumerate(lengths):
         rng = substream(seed, STREAM_SPLIT, k)
-        inc = draw_increments(env, f + step, blen, rng, size=particles)
+        inc = draw(env, f + step, blen, rng, size=particles)
         s = pos[:, None] + np.cumsum(inc, axis=1)
         seg_lo = lo[step + 1 : step + blen + 1]
         seg_up = up[step + 1 : step + blen + 1]
@@ -190,7 +230,12 @@ def _splitting_whole_block(env, tube, x0, particles, checkpoints, seed):
 
 
 def _kernel_cases():
-    """(env, tube, x0): lattice, 3-atom and Gaussian laws, end window, xi threshold or none."""
+    """(env, tube, x0): lattice, 3-atom and Gaussian laws, end window, xi threshold or none.
+
+    Cases 0, 1, 4, 5 and 6 run the lattice kernel (4 and 6 on two bits a
+    step, 5 on int32 positions); 2 and 3 the float kernel.  Case 6 takes a
+    different atom where the two bits are read in the other order.
+    """
     shift = tw.sample_environment(tw.EnvironmentSpec.random_shift_bernoulli(0.5), 100, seed=71)
     moving = tw.TubeSpec(
         g=((0, -0.8), (0.5, -0.5), (1, -0.9)),
@@ -207,19 +252,33 @@ def _kernel_cases():
     gauss = tw.sample_environment(tw.EnvironmentSpec.random_mean_gaussian(1.0, 1.3), 64, seed=6)
     flat = tw.TubeSpec(g=-2.0, h=2.0, alpha=0.3, n=24, f_offset=4, xi_threshold=3.0)
     plain = dataclasses.replace(moving, end_window=None, xi_threshold=None)
+    quarters = tw.sample_environment(
+        tw.EnvironmentSpec.degenerate([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]), 64, seed=4
+    )
+    # 2 * 6 * 2000^0.3 * 256 = 30044 nodes fit int16, but 2000 steps of up to
+    # 384 nodes do not: the dead wander past 32767
+    fine = tw.sample_environment(tw.EnvironmentSpec.random_shift_bernoulli(0.5, q=256), 2000, seed=8)
+    long = tw.TubeSpec(g=-6.0, h=6.0, alpha=0.3, n=2000)
+    uneven = tw.sample_environment(
+        tw.EnvironmentSpec.degenerate([(-2.0, 0.25), (0.0, 0.25), (1.0, 0.5)]), 64, seed=4
+    )
     return [
         (shift, moving, 0.0),
         (shift, plain, 0.25),
         (three, flat, 0.0),
         (gauss, flat, 0.3),
+        (quarters, flat, 0.0),
+        (fine, long, 0.0),
+        (uneven, flat, 0.0),
     ]
 
 
 @pytest.mark.parametrize("row_bytes", [mc.ROW_BYTES, 8 * 7 * 24])
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(5))
 def test_kernel_reproduces_whole_block_estimators(monkeypatch, row_bytes, case):
-    # row_bytes 8*7*24 cuts a 24-step block into rows of 7: 1234 and 8200
-    # are not multiples of it, and shorter blocks get uneven row counts.
+    # row_bytes 8*7*24 cuts a 24-step block into rows of 7 (float kernel) or
+    # steps into chunks of one (lattice kernel): 1234 and 8200 are not
+    # multiples of it, and shorter blocks get uneven row counts.
     monkeypatch.setattr(mc, "ROW_BYTES", row_bytes)
     env, tube, x0 = _kernel_cases()[case]
     for particles, checkpoints in ((1234, 7), (1234, tube.n)):  # tube.n: blocks of length 1
@@ -237,28 +296,88 @@ def test_kernel_reproduces_whole_block_estimators(monkeypatch, row_bytes, case):
 
 
 @pytest.mark.parametrize("row_bytes", [mc.ROW_BYTES, 8 * 7 * 24])
-@pytest.mark.parametrize("case", [0, 3])
+@pytest.mark.parametrize("case", [0, 3, 4, 5, 6])
 def test_kernel_reproduces_whole_block_arrays(monkeypatch, row_bytes, case):
     # survival flags and end positions themselves, from scattered starts
     monkeypatch.setattr(mc, "ROW_BYTES", row_bytes)
-    env, tube, _ = _kernel_cases()[case]
+    env, tube, x0 = _kernel_cases()[case]
     lo, up = tube.bounds_arrays()
-    start = substream(3, 0).uniform(lo[0], up[0], size=1234)
-    ok, last = mc._advance(env, tube.f_offset, start, lo[1:], up[1:], substream(3, 1))
-    inc = draw_increments(env, tube.f_offset, tube.n, substream(3, 1), size=1234)
+    law = mc._bit_law(env, tube, x0)
+    assert (law is not None) == _on_bits(env)
+    if law is None:
+        start = substream(3, 0).uniform(lo[0], up[0], size=1234)
+        ok, last = mc._advance(env, tube.f_offset, start, lo[1:], up[1:], substream(3, 1))
+        inc = draw_increments(env, tube.f_offset, tube.n, substream(3, 1), size=1234)
+    else:
+        nodes = law[0]
+        (a,), (b,) = quench_dp._kept(nodes, lo[:1], up[:1])
+        index = substream(3, 0).integers(a, b, size=1234)
+        ok, last = mc._advance_nodes(law, 0, index, lo[1:], up[1:], substream(3, 1))
+        inc = _bit_increments(env, tube.f_offset, tube.n, substream(3, 1), size=1234)
+        start = nodes[index]
     s = start[:, None] + np.cumsum(inc, axis=1)
     ref_ok = np.all((s >= lo[1:]) & (s <= up[1:]), axis=1)
     assert 0 < ok.sum() < len(ok)
-    assert np.array_equal(ok, ref_ok) and np.array_equal(last, s[:, -1])
+    assert np.array_equal(ok, ref_ok)
+    if law is None:
+        assert np.array_equal(last, s[:, -1])
+    else:
+        assert np.array_equal(nodes[last[ok]], s[ok, -1])
+        assert np.array_equal(x0 + (last - law[2]) / env.lattice_q, s[:, -1])  # the dead too
+        if case == 5:
+            assert last.dtype == np.int32 and np.abs(last).max() > np.iinfo(np.int16).max
 
 
 def test_splitting_pinned_value():
-    # Recorded with the whole-block estimator: builtin random-shift-bernoulli
-    # at its first n and the simulate command's seeds.
+    # Recorded with the lattice kernel: builtin random-shift-bernoulli at its
+    # first n and the simulate command's seeds.  z against the DP's
+    # -11.147415 is -0.80 (-0.11 for the float kernel's value).
     cfg = validate(load_builtin("random-shift-bernoulli"))
     n = cfg.n_list[0]
     tube = cfg.template.make(n)
     env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, derive_seed(cfg.seed, 11, 0))
     est = tw.survival_splitting(env, tube, tube.default_x0(), 10_000, 20, derive_seed(cfg.seed, 13, 0))
-    assert est.log_p.hex() == "-0x1.64da1f7248167p+3"
-    assert est.stderr_log.hex() == "0x1.3f6a7619e9c65p-5"
+    assert est.log_p.hex() == "-0x1.65b6c9a813301p+3"
+    assert est.stderr_log.hex() == "0x1.3ff18f01f59eap-5"
+
+
+@pytest.mark.parametrize(
+    "law, drawn",
+    [("random-shift-bernoulli", False), ("degenerate-rademacher", False), ("random-mean-gaussian", True),
+     ("0.3/0.4/0.3", True)],
+)
+def test_lattice_laws_split_on_bits(monkeypatch, law, drawn):
+    # lattice laws with dyadic weights take the lattice kernel, which draws raw
+    # bits; every other law draws its increments
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return draw_increments(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "draw_increments", spy)
+    if law == "0.3/0.4/0.3":
+        env, tube, x0 = _kernel_cases()[2]
+    else:
+        cfg = validate(load_builtin(law))
+        tube = cfg.template.make(cfg.n_list[0])
+        env = tw.sample_environment(cfg.env_spec, tube.f_offset + tube.n, seed=2)
+        x0 = tube.default_x0()
+    est = tw.survival_splitting(env, tube, x0, 500, 4, seed=3)
+    assert math.isfinite(est.log_p)
+    assert bool(calls) == drawn
+
+
+@pytest.mark.parametrize("case", [0, 3])
+def test_splitting_memory_within_the_validated_bytes(case):
+    # what config.validate sizes a particle at (_PATH_BYTES) must cover what
+    # either kernel allocates, beyond a few cache-sized chunks
+    env, tube, x0 = _kernel_cases()[case]
+    particles = 200_000
+    tracemalloc.start()
+    try:
+        tw.survival_splitting(env, tube, x0, particles, 4, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= particles * _PATH_BYTES + 4 * mc.ROW_BYTES
