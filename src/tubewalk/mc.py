@@ -76,15 +76,15 @@ def _advance(
     return ok, last
 
 
-def _bit_law(env: EnvRealization, tube: TubeSpec, x0: float):
-    """(nodes, moves, start, cuts, bits) for `_advance_nodes` (`quench_dp._lattice`'s three),
-    or None for the float kernel.  A particle-step's `bits` <= 8 random bits, read as an
-    integer v, take atom j where v >= cuts[j-1] = (w_0 + ... + w_{j-1}) 2^bits."""
+def _bit_law(env: EnvRealization, tube: TubeSpec, x0: float, bounds=None):
+    """(nodes, moves, start, cuts, bits) for `_advance_nodes` (`quench_dp._lattice`'s three, on
+    `bounds` (lo, up), the tube's when None), or None for the float kernel.  A particle-step's
+    `bits` <= 8 random bits, read as v, take atom j where v >= cuts[j-1] = (w_0 + ... + w_{j-1}) 2^bits."""
     if env.kind != "atoms" or env.lattice_q is None:
         return None
     bits = next((b for b in range(1, 9) if np.all(np.ldexp(env.atom_w, b) % 1 == 0)), None)
     try:
-        nodes, moves, start = _lattice(env, tube, x0, 1.0 / env.lattice_q)
+        nodes, moves, start = _lattice(env, tube, x0, 1.0 / env.lattice_q, *(bounds or tube.bounds_arrays()))
     except ValueError:  # too many nodes to lay out; the float kernel needs none
         return None
     if bits is None or _off_node(moves) > 0:
@@ -92,21 +92,29 @@ def _bit_law(env: EnvRealization, tube: TubeSpec, x0: float):
     return nodes, moves, start, np.ldexp(np.cumsum(env.atom_w)[:-1], bits).astype(int).tolist(), bits
 
 
-def _advance_nodes(law, start_index: int, start: np.ndarray, lo: np.ndarray, up: np.ndarray, rng):
+def _node_workspace(law, particles: int, length: int):
+    """(path, hit): `_advance_nodes`' chunk arrays for blocks of up to `length` steps, made once a run.
+    Positions are int16 when len(nodes) + length * max |move| fits, else int32 (or int64)."""
+    nodes, moves = law[:2]
+    reach = len(nodes) + length * int(np.abs(moves).max())
+    dtype = next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
+    rows = max(1, min(length, ROW_BYTES // (particles * dtype.itemsize)))
+    return np.empty((rows, particles), dtype), np.empty((rows, particles), dtype=bool)
+
+
+def _advance_nodes(law, start_index: int, start: np.ndarray, lo: np.ndarray, up: np.ndarray, rng, work=None):
     """`_advance` on `_bit_law`'s node indices.  A particle dies at the first node the DP does
     not keep (`quench_dp._kept`), then keeps moving.  A step draws bits * ceil(P/64) raw words;
     particle i takes bit i mod 64 of word k * ceil(P/64) + i // 64 as its k-th most significant
-    bit, in chunks of steps that change no result.  Positions are int16 when len(nodes) +
-    steps * max |move| fits, else int32 (or int64)."""
+    bit, in chunks of steps that change no result.  `work` is `_node_workspace`'s pair (made
+    for this block when None); positions have its dtype."""
     nodes, moves, _, cuts, bits = law
     particles, length, words = len(start), len(lo), -(-len(start) // 64)
     moves = moves[start_index : start_index + length]
-    reach = len(nodes) + length * int(np.abs(moves).max())
-    dtype = next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if reach <= np.iinfo(t).max)
+    path, hit = work if work is not None else _node_workspace(law, particles, length)
+    rows, dtype = len(path), path.dtype
     first, steps = moves[:, 0].astype(dtype), np.diff(moves, axis=1).astype(dtype)
-    rows = max(1, min(length, ROW_BYTES // (particles * dtype.itemsize)))
     pos, dead = start.astype(dtype), np.zeros(particles, dtype=bool)
-    path, hit = np.empty((rows, particles), dtype), np.empty((rows, particles), dtype=bool)
     for t0 in range(0, length, rows):
         m = min(rows, length - t0)
         raw = rng.bit_generator.random_raw(m * bits * words).astype("<u8", copy=False).view(np.uint8)
@@ -184,11 +192,12 @@ def survival_splitting(
     extinct = from_log(
         -math.inf, METHOD_SPLITTING, work, seed=seed, stderr_log=math.inf, flags=("extinction",)
     )
-    law = _bit_law(env, tube, x0)
+    law = _bit_law(env, tube, x0, (lo, up))
     if law is None:
         advance, pos = (lambda t, *args: _advance(env, f + t, *args)), np.full(particles, x0)
     else:
-        advance, pos = (lambda t, *args: _advance_nodes(law, t, *args)), np.full(particles, law[2])
+        space = _node_workspace(law, particles, lengths[-1])
+        advance, pos = (lambda t, *args: _advance_nodes(law, t, *args, space)), np.full(particles, law[2])
         if end is not None:  # the end window's node indices, closed
             (a,), (b,) = _kept(law[0], end[:1], end[1:])
             end = (a, b - 1)

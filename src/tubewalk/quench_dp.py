@@ -20,6 +20,20 @@ mass saved at the check before and replays those steps with a total each,
 so the rescales and the step at which the mass dies out, and every bit of
 the result, are those of a total at every step (`_propagate`).
 
+Atom passes (`_atom_pass`) leave the step loop for four-step blocks where
+the tube's bounds are the same at every time, every move is a whole number
+of nodes and the table below holds at most _TABLE_ENTRIES entries
+(`_blocks`).  Given the environment the walk sits on one coset of gZ at
+each time (g the gcd of the moves' differences within a step: 4 for random
+shift at q = 2, 2 for Rademacher), so the mass is held on that coset's M
+slots of the kept range; a step's kernel is one of D kinds, so a block of
+_BLOCK steps is one of g * D**_BLOCK (M, M) matrices, built once a pass
+(`_block_tables`) and looked up by the block's start coset and kernel codes
+(the "Four Russians" table: Arlazarov, Dinic, Kronrod & Faradzev 1970).
+One matvec advances a block (`_block_pass`), with totals, rescaling and
+extinction as in the lazy step loop; the route sums in another order, so
+log p moves by an ulp or so against the step loop.
+
 ``survival_dp_lattice`` is exact (up to float summation) for environments
 whose atoms live on a lattice (1/q)Z and serves as the oracle for the
 Monte Carlo estimators.  ``survival_brute_force`` is the independent
@@ -81,6 +95,8 @@ _BRUTE_LIMIT = 64_000_000  # max enumerated paths
 _BLOCK_ENTRIES = 2**14  # step-kernel entries built at a time
 _RESCALE_BELOW = 2.0**-500  # carried mass total that triggers a rescale
 _CHECK_STEPS = 16  # steps between the totals of a lazy pass
+_BLOCK = 4  # steps a block-route matvec advances; _CHECK_STEPS is a whole number of blocks
+_TABLE_ENTRIES = 2**17  # entries of the block route's table of _BLOCK steps, at most (1 MiB)
 # A Gaussian pass carries round-off of about 5e-15 of the peak mass into
 # every node (measured on the tails of FFT-built masses).  A cut that keeps
 # the fraction `kept` of the mass carried into it is flagged when that
@@ -301,47 +317,160 @@ def _propagate(mass, nodes, lo, up, end, t0: int, step, running=None, lazy=False
     else:
         a, b = 0, len(nodes)
     state, final = step(state, a, b, move=False)
-    kept = min(kept, final / total)
+    return _log_mass(final, exp2), n, min(kept, final / total)
+
+
+def _log_mass(final: float, exp2: int) -> float:
+    """log(final * 2**exp2); -inf when final is not positive."""
     if final <= 0.0:
-        return -math.inf, n, kept
+        return -math.inf
     linear = math.ldexp(final, exp2)
     if linear >= sys.float_info.min:
-        return math.log(linear), n, kept
-    return math.log(final) + exp2 * _LN2, n, kept
+        return math.log(linear)
+    return math.log(final) + exp2 * _LN2
 
 
 def _off_node(moves: np.ndarray) -> float:
     """Largest distance of a move from a whole number of nodes."""
-    return np.max(np.abs(moves - np.rint(moves)))
+    off = np.rint(moves)
+    off -= moves
+    return np.abs(off, out=off).max()
 
 
-def _lattice(env: EnvRealization, tube: TubeSpec, x0: float, dx: float):
-    """(nodes x0 + j*dx over the tube, moves[i, a] = atom a of step i + 1 in nodes, the index
-    of x0); moves all within _LATTICE_TOL of whole nodes are rounded.  The law's own lattice,
-    dx == 1/q, is laid as 1/q for the DP's bits: j*(1/q) can miss j/q."""
-    lo, up = tube.bounds_arrays()
+def _lattice(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, lo: np.ndarray, up: np.ndarray):
+    """(nodes x0 + j*dx over the tube's bounds lo, up, moves[i, a] = atom a of step i + 1 in nodes,
+    the index of x0); moves all within _LATTICE_TOL of whole nodes are rounded.  The law's own
+    lattice, dx == 1/q, is laid as 1/q for the DP's bits: j*(1/q) can miss j/q."""
     n, f, q = tube.n, tube.f_offset, env.lattice_q
     num, den = (1.0, q) if q is not None and dx == 1.0 / q else (dx, 1.0)
     jlo = int(math.ceil((lo.min() - x0) * den / num)) - 1
     jhi = int(math.floor((up.max() - x0) * den / num)) + 1
     if jhi - jlo + 1 > 50_000_000:
         raise ValueError(f"tube spans {jhi - jlo + 1} nodes, too many to propagate")
-    moves = env.atom_pos[f : f + n] * den / num
+    moves = env.atom_pos[f : f + n] * den
+    moves /= num
     if _off_node(moves) <= _LATTICE_TOL:
-        moves = np.rint(moves)
+        np.rint(moves, out=moves)
     return x0 + np.arange(jlo, jhi + 1) * num / den, moves, -jlo
+
+
+def _block_tables(rows: list, weights: np.ndarray, g: int, width: int):
+    """The block route's tables (mats, prefix) of 1 and _BLOCK steps on a kept range of `width`
+    nodes, slot i of coset c being its node c + g*i (if < width).  Entry c*D**L + p, p the L
+    steps' kernel codes in base D (first step first), holds the (M, M) matrix that carries a
+    mass on coset c through the L steps and the (L, M) rows whose product with it is its total
+    after each.  Each level applies a step to the level before: one shifted add per (coset,
+    kernel, atom), the step's own arithmetic on the unit vectors."""
+    size = -(-width // g)
+    inside = np.arange(g)[:, None] + g * np.arange(size) < width
+    mats, ends, sums, tables = (np.eye(size) * inside[:, None])[:, None], np.arange(g)[:, None], [], []
+    for level in range(1, _BLOCK + 1):
+        new = np.zeros((g, mats.shape[1], len(rows), size, size))
+        for c, (d, row) in itertools.product(range(g), enumerate(rows)):
+            here, to = ends == c, (c + row[0]) % g
+            out = np.zeros_like(src := mats[here])
+            for m, w in zip(row, weights):
+                s = max(-size, min(size, (c + m - to) // g))  # out[i + s] += w * src[i]
+                out[:, max(s, 0) : size + min(s, 0)] += w * src[:, max(-s, 0) : size - max(s, 0)]
+            new[:, :, d][here] = out * inside[to][:, None]
+        mats = new.reshape(g, -1, size, size)
+        ends = ((ends[:, :, None] + [row[0] for row in rows]) % g).reshape(g, -1)
+        sums.append(mats.sum(axis=2))
+        if level in (1, _BLOCK):
+            p = np.arange(mats.shape[1])
+            prefix = np.stack([t[:, p // len(rows) ** (level - 1 - j)] for j, t in enumerate(sums)], axis=2)
+            tables.append((mats.reshape(-1, size, size), prefix.reshape(-1, level, size)))
+    return tables
+
+
+def _blocks(nodes, moves, weights, lo, up, start: int):
+    """The block route's plan for a pass from node `start` (module docstring), or None where it
+    does not apply: (a, g, slot, coset, chunks).  The kept range starts at node a; the mass
+    starts on slot `slot` and ends on coset `coset`; chunks are (table, keys, steps), the
+    blocks' keys into `_block_tables`' table of _BLOCK steps, then the last steps' of one."""
+    if lo.min() < lo.max() or up.min() < up.max():
+        return None
+    # each step's row of moves as a small code, rows[codes[i]] == moves[i], found
+    # _BLOCK_ENTRIES steps at a time from a key in base `span`
+    lowest = math.floor(moves.min())
+    span = math.ceil(moves.max()) - lowest + 1
+    if span ** moves.shape[1] > 2**53:  # keys exact as floats
+        return None
+    codes, known, rows = np.full(len(moves), 255, np.uint8), [], []  # 255: no code yet
+    for j in range(0, len(moves), _BLOCK_ENTRIES):
+        chunk, code = moves[j : j + _BLOCK_ENTRIES], codes[j : j + _BLOCK_ENTRIES]
+        if _off_node(chunk) > 0:
+            return None
+        key = (chunk - lowest) @ span ** np.arange(chunk.shape[1], dtype=float)
+        while (left := np.flatnonzero(code == 255)).size:  # no np.unique: it sorts
+            if (new := key[left[0]]) not in known:
+                if (len(rows) + 1) ** _BLOCK > _TABLE_ENTRIES:  # so at most 19 kinds
+                    return None
+                known.append(new)
+                rows.append([int(m) for m in chunk[left[0]]])
+            code[key == new] = known.index(new)
+    (a,), (b,) = _kept(nodes, lo[:1], up[:1])
+    kinds = len(rows)
+    g = math.gcd(*(m - row[0] for row in rows for m in row[1:])) or b - a
+    if g * kinds**_BLOCK * (-(-(b - a) // g)) ** 2 > _TABLE_ENTRIES:
+        return None
+    whole = len(codes) - len(codes) % _BLOCK
+    cosets = np.cumsum(np.r_[start - a, np.array([row[0] for row in rows])[codes]]) % g  # at times 0..n
+    pattern = codes[:whole].reshape(-1, _BLOCK) @ kinds ** np.arange(_BLOCK - 1, -1, -1)
+    keys = cosets[:whole:_BLOCK] * kinds**_BLOCK + pattern
+    rest = cosets[whole:-1] * kinds + codes[whole:]
+    one, block = _block_tables(rows, weights, g, b - a)
+    return a, g, (start - a) // g, int(cosets[-1]), ((block, keys.tolist(), _BLOCK), (one, rest.tolist(), 1))
+
+
+def _block_pass(plan, nodes: np.ndarray, end, running) -> tuple[float, int]:
+    """`_propagate` for `_blocks`' plan: (log of the mass in the end window, last time reached).
+    The mass is summed after every _CHECK_STEPS steps (and the last), to be rescaled, or, if
+    not positive, to replay those steps with their prefix totals to the step it died on.
+    `running` (time 0 set) gets the unscaled prefix totals; they change no other number."""
+    a, g, slot, coset, chunks = plan
+    mass = (np.arange(chunks[0][0][0].shape[-1]) == slot) * 1.0
+    t = exp2 = 0
+    for (mats, prefix), keys, steps in chunks:
+        dots = {key: mats[key].dot for key in set(keys)}  # np.dot's bits, a third faster
+        for j in range(0, len(keys), _CHECK_STEPS // steps):
+            group, before = keys[j : j + _CHECK_STEPS // steps], mass
+            for key in group:
+                if running is not None:
+                    np.ldexp(np.dot(prefix[key], mass), exp2, out=running[t + 1 : t + steps + 1])
+                mass = dots[key](mass)
+                t += steps
+            total = _sum(mass)
+            if total <= 0.0:
+                for k, key in enumerate(group):
+                    if (dead := np.dot(prefix[key], before) <= 0.0).any():
+                        return -math.inf, t - (len(group) - k) * steps + 1 + int(dead.argmax())
+                    before = dots[key](before)
+            if total < _RESCALE_BELOW:
+                e = math.frexp(total)[1]
+                mass = np.ldexp(mass, -e)
+                exp2 += e
+    if end is not None:
+        (ea,), (eb,) = _kept(nodes, end[:1], end[1:])
+        mass = mass[max(0, -(-(ea - a - coset) // g)) : max(0, -(-(eb - a - coset) // g))]
+    return _log_mass(_sum(mass), exp2), t
 
 
 def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return_running: bool = False):
     """Propagate an atom law from x0 on `_lattice`'s nodes; (log_p, running, size, last).
-    Without `return_running`, running is None and the pass takes totals on demand (`_propagate`)."""
-    nodes, moves, start = _lattice(env, tube, x0, dx)
+    The pass runs `_blocks`' route where it applies, else the step loop.  Without
+    `return_running`, running is None and either takes totals on demand."""
     lo, up = tube.bounds_arrays()
-    mass = np.zeros(len(nodes))
-    mass[start] = 1.0
-    running = np.zeros(tube.n + 1) if return_running else None
-    step = _correlate_step(_shift_kernels(moves, env.atom_w, len(nodes)), 0, tube.n, len(nodes))
-    log_total, last, _ = _propagate(mass, nodes, lo, up, tube.end_bounds(), 0, step, running, lazy=True)
+    nodes, moves, start = _lattice(env, tube, x0, dx, lo, up)
+    running = np.r_[1.0, np.zeros(tube.n)] if return_running else None
+    plan = _blocks(nodes, moves, env.atom_w, lo, up, start)
+    if plan is not None:
+        log_total, last = _block_pass(plan, nodes, tube.end_bounds(), running)
+    else:
+        mass = np.zeros(len(nodes))
+        mass[start] = 1.0
+        step = _correlate_step(_shift_kernels(moves, env.atom_w, len(nodes)), 0, tube.n, len(nodes))
+        log_total, last, _ = _propagate(mass, nodes, lo, up, tube.end_bounds(), 0, step, running, lazy=True)
     return log_total + xi_log_factor(env, tube), running, len(nodes), last
 
 

@@ -709,3 +709,144 @@ def test_correlate_step_rewinds_its_time_and_live_range():
     step.rewind(1, *cuts[0])
     for got, ref in zip(masses(step, mass, cuts[1:]), want[1:]):
         np.testing.assert_array_equal(got, ref)
+
+
+# --- the block route --------------------------------------------------------
+#
+# On a constant tube an atom pass on whole-node moves advances four steps per
+# table lookup (`quench_dp._blocks`); a table bound of 0 forces the step loop.
+
+
+def _spy_propagate(monkeypatch):
+    """The calls `_atom_pass` and `_grid_once` make to the step loop, counted."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[6])
+        return real(*args, **kwargs)
+
+    real = quench_dp._propagate
+    monkeypatch.setattr(quench_dp, "_propagate", counted)
+    return calls
+
+
+def _routes(monkeypatch, env, tube, x0, return_running):
+    """`_atom_pass` on the law's lattice by the block route, then by the step loop."""
+    calls = _spy_propagate(monkeypatch)
+    block = quench_dp._atom_pass(env, tube, x0, 1.0 / env.lattice_q, return_running)
+    assert not calls
+    with monkeypatch.context() as m:
+        m.setattr(quench_dp, "_TABLE_ENTRIES", 0)
+        loop = quench_dp._atom_pass(env, tube, x0, 1.0 / env.lattice_q, return_running)
+    assert len(calls) == 1
+    return block, loop
+
+
+def _same_pass(block, loop, rel=1e-13):
+    """log_p within `rel`, equal size and last time, running totals within `rel`."""
+    assert block[0] == pytest.approx(loop[0], rel=rel, abs=0.0)
+    assert block[2:] == loop[2:]
+    if loop[1] is None:
+        assert block[1] is None
+    else:
+        np.testing.assert_allclose(block[1], loop[1], rtol=rel, atol=0.0)
+
+
+@pytest.mark.parametrize("name, g", [("shift", 4), ("rademacher", 2), ("three", 3)])
+@pytest.mark.parametrize(
+    "n, extra",
+    [
+        (401, {}),
+        (402, {"end_window": (-0.5, 0.3)}),
+        (403, {"xi_threshold": 2.0}),
+        (800, {"end_window": (-1.0, 0.0), "xi_threshold": 1.0}),
+    ],
+)
+def test_block_route_is_the_step_loop(monkeypatch, name, g, n, extra):
+    # a start on each coset of gZ (g = 4, 2, 3 for moves {-3, 1}/{-1, 3},
+    # {-1, 1}, {-3, 0, 3} nodes), n mod 4 in {1, 2, 3, 0}
+    tube = tw.TubeSpec(g=-1.0, h=1.2, alpha=0.3, n=n, f_offset=3, **extra)
+    env = tw.sample_environment(SPECS[name], tube.f_offset + n, seed=24)
+    a, cosets = None, set()
+    for j in range(g):
+        x0 = 0.1 + j / env.lattice_q
+        lazy, lazy_loop = _routes(monkeypatch, env, tube, x0, False)
+        eager, eager_loop = _routes(monkeypatch, env, tube, x0, True)
+        _same_pass(lazy, lazy_loop)
+        _same_pass(eager, eager_loop)
+        assert lazy[0] == eager[0] and lazy[2:] == eager[2:] and math.isfinite(lazy[0])
+        lo, up = tube.bounds_arrays()
+        nodes, moves, start = quench_dp._lattice(env, tube, x0, 1.0 / env.lattice_q, lo, up)
+        plan = quench_dp._blocks(nodes, moves, env.atom_w, lo, up, start)
+        assert plan[1] == g
+        cosets.add((start - plan[0]) % g)
+    assert cosets == set(range(g))
+
+
+def test_block_route_dies_out_inside_a_block(monkeypatch):
+    # three nodes: the walk survives only while the shifts alternate, and at
+    # this seed it dies out at step 30, inside the second block after a check
+    tube = tw.TubeSpec(g=-0.25, h=0.25, alpha=0.25, n=64)
+    env = tw.sample_environment(SPECS["shift"], tube.n, seed=168)
+    lazy, lazy_loop = _routes(monkeypatch, env, tube, 0.0, False)
+    eager, eager_loop = _routes(monkeypatch, env, tube, 0.0, True)
+    _same_pass(lazy, lazy_loop, 0.0)
+    _same_pass(eager, eager_loop, 0.0)
+    assert lazy[0] == eager[0] == -math.inf and lazy[3] == eager[3] == 30
+    assert eager[1][29] > 0.0 and not eager[1][30:].any()
+    # the grid's atom branch: its work counts the steps up to the last one
+    assert quench_dp._grid_once(env, tube, 0.0, 60)[2] == 30 * lazy[2]
+
+
+def test_block_route_rescales_a_deep_run(monkeypatch):
+    # log p = -2877 on five sites: at least eight rescales, on the same
+    # totals with and without running totals
+    env, tube = _deep_rademacher(20000)
+    block, loop = _routes(monkeypatch, env, tube, 0.0, False)
+    _same_pass(block, loop)
+    # running totals past exp(-708) are denormal or 0; before that they cross
+    # the first rescales
+    eager_block, eager_loop = _routes(monkeypatch, env, tube, 0.0, True)
+    normal = eager_loop[1] >= np.finfo(float).tiny
+    np.testing.assert_allclose(eager_block[1][normal], eager_loop[1][normal], rtol=1e-13, atol=0.0)
+    assert eager_loop[1][normal][-1] < 2.0**-600
+    eager_rescales = _spy_rescales(monkeypatch)
+    eager = quench_dp._atom_pass(env, tube, 0.0, 1.0, True)
+    lazy_rescales = _spy_rescales(monkeypatch)
+    assert quench_dp._atom_pass(env, tube, 0.0, 1.0)[0] == eager[0] == block[0]
+    assert len(eager_rescales) >= 8 and lazy_rescales == eager_rescales
+
+
+@pytest.mark.parametrize("half, kept, blocks", [(22.375, 179, True), (22.5, 181, False)])
+def test_block_route_table_bound(monkeypatch, half, kept, blocks):
+    # random shift at q = 2 on a constant tube of 179 nodes has g * D**4 * M**2
+    # = 4 * 16 * 45**2 table entries, within 2**17; 181 nodes need M = 46
+    tube = tw.TubeSpec(g=-half, h=half, alpha=0.25, n=16)  # the tube is +-2 * half
+    env = tw.sample_environment(SPECS["shift"], 16, seed=5)
+    lo, up = tube.bounds_arrays()
+    (a,), (b,) = quench_dp._kept(quench_dp._lattice(env, tube, 0.0, 0.5, lo, up)[0], lo[:1], up[:1])
+    assert b - a == kept
+    calls = _spy_propagate(monkeypatch)
+    quench_dp._atom_pass(env, tube, 0.0, 0.5)
+    assert not calls == blocks
+
+
+@pytest.mark.parametrize("return_running", [False, True])
+def test_block_route_is_taken_where_it_applies(monkeypatch, return_running):
+    calls = _spy_propagate(monkeypatch)
+    for builtin in ("random-shift-bernoulli", "degenerate-rademacher"):
+        cfg = tw_config.validate(tw_config.load_builtin(builtin))
+        tube = cfg.template.make(cfg.n_list[0])
+        env = tw.sample_environment(cfg.env_spec, tube.f_offset + tube.n, seed=2)
+        tw.survival_dp_lattice(env, tube, tube.default_x0(), return_running=return_running)
+        tw.survival_grid(env, tube, tube.default_x0(), return_running=return_running)
+    assert not calls
+    # a moving tube, an off-lattice atom grid (also on a constant tube) and a
+    # Gaussian law take the step loop, once a pass
+    constant = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.3, n=200)
+    for name, tube in [*((name, _case(name)[1]) for name in ("shift", "off-lattice", "gauss")), ("off-lattice", constant)]:
+        env = tw.sample_environment(SPECS[name], tube.f_offset + tube.n, seed=2)
+        quench_dp._grid_once(env, tube, 0.0, 100, return_running)
+    env = tw.sample_environment(SPECS["shift"], MOVING["f_offset"] + MOVING["n"], seed=2)
+    tw.survival_dp_lattice(env, tw.TubeSpec(**MOVING), 0.0, return_running=return_running)
+    assert len(calls) == 5
