@@ -16,7 +16,7 @@ head of a zero-padded row of length n = `_fast_len(grid_points + reach)`
 (the smallest 2**a 3**b 5**c at least that long), where reach covers 8 sd
 plus the largest drift in grid cells, so a circular convolution of the row
 equals the linear one on the grid.  The step kernel's transform is written
-in closed form by Poisson summation (see `_kernel_transform`); below an
+in closed form by Poisson summation (see `_kernel_modes`); below an
 amplitude of 1e-17 it vanishes outside modes 0..K-1, so those modes are
 all a step can reach.  K depends on dt, not on grid_points: about
 1.4/sqrt(dt) + 11 (58 of 271 modes at dt = 1e-3 and 400 points) until
@@ -76,6 +76,9 @@ BARRIER_SHIFT = 0.5825971579390107
 _FFT_BLOCK_ENTRIES = 2**16
 _REPLICA_BATCH = 64
 _AMPLITUDE_FLOOR = 1e-17
+# Modes between the exact phases that re-anchor a kernel transform's
+# running product (`_unit_phases`).
+_ANCHOR_MODES = 64
 
 
 def bm_tube_rate(sigma: float, width: float) -> float:
@@ -140,7 +143,7 @@ def _fast_len(target: int) -> int:
 def _band_modes(s: float, n: int) -> int:
     """Number K of leading real-DFT modes that hold the step kernel's transform.
 
-    `_kernel_transform` at sd/dx = s and length n drops every term whose
+    `_kernel_modes` at sd/dx = s and length n drops every term whose
     amplitude is below the floor.  The main band's amplitude falls
     monotonically from mode 0 to the top mode n // 2, so its last kept mode
     is found by bisection; the strongest alias is l = -1 at the top mode, and
@@ -194,7 +197,9 @@ def _run_bytes(grid_points: int, n: int, band: int, batch: int) -> int:
     again for each term summed into it, and three factors' worth of basis
     rows for the nodes built at once.  Five (batch, n) float rows bound the
     state with the first step's FFTs, and four blocks of complex entries the
-    step kernels being built.  Scalar arithmetic only.
+    step kernels: the mode-major block of transforms, held for the pass, an
+    alias term and, with several sds, one sd's part.
+    Scalar arithmetic only.
     """
     rank = n - grid_points
     if rank < band:
@@ -211,31 +216,52 @@ def _block_steps(width: int, entries: int) -> int:
     return max(1, entries // width)
 
 
-def _unit_phases(angle0: np.ndarray, step: np.ndarray, count: int) -> np.ndarray:
-    """exp(-1j * (angle0 + k * step)) for k < count, with angle0 and step of
-    shape (..., 1).
-
-    Writing k = i + a*j with a = ceil(sqrt(count)) needs cos and sin of about
-    2*sqrt(count) angles per row; the rest is one complex product each.
-    """
-
-    def cis(angles: np.ndarray) -> np.ndarray:
+def _cis(angles: np.ndarray, out=None) -> np.ndarray:
+    """exp(-1j * angles), from cos and sin."""
+    if out is None:
         out = np.empty(angles.shape, dtype=complex)
-        np.cos(angles, out=out.real)
-        np.sin(angles, out=out.imag)
-        np.negative(out.imag, out=out.imag)
-        return out
-
-    a = math.isqrt(count - 1) + 1
-    b = -(-count // a)
-    head = cis(angle0 + np.arange(a) * step)
-    tail = cis(np.arange(b) * (a * step))
-    both = head[..., None, :] * tail[..., :, None]
-    return both.reshape(both.shape[:-2] + (a * b,))[..., :count]
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
 
 
-def _kernel_transform(drifts, sd: float, dx: float, n: int) -> np.ndarray:
-    """Real DFT of the bin-edge step kernel on its band, one row per drift.
+def _unit_phases(angle0: np.ndarray, step: np.ndarray, count: int, out=None) -> np.ndarray:
+    """exp(-1j * (angle0 + k * step)) for k < count, mode-major: shape
+    (count, rows) for the 1-D angle0 and step of the rows, written to `out`
+    when given.
+
+    A running product over modes: mode k is mode k - 1 times exp(-1j * step),
+    one complex multiply over all rows a mode, on contiguous rows (numpy's
+    complex multiply rounds differently on strided operands, and rows must
+    not depend on the block they are built in).  Every _ANCHOR_MODES modes
+    the phase is taken afresh from cos and sin of angle0 + k * step, so the
+    product's round-off, about an ulp a factor, stays below 1e-14.
+    """
+    if out is None:
+        out = np.empty((count,) + np.shape(angle0), dtype=complex)
+    turn = _cis(step)
+    for k in range(count):
+        if k % _ANCHOR_MODES:
+            np.multiply(out[k - 1], turn, out=out[k])
+        else:
+            _cis(angle0 + k * step, out=out[k])
+    return out
+
+
+def _scale_modes(phases: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Multiply the mode-major `phases` by the real amplitude of each mode, in
+    place, as two real products an entry: the bits of a complex multiply by
+    amp + 0j, without casting `amp` to complex."""
+    parts = phases.view(float)
+    parts *= amp[:, None]
+    return phases
+
+
+def _kernel_modes(drifts, sd: float, dx: float, n: int, out=None) -> np.ndarray:
+    """Real DFT of the bin-edge step kernel on its band, mode-major: shape
+    (K, drifts.size), one column per drift of the flattened `drifts`,
+    written to `out` when given.
 
     The kernel puts mass Phi((x + dx/2)/sd) - Phi((x - dx/2)/sd) on offset
     j (x = j*dx - d), the probability that a N(d, sd^2) step lands in the
@@ -244,13 +270,14 @@ def _kernel_transform(drifts, sd: float, dx: float, n: int) -> np.ndarray:
     continuous transform sinc * Gaussian * phase, so no kernel is sampled.
     Terms whose amplitude is below 1e-17 are dropped, which leaves the
     K = `_band_modes` leading modes; the rest of the n // 2 + 1 are zero
-    and are not stored (``np.fft.irfft(., n)`` zero-pads them).  The phases
-    come from cos and sin (`_unit_phases`).  The transform of a real kernel
-    is real at mode 0 and at the Nyquist mode, so the round-off the aliases
-    leave in their imaginary parts is zeroed.  Returns shape
-    ``drifts.shape + (K,)``.
+    and are not stored (``np.fft.irfft(., n)`` zero-pads them).  Each
+    term's phases are a running product over its modes, re-anchored on an
+    exact cos and sin every _ANCHOR_MODES modes (`_unit_phases`), so a mode
+    costs one complex multiply over all drifts.  The transform of a real
+    kernel is real at mode 0 and at the Nyquist mode, so the round-off the
+    aliases leave in their imaginary parts is zeroed.
     """
-    shift = np.asarray(drifts, dtype=float)[..., None] / dx
+    shift = np.asarray(drifts, dtype=float).reshape(-1) / dx
     s = sd / dx
     band = _band_modes(s, n)
     freq = np.arange(band) / n
@@ -258,8 +285,8 @@ def _kernel_transform(drifts, sd: float, dx: float, n: int) -> np.ndarray:
     theta = 2.0 * math.pi * freq
     # the main term (l = 0) clears the floor on every mode of the band: it
     # sets the band, and no alias is larger at the same mode
-    out = _unit_phases(theta[0] * shift, step, band)
-    out *= np.sinc(freq) * np.exp(-0.5 * (s * theta) ** 2)
+    phases = _unit_phases(theta[0] * shift, step, band, out)
+    _scale_modes(phases, np.sinc(freq) * np.exp(-0.5 * (s * theta) ** 2))
     aliases = math.ceil(1.5 / s) if band > n // 2 else 0
     for l in range(-aliases, aliases + 1):
         if l == 0:
@@ -272,31 +299,41 @@ def _kernel_transform(drifts, sd: float, dx: float, n: int) -> np.ndarray:
             # |amp| is monotone in |theta| away from m = 0, so kept modes are contiguous
             lo, hi = keep[0], keep[-1] + 1
             term = _unit_phases(theta[lo] * shift, step, hi - lo)
-            term *= amp[lo:hi]
-            out[..., lo:hi] += term
-    out[..., 0].imag = 0.0
+            phases[lo:hi] += _scale_modes(term, amp[lo:hi])
+    phases[0].imag = 0.0
     if n % 2 == 0 and band > n // 2:
-        out[..., n // 2].imag = 0.0
-    return out
+        phases[n // 2].imag = 0.0
+    return phases
 
 
-def _step_transforms(drifts, sds, dx: float, n: int, band: int) -> np.ndarray:
-    """`_kernel_transform` of N(d, sd^2) steps, one row per drift, zero-padded
-    to `band` modes; `sds` broadcasts against `drifts`, and one transform is
-    built per distinct sd (with no copy when one sd fills the band).  `band`
-    is at least ``_band_modes(min(sds) / dx, n)``, the narrowest step's band.
+def _kernel_transform(drifts, sd: float, dx: float, n: int) -> np.ndarray:
+    """The step kernel's transform one row per drift, shape ``drifts.shape +
+    (K,)``: `_kernel_modes` (phases by a running product over modes,
+    re-anchored every _ANCHOR_MODES modes) transposed."""
+    modes = _kernel_modes(drifts, sd, dx, n)
+    return np.ascontiguousarray(modes.T).reshape(np.shape(drifts) + (len(modes),))
+
+
+def _step_transforms(drifts, sds, dx: float, n: int, band: int, out=None) -> np.ndarray:
+    """`_kernel_modes` of N(d, sd^2) steps, mode-major (one column per drift
+    of the flattened `drifts`), zero-padded to `band` modes, in `out` when
+    given; `sds` broadcasts against `drifts`, and one transform is built per
+    distinct sd (with no copy when one sd fills the band).  `band` is at
+    least ``_band_modes(min(sds) / dx, n)``, the narrowest step's band.
     """
     drifts = np.asarray(drifts, dtype=float)
     sds = np.broadcast_to(sds, drifts.shape)
     sd = sds.min()
     if sd == sds.max() and _band_modes(sd / dx, n) == band:
-        return _kernel_transform(drifts, sd, dx, n)
-    k_hat = np.zeros(drifts.shape + (band,), dtype=complex)
+        return _kernel_modes(drifts, sd, dx, n, out)
+    if out is None:
+        out = np.empty((band, drifts.size), dtype=complex)
+    out.fill(0.0)
     for sd in np.unique(sds):
-        rows = sds == sd
-        part = _kernel_transform(drifts[rows], sd, dx, n)
-        k_hat[rows, : part.shape[-1]] = part
-    return k_hat
+        rows = (sds == sd).reshape(-1)
+        part = _kernel_modes(drifts.reshape(-1)[rows], sd, dx, n)
+        out[: len(part), rows] = part
+    return out
 
 
 def _bin_masses(drifts, sds, dx: float, n: int, first: int, count: int) -> np.ndarray:
@@ -304,14 +341,15 @@ def _bin_masses(drifts, sds, dx: float, n: int, first: int, count: int) -> np.nd
     cells from the origin, one row per drift; `sds` broadcasts against the
     1-D `drifts`.
 
-    Each row is the inverse real FFT of its `_step_transforms` row (zero-padded
-    to n) read at the bins' offsets mod n, with FFT round-off clipped at zero.
+    Each row is the inverse real FFT of its `_step_transforms` column
+    (zero-padded to n) read at the bins' offsets mod n, with FFT round-off
+    clipped at zero.
     Mass wraps around unless n covers the bins' span plus the kernel's reach
     on either side.
     """
     k_hat = _step_transforms(drifts, sds, dx, n, _band_modes(np.min(sds) / dx, n))
     offsets = np.arange(first, first + count) % n
-    return np.maximum(np.fft.irfft(k_hat, n)[:, offsets], 0.0)
+    return np.maximum(np.fft.irfft(np.ascontiguousarray(k_hat.T), n)[:, offsets], 0.0)
 
 
 def _band_basis(n: int, band: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,17 +402,34 @@ def _band_step(means: np.ndarray, stds: np.ndarray, dx: float, length: int, band
       range by the rank-one terms of the nodes that enter or leave it, while
       they are fewer than the nodes kept.
     The total is the real part of mode 0, a float for one row and an array
-    for R.  The first call takes the real mass and transforms it; a cut
-    without a move (the end window) applies to the uncut modes of the last
-    step, on the nodes both keep.
+    for R; ``step(state, a, b, total=False)`` returns None for it.  The
+    first call takes the real mass and transforms it; a cut without a move
+    (the end window) applies to the uncut modes of the last step, on the
+    nodes both keep.  The transforms are built mode-major a block of steps
+    at a time, into one buffer allocated once a pass, and copied out a few
+    steps at a time into one more (a step multiplies contiguous rows).
     """
     n, rows = len(means), means.shape[1:]
-    block = _block_steps(band * math.prod(rows), _FFT_BLOCK_ENTRIES)
+    per = math.prod(rows)  # columns a step has in the mode-major transforms
+    width = band * per
+    block = _block_steps(width, _FFT_BLOCK_ENTRIES)
+    few = _block_steps(width, _FFT_BLOCK_ENTRIES // 16)  # steps copied out at once, in cache
     sds = np.reshape(stds, (-1,) + (1,) * len(rows))
-    kernels = itertools.chain.from_iterable(
-        _step_transforms(means[j : j + block], sds[j : j + block], dx, length, band)
-        for j in range(t0, n, block)
-    )
+    mode_major = np.empty(min(block, n - t0) * width, dtype=complex)
+    step_rows = np.empty((few,) + rows + (band,), dtype=complex)
+
+    def transforms():
+        for j in range(t0, n, block):
+            m = min(block, n - j)
+            k_hat = _step_transforms(
+                means[j : j + m], sds[j : j + m], dx, length, band, mode_major[: m * width].reshape(band, -1)
+            )
+            for i in range(0, m, few):
+                part = step_rows[: min(few, m - i)]
+                np.copyto(part, k_hat[:, i * per : (i + len(part)) * per].T.reshape(part.shape))
+                yield part
+
+    kernels = itertools.chain.from_iterable(transforms())
     modes = np.zeros((2,) + rows + (band,), dtype=complex)
     state = modes.view(float)
     cut_c, uncut_c = modes
@@ -406,13 +461,13 @@ def _band_step(means: np.ndarray, stds: np.ndarray, dx: float, length: int, band
             held_a, held_b = a, b
         return op
 
-    def step(prev, a, b, move=True):
+    def step(prev, a, b, move=True, total=True):
         nonlocal factors, factored, last_a, last_b
         if prev is not state:  # the real mass of the first step
             if not move:
                 prev[..., :a] = 0.0
                 prev[..., b:] = 0.0
-                return prev, prev.sum(axis=-1)
+                return prev, prev.sum(axis=-1) if total else None
             cut_c[...] = np.fft.rfft(prev, length)[..., :band]
         if move:
             np.multiply(cut_c, next(kernels), out=uncut_c)
@@ -429,6 +484,8 @@ def _band_step(means: np.ndarray, stds: np.ndarray, dx: float, length: int, band
         else:
             np.matmul(uncut_f, operator(a, b), out=cut_f)
         last_a, last_b = a, b
+        if not total:
+            return state, None
         return state, cut_f[:, 0].copy() if rows else float(cut_f[0])
 
     return step
@@ -471,8 +528,8 @@ def _confinement_profiles(
     step = _band_step(drifts.T, np.broadcast_to(sd, steps), dx, n, band, 1)
     totals = {1: mass.sum(axis=1)}
     for c in range(2, max(checkpoints) + 1):
-        mass, total = step(mass, 0, grid_points)
-        if c in checkpoints:
+        mass, total = step(mass, 0, grid_points, True, c in checkpoints)
+        if total is not None:
             totals[c] = total
     return np.stack([totals[c] for c in checkpoints], axis=1)
 

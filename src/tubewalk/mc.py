@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .env import EnvRealization
-from .quench_dp import _kept, _lattice, _off_node, _require_open_start, xi_log_factor
+from .quench_dp import _kept, _lattice, _require_open_start, xi_log_factor
 from .results import METHOD_NAIVE_MC, METHOD_SPLITTING, SurvivalEstimate, from_log
 from .rng import STREAM_SPLIT, substream
 from .tube import TubeSpec
@@ -84,12 +84,12 @@ def _bit_law(env: EnvRealization, tube: TubeSpec, x0: float, bounds=None):
         return None
     bits = next((b for b in range(1, 9) if np.all(np.ldexp(env.atom_w, b) % 1 == 0)), None)
     try:
-        nodes, moves, start = _lattice(env, tube, x0, 1.0 / env.lattice_q, *(bounds or tube.bounds_arrays()))
+        lattice = _lattice(env, tube, x0, 1.0 / env.lattice_q, *(bounds or tube.bounds_arrays()))
     except ValueError:  # too many nodes to lay out; the float kernel needs none
         return None
-    if bits is None or _off_node(moves) > 0:
+    if bits is None or not lattice.whole:
         return None
-    return nodes, moves, start, np.ldexp(np.cumsum(env.atom_w)[:-1], bits).astype(int).tolist(), bits
+    return *lattice, np.ldexp(np.cumsum(env.atom_w)[:-1], bits).astype(int).tolist(), bits
 
 
 def _node_workspace(law, particles: int, length: int):

@@ -43,7 +43,7 @@ on a uniform grid; atom laws run the DP's own pass, on the lattice when
 the law has one (so the grid gives the DP's bits), else on span/grid_points
 nodes with each move split linearly.  The Gaussian masses, of the first
 step's point source and of every step kernel, come from the closed-form
-transform gamma uses (`gamma._kernel_transform`), which vanishes below
+transform gamma uses (`gamma._kernel_modes`), which vanishes below
 1e-17 outside its first K modes.  A Gaussian pass takes one of two steps,
 whichever needs fewer multiply-adds:
 
@@ -61,13 +61,13 @@ whichever needs fewer multiply-adds:
 
 The band runs when (2K)^2 < size * (2 hw + 1) and its operator holds at
 most _FFT_BLOCK_ENTRIES entries.  On the Gaussian builtin at 400 nodes
-(n = 400-6400, K = 31-57, 295-649 taps) a pass costs 6.5-11 us a step with
-the band against 31-77 us with the taps (a 2-vCPU VM, one BLAS thread);
-narrow kernels on wide tubes keep the taps (N(m, 0.5^2) steps on 300
-nodes over a span of 37: K = 127 against 81 taps).  Both steps carry
-round-off of about 5e-15 of the peak mass into every node; a cut that keeps
-so little of the mass carried into it that this round-off, over the grid's
-nodes, exceeds _ROUNDOFF_REL of what it kept flags the estimate
+(n = 400-6400, K = 31-57, 295-649 taps) a pass costs 4.1-5.7 us a step with
+the band against 24-46 us with the taps (a 2-vCPU VM, one BLAS thread, fastest
+of several passes); narrow kernels on wide tubes keep the taps (N(m, 0.5^2)
+steps on 300 nodes over a span of 37: K = 127 against 81 taps).  Both steps
+carry round-off of about 5e-15 of the peak mass into every node; a cut that
+keeps so little of the mass carried into it that this round-off, over the
+grid's nodes, exceeds _ROUNDOFF_REL of what it kept flags the estimate
 ``grid_roundoff``.
 """
 
@@ -337,10 +337,21 @@ def _off_node(moves: np.ndarray) -> float:
     return np.abs(off, out=off).max()
 
 
+class _Lattice(tuple):
+    """`_lattice`'s (nodes, moves, start), with `whole`: whether every move was rounded to a
+    whole number of nodes."""
+
+    def __new__(cls, nodes: np.ndarray, moves: np.ndarray, start: int, whole: bool):
+        lattice = super().__new__(cls, (nodes, moves, start))
+        lattice.whole = whole
+        return lattice
+
+
 def _lattice(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, lo: np.ndarray, up: np.ndarray):
     """(nodes x0 + j*dx over the tube's bounds lo, up, moves[i, a] = atom a of step i + 1 in nodes,
-    the index of x0); moves all within _LATTICE_TOL of whole nodes are rounded.  The law's own
-    lattice, dx == 1/q, is laid as 1/q for the DP's bits: j*(1/q) can miss j/q."""
+    the index of x0) as a `_Lattice`; moves all within _LATTICE_TOL of whole nodes are rounded,
+    which `whole` reports, so no caller scans the moves again.  The law's own lattice,
+    dx == 1/q, is laid as 1/q for the DP's bits: j*(1/q) can miss j/q."""
     n, f, q = tube.n, tube.f_offset, env.lattice_q
     num, den = (1.0, q) if q is not None and dx == 1.0 / q else (dx, 1.0)
     jlo = int(math.ceil((lo.min() - x0) * den / num)) - 1
@@ -349,9 +360,10 @@ def _lattice(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, lo: np.n
         raise ValueError(f"tube spans {jhi - jlo + 1} nodes, too many to propagate")
     moves = env.atom_pos[f : f + n] * den
     moves /= num
-    if _off_node(moves) <= _LATTICE_TOL:
+    whole = _off_node(moves) <= _LATTICE_TOL
+    if whole:
         np.rint(moves, out=moves)
-    return x0 + np.arange(jlo, jhi + 1) * num / den, moves, -jlo
+    return _Lattice(x0 + np.arange(jlo, jhi + 1) * num / den, moves, -jlo, whole)
 
 
 def _block_tables(rows: list, weights: np.ndarray, g: int, width: int):
@@ -383,12 +395,13 @@ def _block_tables(rows: list, weights: np.ndarray, g: int, width: int):
     return tables
 
 
-def _blocks(nodes, moves, weights, lo, up, start: int):
+def _blocks(nodes, moves, weights, lo, up, start: int, whole: bool = True):
     """The block route's plan for a pass from node `start` (module docstring), or None where it
-    does not apply: (a, g, slot, coset, chunks).  The kept range starts at node a; the mass
-    starts on slot `slot` and ends on coset `coset`; chunks are (table, keys, steps), the
-    blocks' keys into `_block_tables`' table of _BLOCK steps, then the last steps' of one."""
-    if lo.min() < lo.max() or up.min() < up.max():
+    does not apply: (a, g, slot, coset, chunks).  `whole` is `_lattice`'s report that every
+    move is a whole number of nodes.  The kept range starts at node a; the mass starts on slot
+    `slot` and ends on coset `coset`; chunks are (table, keys, steps), the blocks' keys into
+    `_block_tables`' table of _BLOCK steps, then the last steps' of one."""
+    if not whole or lo.min() < lo.max() or up.min() < up.max():
         return None
     # each step's row of moves as a small code, rows[codes[i]] == moves[i], found
     # _BLOCK_ENTRIES steps at a time from a key in base `span`
@@ -399,8 +412,6 @@ def _blocks(nodes, moves, weights, lo, up, start: int):
     codes, known, rows = np.full(len(moves), 255, np.uint8), [], []  # 255: no code yet
     for j in range(0, len(moves), _BLOCK_ENTRIES):
         chunk, code = moves[j : j + _BLOCK_ENTRIES], codes[j : j + _BLOCK_ENTRIES]
-        if _off_node(chunk) > 0:
-            return None
         key = (chunk - lowest) @ span ** np.arange(chunk.shape[1], dtype=float)
         while (left := np.flatnonzero(code == 255)).size:  # no np.unique: it sorts
             if (new := key[left[0]]) not in known:
@@ -456,14 +467,19 @@ def _block_pass(plan, nodes: np.ndarray, end, running) -> tuple[float, int]:
     return _log_mass(_sum(mass), exp2), t
 
 
-def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return_running: bool = False):
+def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return_running=False, exact=False):
     """Propagate an atom law from x0 on `_lattice`'s nodes; (log_p, running, size, last).
     The pass runs `_blocks`' route where it applies, else the step loop.  Without
-    `return_running`, running is None and either takes totals on demand."""
+    `return_running`, running is None and either takes totals on demand.  With `exact` (the
+    DP), a move off the nodes raises NonLatticeError instead of being split between them."""
     lo, up = tube.bounds_arrays()
-    nodes, moves, start = _lattice(env, tube, x0, dx, lo, up)
+    lattice = _lattice(env, tube, x0, dx, lo, up)
+    if exact and not lattice.whole:
+        q = env.lattice_q
+        raise NonLatticeError(f"atom positions do not lie on the lattice (1/{q})Z; use survival_grid")
+    nodes, moves, start = lattice
     running = np.r_[1.0, np.zeros(tube.n)] if return_running else None
-    plan = _blocks(nodes, moves, env.atom_w, lo, up, start)
+    plan = _blocks(nodes, moves, env.atom_w, lo, up, start, lattice.whole)
     if plan is not None:
         log_total, last = _block_pass(plan, nodes, tube.end_bounds(), running)
     else:
@@ -487,10 +503,7 @@ def survival_dp_lattice(
         raise NonLatticeError("environment steps are not lattice atom laws; use survival_grid")
     _check_span(env, tube)
     _require_open_start(tube, x0)
-    q = env.lattice_q
-    if _off_node(env.atom_pos[tube.f_offset : tube.f_offset + tube.n] * q) > _LATTICE_TOL:
-        raise NonLatticeError(f"atom positions do not lie on the lattice (1/{q})Z; use survival_grid")
-    log_p, running, size, _ = _atom_pass(env, tube, x0, 1.0 / q, return_running)
+    log_p, running, size, _ = _atom_pass(env, tube, x0, 1.0 / env.lattice_q, return_running, exact=True)
     est = from_log(log_p, METHOD_DP_LATTICE, tube.n * size)
     return (est, running) if return_running else est
 

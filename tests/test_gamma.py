@@ -439,3 +439,64 @@ def test_beta_zero_propagates_one_replica(monkeypatch):
     np.testing.assert_allclose(est.gamma_hat, mean, rtol=1e-14, atol=0.0)
     half = gamma_mod._t_quantile(10, 0.975) * float(np.std(slopes, ddof=1)) / math.sqrt(11)
     np.testing.assert_allclose(est.ci95, (mean - half, mean + half), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 129, 500, 2000])
+def test_unit_phases_running_product_matches_exp(count):
+    # a running product over modes, re-anchored on exact cos and sin every
+    # _ANCHOR_MODES modes; angle0 != 0 are the alias terms' first phases
+    rng = np.random.default_rng(count)
+    step = rng.uniform(-1.0, 1.0, 64) * (6.0 / count)
+    angle0 = rng.uniform(-8.0, 8.0, 64)
+    angle0[0] = step[1] = 0.0
+    got = gamma_mod._unit_phases(angle0, step, count)
+    assert got.shape == (count, 64)
+    want = np.exp(-1j * (angle0 + np.arange(count)[:, None] * step))
+    assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("dt, grid", [(1e-3, 400), (1.6e-5, 100)], ids=["dense", "cut-aliases"])
+@pytest.mark.parametrize("entries", [1000, 2**16])
+@pytest.mark.parametrize("replicas", [1, 8])
+def test_confinement_profiles_do_not_depend_on_the_transform_blocks(monkeypatch, dt, grid, entries, replicas):
+    # the kernel transforms are built a block of steps at a time, sized by
+    # `_block_steps` (at most _FFT_BLOCK_ENTRIES entries); a row's transform
+    # must not depend on the block it is built in.  _FFT_BLOCK_ENTRIES also
+    # chunks the cut operator's sum, so the blocks are sized through
+    # `_block_steps` here: one step a block (one row, for one replica) is the
+    # reference
+    drifts = -0.5 * np.random.default_rng(16).normal(0.0, math.sqrt(dt), (replicas, 300))
+    cps = (150, 225, 300)
+    real = gamma_mod._block_steps
+    monkeypatch.setattr(gamma_mod, "_block_steps", lambda width, _: 1)
+    single = _confinement_profiles(drifts, dt, grid, 0.0, True, cps)
+    monkeypatch.setattr(gamma_mod, "_block_steps", lambda width, _: real(width, entries))
+    np.testing.assert_array_equal(_confinement_profiles(drifts, dt, grid, 0.0, True, cps), single)
+
+
+def test_confinement_profiles_take_totals_at_checkpoints_only(monkeypatch):
+    # the band step reads a total (a copy of mode 0) only when asked; asking
+    # at every step gives the same bits
+    dt, grid, cps = 1e-3, 400, (1, 100, 150, 200)
+    drifts = -0.5 * np.random.default_rng(17).normal(0.0, math.sqrt(dt), (5, 200))
+    asked = []
+
+    def counted(*args):
+        step = real(*args)
+
+        def wrapped(prev, a, b, move=True, total=True):
+            asked.append(total)
+            return step(prev, a, b, move, total)
+
+        return wrapped
+
+    def eager(*args):
+        step = real(*args)
+        return lambda prev, a, b, move=True, total=True: step(prev, a, b, move)
+
+    real = gamma_mod._band_step
+    monkeypatch.setattr(gamma_mod, "_band_step", counted)
+    lazy = _confinement_profiles(drifts, dt, grid, 0.0, True, cps)
+    assert len(asked) == 199 and sum(asked) == 3
+    monkeypatch.setattr(gamma_mod, "_band_step", eager)
+    np.testing.assert_array_equal(_confinement_profiles(drifts, dt, grid, 0.0, True, cps), lazy)

@@ -850,3 +850,45 @@ def test_block_route_is_taken_where_it_applies(monkeypatch, return_running):
     env = tw.sample_environment(SPECS["shift"], MOVING["f_offset"] + MOVING["n"], seed=2)
     tw.survival_dp_lattice(env, tw.TubeSpec(**MOVING), 0.0, return_running=return_running)
     assert len(calls) == 5
+
+
+def _spy_scans(monkeypatch):
+    """The shapes of the move arrays `_off_node` scans, in call order."""
+    scans = []
+
+    def spy(moves):
+        scans.append(moves.shape)
+        return real(moves)
+
+    real = quench_dp._off_node
+    monkeypatch.setattr(quench_dp, "_off_node", spy)
+    return scans
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["block-route", "step-loop"])
+def test_a_dp_pass_scans_its_moves_once(monkeypatch, moving):
+    # `_lattice` reports whether it rounded every move: the DP raises from that
+    # report and the block route takes it, so nothing scans the moves again
+    cfg = tw_config.validate(tw_config.load_builtin("random-shift-bernoulli"))
+    tube = tw.TubeSpec(**MOVING) if moving else cfg.template.make(3200)
+    env = tw.sample_environment(cfg.env_spec, tube.f_offset + tube.n, seed=2)
+    lo, up = tube.bounds_arrays()
+    assert quench_dp._lattice(env, tube, 0.0, 1.0 / env.lattice_q, lo, up).whole
+    scans = _spy_scans(monkeypatch)
+    tw.survival_dp_lattice(env, tube, 0.0)
+    assert scans == [(tube.n, 2)]
+
+
+def test_dp_rejects_moves_off_the_declared_lattice(monkeypatch):
+    # atoms at +-sqrt(1/2) declared on (1/2)Z: `_lattice` does not round them,
+    # the DP refuses them and the grid splits each move between two nodes
+    tube = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.3, n=50)
+    env = tw.sample_environment(SPECS["off-lattice"], tube.n, seed=3)
+    declared = dataclasses.replace(env, lattice_q=2)
+    lo, up = tube.bounds_arrays()
+    assert not quench_dp._lattice(declared, tube, 0.0, 0.5, lo, up).whole
+    scans = _spy_scans(monkeypatch)
+    with pytest.raises(tw.NonLatticeError, match=r"\(1/2\)Z; use survival_grid"):
+        tw.survival_dp_lattice(declared, tube, 0.0)
+    assert scans == [(tube.n, 2)]
+    assert math.isfinite(tw.survival_grid(declared, tube, 0.0, 100).log_p)
