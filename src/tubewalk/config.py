@@ -19,7 +19,7 @@ from importlib import resources
 import yaml
 
 from .env import EnvironmentSpec, moments
-from .gamma import _REPLICA_BATCH, BARRIER_SHIFT, _layout, _run_bytes, estimate_gamma
+from .gamma import _REPLICA_BATCH, BARRIER_SHIFT, _kernel_layout, _layout, _run_bytes, estimate_gamma
 from .rate import ESTIMATORS, make_estimator, theorem_check
 from .tube import TubeTemplate
 
@@ -308,16 +308,20 @@ def _check_env_length(template: TubeTemplate, n_list, env_spec: EnvironmentSpec)
 def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_list) -> None:
     """Reject a Gaussian environment whose grid step kernel overflows the budget.
 
-    `quench_dp.survival_grid` reaches 8 tau + max|m| from a node; with
-    8 sigma_a for max|m| the kernel is widest at the smallest n, whose tube
-    span over `estimator.grid_points` gives the finest grid.
+    `quench_dp.survival_grid` lays a pass out by `gamma._kernel_layout`; with
+    8 sigma_a for the largest |step mean| the kernel is widest at the smallest
+    n, whose tube span over `estimator.grid_points` gives the finest grid.
     """
     if env_spec.family != "random_mean_gaussian" or est["method"] not in ("grid", "auto"):
         return
     n_min = min(n_list)
     lo, up = template.make(n_min).bounds_arrays()
-    reach = (8.0 * env_spec.tau + 8.0 * env_spec.sigma_a) * est["grid_points"] / (up.max() - lo.min())
-    taps = 2 * math.ceil(reach) + 3 if math.isfinite(reach) else math.inf
+    dx = float(up.max() - lo.min()) / est["grid_points"]
+    try:
+        reach = _kernel_layout(env_spec.tau, 8.0 * env_spec.sigma_a, dx, est["grid_points"])[0]
+    except OverflowError:  # a reach (or its band) past a float's range, far over the cap
+        reach = math.inf
+    taps = 2 * reach + 1
     if taps > _MEMORY_BUDGET // _TAP_BYTES:
         raise ConfigError(
             f"environment.sigma_a and environment.tau give a grid step kernel of {taps:.3g} taps at the "

@@ -11,14 +11,15 @@ scheme is needed.
 A replica is the Gaussian grid pass of `quench_dp` on the constant tube
 [-half, half] with step means -beta*dW, and it runs through the same
 Fourier-band step, `_band_step`, which lives here with the other band
-primitives; all W replicas of a batch are its rows.  The grid sits at the
-head of a zero-padded row of length n = `_fast_len(grid_points + reach)`
-(the smallest 2**a 3**b 5**c at least that long), where reach covers 8 sd
-plus the largest drift in grid cells, so a circular convolution of the row
-equals the linear one on the grid.  The step kernel's transform is written
-in closed form by Poisson summation (see `_kernel_modes`); below an
-amplitude of 1e-17 it vanishes outside modes 0..K-1, so those modes are
-all a step can reach.  K depends on dt, not on grid_points: about
+primitives; all W replicas of a batch are its rows.  A pass has one step
+sd (sqrt(dt) here, tau on the grid) and is laid out once, by
+`_kernel_layout`: the grid sits at the head of a zero-padded row of length
+n = `_fast_len(grid_points + reach)` (the smallest 2**a 3**b 5**c at least
+that long), where reach covers 8 sd plus the largest drift in grid cells,
+so a circular convolution of the row equals the linear one on the grid.
+The step kernel's transform is written in closed form by Poisson summation
+(see `_kernel_modes`); below an amplitude of 1e-17 it vanishes outside
+modes 0..K-1, so those modes are all a step can reach.  K depends on dt, not on grid_points: about
 1.4/sqrt(dt) + 11 (58 of 271 modes at dt = 1e-3 and 400 points) until
 sd/dx falls below about 2.8, where alias bands reach the top mode and K is
 every mode, n // 2 + 1.  The state is an array (replicas, K) of modes; a
@@ -71,10 +72,12 @@ BARRIER_SHIFT = 0.5825971579390107
 # of the kernel transform is dropped.  Transforms are built by batched calls
 # with a fixed per-call cost (tens of numpy calls holding the interpreter
 # lock), so a block is not made smaller; the band step's dense cut operator
-# is held to as many entries by `quench_dp`, and built from basis rows of
-# as many entries at a time.
+# is held to as many entries by `quench_dp`.
 _FFT_BLOCK_ENTRIES = 2**16
 _REPLICA_BATCH = 64
+# Basis entries per chunk of `_band_step`'s sum of its dense cut operator:
+# the chunks set the order of the sum, so this constant fixes its bits.
+_BASIS_ENTRIES = 2**16
 _AMPLITUDE_FLOOR = 1e-17
 # Modes between the exact phases that re-anchor a kernel transform's
 # running product (`_unit_phases`).
@@ -168,23 +171,27 @@ def _band_modes(s: float, n: int) -> int:
     return kept + 1
 
 
+def _kernel_layout(sd: float, max_drift: float, dx: float, points: int) -> tuple[int, int, int]:
+    """Reach in nodes, padded row length n and band K = `_band_modes(sd/dx,
+    n)` of a Gaussian pass on `points` nodes of spacing dx whose N(d, sd^2)
+    steps keep |d| <= `max_drift`.  Scalar arithmetic only, so
+    `config.validate` can size a pass without allocating it.
+    """
+    reach = math.ceil((8.0 * sd + max_drift) / dx) + 1
+    n = _fast_len(points + reach)
+    return reach, n, _band_modes(sd / dx, n)
+
+
 def _layout(dt: float, grid_points: int, barrier_correction: bool = True, max_drift: float = 0.0):
     """Tube half-width, grid spacing dx, padded row length n and band K of a
-    run whose drifts stay within `max_drift`.
-
-    The grid sits at the head of a zero-padded row of n = `_fast_len(
-    grid_points + reach)` entries, reach covering 8 sd plus `max_drift` in
-    grid cells, so a circular convolution of the row equals the linear one
-    on the grid; K = `_band_modes(sd/dx, n)`.  Scalar arithmetic only, so
-    `config.validate` can size a run without allocating it.
-    """
+    run whose drifts stay within `max_drift` (`_kernel_layout`)."""
     sd = math.sqrt(dt)
     half = 0.5 - (BARRIER_SHIFT * sd if barrier_correction else 0.0)
     if half <= 0:
         raise ValueError("dt too coarse: barrier correction exceeds the tube half-width")
     dx = (2.0 * half / grid_points - half) + half  # the spacing np.linspace(-half, half, .) gives
-    n = _fast_len(grid_points + math.ceil((8.0 * sd + max_drift) / dx) + 1)
-    return half, dx, n, _band_modes(sd / dx, n)
+    _, n, band = _kernel_layout(sd, max_drift, dx, grid_points)
+    return half, dx, n, band
 
 
 def _run_bytes(grid_points: int, n: int, band: int, batch: int) -> int:
@@ -198,14 +205,14 @@ def _run_bytes(grid_points: int, n: int, band: int, batch: int) -> int:
     rows for the nodes built at once.  Five (batch, n) float rows bound the
     state with the first step's FFTs, and four blocks of complex entries the
     step kernels: the mode-major block of transforms, held for the pass, an
-    alias term and, with several sds, one sd's part.
-    Scalar arithmetic only.
+    alias term and the steps copied out of the block (in the first step, the
+    transforms' transposed copy).  Scalar arithmetic only.
     """
     rank = n - grid_points
     if rank < band:
         cut = 3 * 2 * band * rank + batch * rank
     else:
-        nodes = min(grid_points, max(1, _FFT_BLOCK_ENTRIES // (2 * band)))
+        nodes = min(grid_points, max(1, _BASIS_ENTRIES // (2 * band)))
         cut = 2 * (2 * band) ** 2 + 3 * 2 * band * nodes
     block = max(_FFT_BLOCK_ENTRIES, batch * band)
     return 8 * (cut + 5 * batch * n) + 16 * 4 * block
@@ -258,10 +265,10 @@ def _scale_modes(phases: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _kernel_modes(drifts, sd: float, dx: float, n: int, out=None) -> np.ndarray:
+def _kernel_modes(drifts, sd: float, dx: float, n: int, band: int, out=None) -> np.ndarray:
     """Real DFT of the bin-edge step kernel on its band, mode-major: shape
-    (K, drifts.size), one column per drift of the flattened `drifts`,
-    written to `out` when given.
+    (K, drifts.size) for K = `band`, one column per drift of the flattened
+    `drifts`, written to `out` when given.
 
     The kernel puts mass Phi((x + dx/2)/sd) - Phi((x - dx/2)/sd) on offset
     j (x = j*dx - d), the probability that a N(d, sd^2) step lands in the
@@ -279,7 +286,6 @@ def _kernel_modes(drifts, sd: float, dx: float, n: int, out=None) -> np.ndarray:
     """
     shift = np.asarray(drifts, dtype=float).reshape(-1) / dx
     s = sd / dx
-    band = _band_modes(s, n)
     freq = np.arange(band) / n
     step = (2.0 * math.pi / n) * shift
     theta = 2.0 * math.pi * freq
@@ -306,48 +312,17 @@ def _kernel_modes(drifts, sd: float, dx: float, n: int, out=None) -> np.ndarray:
     return phases
 
 
-def _kernel_transform(drifts, sd: float, dx: float, n: int) -> np.ndarray:
-    """The step kernel's transform one row per drift, shape ``drifts.shape +
-    (K,)``: `_kernel_modes` (phases by a running product over modes,
-    re-anchored every _ANCHOR_MODES modes) transposed."""
-    modes = _kernel_modes(drifts, sd, dx, n)
-    return np.ascontiguousarray(modes.T).reshape(np.shape(drifts) + (len(modes),))
-
-
-def _step_transforms(drifts, sds, dx: float, n: int, band: int, out=None) -> np.ndarray:
-    """`_kernel_modes` of N(d, sd^2) steps, mode-major (one column per drift
-    of the flattened `drifts`), zero-padded to `band` modes, in `out` when
-    given; `sds` broadcasts against `drifts`, and one transform is built per
-    distinct sd (with no copy when one sd fills the band).  `band` is at
-    least ``_band_modes(min(sds) / dx, n)``, the narrowest step's band.
-    """
-    drifts = np.asarray(drifts, dtype=float)
-    sds = np.broadcast_to(sds, drifts.shape)
-    sd = sds.min()
-    if sd == sds.max() and _band_modes(sd / dx, n) == band:
-        return _kernel_modes(drifts, sd, dx, n, out)
-    if out is None:
-        out = np.empty((band, drifts.size), dtype=complex)
-    out.fill(0.0)
-    for sd in np.unique(sds):
-        rows = (sds == sd).reshape(-1)
-        part = _kernel_modes(drifts.reshape(-1)[rows], sd, dx, n)
-        out[: len(part), rows] = part
-    return out
-
-
-def _bin_masses(drifts, sds, dx: float, n: int, first: int, count: int) -> np.ndarray:
+def _bin_masses(drifts, sd: float, dx: float, n: int, band: int, first: int, count: int) -> np.ndarray:
     """Bin masses of N(d, sd^2) steps on the `count` bins first, first+1, ...
-    cells from the origin, one row per drift; `sds` broadcasts against the
-    1-D `drifts`.
+    cells from the origin, one row per drift of the 1-D `drifts`.
 
-    Each row is the inverse real FFT of its `_step_transforms` column
-    (zero-padded to n) read at the bins' offsets mod n, with FFT round-off
-    clipped at zero.
+    Each row is the inverse real FFT of its `_kernel_modes` column on the
+    `band` modes (zero-padded to n) read at the bins' offsets mod n, with
+    FFT round-off clipped at zero.
     Mass wraps around unless n covers the bins' span plus the kernel's reach
     on either side.
     """
-    k_hat = _step_transforms(drifts, sds, dx, n, _band_modes(np.min(sds) / dx, n))
+    k_hat = _kernel_modes(drifts, sd, dx, n, band)
     offsets = np.arange(first, first + count) % n
     return np.maximum(np.fft.irfft(np.ascontiguousarray(k_hat.T), n)[:, offsets], 0.0)
 
@@ -383,16 +358,17 @@ def _band_basis(n: int, band: int, positions: np.ndarray) -> tuple[np.ndarray, n
     return left, right
 
 
-def _band_step(means: np.ndarray, stds: np.ndarray, dx: float, length: int, band: int, t0: int):
+def _band_step(means: np.ndarray, sd: float, dx: float, length: int, band: int, t0: int):
     """The `quench_dp._propagate` step for Gaussian laws on the step kernel's
     Fourier band, for one row of mass or for R rows at once.
 
     `means` has shape (n,) for one row, or (n, R) for R rows; step i moves
-    row r by N(means[i-1, r], stds[i-1]^2).  The state is the first K =
-    `band` real-DFT modes of each row, zero-padded to `length` nodes, as the
+    row r by N(means[i-1, r], sd^2), and K = `band` is the band of that sd
+    on the `length`-node layout (`_kernel_layout`).  The state is the first
+    K real-DFT modes of each row, zero-padded to `length` nodes, as the
     arrays (cut, uncut) of interleaved (real, imaginary) floats.  Step i
     multiplies the modes by the closed-form transform of its kernels
-    (`_step_transforms`) and cuts them to the nodes [a, b) it keeps, by
+    (`_kernel_modes`) and cuts them to the nodes [a, b) it keeps, by
     one real operator of `_band_basis` rows, in one of two forms:
     * when fewer than K nodes are dropped, I - L @ R with the factors of
       the dropped nodes, built for each new range, at 4Kr multiply-adds a
@@ -414,16 +390,13 @@ def _band_step(means: np.ndarray, stds: np.ndarray, dx: float, length: int, band
     width = band * per
     block = _block_steps(width, _FFT_BLOCK_ENTRIES)
     few = _block_steps(width, _FFT_BLOCK_ENTRIES // 16)  # steps copied out at once, in cache
-    sds = np.reshape(stds, (-1,) + (1,) * len(rows))
     mode_major = np.empty(min(block, n - t0) * width, dtype=complex)
     step_rows = np.empty((few,) + rows + (band,), dtype=complex)
 
     def transforms():
         for j in range(t0, n, block):
             m = min(block, n - j)
-            k_hat = _step_transforms(
-                means[j : j + m], sds[j : j + m], dx, length, band, mode_major[: m * width].reshape(band, -1)
-            )
+            k_hat = _kernel_modes(means[j : j + m], sd, dx, length, band, mode_major[: m * width].reshape(band, -1))
             for i in range(0, m, few):
                 part = step_rows[: min(few, m - i)]
                 np.copyto(part, k_hat[:, i * per : (i + len(part)) * per].T.reshape(part.shape))
@@ -434,7 +407,7 @@ def _band_step(means: np.ndarray, stds: np.ndarray, dx: float, length: int, band
     state = modes.view(float)
     cut_c, uncut_c = modes
     cut_f, uncut_f = state
-    chunk = max(1, _FFT_BLOCK_ENTRIES // (2 * band))  # nodes whose basis rows are built at once
+    chunk = max(1, _BASIS_ENTRIES // (2 * band))  # nodes whose basis rows are built at once
     op = None  # the dense operator, allocated when first used
     held_a = held_b = 0  # the node range [held_a, held_b) `op` keeps
     factors, factored = None, None  # (L, R, buffer) of the nodes dropped by the range `factored`
@@ -524,8 +497,8 @@ def _confinement_profiles(
     if abs(y0) >= half:
         return dead
     # first step: the point source at y0 moved by the step kernel
-    mass = _bin_masses(y0 + drifts[:, 0] - (0.5 * dx - half), sd, dx, n, 0, grid_points)
-    step = _band_step(drifts.T, np.broadcast_to(sd, steps), dx, n, band, 1)
+    mass = _bin_masses(y0 + drifts[:, 0] - (0.5 * dx - half), sd, dx, n, band, 0, grid_points)
+    step = _band_step(drifts.T, sd, dx, n, band, 1)
     totals = {1: mass.sum(axis=1)}
     for c in range(2, max(checkpoints) + 1):
         mass, total = step(mass, 0, grid_points, True, c in checkpoints)

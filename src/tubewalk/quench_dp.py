@@ -41,11 +41,13 @@ enumeration oracle used to certify the DP on small instances.
 ``survival_grid`` handles Gaussian step laws by bin-edge transition masses
 on a uniform grid; atom laws run the DP's own pass, on the lattice when
 the law has one (so the grid gives the DP's bits), else on span/grid_points
-nodes with each move split linearly.  The Gaussian masses, of the first
-step's point source and of every step kernel, come from the closed-form
-transform gamma uses (`gamma._kernel_modes`), which vanishes below
-1e-17 outside its first K modes.  A Gaussian pass takes one of two steps,
-whichever needs fewer multiply-adds:
+nodes with each move split linearly.  A Gaussian pass has one step sd
+(sds that vary over the tube's steps are refused) and one layout
+(`gamma._kernel_layout`): reach hw, padded length and band K.  Its masses,
+of the first step's point source and of every step kernel, come from the
+closed-form transform gamma uses (`gamma._kernel_modes`), which vanishes
+below 1e-17 outside its first K modes.  A Gaussian pass takes one of two
+steps, whichever needs fewer multiply-adds:
 
 * the band step (`gamma._band_step`, the one gamma's replicas run as rows),
   at (2K)^2 a step: the state is the first K real-DFT modes of the mass
@@ -80,7 +82,7 @@ import sys
 import numpy as np
 
 from .env import EnvRealization
-from .gamma import _FFT_BLOCK_ENTRIES, _band_modes, _band_step, _bin_masses, _block_steps, _fast_len
+from .gamma import _FFT_BLOCK_ENTRIES, _band_modes, _band_step, _bin_masses, _block_steps, _fast_len, _kernel_layout
 from .results import (
     METHOD_BRUTE_FORCE,
     METHOD_DP_LATTICE,
@@ -572,22 +574,27 @@ def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int,
     size = len(nodes)
     means = env.quenched_mean[f : f + n]
     stds = env.stds[f : f + n]
-    hw = int(math.ceil((8.0 * stds.max() + np.abs(means).max()) / dx)) + 1
+    sd = stds[0]
+    if stds.min() != stds.max():
+        raise ValueError(
+            f"survival_grid needs one step sd over the tube's steps; env.stds runs from "
+            f"{stds.min():.6g} to {stds.max():.6g}"
+        )
+    hw, length, band = _kernel_layout(sd, np.abs(means).max(), dx, size)
     # first step: the point source at x0 moved by the step kernel
-    length = _fast_len(size + hw)
     drift = np.array([x0 + means[0] - nodes[0]])
-    mass = _bin_masses(drift, stds[0], dx, length, 0, size)[0]
+    mass = _bin_masses(drift, sd, dx, length, band, 0, size)[0]
     width = 2 * hw + 1
-    band = _band_modes(stds.min() / dx, length)
     if (2 * band) ** 2 < size * width and (2 * band) ** 2 <= _FFT_BLOCK_ENTRIES:
-        step = _band_step(means, stds, dx, length, band, 1)
+        step = _band_step(means, sd, dx, length, band, 1)
     else:
         taps = _fast_len(width)
+        taps_band = _band_modes(sd / dx, taps)
 
         def build(j0: int, j1: int) -> np.ndarray:
             # tap t of a reversed kernel is the mass a N(m, s^2) step puts
             # hw - t cells on, i.e. the mass a N(-m, s^2) step puts t - hw on
-            return _bin_masses(-means[j0:j1], stds[j0:j1], dx, taps, -hw, width)
+            return _bin_masses(-means[j0:j1], sd, dx, taps, taps_band, -hw, width)
 
         kernels = (width, hw, _block_steps(width, _FFT_BLOCK_ENTRIES), build)
         step = _correlate_step(kernels, 1, n, size)

@@ -11,9 +11,10 @@ import tubewalk.gamma as gamma_mod
 from tubewalk import quench_dp
 from tubewalk.gamma import (
     BARRIER_SHIFT,
+    _band_modes,
     _confinement_profiles,
     _fast_len,
-    _kernel_transform,
+    _kernel_modes,
 )
 from tubewalk.rng import STREAM_GAMMA_W, derive_seed, substream
 
@@ -183,7 +184,7 @@ def test_kernel_transform_matches_fft_of_sampled_kernel(dt, grid_points):
         wrapped = np.zeros(n)
         wrapped[: reach + 1] = kernel[reach:]
         wrapped[n - reach :] = kernel[:reach]
-        band = _kernel_transform(np.array([drift]), sd, dx, n)[0]
+        band = _kernel_modes(np.array([drift]), sd, dx, n, _band_modes(sd / dx, n))[:, 0]
         # the transform of a real kernel is real at modes 0 and n/2
         assert band[0].imag == 0.0 and (len(band) <= n // 2 or n % 2 or band[n // 2].imag == 0.0)
         closed = np.zeros(n // 2 + 1, dtype=complex)  # modes past the band are zero
@@ -260,7 +261,7 @@ def test_band_cut_matches_fft_of_cut_basis(monkeypatch, n, grid, band, first):
     a, b = first, grid
     sd = next(s for s in np.arange(0.5, 64.0, 0.5) if gamma_mod._band_modes(s, n) <= band)
     rows = 2 * band
-    step = gamma_mod._band_step(np.zeros((2, rows)), np.full(2, sd), 1.0, n, band, 1)
+    step = gamma_mod._band_step(np.zeros((2, rows)), sd, 1.0, n, band, 1)
     state, _ = step(np.ones((rows, grid)), 0, grid)
     calls = _spy_basis(monkeypatch)
     state[1] = np.eye(rows)
@@ -294,11 +295,10 @@ def test_band_rows_equal_single_row_passes(dt, grid):
     sd = math.sqrt(dt)
     drifts = np.random.default_rng(14).normal(0.0, 0.5 * sd, (5, 100))
     half, dx, n, band = gamma_mod._layout(dt, grid, max_drift=np.abs(drifts).max())
-    first = gamma_mod._bin_masses(drifts[:, 0] - (0.5 * dx - half), sd, dx, n, 0, grid)
-    stds = np.full(drifts.shape[1], sd)
+    first = gamma_mod._bin_masses(drifts[:, 0] - (0.5 * dx - half), sd, dx, n, band, 0, grid)
 
     def profile(means, mass):
-        step = gamma_mod._band_step(means, stds, dx, n, band, 1)
+        step = gamma_mod._band_step(means, sd, dx, n, band, 1)
         totals = []
         for _ in range(1, drifts.shape[1]):
             mass, total = step(mass, 0, grid)
@@ -322,8 +322,8 @@ def test_confinement_row_is_the_grid_pass_on_a_constant_tube():
     nodes = -half + (np.arange(grid) + 0.5) * dx
     bounds = np.full(steps + 1, half)
     for row, means in zip(profiles, drifts):
-        mass = gamma_mod._bin_masses(means[:1] - nodes[0], sd, dx, n, 0, grid)[0]
-        step = gamma_mod._band_step(means, np.full(steps, sd), dx, n, band, 1)
+        mass = gamma_mod._bin_masses(means[:1] - nodes[0], sd, dx, n, band, 0, grid)[0]
+        step = gamma_mod._band_step(means, sd, dx, n, band, 1)
         running = np.zeros(steps + 1)
         quench_dp._propagate(mass, nodes, -bounds, bounds, None, 1, step, running)
         np.testing.assert_allclose(row, running[list(cps)], rtol=1e-12, atol=0.0)
@@ -379,6 +379,32 @@ def test_estimate_gamma_does_not_depend_on_batching(monkeypatch):
     monkeypatch.setattr(gamma_mod, "_FFT_BLOCK_ENTRIES", 1000)
     split = tw.estimate_gamma(0.7, **kwargs)
     np.testing.assert_allclose(split.per_replica_values, whole.per_replica_values, rtol=1e-12)
+
+
+def test_estimate_gamma_does_not_depend_on_the_transform_block_size(monkeypatch):
+    # _FFT_BLOCK_ENTRIES bounds memory only: the cut operator's sum is
+    # chunked by _BASIS_ENTRIES, so the estimate keeps every bit
+    kwargs = dict(horizon_t=1.0, dt=1e-3, grid_points=400, env_replicas=11, seed=5)
+    whole = tw.estimate_gamma(0.7, **kwargs)
+    monkeypatch.setattr(gamma_mod, "_FFT_BLOCK_ENTRIES", 1000)
+    assert tw.estimate_gamma(0.7, **kwargs).per_replica_values == whole.per_replica_values
+
+
+def test_confinement_profiles_work_out_the_band_once(monkeypatch):
+    # a block of transforms a step: the band comes from the layout, once a
+    # call, not once a block
+    calls = []
+
+    def counted(s, n):
+        calls.append(n)
+        return real(s, n)
+
+    real = gamma_mod._band_modes
+    monkeypatch.setattr(gamma_mod, "_band_modes", counted)
+    monkeypatch.setattr(gamma_mod, "_FFT_BLOCK_ENTRIES", 100)
+    drifts = -0.5 * np.random.default_rng(18).normal(0.0, math.sqrt(1e-3), (3, 200))
+    _confinement_profiles(drifts, 1e-3, 400, 0.0, True, (100, 200))
+    assert 1 <= len(calls) <= 2
 
 
 def test_fast_len_matches_scipy():

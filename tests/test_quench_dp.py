@@ -463,16 +463,43 @@ def test_point_source_first_step_matches_ndtr(monkeypatch, name, grid_points):
         assert np.abs(got - want).max() <= 1e-15 and got.min() >= 0.0
 
 
-def test_grid_with_per_step_stds_reproduces_reference():
-    # kernels of one block are built one distinct sd at a time
+def test_grid_refuses_stds_that_vary():
+    # every Gaussian family steps with one sd; a pass is laid out for it, so
+    # a hand-built realisation whose sds vary over the tube's steps is refused
     tube = tw.TubeSpec(**MOVING)
     env = tw.sample_environment(SPECS["gauss"], tube.f_offset + tube.n, seed=25)
-    rng = np.random.default_rng(25)
-    for stds in (rng.choice([0.5, 0.8, 1.2], env.length), rng.uniform(0.4, 1.3, env.length)):
-        varied = dataclasses.replace(env, stds=stds, quenched_var=stds**2)
-        for grid_points in (300, 77):
-            got = quench_dp._grid_once(varied, tube, 0.3, grid_points, return_running=True)
-            _same(got, _reference_grid(varied, tube, 0.3, grid_points), 1e-12)
+    stds = env.stds.copy()
+    stds[tube.f_offset + 7] = 0.8
+    varied = dataclasses.replace(env, stds=stds, quenched_var=stds**2)
+    with pytest.raises(ValueError, match="env.stds runs from 0.8 to 1"):
+        tw.survival_grid(varied, tube, 0.3, 120)
+    # steps outside the tube's window do not count
+    stds = env.stds.copy()
+    stds[: tube.f_offset] = 0.8
+    outside = dataclasses.replace(env, stds=stds, quenched_var=stds**2)
+    assert tw.survival_grid(outside, tube, 0.3, 120) == tw.survival_grid(env, tube, 0.3, 120)
+
+
+@pytest.mark.parametrize("name, grid_points, side", [("gauss", 120, "band"), ("gauss", 77, "taps")])
+def test_grid_pass_works_out_its_band_once(monkeypatch, name, grid_points, side):
+    # one kernel block a step: the band of the padded row (and of the taps'
+    # row) is worked out once a pass, not once a block
+    calls = []
+
+    def counted(s, n):
+        calls.append(n)
+        return real(s, n)
+
+    real = gamma_mod._band_modes
+    monkeypatch.setattr(gamma_mod, "_band_modes", counted)
+    monkeypatch.setattr(quench_dp, "_band_modes", counted)
+    monkeypatch.setattr(gamma_mod, "_block_steps", lambda width, entries: 1)
+    monkeypatch.setattr(quench_dp, "_block_steps", lambda width, entries: 1)
+    sides = _spy_sides(monkeypatch)
+    spec, tube = _case(name)
+    env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=22)
+    quench_dp._grid_once(env, tube, 0.3, grid_points)
+    assert sides == [side] and 1 <= len(calls) <= 2
 
 
 @pytest.mark.parametrize("steps", [1, 3])
