@@ -262,8 +262,10 @@ class EnvRealization:
     """One sampled environment: a length-long sequence of concrete step laws.
 
     Stored as structure-of-arrays for vectorised samplers; ``step_law(i)``
-    gives the per-step object view.  Immutable, so one realization may serve
-    every n of a run; sampling is a pure function of (spec, seed, length).
+    gives the per-step object view.  An atom law's steps are codes into its
+    kinds: step i has the atoms ``atom_kinds[atom_codes[i]]``, weighted by
+    ``atom_w``.  Immutable, so one realization may serve every n of a run;
+    sampling is a pure function of (spec, seed, length).
     """
 
     spec: EnvironmentSpec
@@ -272,7 +274,8 @@ class EnvRealization:
     kind: str  # "atoms" | "gaussian"
     quenched_mean: np.ndarray  # (length,)
     quenched_var: np.ndarray  # (length,)
-    atom_pos: np.ndarray | None = None  # (length, k)
+    atom_kinds: np.ndarray | None = None  # (D, k): the law's kinds, in the sampler's order
+    atom_codes: np.ndarray | None = None  # (length,) uint8: each step's kind
     atom_w: np.ndarray | None = None  # (k,), shared across steps
     stds: np.ndarray | None = None  # (length,) for gaussian
     lattice_q: int | None = field(default=None)
@@ -284,20 +287,15 @@ class EnvRealization:
         if not 0 <= i < self.length:
             raise IndexError(f"step index {i} out of range [0, {self.length})")
         if self.kind == "atoms":
-            return StepLaw.from_atoms(zip(self.atom_pos[i], self.atom_w))
+            return StepLaw.from_atoms(zip(self.atom_kinds[self.atom_codes[i]], self.atom_w))
         return StepLaw.gaussian(self.quenched_mean[i], self.stds[i])
 
     @cached_property
-    def atom_select(self) -> tuple[np.ndarray, np.ndarray]:
-        """What `walk.draw_increments` selects atoms from, built once.
-
-        Returns the cumulative weights cw, shape (k,), and a (k, length)
-        uint64 table: row 0 holds the bit pattern of each step's atom 0,
-        row j >= 1 the bits in which atom j differs from atom j-1 (their
-        XOR).
-        """
-        bits = np.ascontiguousarray(self.atom_pos, dtype=np.float64).view(np.uint64).T
-        return np.cumsum(self.atom_w), np.vstack([bits[:1], bits[:-1] ^ bits[1:]])
+    def atom_pos(self) -> np.ndarray:
+        """Every step's atoms, (length, k), read-only; no estimator builds it."""
+        pos = self.atom_kinds[self.atom_codes]
+        pos.flags.writeable = False
+        return pos
 
     def xi_cdf(self, r: float) -> float:
         """P(xi_i <= r) under the per-element exponential law (same for all i)."""
@@ -316,8 +314,6 @@ def sample_environment(spec: EnvironmentSpec, length: int, seed: int) -> EnvReal
         raise InvalidSpecError("length must be >= 1")
     rng = substream(seed, STREAM_ENV)
     if spec.family == "degenerate":
-        pos = np.array([p for p, _ in spec.atoms])
-        w = np.array([w for _, w in spec.atoms])
         law = StepLaw.from_atoms(spec.atoms)
         return EnvRealization(
             spec=spec,
@@ -326,20 +322,24 @@ def sample_environment(spec: EnvironmentSpec, length: int, seed: int) -> EnvReal
             kind="atoms",
             quenched_mean=np.full(length, law.quenched_mean),
             quenched_var=np.full(length, law.quenched_var),
-            atom_pos=np.tile(pos, (length, 1)),
-            atom_w=w,
+            atom_kinds=np.array([[p for p, _ in spec.atoms]]),
+            atom_codes=np.zeros(length, np.uint8),
+            atom_w=np.array([w for _, w in spec.atoms]),
             lattice_q=spec.lattice_q,
         )
     if spec.family == "random_shift_bernoulli":
-        m = spec.d * (2.0 * rng.integers(0, 2, size=length) - 1.0)
+        # code 0 is m = -d, code 1 is m = +d
+        codes = rng.integers(0, 2, size=length).astype(np.uint8)
+        m = np.array([-spec.d, spec.d])
         return EnvRealization(
             spec=spec,
             seed=seed,
             length=length,
             kind="atoms",
-            quenched_mean=m,
+            quenched_mean=m[codes],
             quenched_var=np.ones(length),
-            atom_pos=np.stack([m - 1.0, m + 1.0], axis=1),
+            atom_kinds=np.stack([m - 1.0, m + 1.0], axis=1),
+            atom_codes=codes,
             atom_w=np.array([0.5, 0.5]),
             lattice_q=spec.lattice_q,
         )

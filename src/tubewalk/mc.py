@@ -77,17 +77,17 @@ def _advance(
 
 
 def _bit_law(env: EnvRealization, tube: TubeSpec, x0: float, bounds=None):
-    """(nodes, moves, start, cuts, bits) for `_advance_nodes` (`quench_dp._lattice`'s three, on
-    `bounds` (lo, up), the tube's when None), or None for the float kernel.  A particle-step's
+    """(nodes, moves, start, codes, cuts, bits) for `_advance_nodes` (`quench_dp._lattice`'s four,
+    on `bounds` (lo, up), the tube's when None), or None for the float kernel.  A particle-step's
     `bits` <= 8 random bits, read as v, take atom j where v >= cuts[j-1] = (w_0 + ... + w_{j-1}) 2^bits."""
     if env.kind != "atoms" or env.lattice_q is None:
         return None
     bits = next((b for b in range(1, 9) if np.all(np.ldexp(env.atom_w, b) % 1 == 0)), None)
     try:
-        lattice = _lattice(env, tube, x0, 1.0 / env.lattice_q, *(bounds or tube.bounds_arrays()))
+        *lattice, whole = _lattice(env, tube, x0, 1.0 / env.lattice_q, *(bounds or tube.bounds_arrays()))
     except ValueError:  # too many nodes to lay out; the float kernel needs none
         return None
-    if bits is None or not lattice.whole:
+    if bits is None or not whole:
         return None
     return *lattice, np.ldexp(np.cumsum(env.atom_w)[:-1], bits).astype(int).tolist(), bits
 
@@ -108,12 +108,13 @@ def _advance_nodes(law, start_index: int, start: np.ndarray, lo: np.ndarray, up:
     particle i takes bit i mod 64 of word k * ceil(P/64) + i // 64 as its k-th most significant
     bit, in chunks of steps that change no result.  `work` is `_node_workspace`'s pair (made
     for this block when None); positions have its dtype."""
-    nodes, moves, _, cuts, bits = law
+    nodes, moves, _, codes, cuts, bits = law
     particles, length, words = len(start), len(lo), -(-len(start) // 64)
-    moves = moves[start_index : start_index + length]
+    codes = codes[start_index : start_index + length]
     path, hit = work if work is not None else _node_workspace(law, particles, length)
     rows, dtype = len(path), path.dtype
-    first, steps = moves[:, 0].astype(dtype), np.diff(moves, axis=1).astype(dtype)
+    # each kind's first move and move differences, gathered by the steps' codes
+    first, steps = moves[:, 0].astype(dtype)[codes], np.diff(moves, axis=1).astype(dtype)[codes]
     pos, dead = start.astype(dtype), np.zeros(particles, dtype=bool)
     for t0 in range(0, length, rows):
         m = min(rows, length - t0)

@@ -163,32 +163,30 @@ def _cut(mass: np.ndarray, a: int, b: int) -> tuple[np.ndarray, float]:
     return mass, _sum(mass)
 
 
-def _shift_kernels(moves: np.ndarray, weights: np.ndarray, size: int):
+def _shift_kernels(moves: np.ndarray, codes: np.ndarray, weights: np.ndarray, size: int):
     """Step kernels for atom laws on a window of `size` nodes.
 
-    Step j moves mass by ``moves[j, a]`` nodes with probability
+    Step j moves mass by ``moves[codes[j], a]`` nodes with probability
     ``weights[a]``; a move between two nodes is split linearly between
     them.  Moves of a whole window or more carry nothing into it and are
-    dropped.  Returns (width, r, block, build) as `_correlate_step` takes them.
+    dropped.  One kernel is built per kind, as wide as the kinds the steps
+    use need, and each step's row is gathered by its code.  Returns (width,
+    r, block, build) as `_correlate_step` takes them.
     """
-    low = min(max(math.floor(moves.min()), 1 - size), 0)
-    high = max(min(math.ceil(moves.max()), size - 1), 0)
+    used = moves[np.bincount(codes, minlength=len(moves)) > 0]
+    low = min(max(math.floor(used.min()), 1 - size), 0)
+    high = max(min(math.ceil(used.max()), size - 1), 0)
     width = high - low + 1
-
-    def build(j0: int, j1: int) -> np.ndarray:
-        block = moves[j0:j1]
-        whole = np.floor(block)
-        frac = block - whole
-        kern = np.zeros((j1 - j0, width))
-        rows = np.arange(j1 - j0)
-        for a in range(block.shape[1]):
-            w = weights[a]
-            for shift, wf in ((whole[:, a], w * (1.0 - frac[:, a])), (whole[:, a] + 1, w * frac[:, a])):
-                ok = (shift >= low) & (shift <= high)
-                kern[rows[ok], (high - shift[ok]).astype(np.intp)] += wf[ok]
-        return kern
-
-    return width, -low, _block_steps(width, _BLOCK_ENTRIES), build
+    whole = np.floor(moves)
+    frac = moves - whole
+    kern = np.zeros((len(moves), width))
+    rows = np.arange(len(moves))
+    for a in range(moves.shape[1]):
+        w = weights[a]
+        for shift, wf in ((whole[:, a], w * (1.0 - frac[:, a])), (whole[:, a] + 1, w * frac[:, a])):
+            ok = (shift >= low) & (shift <= high)
+            kern[rows[ok], (high - shift[ok]).astype(np.intp)] += wf[ok]
+    return width, -low, _block_steps(width, _BLOCK_ENTRIES), lambda j0, j1: kern[codes[j0:j1]]
 
 
 def _correlate_step(kernels, t0: int, n: int, size: int):
@@ -339,33 +337,30 @@ def _off_node(moves: np.ndarray) -> float:
     return np.abs(off, out=off).max()
 
 
-class _Lattice(tuple):
-    """`_lattice`'s (nodes, moves, start), with `whole`: whether every move was rounded to a
-    whole number of nodes."""
-
-    def __new__(cls, nodes: np.ndarray, moves: np.ndarray, start: int, whole: bool):
-        lattice = super().__new__(cls, (nodes, moves, start))
-        lattice.whole = whole
-        return lattice
+def _node_range(lo: float, up: float, x0: float, num: float, den: float) -> tuple[int, int]:
+    """(jlo, jhi): `_lattice` lays the nodes x0 + j*num/den, jlo <= j <= jhi, over [lo, up] and
+    one node past each end; `config` counts them with the same arithmetic."""
+    return int(math.ceil((lo - x0) * den / num)) - 1, int(math.floor((up - x0) * den / num)) + 1
 
 
 def _lattice(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, lo: np.ndarray, up: np.ndarray):
-    """(nodes x0 + j*dx over the tube's bounds lo, up, moves[i, a] = atom a of step i + 1 in nodes,
-    the index of x0) as a `_Lattice`; moves all within _LATTICE_TOL of whole nodes are rounded,
-    which `whole` reports, so no caller scans the moves again.  The law's own lattice,
-    dx == 1/q, is laid as 1/q for the DP's bits: j*(1/q) can miss j/q."""
-    n, f, q = tube.n, tube.f_offset, env.lattice_q
+    """(nodes, moves, start, codes, whole): nodes x0 + j*dx over the tube's bounds lo, up;
+    moves[c, a] = atom a of kind c in nodes; start = the index of x0; codes[i] = the kind of
+    step i + 1; whole = every move lies within _LATTICE_TOL of a whole number of nodes, and
+    then it is rounded there.  Only the law's D kinds are scaled and checked.  The law's own
+    lattice, dx == 1/q, is laid as 1/q for the DP's bits: j*(1/q) can miss j/q."""
+    q = env.lattice_q
     num, den = (1.0, q) if q is not None and dx == 1.0 / q else (dx, 1.0)
-    jlo = int(math.ceil((lo.min() - x0) * den / num)) - 1
-    jhi = int(math.floor((up.max() - x0) * den / num)) + 1
+    jlo, jhi = _node_range(lo.min(), up.max(), x0, num, den)
     if jhi - jlo + 1 > 50_000_000:
         raise ValueError(f"tube spans {jhi - jlo + 1} nodes, too many to propagate")
-    moves = env.atom_pos[f : f + n] * den
+    moves = env.atom_kinds * den
     moves /= num
     whole = _off_node(moves) <= _LATTICE_TOL
     if whole:
         np.rint(moves, out=moves)
-    return _Lattice(x0 + np.arange(jlo, jhi + 1) * num / den, moves, -jlo, whole)
+    codes = env.atom_codes[tube.f_offset : tube.f_offset + tube.n]
+    return x0 + np.arange(jlo, jhi + 1) * num / den, moves, -jlo, codes, whole
 
 
 def _block_tables(rows: list, weights: np.ndarray, g: int, width: int):
@@ -397,38 +392,24 @@ def _block_tables(rows: list, weights: np.ndarray, g: int, width: int):
     return tables
 
 
-def _blocks(nodes, moves, weights, lo, up, start: int, whole: bool = True):
+def _blocks(nodes, moves, codes, weights, lo, up, start: int, whole: bool = True):
     """The block route's plan for a pass from node `start` (module docstring), or None where it
-    does not apply: (a, g, slot, coset, chunks).  `whole` is `_lattice`'s report that every
-    move is a whole number of nodes.  The kept range starts at node a; the mass starts on slot
-    `slot` and ends on coset `coset`; chunks are (table, keys, steps), the blocks' keys into
-    `_block_tables`' table of _BLOCK steps, then the last steps' of one."""
+    does not apply: (a, g, slot, coset, chunks).  `moves`, `codes` and `whole` are `_lattice`'s:
+    each kind's whole-node moves, each step's kind, and whether every move is a whole number of
+    nodes.  The kept range starts at node a; the mass starts on slot `slot` and ends on coset
+    `coset`; chunks are (table, keys, steps), the blocks' keys into `_block_tables`' table of
+    _BLOCK steps, then the last steps' of one.  The tables hold every kind of the law in its
+    own order, so they do not depend on the environment."""
     if not whole or lo.min() < lo.max() or up.min() < up.max():
         return None
-    # each step's row of moves as a small code, rows[codes[i]] == moves[i], found
-    # _BLOCK_ENTRIES steps at a time from a key in base `span`
-    lowest = math.floor(moves.min())
-    span = math.ceil(moves.max()) - lowest + 1
-    if span ** moves.shape[1] > 2**53:  # keys exact as floats
-        return None
-    codes, known, rows = np.full(len(moves), 255, np.uint8), [], []  # 255: no code yet
-    for j in range(0, len(moves), _BLOCK_ENTRIES):
-        chunk, code = moves[j : j + _BLOCK_ENTRIES], codes[j : j + _BLOCK_ENTRIES]
-        key = (chunk - lowest) @ span ** np.arange(chunk.shape[1], dtype=float)
-        while (left := np.flatnonzero(code == 255)).size:  # no np.unique: it sorts
-            if (new := key[left[0]]) not in known:
-                if (len(rows) + 1) ** _BLOCK > _TABLE_ENTRIES:  # so at most 19 kinds
-                    return None
-                known.append(new)
-                rows.append([int(m) for m in chunk[left[0]]])
-            code[key == new] = known.index(new)
+    rows = moves.astype(int).tolist()
     (a,), (b,) = _kept(nodes, lo[:1], up[:1])
     kinds = len(rows)
     g = math.gcd(*(m - row[0] for row in rows for m in row[1:])) or b - a
     if g * kinds**_BLOCK * (-(-(b - a) // g)) ** 2 > _TABLE_ENTRIES:
         return None
     whole = len(codes) - len(codes) % _BLOCK
-    cosets = np.cumsum(np.r_[start - a, np.array([row[0] for row in rows])[codes]]) % g  # at times 0..n
+    cosets = np.cumsum(np.r_[start - a, moves[:, 0].astype(int)[codes]]) % g  # at times 0..n
     pattern = codes[:whole].reshape(-1, _BLOCK) @ kinds ** np.arange(_BLOCK - 1, -1, -1)
     keys = cosets[:whole:_BLOCK] * kinds**_BLOCK + pattern
     rest = cosets[whole:-1] * kinds + codes[whole:]
@@ -475,19 +456,18 @@ def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return
     `return_running`, running is None and either takes totals on demand.  With `exact` (the
     DP), a move off the nodes raises NonLatticeError instead of being split between them."""
     lo, up = tube.bounds_arrays()
-    lattice = _lattice(env, tube, x0, dx, lo, up)
-    if exact and not lattice.whole:
+    nodes, moves, start, codes, whole = _lattice(env, tube, x0, dx, lo, up)
+    if exact and not whole:
         q = env.lattice_q
         raise NonLatticeError(f"atom positions do not lie on the lattice (1/{q})Z; use survival_grid")
-    nodes, moves, start = lattice
     running = np.r_[1.0, np.zeros(tube.n)] if return_running else None
-    plan = _blocks(nodes, moves, env.atom_w, lo, up, start, lattice.whole)
+    plan = _blocks(nodes, moves, codes, env.atom_w, lo, up, start, whole)
     if plan is not None:
         log_total, last = _block_pass(plan, nodes, tube.end_bounds(), running)
     else:
         mass = np.zeros(len(nodes))
         mass[start] = 1.0
-        step = _correlate_step(_shift_kernels(moves, env.atom_w, len(nodes)), 0, tube.n, len(nodes))
+        step = _correlate_step(_shift_kernels(moves, codes, env.atom_w, len(nodes)), 0, tube.n, len(nodes))
         log_total, last, _ = _propagate(mass, nodes, lo, up, tube.end_bounds(), 0, step, running, lazy=True)
     return log_total + xi_log_factor(env, tube), running, len(nodes), last
 
@@ -527,7 +507,7 @@ def survival_brute_force(env: EnvRealization, tube: TubeSpec, x0: float) -> Surv
     pr = np.array([1.0])
     work = 0
     for i in range(1, n + 1):
-        step_pos = env.atom_pos[f + i - 1]
+        step_pos = env.atom_kinds[env.atom_codes[f + i - 1]]
         if len(pos) * len(step_pos) > _BRUTE_LIMIT:
             raise ValueError(f"enumeration would exceed {_BRUTE_LIMIT} paths; reduce n")
         pos = (pos[:, None] + step_pos[None, :]).ravel()

@@ -75,7 +75,7 @@ def draw_increments(
         out *= env.stds[window]
         out += env.quenched_mean[window]
         return out
-    cw, table = env.atom_select
+    cw = np.cumsum(env.atom_w)
     k = len(cw)
     if select is None:
         select = np.empty((k - 1, size, length), dtype=bool)
@@ -83,14 +83,16 @@ def draw_increments(
     # Atom j is taken where u >= cw[j-1].  cw is nondecreasing, so these
     # 0/1 masks M_j are nested, and the chosen atom's bits are
     #     a_0 ^ M_1 (D_1 ^ M_2 (D_2 ^ ... M_{k-1} D_{k-1}))
-    # with D_j = a_{j-1} ^ a_j (`table`).  Evaluated inside out on the
-    # uint64 view of `out` once the uniforms are spent, this copies each
-    # atom exactly (-0.0 included) without a data-dependent branch.  Step
-    # laws have at least two atoms (zero variance is refused), so k >= 2.
+    # with D_j = a_{j-1} ^ a_j, worked out once per kind and gathered by the
+    # steps' codes (`table`).  Evaluated inside out on the uint64 view of
+    # `out` once the uniforms are spent, this copies each atom exactly (-0.0
+    # included) without a data-dependent branch.  Step laws have at least
+    # two atoms (zero variance is refused), so k >= 2.
     for j in range(1, k):
         np.greater_equal(out, cw[j - 1], out=select[j - 1])
+    kinds = env.atom_kinds.view(np.uint64).T
+    table = np.vstack([kinds[:1], kinds[:-1] ^ kinds[1:]])[:, env.atom_codes[window]]
     bits = out.view(np.uint64)
-    table = table[:, window]
     np.multiply(select[k - 2], table[k - 1], out=bits)
     for j in range(k - 2, 0, -1):
         bits ^= table[j]

@@ -722,7 +722,7 @@ def test_correlate_step_rewinds_its_time_and_live_range():
     # must again clear the nodes the restored mass holds outside the next cut
     cuts = [(0, 12), (2, 10), (4, 8), (3, 9)]
     moves = np.array([[-1.0, 1.0], [-2.0, 0.0], [0.0, 1.0], [-1.0, 2.0]])
-    kernels = quench_dp._shift_kernels(moves, np.array([0.25, 0.75]), 12)
+    kernels = quench_dp._shift_kernels(moves, np.arange(4), np.array([0.25, 0.75]), 12)
 
     def masses(step, mass, cuts):
         return [step(mass, a, b)[0].copy() for a, b in cuts]
@@ -803,8 +803,8 @@ def test_block_route_is_the_step_loop(monkeypatch, name, g, n, extra):
         _same_pass(eager, eager_loop)
         assert lazy[0] == eager[0] and lazy[2:] == eager[2:] and math.isfinite(lazy[0])
         lo, up = tube.bounds_arrays()
-        nodes, moves, start = quench_dp._lattice(env, tube, x0, 1.0 / env.lattice_q, lo, up)
-        plan = quench_dp._blocks(nodes, moves, env.atom_w, lo, up, start)
+        nodes, moves, start, codes, _ = quench_dp._lattice(env, tube, x0, 1.0 / env.lattice_q, lo, up)
+        plan = quench_dp._blocks(nodes, moves, codes, env.atom_w, lo, up, start)
         assert plan[1] == g
         cosets.add((start - plan[0]) % g)
     assert cosets == set(range(g))
@@ -895,15 +895,16 @@ def _spy_scans(monkeypatch):
 @pytest.mark.parametrize("moving", [False, True], ids=["block-route", "step-loop"])
 def test_a_dp_pass_scans_its_moves_once(monkeypatch, moving):
     # `_lattice` reports whether it rounded every move: the DP raises from that
-    # report and the block route takes it, so nothing scans the moves again
+    # report and the block route takes it, so nothing scans the moves again;
+    # it scans the law's two kinds, not a row of moves per step
     cfg = tw_config.validate(tw_config.load_builtin("random-shift-bernoulli"))
     tube = tw.TubeSpec(**MOVING) if moving else cfg.template.make(3200)
     env = tw.sample_environment(cfg.env_spec, tube.f_offset + tube.n, seed=2)
     lo, up = tube.bounds_arrays()
-    assert quench_dp._lattice(env, tube, 0.0, 1.0 / env.lattice_q, lo, up).whole
+    assert quench_dp._lattice(env, tube, 0.0, 1.0 / env.lattice_q, lo, up)[4]
     scans = _spy_scans(monkeypatch)
     tw.survival_dp_lattice(env, tube, 0.0)
-    assert scans == [(tube.n, 2)]
+    assert scans == [(2, 2)]
 
 
 def test_dp_rejects_moves_off_the_declared_lattice(monkeypatch):
@@ -913,9 +914,9 @@ def test_dp_rejects_moves_off_the_declared_lattice(monkeypatch):
     env = tw.sample_environment(SPECS["off-lattice"], tube.n, seed=3)
     declared = dataclasses.replace(env, lattice_q=2)
     lo, up = tube.bounds_arrays()
-    assert not quench_dp._lattice(declared, tube, 0.0, 0.5, lo, up).whole
+    assert not quench_dp._lattice(declared, tube, 0.0, 0.5, lo, up)[4]
     scans = _spy_scans(monkeypatch)
     with pytest.raises(tw.NonLatticeError, match=r"\(1/2\)Z; use survival_grid"):
         tw.survival_dp_lattice(declared, tube, 0.0)
-    assert scans == [(tube.n, 2)]
+    assert scans == [(1, 2)]
     assert math.isfinite(tw.survival_grid(declared, tube, 0.0, 100).log_p)
