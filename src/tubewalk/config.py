@@ -20,6 +20,7 @@ import yaml
 
 from .env import EnvironmentSpec, moments
 from .gamma import _REPLICA_BATCH, BARRIER_SHIFT, _kernel_layout, _layout, _run_bytes, estimate_gamma
+from .quench_dp import _node_range, _start_points
 from .rate import ESTIMATORS, make_estimator, theorem_check
 from .tube import TubeTemplate
 
@@ -71,12 +72,16 @@ _EST_KEYS, _GAMMA_KEYS = set(_ESTIMATOR_DEFAULTS), set(_GAMMA_DEFAULTS)
 # increment paths, 8 bytes an entry, and the arrays `gamma._run_bytes`
 # counts.  A grid pass on a Gaussian law holds its step kernel's transform,
 # inverse FFT and taps and the correlation's output (measured 41 bytes a tap
-# with tracemalloc for kernels of 4e4-4e5 taps).
+# with tracemalloc for kernels of 4e4-4e5 taps).  The exact DP holds its
+# nodes, the mass, a saved copy of it and the correlation's output (measured
+# 32.0 bytes a node with tracemalloc at 6.0e6 and 1.3e7 nodes, Rademacher
+# steps on a constant and a moving tube).
 _MEMORY_BUDGET = 2**30
 _BUDGET = f"{_MEMORY_BUDGET >> 30} GiB memory budget"
 _PATH_BYTES = 64
 _STEP_BYTES, _ATOM_BYTES = 64, 32
 _TAP_BYTES = 48
+_NODE_BYTES = 32
 _FLOAT_BYTES = 8
 
 
@@ -330,6 +335,28 @@ def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTempl
         )
 
 
+def _check_lattice_nodes(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_list, x0, sweep) -> None:
+    """Reject a lattice law whose exact DP (`dp`, or `auto`, which takes it) lays out more nodes
+    than the budget holds, counted as `quench_dp._lattice` counts them, at every start a run takes."""
+    q = env_spec.lattice_q
+    if q is None or est["method"] not in ("dp", "auto"):
+        return
+    for n in n_list:
+        tube = template.make(n)
+        starts = _start_points(tube) if sweep else [tube.default_x0() if x0 is None else x0]
+        try:
+            nodes = max(jhi - jlo + 1 for jlo, jhi in (_node_range(*tube.extent(), x, 1.0, q) for x in starts))
+        except OverflowError:  # a bound past a float's range
+            nodes = math.inf
+        if nodes > _MEMORY_BUDGET // _NODE_BYTES:
+            keys = "environment.atoms" if env_spec.family == "degenerate" else "environment.d and environment.lattice_q"
+            raise ConfigError(
+                f"tube.g, tube.h, tube.alpha and tube.n_list with {keys} give an exact DP lattice of {nodes} "
+                f"nodes at n = {n}; at most {_MEMORY_BUDGET // _NODE_BYTES} fit ({_NODE_BYTES} bytes per node "
+                f"within a {_BUDGET})"
+            )
+
+
 def _build_tube(
     table: dict, env_spec: EnvironmentSpec
 ) -> tuple[TubeTemplate, tuple[int, ...], float | None, bool]:
@@ -416,6 +443,7 @@ def validate(raw: dict) -> ExperimentConfig:
     template, n_list, x0, sweep = _build_tube(raw["tube"], env_spec)
     _check_effort(est, n_list)
     _check_grid_kernel(est, env_spec, template, n_list)
+    _check_lattice_nodes(est, env_spec, template, n_list, x0, sweep)
     seed = _int_at_least(raw.get("seed", 12345), 0, "seed")
     return ExperimentConfig(
         seed=seed,

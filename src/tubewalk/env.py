@@ -15,6 +15,11 @@ package has at least one exactly checkable case:
 All families have centred mean laws (E m_i = 0) and strictly positive
 quenched variance by construction.  ``sigma_a_sq`` is the variance of the
 random per-step mean, ``sigma_q_sq`` the mean quenched variance.
+
+An atom law's realisation holds each of its D step laws once, as a kind
+(``atom_kinds``, one row of atom positions per kind), and one small code a
+step (``atom_codes``): the estimators build one kernel per kind and read
+each step's by its code.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ from .rng import STREAM_ENV, substream
 FAMILIES = ("degenerate", "random_shift_bernoulli", "random_mean_gaussian")
 
 _MOMENT_TOL = 1e-12
+# An atom p lies on (1/q)Z when p*q is this close to a whole number; the exact
+# DP rounds its moves there (`quench_dp._lattice`), so a lattice is declared
+# by this one rule.
+_LATTICE_TOL = 1e-9
 
 
 class InvalidSpecError(ValueError):
@@ -76,19 +85,21 @@ class StepLaw:
         return cls("gaussian", None, float(mean), float(std), float(mean), float(std) ** 2)
 
 
+def _on_lattice(positions, q: int) -> bool:
+    """Whether every position lies on (1/q)Z under the DP's rule, _LATTICE_TOL."""
+    return all(abs(p * q - round(p * q)) <= _LATTICE_TOL for p in positions)
+
+
 def _lattice_denominator(positions, max_q: int = 10**6) -> int | None:
-    """Smallest q with all positions on (1/q)Z, or None if there is none."""
+    """Smallest q with all positions on (1/q)Z (`_on_lattice`), or None if there is none."""
     q = 1
     for p in positions:
         if not math.isfinite(p):
             return None
-        frac = Fraction(p).limit_denominator(max_q)
-        if abs(float(frac) - p) > 1e-12:
-            return None
-        q = q * frac.denominator // math.gcd(q, frac.denominator)
+        q = math.lcm(q, Fraction(p).limit_denominator(max_q).denominator)
         if q > max_q:
             return None
-    return q
+    return q if _on_lattice(positions, q) else None
 
 
 @dataclass(frozen=True)
@@ -147,7 +158,7 @@ class EnvironmentSpec:
                 object.__setattr__(self, "lattice_q", q)
             if q < 1 or int(q) != q:
                 raise InvalidSpecError("lattice_q must be a positive integer")
-            if abs(self.d * q - round(self.d * q)) > 1e-9:
+            if not _on_lattice([m + a for m in (-self.d, self.d) for a in (-1.0, 1.0)], q):
                 raise InvalidSpecError(f"d={self.d} does not lie on the lattice (1/{q})Z")
         else:  # random_mean_gaussian
             if self.sigma_a is None or self.sigma_a < 0:

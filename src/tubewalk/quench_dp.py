@@ -26,10 +26,12 @@ of nodes and the table below holds at most _TABLE_ENTRIES entries
 (`_blocks`).  Given the environment the walk sits on one coset of gZ at
 each time (g the gcd of the moves' differences within a step: 4 for random
 shift at q = 2, 2 for Rademacher), so the mass is held on that coset's M
-slots of the kept range; a step's kernel is one of D kinds, so a block of
-_BLOCK steps is one of g * D**_BLOCK (M, M) matrices, built once a pass
-(`_block_tables`) and looked up by the block's start coset and kernel codes
-(the "Four Russians" table: Arlazarov, Dinic, Kronrod & Faradzev 1970).
+slots of the kept range; a step's kernel is one of the law's D kinds
+(`env.atom_kinds`), so a block of _BLOCK steps is one of g * D**_BLOCK
+(M, M) matrices, built once a pass (`_block_tables`) and looked up by the
+block's start coset and the steps' own codes (`env.atom_codes`), so the
+table depends on the law and the kept width only (the "Four Russians"
+table: Arlazarov, Dinic, Kronrod & Faradzev 1970).
 One matvec advances a block (`_block_pass`), with totals, rescaling and
 extinction as in the lazy step loop; the route sums in another order, so
 log p moves by an ulp or so against the step loop.
@@ -81,7 +83,7 @@ import sys
 
 import numpy as np
 
-from .env import EnvRealization
+from .env import _LATTICE_TOL, EnvRealization
 from .gamma import _FFT_BLOCK_ENTRIES, _band_modes, _band_step, _bin_masses, _block_steps, _fast_len, _kernel_layout
 from .results import (
     METHOD_BRUTE_FORCE,
@@ -92,7 +94,6 @@ from .results import (
 )
 from .tube import TubeSpec
 
-_LATTICE_TOL = 1e-9
 _BRUTE_LIMIT = 64_000_000  # max enumerated paths
 _BLOCK_ENTRIES = 2**14  # step-kernel entries built at a time
 _RESCALE_BELOW = 2.0**-500  # carried mass total that triggers a rescale
@@ -169,8 +170,8 @@ def _shift_kernels(moves: np.ndarray, codes: np.ndarray, weights: np.ndarray, si
     Step j moves mass by ``moves[codes[j], a]`` nodes with probability
     ``weights[a]``; a move between two nodes is split linearly between
     them.  Moves of a whole window or more carry nothing into it and are
-    dropped.  One kernel is built per kind, as wide as the kinds the steps
-    use need, and each step's row is gathered by its code.  Returns (width,
+    dropped.  One kernel is built per kind, its width set by the kinds the
+    steps use, and each step's row is gathered by its code.  Returns (width,
     r, block, build) as `_correlate_step` takes them.
     """
     used = moves[np.bincount(codes, minlength=len(moves)) > 0]
@@ -631,6 +632,18 @@ def survival_grid(
     return (est, running) if return_running else est
 
 
+def _start_points(tube: TubeSpec, points: int = 11) -> np.ndarray:
+    """The start points of `survival_start_sweep`."""
+    c = tube.scale
+    if tube.start_window is not None:
+        xs = np.linspace(tube.start_window[0] * c, tube.start_window[1] * c, points)
+    else:
+        xs = np.linspace(tube.g_at(0.0) * c, tube.h_at(0.0) * c, points + 2)[1:-1]
+    if points % 2:
+        xs[points // 2] = tube.default_x0()
+    return xs
+
+
 def survival_start_sweep(
     env: EnvRealization, tube: TubeSpec, estimator, points: int = 11
 ) -> list[tuple[float, SurvivalEstimate]]:
@@ -640,11 +653,4 @@ def survival_start_sweep(
     start window the sweep covers the interior of the tube at time 0.  The
     middle of an odd number of points is `tube.default_x0()` to the bit.
     """
-    c = tube.scale
-    if tube.start_window is not None:
-        xs = np.linspace(tube.start_window[0] * c, tube.start_window[1] * c, points)
-    else:
-        xs = np.linspace(tube.g_at(0.0) * c, tube.h_at(0.0) * c, points + 2)[1:-1]
-    if points % 2:
-        xs[points // 2] = tube.default_x0()
-    return [(float(x), estimator(env, tube, float(x))) for x in xs]
+    return [(float(x), estimator(env, tube, float(x))) for x in _start_points(tube, points)]

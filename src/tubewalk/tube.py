@@ -109,6 +109,19 @@ class TubeSpec:
         c = self.scale
         return np.asarray(_interp(self.g, s)) * c, np.asarray(_interp(self.h, s)) * c
 
+    def extent(self) -> tuple[float, float]:
+        """The lowest lower and highest upper bound of `bounds_arrays`, without building them.
+
+        Between two breakpoints a bound is monotone in time, in floating
+        point too (`np.interp` is a fixed multiply-add of the time), so its
+        extremes fall on the times next to a breakpoint.
+        """
+        knots = {s for s, _ in self.g} | {s for s, _ in self.h}
+        i = np.clip([math.floor(s * self.n) + k for s in knots for k in (-1, 0, 1, 2)], 0, self.n)
+        s = i / self.n
+        c = self.scale
+        return float((np.asarray(_interp(self.g, s)) * c).min()), float((np.asarray(_interp(self.h, s)) * c).max())
+
     def end_bounds(self) -> tuple[float, float] | None:
         """End window in walk units, or None when no end restriction is set."""
         if self.end_window is None:

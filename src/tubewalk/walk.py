@@ -4,6 +4,11 @@ A path stores four aligned sequences: the walk positions s, the cumulative
 quenched means m (the environment-driven drift), the centred fluctuation
 u = s - s[0] - m, and the cumulative quenched variance gamma.  The
 decomposition s[i] = s[0] + m[i] + u[i] holds exactly by construction.
+
+Atom steps are drawn from the environment's kinds: `draw_increments` works
+out what it selects atoms from once per kind (`env.atom_kinds`) and gathers
+it by each step's code (`env.atom_codes`), so no (n, k) array of atoms is
+built.
 """
 
 from __future__ import annotations

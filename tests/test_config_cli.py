@@ -431,6 +431,50 @@ def test_validate_sizes_each_run_against_the_whole_budget(monkeypatch):
     validate(_GAUSS_AT_CAP)
 
 
+# The exact DP holds 32 bytes a node: at most 2**30 // 32 = 33554432.  On the
+# integer lattice (Rademacher steps, n = 1, so the bounds are g and h) a start
+# at 0.5 lays floor(h - 0.5) - ceil(g - 0.5) + 3 nodes: 33554432 at
+# h = -g = 16777214.75, 33554433 at g = -16777215.25, h = 16777215.75.
+def _lattice_raw(g, h, method):
+    tube = {"alpha": 0.3, "n": 1, "g": g, "h": h, "x0": 0.5}
+    return {**SMALL, "tube": tube, "estimator": {"method": method, "checkpoints": 1}}
+
+
+@pytest.mark.parametrize("method", ["dp", "auto"])
+def test_validate_sizes_the_exact_dp_lattice(method):
+    validate(_lattice_raw(-16777214.75, 16777214.75, method))
+    with pytest.raises(ConfigError, match="GiB memory budget") as info:
+        validate(_lattice_raw(-16777215.25, 16777215.75, method))
+    message = str(info.value)
+    assert "33554433 nodes" in message and "at most 33554432 fit" in message
+    assert "tube.g, tube.h" in message and "environment.atoms" in message
+    # the grid and splitting do not lay the law's lattice out at that size
+    for other in ("grid", "splitting"):
+        validate(_lattice_raw(-16777215.25, 16777215.75, other))
+
+
+@pytest.mark.parametrize("method", ["dp", "auto"])
+def test_validate_sizes_the_dp_lattice_without_laying_it_out(method):
+    # 3.9e7 to 4.4e7 nodes of (1/1e6)Z: refused at the first n, naming the keys,
+    # by validation that holds under 1 MiB
+    raw = load_builtin("random-shift-bernoulli")
+    raw["environment"].update(d=0.123457, lattice_q=1000000)
+    raw["tube"]["n_list"] = [20000, 25600, 30000]
+    raw["estimator"]["method"] = method
+
+    def refused():
+        with pytest.raises(ConfigError, match="at n = 20000") as info:
+            validate(raw)
+        assert "environment.d and environment.lattice_q" in str(info.value)
+
+    assert _peak_bytes(refused) < 2**20
+    # a start sweep counts the nodes at every start
+    raw["tube"].update(n_list=[1], g=-16777215.25, h=16777215.75, sweep_starts=True)
+    raw["environment"].update(d=0.0, lattice_q=1)
+    with pytest.raises(ConfigError, match="33554433 nodes"):
+        validate(raw)
+
+
 # SMALL's gamma table holds 8 replicas: at most 2**30 // (8 * 8) = 16777216
 # steps of W increments; 1000 replicas run 64 at a time, so 2**30 // (8 * 64).
 # The layout's bytes (`gamma._run_bytes`) reach the budget at dt = 1e-3 through
@@ -599,6 +643,17 @@ def test_cli_fit_builtin_degenerate_within_tolerance(tmp_path):
 
 def test_cli_builtin_scheme_unknown_name(tmp_path):
     assert cli.main(["simulate", "--config", "builtin:nope", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_cli_auto_takes_the_grid_for_atoms_off_every_lattice(tmp_path):
+    # +-sqrt(1/2) is within 1e-12 of p/941664 but 1e-6 off (1/941664)Z, where
+    # the DP would round its moves: no lattice is declared, and auto runs the grid
+    out = tmp_path / "sqrt"
+    atoms = "environment.atoms=[[-0.7071067811865476,0.5],[0.7071067811865476,0.5]]"
+    args = ["--config", "builtin:degenerate-rademacher", "--set", "estimator.method=auto", "--set", atoms]
+    assert cli.main(["simulate", *args, "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "simulate.csv").open()))
+    assert len(rows) == 5 and {row["method"] for row in rows} == {"grid"}
 
 
 def test_cli_simulate_start_sweep(tmp_path):

@@ -25,6 +25,21 @@ def test_degenerate_realization_has_identical_steps():
     assert env.step_law(0).atoms == env.step_law(49).atoms
 
 
+@pytest.mark.parametrize("d", [0.5, 0.0])
+def test_atom_realization_holds_the_law_kinds_and_a_code_per_step(d):
+    # code 0 is m = -d, code 1 is m = +d; each step's atoms are its kind's row
+    env = tw.sample_environment(tw.EnvironmentSpec.random_shift_bernoulli(d), 300, seed=9)
+    kinds = np.array([[-d - 1.0, -d + 1.0], [d - 1.0, d + 1.0]])
+    assert np.array_equal(env.atom_kinds.view(np.uint64), kinds.view(np.uint64))  # -0.0 too
+    assert env.atom_codes.dtype == np.uint8 and env.atom_codes.shape == (300,)
+    assert set(np.unique(env.atom_codes)) == {0, 1}
+    assert np.array_equal(env.quenched_mean.view(np.uint64), np.array([-d, d])[env.atom_codes].view(np.uint64))
+    assert np.array_equal(env.atom_pos, kinds[env.atom_codes]) and not env.atom_pos.flags.writeable
+    assert env.step_law(7).atoms == tuple(zip(kinds[env.atom_codes[7]], env.atom_w))
+    rademacher = tw.sample_environment(tw.EnvironmentSpec.rademacher(), 40, seed=9)
+    assert rademacher.atom_kinds.tolist() == [[-1.0, 1.0]] and not rademacher.atom_codes.any()
+
+
 def test_shift_means_satisfy_clt_bound():
     env = tw.sample_environment(tw.EnvironmentSpec.random_shift_bernoulli(0.5), 1000, seed=7)
     assert abs(env.quenched_mean.mean()) <= 4 * 0.5 / math.sqrt(1000)
@@ -91,6 +106,10 @@ def test_lattice_detection():
     assert _lattice_denominator([-1.0, 1.0]) == 1
     assert _lattice_denominator([-1.5, 0.25]) == 4
     assert _lattice_denominator([math.sqrt(2)]) is None
+    # p/q within 1e-12 of an atom is not enough: the DP needs atom * q within
+    # 1e-9 of a whole number (941664 * sqrt(1/2) is 1e-6 off)
+    assert _lattice_denominator([-math.sqrt(0.5), math.sqrt(0.5)]) is None
+    assert not tw.EnvironmentSpec.degenerate([(-math.sqrt(0.5), 0.5), (math.sqrt(0.5), 0.5)]).is_lattice
     assert tw.EnvironmentSpec.random_shift_bernoulli(0.5).lattice_q == 2
     assert tw.EnvironmentSpec.rademacher().is_lattice
     assert not tw.EnvironmentSpec.random_mean_gaussian(1, 1).is_lattice

@@ -810,6 +810,26 @@ def test_block_route_is_the_step_loop(monkeypatch, name, g, n, extra):
     assert cosets == set(range(g))
 
 
+def test_block_tables_depend_only_on_the_law():
+    # the keys are the environment's own codes, in the law's kind order, so two
+    # environments whose first steps draw different kernels index one table
+    tube = tw.TubeSpec(g=-1.0, h=1.2, alpha=0.3, n=401)
+    lo, up = tube.bounds_arrays()
+    first = {}
+    for seed in range(20):
+        env = tw.sample_environment(SPECS["shift"], tube.n, seed=seed)
+        first.setdefault(int(env.atom_codes[0]), env)
+    plans = []
+    for env in (first[0], first[1]):
+        nodes, moves, start, codes, whole = quench_dp._lattice(env, tube, 0.1, 0.5, lo, up)
+        plans.append(quench_dp._blocks(nodes, moves, codes, env.atom_w, lo, up, start, whole))
+    assert plans[0][:3] == plans[1][:3]
+    for (table, keys, _), (other, other_keys, _) in zip(plans[0][4], plans[1][4]):
+        assert keys != other_keys
+        for a, b in zip(table, other):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_block_route_dies_out_inside_a_block(monkeypatch):
     # three nodes: the walk survives only while the shifts alternate, and at
     # this seed it dies out at step 30, inside the second block after a check

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import tubewalk as tw
@@ -103,3 +104,17 @@ def test_default_x0_prefers_start_window():
     assert tube.default_x0() == pytest.approx(0.25 * 2.0)
     plain = tw.TubeSpec(g=-1.0, h=3.0, alpha=0.25, n=16)
     assert plain.default_x0() == pytest.approx(2.0)
+
+
+def test_extent_is_the_bounds_arrays_extremes():
+    # exact, also on segments so flat that the bounds round to a few values
+    rng = np.random.default_rng(3)
+    for trial in range(300):
+        knots = np.r_[0.0, np.sort(rng.choice([rng.random(), 1 / 3, 0.1, 0.7], rng.integers(0, 5))), 1.0]
+        knots = np.unique(knots)
+        scale = 10.0 ** rng.integers(-15, 1) if trial % 2 else 1.0
+        g = [(float(s), float(-1.0 - scale * rng.random())) for s in knots]
+        h = [(float(s), float(1.0 + scale * rng.random())) for s in knots]
+        tube = tw.TubeSpec(g=g, h=h, alpha=0.3, n=int(rng.integers(1, 5000)))
+        lo, up = tube.bounds_arrays()
+        assert tube.extent() == (lo.min(), up.max())
