@@ -18,9 +18,11 @@ from importlib import resources
 
 import yaml
 
-from .env import EnvironmentSpec, moments
-from .gamma import _REPLICA_BATCH, BARRIER_SHIFT, _kernel_layout, _layout, _run_bytes, estimate_gamma
-from .quench_dp import _node_range, _start_points
+from .env import _ATOM_BYTES, _STEP_BYTES, EnvironmentSpec, moments
+from .gamma import _FLOAT_BYTES, _MEMORY_BUDGET, _REPLICA_BATCH, BARRIER_SHIFT, _kernel_layout, _layout, _run_bytes
+from .gamma import estimate_gamma
+from .mc import _PATH_BYTES
+from .quench_dp import _NODE_BYTES, _TAP_BYTES, _atom_nodes, _grid_spacing, _start_points
 from .rate import ESTIMATORS, make_estimator, theorem_check
 from .tube import TubeTemplate
 
@@ -63,30 +65,21 @@ _GAMMA_DEFAULTS = {"beta": [0.0], **_defaults(estimate_gamma, _GAMMA_ARGS)}
 _OUTPUT_DEFAULTS = {"dir": "out", "svg": False, "dump_path": False}
 _EST_KEYS, _GAMMA_KEYS = set(_ESTIMATOR_DEFAULTS), set(_GAMMA_DEFAULTS)
 
-# Memory a run may take, and what one unit of effort holds at once.  Runs
-# are sequential, so each check sizes one run against the whole budget.
-# A splitting particle keeps positions, flags, end positions and resampling
-# indices (measured 39 bytes a particle, 22 on the lattice kernel); an environment step keeps its
-# law, its tube bounds and the estimators' per-step arrays (measured 70-128
-# bytes with tracemalloc for 0-3 atoms per law).  gamma holds a batch of W
-# increment paths, 8 bytes an entry, and the arrays `gamma._run_bytes`
-# counts.  A grid pass on a Gaussian law holds its step kernel's transform,
-# inverse FFT and taps and the correlation's output (measured 41 bytes a tap
-# with tracemalloc for kernels of 4e4-4e5 taps).  The exact DP holds its
-# nodes, the mass, a saved copy of it and the correlation's output (measured
-# 32.0 bytes a node with tracemalloc at 6.0e6 and 1.3e7 nodes, Rademacher
-# steps on a constant and a moving tube).
-_MEMORY_BUDGET = 2**30
-_BUDGET = f"{_MEMORY_BUDGET >> 30} GiB memory budget"
-_PATH_BYTES = 64
-_STEP_BYTES, _ATOM_BYTES = 64, 32
-_TAP_BYTES = 48
-_NODE_BYTES = 32
-_FLOAT_BYTES = 8
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad key."""
+
+
+def _within_budget(count, unit_bytes: int, unit: str, keys: str, where: str = "") -> None:
+    """Refuse `count` units of `unit_bytes` bytes, set by `keys` and held `where`, past the memory
+    budget (`gamma._MEMORY_BUDGET`), which each run holds alone: runs are sequential."""
+    cap = _MEMORY_BUDGET // unit_bytes
+    if count > cap:
+        shown = f"{count:.6g}" if isinstance(count, float) else count
+        raise ConfigError(
+            f"{keys} give {shown} {unit}s{where}; at most {cap} fit ({unit_bytes} bytes per {unit} "
+            f"within a {_MEMORY_BUDGET >> 30} GiB memory budget)"
+        )
 
 
 def _int_at_least(value, low: int, key: str) -> int:
@@ -124,11 +117,7 @@ def _check_effort(est: dict, n_list: tuple[int, ...]) -> None:
         _int_at_least(est[key], low, f"estimator.{key}")
     # naive MC's replicas are the particles of a one-block splitting run
     for key in ("particles", "replicas"):
-        if est[key] > _MEMORY_BUDGET // _PATH_BYTES:
-            raise ConfigError(
-                f"estimator.{key} must be <= {_MEMORY_BUDGET // _PATH_BYTES} "
-                f"({_PATH_BYTES} bytes per path within a {_BUDGET}), got {est[key]}"
-            )
+        _within_budget(est[key], _PATH_BYTES, "path", f"estimator.{key}")
     _positive(est["tolerance"], "estimator.tolerance")
     if est["method"] == "splitting" and est["checkpoints"] > min(n_list):
         raise ConfigError(
@@ -153,39 +142,26 @@ def _check_gamma(gam: dict) -> None:
             f"0.5826 sqrt(dt) must stay inside the tube half-width 1/2), got {gam['dt']}"
         )
     batch = min(gam["replicas"], _REPLICA_BATCH)
-    if steps > _MEMORY_BUDGET // (_FLOAT_BYTES * batch):
-        raise ConfigError(
-            f"gamma.t / gamma.dt must give at most {_MEMORY_BUDGET // (_FLOAT_BYTES * batch)} steps "
-            f"({_FLOAT_BYTES} bytes per W increment, {batch} replicas at a time, within a "
-            f"{_BUDGET}), got {steps}"
-        )
+    where = f" of W increments, {batch} replicas at a time"
+    _within_budget(steps, _FLOAT_BYTES * batch, "step", "gamma.t / gamma.dt", where)
     _check_gamma_layout(gam, max(gam["beta"], default=0.0))
 
 
 def _check_gamma_layout(gam: dict, beta: float, at: str = "") -> None:
     """Reject a gamma run at drift `beta` whose layout overflows the budget;
     `at` says where `beta` comes from."""
-    batch = min(gam["replicas"], _REPLICA_BATCH)
+    batch, points = min(gam["replicas"], _REPLICA_BATCH), gam["grid_points"]
+    keys = "gamma.dt and gamma.grid_points"
     # the padded row holds at least grid_points entries a replica, and its
     # padding covers drifts beta * dW up to the kernel's own reach, |dW| <= 8
     # sqrt(dt), in cells under 1/grid_points; past the bound the layout is
     # not sized (it may not fit a float)
     drift = beta * 8.0 * math.sqrt(gam["dt"])
-    row_cap = _MEMORY_BUDGET // (_FLOAT_BYTES * batch)
-    if gam["grid_points"] > row_cap or gam["grid_points"] * (1.0 + drift) > row_cap:
-        need = f"rows of more than {row_cap} entries"
-    else:
-        _, _, n, band = _layout(gam["dt"], gam["grid_points"], max_drift=drift)
-        size = _run_bytes(gam["grid_points"], n, band, batch)
-        if size <= _MEMORY_BUDGET:
-            return
-        need = f"{size} bytes"
-    raise ConfigError(
-        f"gamma.dt and gamma.grid_points must let {batch} replicas propagate together (the "
-        f"cut operator of the step-kernel band, the padded rows of the first step and a "
-        f"block of step kernels){at} within a {_BUDGET}; they "
-        f"need {need} (lower gamma.grid_points)"
-    )
+    row = points if points > _MEMORY_BUDGET // (_FLOAT_BYTES * batch) else points * (1.0 + drift)
+    _within_budget(row, _FLOAT_BYTES * batch, "column", keys, f" of {batch} padded rows{at}")
+    _, _, n, band = _layout(gam["dt"], points, max_drift=drift)
+    where = f" for {batch} replicas at once (the band's cut operator, the padded rows, a block of step kernels){at}"
+    _within_budget(_run_bytes(points, n, band, batch) // _FLOAT_BYTES, _FLOAT_BYTES, "float", keys, where)
 
 
 def _check_keys(table: dict, allowed: set, where: str) -> None:
@@ -296,18 +272,13 @@ def _check_moments(env_spec: EnvironmentSpec) -> None:
 def _check_env_length(template: TubeTemplate, n_list, env_spec: EnvironmentSpec) -> None:
     """Reject tubes whose environment, f_offset(max n) + max n steps, overflows the budget."""
     atoms = {"degenerate": len(env_spec.atoms or ()), "random_shift_bernoulli": 2}.get(env_spec.family, 0)
-    step_bytes = _STEP_BYTES + _ATOM_BYTES * atoms
     n_max = max(n_list)
     try:
         steps = template.f_offset(n_max) + n_max
     except (OverflowError, ValueError):  # an infinite or nan offset
         steps = math.inf
-    if steps > _MEMORY_BUDGET // step_bytes:
-        raise ConfigError(
-            f"tube.n_list, tube.f_coeff and tube.f_power give an environment of f_offset(max n) + max n "
-            f"= {steps} steps; at most {_MEMORY_BUDGET // step_bytes} fit ({step_bytes} bytes per "
-            f"step within a {_BUDGET})"
-        )
+    keys = "tube.n_list, tube.f_coeff and tube.f_power"
+    _within_budget(steps, _STEP_BYTES + _ATOM_BYTES * atoms, "step", keys, " of environment (f_offset(max n) + max n)")
 
 
 def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_list) -> None:
@@ -320,41 +291,38 @@ def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTempl
     if env_spec.family != "random_mean_gaussian" or est["method"] not in ("grid", "auto"):
         return
     n_min = min(n_list)
-    lo, up = template.make(n_min).bounds_arrays()
-    dx = float(up.max() - lo.min()) / est["grid_points"]
+    lo, up = template.make(n_min).extent()
+    dx = (up - lo) / est["grid_points"]
     try:
         reach = _kernel_layout(env_spec.tau, 8.0 * env_spec.sigma_a, dx, est["grid_points"])[0]
     except OverflowError:  # a reach (or its band) past a float's range, far over the cap
         reach = math.inf
-    taps = 2 * reach + 1
-    if taps > _MEMORY_BUDGET // _TAP_BYTES:
-        raise ConfigError(
-            f"environment.sigma_a and environment.tau give a grid step kernel of {taps:.3g} taps at the "
-            f"smallest tube n ({n_min}); at most {_MEMORY_BUDGET // _TAP_BYTES} fit ({_TAP_BYTES} bytes "
-            f"per tap within a {_BUDGET}; lower estimator.grid_points)"
-        )
+    keys = "environment.sigma_a and environment.tau, with estimator.grid_points,"
+    _within_budget(2 * reach + 1, _TAP_BYTES, "tap", keys, f" in the grid's step kernel at the smallest n ({n_min})")
 
 
-def _check_lattice_nodes(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_list, x0, sweep) -> None:
-    """Reject a lattice law whose exact DP (`dp`, or `auto`, which takes it) lays out more nodes
-    than the budget holds, counted as `quench_dp._lattice` counts them, at every start a run takes."""
-    q = env_spec.lattice_q
-    if q is None or est["method"] not in ("dp", "auto"):
+def _check_atom_nodes(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_list, x0, sweep) -> None:
+    """Reject an atom law whose atom pass lays out more nodes than the budget holds, counted by
+    `quench_dp._atom_nodes` at every start a run takes: the exact DP's on the law's lattice
+    (`dp`, and `auto` on a lattice law), or the grid's at `quench_dp._grid_spacing` (`grid`, and
+    `auto` off every lattice)."""
+    q, method = env_spec.lattice_q, est["method"]
+    exact = method in ("dp", "auto") and q is not None
+    if env_spec.family == "random_mean_gaussian" or not (exact or method in ("grid", "auto")):
         return
+    law = "environment.atoms" if env_spec.family == "degenerate" else "environment.d and environment.lattice_q"
+    keys = f"tube.g, tube.h, tube.alpha and tube.n_list with {law}" + ("" if exact else ", at estimator.grid_points,")
     for n in n_list:
         tube = template.make(n)
+        lo, up = tube.extent()
         starts = _start_points(tube) if sweep else [tube.default_x0() if x0 is None else x0]
         try:
-            nodes = max(jhi - jlo + 1 for jlo, jhi in (_node_range(*tube.extent(), x, 1.0, q) for x in starts))
-        except OverflowError:  # a bound past a float's range
+            dx = 1.0 / q if exact else _grid_spacing(env_spec, up - lo, est["grid_points"])
+            nodes = max(_atom_nodes(q, dx, lo, up, x)[3] for x in starts)
+        except (OverflowError, ValueError):  # a bound or a span past a float's range
             nodes = math.inf
-        if nodes > _MEMORY_BUDGET // _NODE_BYTES:
-            keys = "environment.atoms" if env_spec.family == "degenerate" else "environment.d and environment.lattice_q"
-            raise ConfigError(
-                f"tube.g, tube.h, tube.alpha and tube.n_list with {keys} give an exact DP lattice of {nodes} "
-                f"nodes at n = {n}; at most {_MEMORY_BUDGET // _NODE_BYTES} fit ({_NODE_BYTES} bytes per node "
-                f"within a {_BUDGET})"
-            )
+        where = f" in the {'exact DP' if exact else 'grid'}'s atom pass at n = {n}"
+        _within_budget(nodes, _NODE_BYTES, "node", keys, where)
 
 
 def _build_tube(
@@ -443,7 +411,7 @@ def validate(raw: dict) -> ExperimentConfig:
     template, n_list, x0, sweep = _build_tube(raw["tube"], env_spec)
     _check_effort(est, n_list)
     _check_grid_kernel(est, env_spec, template, n_list)
-    _check_lattice_nodes(est, env_spec, template, n_list, x0, sweep)
+    _check_atom_nodes(est, env_spec, template, n_list, x0, sweep)
     seed = _int_at_least(raw.get("seed", 12345), 0, "seed")
     return ExperimentConfig(
         seed=seed,

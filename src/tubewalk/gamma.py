@@ -71,10 +71,13 @@ BARRIER_SHIFT = 0.5825971579390107
 # (together they bound the memory), and the amplitude below which an alias
 # of the kernel transform is dropped.  Transforms are built by batched calls
 # with a fixed per-call cost (tens of numpy calls holding the interpreter
-# lock), so a block is not made smaller; the band step's dense cut operator
-# is held to as many entries by `quench_dp`.
+# lock), so a block is not made smaller.
 _FFT_BLOCK_ENTRIES = 2**16
 _REPLICA_BATCH = 64
+# Bytes one run may hold (runs are sequential; `config.validate` sizes each
+# run against them), and the bytes of a float: a batch of replicas holds its
+# W increments and the arrays `_run_bytes` counts.
+_MEMORY_BUDGET, _FLOAT_BYTES = 2**30, 8
 # Basis entries per chunk of `_band_step`'s sum of its dense cut operator:
 # the chunks set the order of the sum, so this constant fixes its bits.
 _BASIS_ENTRIES = 2**16

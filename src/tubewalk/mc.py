@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .env import EnvRealization
-from .quench_dp import _kept, _lattice, _require_open_start, xi_log_factor
+from .quench_dp import _NODE_CAP, _atom_nodes, _kept, _lattice, _require_open_start, xi_log_factor
 from .results import METHOD_NAIVE_MC, METHOD_SPLITTING, SurvivalEstimate, from_log
 from .rng import STREAM_SPLIT, substream
 from .tube import TubeSpec
@@ -33,6 +33,10 @@ from .walk import draw_increments
 # Bytes of a row block in `_advance` or a step chunk in `_advance_nodes`: small enough to stay
 # in cache, large enough to amortise the per-call overhead.  Results do not depend on it.
 ROW_BYTES = 2**18
+# A particle keeps its position, flags, end position and resampling indices:
+# measured 39 bytes a particle on the float kernel and 22 on the lattice
+# kernel; `config.validate` sizes `estimator.particles` and `replicas` by it.
+_PATH_BYTES = 64
 
 
 def _advance(
@@ -79,15 +83,17 @@ def _advance(
 def _bit_law(env: EnvRealization, tube: TubeSpec, x0: float, bounds=None):
     """(nodes, moves, start, codes, cuts, bits) for `_advance_nodes` (`quench_dp._lattice`'s four,
     on `bounds` (lo, up), the tube's when None), or None for the float kernel.  A particle-step's
-    `bits` <= 8 random bits, read as v, take atom j where v >= cuts[j-1] = (w_0 + ... + w_{j-1}) 2^bits."""
-    if env.kind != "atoms" or env.lattice_q is None:
+    `bits` <= 8 random bits, read as v, take atom j where v >= cuts[j-1] = (w_0 + ... + w_{j-1}) 2^bits.
+    A lattice of more than _NODE_CAP nodes is counted, not laid out: the float kernel needs none."""
+    q = env.lattice_q
+    if env.kind != "atoms" or q is None:
         return None
     bits = next((b for b in range(1, 9) if np.all(np.ldexp(env.atom_w, b) % 1 == 0)), None)
-    try:
-        *lattice, whole = _lattice(env, tube, x0, 1.0 / env.lattice_q, *(bounds or tube.bounds_arrays()))
-    except ValueError:  # too many nodes to lay out; the float kernel needs none
+    lo, up = bounds or tube.bounds_arrays()
+    if bits is None or _atom_nodes(q, 1.0 / q, lo.min(), up.max(), x0)[3] > _NODE_CAP:
         return None
-    if bits is None or not whole:
+    *lattice, whole = _lattice(env, tube, x0, 1.0 / q, lo, up)
+    if not whole:
         return None
     return *lattice, np.ldexp(np.cumsum(env.atom_w)[:-1], bits).astype(int).tolist(), bits
 

@@ -64,7 +64,7 @@ steps, whichever needs fewer multiply-adds:
   direct correlation.
 
 The band runs when (2K)^2 < size * (2 hw + 1) and its operator holds at
-most _FFT_BLOCK_ENTRIES entries.  On the Gaussian builtin at 400 nodes
+most _BAND_ENTRIES entries.  On the Gaussian builtin at 400 nodes
 (n = 400-6400, K = 31-57, 295-649 taps) a pass costs 4.1-5.7 us a step with
 the band against 24-46 us with the taps (a 2-vCPU VM, one BLAS thread, fastest
 of several passes); narrow kernels on wide tubes keep the taps (N(m, 0.5^2)
@@ -84,7 +84,8 @@ import sys
 import numpy as np
 
 from .env import _LATTICE_TOL, EnvRealization
-from .gamma import _FFT_BLOCK_ENTRIES, _band_modes, _band_step, _bin_masses, _block_steps, _fast_len, _kernel_layout
+from .gamma import _FFT_BLOCK_ENTRIES, _MEMORY_BUDGET, _band_modes, _band_step, _bin_masses, _block_steps, _fast_len
+from .gamma import _kernel_layout
 from .results import (
     METHOD_BRUTE_FORCE,
     METHOD_DP_LATTICE,
@@ -100,6 +101,14 @@ _RESCALE_BELOW = 2.0**-500  # carried mass total that triggers a rescale
 _CHECK_STEPS = 16  # steps between the totals of a lazy pass
 _BLOCK = 4  # steps a block-route matvec advances; _CHECK_STEPS is a whole number of blocks
 _TABLE_ENTRIES = 2**17  # entries of the block route's table of _BLOCK steps, at most (1 MiB)
+_BAND_ENTRIES = 2**16  # entries of a Gaussian band step's dense cut operator, at most
+# Bytes of an atom pass's node: the node, the mass, a saved copy of it and the
+# correlation's output (32.0 measured with tracemalloc at 6.0e6 and 1.3e7
+# nodes, Rademacher steps on a constant and a moving tube); and of a Gaussian
+# taps step's tap: the kernels' transform, inverse FFT and taps and the
+# correlation's output (41 measured for kernels of 4e4-4e5 taps).
+_NODE_BYTES, _TAP_BYTES = 32, 48
+_NODE_CAP = _MEMORY_BUDGET // _NODE_BYTES
 # A Gaussian pass carries round-off of about 5e-15 of the peak mass into
 # every node (measured on the tails of FFT-built masses).  A cut that keeps
 # the fraction `kept` of the mass carried into it is flagged when that
@@ -338,30 +347,32 @@ def _off_node(moves: np.ndarray) -> float:
     return np.abs(off, out=off).max()
 
 
-def _node_range(lo: float, up: float, x0: float, num: float, den: float) -> tuple[int, int]:
-    """(jlo, jhi): `_lattice` lays the nodes x0 + j*num/den, jlo <= j <= jhi, over [lo, up] and
-    one node past each end; `config` counts them with the same arithmetic."""
-    return int(math.ceil((lo - x0) * den / num)) - 1, int(math.floor((up - x0) * den / num)) + 1
+def _atom_nodes(q: int | None, dx: float, lo: float, up: float, x0: float) -> tuple[float, float, int, int]:
+    """(num, den, jlo, count): an atom pass of spacing dx from x0 lays the `count` nodes x0 + j*num/den,
+    j >= jlo, over [lo, up] and one past each end; the law's own lattice, dx == 1/q, as j/q for the DP's
+    bits (j*(1/q) can miss j/q).  Scalar arithmetic: `_lattice` lays these nodes out, and `mc._bit_law`
+    and `config` count them, all against _NODE_CAP."""
+    num, den = (1.0, q) if q is not None and dx == 1.0 / q else (dx, 1.0)
+    jlo = int(math.ceil((lo - x0) * den / num)) - 1
+    return num, den, jlo, int(math.floor((up - x0) * den / num)) + 2 - jlo
 
 
 def _lattice(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, lo: np.ndarray, up: np.ndarray):
-    """(nodes, moves, start, codes, whole): nodes x0 + j*dx over the tube's bounds lo, up;
+    """(nodes, moves, start, codes, whole): `_atom_nodes`' nodes over the tube's bounds lo, up;
     moves[c, a] = atom a of kind c in nodes; start = the index of x0; codes[i] = the kind of
     step i + 1; whole = every move lies within _LATTICE_TOL of a whole number of nodes, and
-    then it is rounded there.  Only the law's D kinds are scaled and checked.  The law's own
-    lattice, dx == 1/q, is laid as 1/q for the DP's bits: j*(1/q) can miss j/q."""
-    q = env.lattice_q
-    num, den = (1.0, q) if q is not None and dx == 1.0 / q else (dx, 1.0)
-    jlo, jhi = _node_range(lo.min(), up.max(), x0, num, den)
-    if jhi - jlo + 1 > 50_000_000:
-        raise ValueError(f"tube spans {jhi - jlo + 1} nodes, too many to propagate")
+    then it is rounded there.  Only the law's D kinds are scaled and checked.  More than
+    _NODE_CAP nodes raise ValueError before any is laid out."""
+    num, den, jlo, count = _atom_nodes(env.lattice_q, dx, lo.min(), up.max(), x0)
+    if count > _NODE_CAP:
+        raise ValueError(f"tube spans {count} nodes, more than the {_NODE_CAP} an atom pass may hold")
     moves = env.atom_kinds * den
     moves /= num
     whole = _off_node(moves) <= _LATTICE_TOL
     if whole:
         np.rint(moves, out=moves)
     codes = env.atom_codes[tube.f_offset : tube.f_offset + tube.n]
-    return x0 + np.arange(jlo, jhi + 1) * num / den, moves, -jlo, codes, whole
+    return x0 + np.arange(jlo, jlo + count) * num / den, moves, -jlo, codes, whole
 
 
 def _block_tables(rows: list, weights: np.ndarray, g: int, width: int):
@@ -451,12 +462,14 @@ def _block_pass(plan, nodes: np.ndarray, end, running) -> tuple[float, int]:
     return _log_mass(_sum(mass), exp2), t
 
 
-def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return_running=False, exact=False):
+def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return_running=False, exact=False,
+               bounds=None):
     """Propagate an atom law from x0 on `_lattice`'s nodes; (log_p, running, size, last).
     The pass runs `_blocks`' route where it applies, else the step loop.  Without
     `return_running`, running is None and either takes totals on demand.  With `exact` (the
-    DP), a move off the nodes raises NonLatticeError instead of being split between them."""
-    lo, up = tube.bounds_arrays()
+    DP), a move off the nodes raises NonLatticeError instead of being split between them.
+    `bounds` are the tube's (lo, up), built here when None."""
+    lo, up = bounds or tube.bounds_arrays()
     nodes, moves, start, codes, whole = _lattice(env, tube, x0, dx, lo, up)
     if exact and not whole:
         q = env.lattice_q
@@ -527,28 +540,32 @@ def survival_brute_force(env: EnvRealization, tube: TubeSpec, x0: float) -> Surv
     return from_log(log_p, METHOD_BRUTE_FORCE, work)
 
 
-def _grid_spacing(env: EnvRealization, span: float, grid_points: int) -> float:
-    """The law's own lattice spacing 1/q if its nodes stay under the cap, else span/grid_points."""
-    q = env.lattice_q if env.kind == "atoms" else None
+def _grid_spacing(env, span: float, grid_points: int) -> float:
+    """The grid's spacing for the law of `env` (a realisation or its spec; only `lattice_q` is read):
+    its lattice's 1/q where that lays at most max(5e6, grid_points) nodes over `span`, else span/grid_points."""
+    q = env.lattice_q
     if q is not None and span * q <= max(5_000_000, grid_points):
         return 1.0 / q
     return span / grid_points
 
 
-def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int, return_running: bool = False):
+def _grid_once(
+    env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int, return_running: bool = False, bounds=None
+):
     """One propagation pass; returns (log_p, running, work, roundoff).
 
     The running totals are None unless `return_running`.
     ``roundoff`` is True when a Gaussian cut kept so little of the mass
     carried into it that the round-off of its nodes may exceed
-    _ROUNDOFF_REL of what it kept.
+    _ROUNDOFF_REL of what it kept.  `bounds` are the tube's (lo, up), built
+    here when None.
     """
-    lo, up = tube.bounds_arrays()
+    lo, up = bounds = bounds or tube.bounds_arrays()
     n, f = tube.n, tube.f_offset
     env_lo, env_up = lo.min(), up.max()
     dx = _grid_spacing(env, env_up - env_lo, grid_points)
     if env.kind == "atoms":
-        log_p, running, size, last = _atom_pass(env, tube, x0, dx, return_running)
+        log_p, running, size, last = _atom_pass(env, tube, x0, dx, return_running, bounds=bounds)
         return log_p, running, last * size, False
     edges = np.arange(grid_points + 1) * dx + env_lo
     nodes = 0.5 * (edges[:-1] + edges[1:])
@@ -566,7 +583,7 @@ def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int,
     drift = np.array([x0 + means[0] - nodes[0]])
     mass = _bin_masses(drift, sd, dx, length, band, 0, size)[0]
     width = 2 * hw + 1
-    if (2 * band) ** 2 < size * width and (2 * band) ** 2 <= _FFT_BLOCK_ENTRIES:
+    if (2 * band) ** 2 < size * width and (2 * band) ** 2 <= _BAND_ENTRIES:
         step = _band_step(means, sd, dx, length, band, 1)
     else:
         taps = _fast_len(width)
@@ -608,14 +625,14 @@ def survival_grid(
         raise ValueError("grid_points must be >= 50")
     _check_span(env, tube)
     _require_open_start(tube, x0)
-    log_p, running, work, roundoff = _grid_once(env, tube, x0, grid_points, return_running)
+    lo, up = bounds = tube.bounds_arrays()
+    log_p, running, work, roundoff = _grid_once(env, tube, x0, grid_points, return_running, bounds)
     half = max(25, grid_points // 2)
-    lo, up = tube.bounds_arrays()
     span = up.max() - lo.min()
     if _grid_spacing(env, span, half) == _grid_spacing(env, span, grid_points):
         log_half, work_half = log_p, 0
     else:
-        log_half, _, work_half, roundoff_half = _grid_once(env, tube, x0, half)
+        log_half, _, work_half, roundoff_half = _grid_once(env, tube, x0, half, bounds=bounds)
         roundoff = roundoff or roundoff_half
     if math.isfinite(log_p) and math.isfinite(log_half):
         delta = log_p - log_half

@@ -10,7 +10,7 @@ compare walk positions to the real-valued bounds directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,6 +208,3 @@ class TubeTemplate:
             end_window=self.end_window,
             xi_threshold=self.xi_threshold,
         )
-
-    def with_(self, **changes) -> "TubeTemplate":
-        return replace(self, **changes)

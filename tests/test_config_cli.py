@@ -475,6 +475,44 @@ def test_validate_sizes_the_dp_lattice_without_laying_it_out(method):
         validate(raw)
 
 
+# Atoms at +-sqrt(1/2) lie on no lattice, so the grid lays span / grid_points
+# spaced nodes: from the start 0, 33554429 grid points give at most 33554431
+# nodes over the builtin's tubes, 33554430 give 33554433 at n = 400, and
+# 40000000 give 40000003 at n = 200 (1.19 GiB at 32 bytes a node).
+_OFF_LATTICE = ["environment.atoms=[[-0.7071067811865476,0.5],[0.7071067811865476,0.5]]"]
+
+
+@pytest.mark.parametrize("method", ["grid", "auto"])
+def test_validate_sizes_the_grid_on_atom_laws(method):
+    def raw(points):
+        sets = [*_OFF_LATTICE, f"estimator.method={method}", f"estimator.grid_points={points}"]
+        return apply_overrides(load_builtin("degenerate-rademacher"), sets)
+
+    assert _peak_bytes(lambda: validate(raw(33554429))) < 2**20
+    for points, nodes, n in ((33554430, 33554433, 400), (40000000, 40000003, 200)):
+
+        def refused():
+            with pytest.raises(ConfigError, match="GiB memory budget") as info:
+                validate(raw(points))
+            message = str(info.value)
+            assert f"{nodes} nodes" in message and f"at n = {n}" in message and "at most 33554432 fit" in message
+            assert "estimator.grid_points" in message and "environment.atoms" in message
+
+        assert _peak_bytes(refused) < 2**20
+
+
+def test_validate_sizes_the_grid_on_a_lattice_law_at_its_own_spacing():
+    # the grid lays a lattice law's own (1/q)Z while that holds at most
+    # max(5e6, grid_points) nodes (a dozen for Rademacher steps), else span /
+    # grid_points spaced nodes (the span of 60 holds 6e7 sites of (1/1e6)Z)
+    sets = ["estimator.method=grid", "estimator.grid_points=40000000"]
+    validate(apply_overrides(load_builtin("degenerate-rademacher"), sets))
+    fine = ["environment.d=0.123457", "environment.lattice_q=1000000", "tube.n_list=[1]", "tube.g=-30", "tube.h=30"]
+    with pytest.raises(ConfigError, match="40000003 nodes") as info:
+        validate(apply_overrides(load_builtin("random-shift-bernoulli"), [*sets, *fine]))
+    assert "environment.d and environment.lattice_q, at estimator.grid_points," in str(info.value)
+
+
 # SMALL's gamma table holds 8 replicas: at most 2**30 // (8 * 8) = 16777216
 # steps of W increments; 1000 replicas run 64 at a time, so 2**30 // (8 * 64).
 # The layout's bytes (`gamma._run_bytes`) reach the budget at dt = 1e-3 through

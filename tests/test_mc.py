@@ -381,3 +381,27 @@ def test_splitting_memory_within_the_validated_bytes(case):
     finally:
         tracemalloc.stop()
     assert peak <= particles * _PATH_BYTES + 4 * mc.ROW_BYTES
+
+
+def test_bit_law_counts_its_nodes_before_laying_them_out(monkeypatch):
+    # the lattice kernel lays the DP's nodes out, at most quench_dp._NODE_CAP of
+    # them: past the cap (made small here) `_bit_law` lays none out, and
+    # splitting takes the float kernel
+    env = tw.sample_environment(tw.EnvironmentSpec.rademacher(), 1, seed=1)
+    tube = tw.TubeSpec(g=-500000.0, h=500000.0, alpha=0.3, n=1)
+    nodes = quench_dp._atom_nodes(1, 1.0, *tube.extent(), 0.5)[3]  # 1000002 nodes, 8 MB
+    monkeypatch.setattr(mc, "_NODE_CAP", nodes)
+    assert len(mc._bit_law(env, tube, 0.5)[0]) == nodes
+    monkeypatch.setattr(mc, "_NODE_CAP", nodes - 1)
+    tracemalloc.start()
+    try:
+        law = mc._bit_law(env, tube, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert law is None and peak < 2**16
+    floats = []
+    real = mc._advance
+    monkeypatch.setattr(mc, "_advance", lambda *args: floats.append(1) or real(*args))
+    assert tw.survival_splitting(env, tube, 0.5, 100, 1, seed=3).p == 1.0
+    assert floats == [1]

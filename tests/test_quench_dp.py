@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -560,6 +561,29 @@ def test_gaussian_grid_picks_the_cheaper_step(monkeypatch, name, n, grid_points,
     assert sides == [side]
 
 
+# the CI run of the taps step: the Gaussian builtin at sigma_a = 0.2, tau = 0.5
+TAPS_CI = tw_config.validate(
+    tw_config.apply_overrides(
+        tw_config.load_builtin("random-mean-gaussian"), ["environment.sigma_a=0.2", "environment.tau=0.5"]
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "cfg, n, grid_points", [(BUILTIN_GAUSS, 400, 400), (BUILTIN_GAUSS, 6400, 400), (TAPS_CI, 3000, 300)]
+)
+def test_transform_blocks_do_not_change_the_gaussian_step(monkeypatch, cfg, n, grid_points):
+    # _FFT_BLOCK_ENTRIES sizes blocks of transforms only; the band's operator
+    # bound that picks the step is _BAND_ENTRIES, so every bit stays
+    tube = cfg.template.make(n)
+    env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, seed=0)
+    whole = tw.survival_grid(env, tube, tube.default_x0(), grid_points)
+    monkeypatch.setattr(gamma_mod, "_FFT_BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(quench_dp, "_FFT_BLOCK_ENTRIES", 1000)
+    blocked = tw.survival_grid(env, tube, tube.default_x0(), grid_points)
+    assert (blocked.log_p, blocked.refine_delta_log, blocked.work) == (whole.log_p, whole.refine_delta_log, whole.work)
+
+
 @pytest.mark.parametrize("name, grid_points, side", [("builtin-gauss", 400, "band"), ("gauss-narrow", 300, "taps")])
 def test_grid_flags_steps_lost_in_roundoff(monkeypatch, name, grid_points, side):
     # a step mean of 50 carries the mass far past the tube: that step alone
@@ -940,3 +964,25 @@ def test_dp_rejects_moves_off_the_declared_lattice(monkeypatch):
         tw.survival_dp_lattice(declared, tube, 0.0)
     assert scans == [(1, 2)]
     assert math.isfinite(tw.survival_grid(declared, tube, 0.0, 100).log_p)
+
+
+def test_lattice_refuses_a_node_past_the_cap():
+    # an atom pass holds at most 2**30 // 32 = 33554432 nodes: on the integer
+    # lattice (n = 1, so the bounds are g and h) a start at 0.5 lays exactly
+    # that many over [-16777214.75, 16777214.75], and one more over
+    # [-16777215.25, 16777215.75], which `_lattice` refuses before laying any out
+    assert quench_dp._NODE_CAP == 33554432
+    assert quench_dp._atom_nodes(1, 1.0, -16777214.75, 16777214.75, 0.5)[3] == quench_dp._NODE_CAP
+    tube = tw.TubeSpec(g=-16777215.25, h=16777215.75, alpha=0.3, n=1)
+    env = _rademacher_env(1)
+    lo, up = tube.bounds_arrays()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="33554433 nodes"):
+            quench_dp._lattice(env, tube, 0.5, 1.0, lo, up)
+        with pytest.raises(ValueError, match="33554433 nodes"):
+            tw.survival_dp_lattice(env, tube, 0.5)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 2**20
