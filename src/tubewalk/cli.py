@@ -27,7 +27,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, check_fit_gamma, load_raw, validate
@@ -451,7 +450,7 @@ def main(argv=None) -> int:
         p.add_argument(
             "--config",
             required=True,
-            help="YAML (or JSON) experiment config; builtin:NAME loads a packaged example",
+            help="YAML or JSON (.json) experiment config; builtin:NAME loads a packaged example",
         )
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument(
@@ -470,7 +469,7 @@ def main(argv=None) -> int:
         if args.command in ("fit", "report"):
             check_fit_gamma(cfg)
         out = _out_dir(cfg, args.out)
-    except (ValueError, OSError, yaml.YAMLError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

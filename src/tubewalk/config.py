@@ -1,10 +1,13 @@
-"""Experiment configuration: YAML schema, validation, and object builders.
+"""Experiment configuration: schema, validation, and object builders.
 
 A config file has up to five tables (``environment``, ``tube``,
 ``estimator``, ``gamma``, ``output``) plus a top-level master ``seed``.
-Unknown keys are rejected anywhere.  JSON files load through the same
-path (JSON is a YAML subset), which lets a consolidated report's embedded
-config be re-run directly.
+Unknown keys are rejected anywhere.  A ``.json`` file loads with `json`,
+which lets a consolidated report's embedded config be re-run directly;
+any other file is YAML.  The builtins ship as JSON, and a ``--set`` value
+skips YAML where `json` provably reads it the same way
+(`parse_override`), so PyYAML is imported only for a YAML file or for an
+override that needs it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-
-import yaml
 
 from .env import _ATOM_BYTES, _STEP_BYTES, EnvironmentSpec, moments
 from .gamma import _FLOAT_BYTES, _MEMORY_BUDGET, _REPLICA_BATCH, BARRIER_SHIFT, _kernel_layout, _layout, _run_bytes
@@ -445,14 +446,30 @@ def check_fit_gamma(cfg: ExperimentConfig) -> None:
         _check_gamma_layout(cfg.gamma, beta, f" at the fit's beta = sigma_a/sigma_q = {beta:.6g} (from {key})")
 
 
+def _yaml(text, where: str):
+    """`yaml.safe_load` of `text`, a YAML error raised as a ConfigError that names `where`."""
+    import yaml
+
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def load_raw(source: str, overrides=(), seed: int | None = None) -> dict:
-    """The raw config mapping of a YAML (or JSON) file or ``builtin:NAME``,
+    """The raw config mapping of a YAML or JSON file or ``builtin:NAME``,
     with the ``--set`` overrides and then the master seed applied."""
     if source.startswith("builtin:"):
         raw = load_builtin(source[len("builtin:") :])
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            if not source.endswith(".json"):
+                raw = _yaml(fh, source)
+            else:
+                try:
+                    raw = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"{source}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: config must be a mapping")
     if overrides:
@@ -462,15 +479,51 @@ def load_raw(source: str, overrides=(), seed: int | None = None) -> dict:
     return raw
 
 
+# the bare words YAML reads as booleans or null, in lower case
+_YAML_WORDS = {"yes", "no", "true", "false", "on", "off", "null"}
+
+
+def _refuse(literal: str):
+    raise ValueError(f"{literal} is read differently by YAML")
+
+
+def _dotted_float(literal: str) -> float:
+    """A JSON float literal that YAML reads as a float too: one with a dot (YAML reads 1e-05 as a string)."""
+    return float(literal) if "." in literal else _refuse(literal)
+
+
+def _plain_value(text: str) -> tuple[bool, object]:
+    """(True, the value YAML reads `text` as) where that is certain without YAML, else (False, None).
+
+    Two forms qualify: an ASCII identifier that is not a YAML boolean or null
+    word, which YAML reads as that string; and printable ASCII text that
+    `json` reads and re-dumps compactly to itself, with no backslash (the
+    escapes differ), a dot in every float and no NaN or Infinity.
+    """
+    if text.isascii() and text.isidentifier():
+        return text.lower() not in _YAML_WORDS, text
+    if "\\" in text or not (text.isascii() and text.isprintable()):
+        return False, None
+    try:
+        value = json.loads(text, parse_float=_dotted_float, parse_constant=_refuse)
+    except ValueError:
+        return False, None
+    return json.dumps(value, separators=(",", ":")) == text, value
+
+
 def parse_override(item: str) -> tuple[list[str], object]:
-    """Parse a --set KEY.PATH=VALUE override; values use YAML scalars."""
+    """Parse a --set KEY.PATH=VALUE override; the value is read as YAML, by
+    `json` where that reads it the same way (`_plain_value`)."""
     if "=" not in item:
         raise ConfigError(f"override {item!r} must look like table.key=value")
-    key, _, value = item.partition("=")
+    key, _, text = item.partition("=")
     path = [p for p in key.strip().split(".") if p]
     if not path:
         raise ConfigError(f"override {item!r} has an empty key")
-    return path, yaml.safe_load(value)
+    plain, value = _plain_value(text)
+    if not plain:
+        value = _yaml(text, f"override {item!r}")
+    return path, value
 
 
 def apply_overrides(raw: dict, items) -> dict:
@@ -488,10 +541,9 @@ def apply_overrides(raw: dict, items) -> dict:
 
 def builtin_config_names() -> list[str]:
     files = resources.files("tubewalk").joinpath("configs")
-    return sorted(p.name[: -len(".yaml")] for p in files.iterdir() if p.name.endswith(".yaml"))
+    return sorted(p.name[: -len(".json")] for p in files.iterdir() if p.name.endswith(".json"))
 
 
 def load_builtin(name: str) -> dict:
     """Raw mapping of a packaged example config (by bare name)."""
-    text = resources.files("tubewalk").joinpath("configs", f"{name}.yaml").read_text()
-    return yaml.safe_load(text)
+    return json.loads(resources.files("tubewalk").joinpath("configs", f"{name}.json").read_text(encoding="utf-8"))

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -92,6 +91,8 @@ def _on_lattice(positions, q: int) -> bool:
 
 def _lattice_denominator(positions, max_q: int = 10**6) -> int | None:
     """Smallest q with all positions on (1/q)Z (`_on_lattice`), or None if there is none."""
+    from fractions import Fraction  # only a law without a declared lattice_q needs it
+
     q = 1
     for p in positions:
         if not math.isfinite(p):

@@ -13,7 +13,6 @@ built.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +127,8 @@ def sample_path(env: EnvRealization, start_index: int, length: int, x0: float, s
 
 def path_to_csv(path: WalkPath, dest) -> None:
     """Dump a path as CSV with columns i, s, m, u, gamma (debug aid)."""
+    import csv  # only this debug aid writes CSV through the csv module
+
     writer = csv.writer(dest, lineterminator="\n")
     writer.writerow(["i", "s", "m", "u", "gamma"])
     for i in range(len(path) + 1):
