@@ -26,8 +26,8 @@ every mode, n // 2 + 1.  The state is an array (replicas, K) of modes; a
 step multiplies it by the kernel's transform and cuts the row back to the
 grid with one real operator of band DFT rows (`_band_basis`); mass past
 either barrier falls in the padding and is dropped.  The operator is the
-dense (2K, 2K) L @ R of the kept nodes, at (2K)^2 multiply-adds per
-replica, or, when the r = n - grid_points padding entries are fewer than
+dense (2K, 2K) L @ R of the kept nodes, written in closed form from
+Dirichlet sums (`_cut_operator`), at (2K)^2 multiply-adds per replica, or, when the r = n - grid_points padding entries are fewer than
 K (as when alias bands make K every mode), I - L @ R with the factors of
 the padding, at 4Kr.  No real-space mass exists between steps, so none is
 clipped, and the survival total is mode 0.  The first step's bin masses
@@ -58,6 +58,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .rng import STREAM_GAMMA_W, substream
 
@@ -78,8 +79,10 @@ _REPLICA_BATCH = 64
 # run against them), and the bytes of a float: a batch of replicas holds its
 # W increments and the arrays `_run_bytes` counts.
 _MEMORY_BUDGET, _FLOAT_BYTES = 2**30, 8
-# Basis entries per chunk of `_band_step`'s sum of its dense cut operator:
-# the chunks set the order of the sum, so this constant fixes its bits.
+# Basis entries that `_run_bytes` counts beside the dense cut operator: it
+# was once summed from basis rows of this many entries at a time, and the
+# memory caps `config.validate` sets from `_run_bytes` are kept where they
+# were; the closed-form operator (`_cut_operator`) holds less.
 _BASIS_ENTRIES = 2**16
 _AMPLITUDE_FLOOR = 1e-17
 # Modes between the exact phases that re-anchor a kernel transform's
@@ -203,9 +206,9 @@ def _run_bytes(grid_points: int, n: int, band: int, batch: int) -> int:
 
     The cut operator of `_band_step`: when the r = n - grid_points padding
     entries are fewer than K, its factors, three (2K, r) factors' worth while
-    built, and a (batch, r) product; else the dense (2K)^2 operator, as much
-    again for each term summed into it, and three factors' worth of basis
-    rows for the nodes built at once.  Five (batch, n) float rows bound the
+    built, and a (batch, r) product; else the dense (2K)^2 operator and as
+    much again, and three factors' worth of basis rows for _BASIS_ENTRIES
+    entries, which bound the closed-form operator's O(K) temporaries.  Five (batch, n) float rows bound the
     state with the first step's FFTs, and four blocks of complex entries the
     step kernels: the mode-major block of transforms, held for the pass, an
     alias term and the steps copied out of the block (in the first step, the
@@ -361,6 +364,65 @@ def _band_basis(n: int, band: int, positions: np.ndarray) -> tuple[np.ndarray, n
     return left, right
 
 
+def _sin_pi(x: np.ndarray, n: int) -> np.ndarray:
+    """sin(pi x / n) for an integer array x, its angle reduced exactly, as
+    integers, into [0, pi/2], so each value keeps its relative precision
+    (an angle near pi or 2 pi would leave an absolute error of about 1e-16
+    * 2 pi in a small sine)."""
+    r = x % (2 * n)
+    sign = np.where(r < n, 1.0, -1.0)
+    r %= n
+    return sign * np.sin((math.pi / n) * np.minimum(r, n - r))
+
+
+def _cut_operator(n: int, band: int, a: int, b: int) -> np.ndarray:
+    """The dense (2K, 2K) operator L @ R of `_band_basis` rows on the nodes
+    [a, b) of a length-n row, K = `band`, in closed form.
+
+    Entry (j, k) is a sum over the nodes t of products of cos and sin at
+    2 pi j t / n and 2 pi k t / n, so it is a combination of the Dirichlet
+    sums sum_t exp(2 pi i m t / n) = D(m) exp(i pi m (2a + len - 1) / n) at
+    m = j - k, k - j and j + k, where len = b - a and D(m) = sin(pi m len /
+    n) / sin(pi m / n), or len where n divides m.  Every angle is reduced
+    exactly as an integer (`_sin_pi`), which leaves the entries within about
+    2e-16 of the largest, closer than L @ R comes.  That is O(K) sines and
+    O(K^2) assembly, with no matrix product, so the operator's bits do not
+    depend on how a BLAS splits a product over its threads.  The entries of the
+    imaginary parts of modes 0 and n/2, which `_band_basis` zeroes, are
+    zero.
+    """
+    length = b - a
+    m = np.arange(1 - band, 2 * band - 1)  # entry i is m = i - (K - 1)
+    whole = m % n == 0
+    den = _sin_pi(m, n)
+    den[whole] = 1.0
+    dirichlet = _sin_pi(m * length, n) / den
+    phase = m * (2 * a + length - 1)  # the phase is pi * phase / n
+    cos_sum = dirichlet * _sin_pi(n + 2 * phase, 2 * n)
+    sin_sum = dirichlet * -_sin_pi(phase, n)  # the sum of -sin, as `_band_basis` rows hold -sin
+    cos_sum[whole], sin_sum[whole] = length, 0.0
+    # (K, K) views at m = j + k (Hankel) and m = j - k (Toeplitz)
+    step = cos_sum.strides[0]
+    hc, tc = (as_strided(cos_sum[band - 1 :], (band, band), (step, s)) for s in (step, -step))
+    hs, ts = (as_strided(sin_sum[band - 1 :], (band, band), (step, s)) for s in (step, -step))
+    op = np.empty((2 * band, 2 * band))
+    np.add(tc, hc, out=op[0::2, 0::2])  # cos cos
+    np.subtract(tc, hc, out=op[1::2, 1::2])  # sin sin
+    np.add(hs, ts.T, out=op[0::2, 1::2])  # cos (-sin)
+    np.add(hs, ts, out=op[1::2, 0::2])  # (-sin) cos
+    # L's scale, 2/n (1/n at modes 0 and n/2), times the 1/2 of the product-to-sum identities
+    scale = np.full(2 * band, 1.0 / n)
+    scale[:2] = 0.5 / n
+    nyquist = n % 2 == 0 and band > n // 2
+    if nyquist:
+        scale[n : n + 2] = 0.5 / n
+    op *= scale[:, None]
+    for j in (0, n // 2) if nyquist else (0,):
+        op[2 * j + 1] = 0.0
+        op[:, 2 * j + 1] = 0.0
+    return op
+
+
 def _band_step(means: np.ndarray, sd: float, dx: float, length: int, band: int, t0: int):
     """The `quench_dp._propagate` step for Gaussian laws on the step kernel's
     Fourier band, for one row of mass or for R rows at once.
@@ -377,9 +439,7 @@ def _band_step(means: np.ndarray, sd: float, dx: float, length: int, band: int, 
       the dropped nodes, built for each new range, at 4Kr multiply-adds a
       row for r dropped nodes (as when alias bands make K every mode);
     * otherwise the dense (2K, 2K) operator L @ R of the kept nodes, at
-      (2K)^2 a row, built when a range first appears and then following the
-      range by the rank-one terms of the nodes that enter or leave it, while
-      they are fewer than the nodes kept.
+      (2K)^2 a row, built in closed form (`_cut_operator`) for each new range.
     The total is the real part of mode 0, a float for one row and an array
     for R; ``step(state, a, b, total=False)`` returns None for it.  The
     first call takes the real mass and transforms it; a cut without a move
@@ -410,35 +470,12 @@ def _band_step(means: np.ndarray, sd: float, dx: float, length: int, band: int, 
     state = modes.view(float)
     cut_c, uncut_c = modes
     cut_f, uncut_f = state
-    chunk = max(1, _BASIS_ENTRIES // (2 * band))  # nodes whose basis rows are built at once
-    op = None  # the dense operator, allocated when first used
-    held_a = held_b = 0  # the node range [held_a, held_b) `op` keeps
+    op, held = None, None  # the dense operator and the node range it keeps
     factors, factored = None, None  # (L, R, buffer) of the nodes dropped by the range `factored`
     last_a = last_b = 0  # the node range of the last cut
 
-    def update(a: int, b: int, ufunc) -> None:
-        for c in range(a, b, chunk):
-            left, right = _band_basis(length, band, np.arange(c, min(c + chunk, b)))
-            ufunc(op, np.matmul(left, right), out=op)
-
-    def operator(a: int, b: int) -> np.ndarray:
-        nonlocal op, held_a, held_b
-        if op is None:
-            op = np.zeros((2 * band, 2 * band))
-        if (a, b) != (held_a, held_b):
-            if abs(a - held_a) + abs(b - held_b) >= b - a:
-                op.fill(0.0)
-                update(a, b, np.add)
-            else:
-                update(a, held_a, np.add)
-                update(held_b, b, np.add)
-                update(held_a, a, np.subtract)
-                update(b, held_b, np.subtract)
-            held_a, held_b = a, b
-        return op
-
     def step(prev, a, b, move=True, total=True):
-        nonlocal factors, factored, last_a, last_b
+        nonlocal op, held, factors, factored, last_a, last_b
         if prev is not state:  # the real mass of the first step
             if not move:
                 prev[..., :a] = 0.0
@@ -458,7 +495,9 @@ def _band_step(means: np.ndarray, sd: float, dx: float, length: int, band: int, 
             np.matmul(lost, right, out=cut_f)
             np.subtract(uncut_f, cut_f, out=cut_f)
         else:
-            np.matmul(uncut_f, operator(a, b), out=cut_f)
+            if (a, b) != held:
+                op, held = _cut_operator(length, band, a, b), (a, b)
+            np.matmul(uncut_f, op, out=cut_f)
         last_a, last_b = a, b
         if not total:
             return state, None

@@ -55,9 +55,9 @@ steps, whichever needs fewer multiply-adds:
   at (2K)^2 a step: the state is the first K real-DFT modes of the mass
   zero-padded past the kernel's reach, a step multiplies them by the
   kernel's transform and cuts them to the nodes inside the tube with a
-  dense (2K, 2K) operator, built once per range of kept nodes and updated
-  by rank-one terms as nodes enter or leave (or, when fewer than K nodes
-  are dropped, with the factors of the dropped nodes, at 4Kr);
+  dense (2K, 2K) operator, written in closed form for each range of kept
+  nodes (or, when fewer than K nodes are dropped, with the factors of the
+  dropped nodes, at 4Kr);
 * the taps step (`_correlate_step`, the atom laws' step too), at
   size * (2 hw + 1): each kernel is read from a batched inverse FFT of its
   transform, with round-off of about 1e-16 clipped at zero, and applied by

@@ -4,11 +4,16 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines on a green run as well.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
-import yaml
+import pytest
 from scipy.stats import linregress
 
 import tubewalk as tw
@@ -221,26 +226,41 @@ def test_criterion_8_quadrature():
     assert ok
 
 
-def test_criterion_9_determinism(tmp_path, monkeypatch):
-    raw = {
-        "seed": 909,
-        "environment": {"family": "random_shift_bernoulli", "d": 0.5},
-        "tube": {"alpha": 0.3, "n_list": [64, 128, 256], "g": -1.0, "h": 1.0},
-        "estimator": {"method": "splitting", "particles": 500, "checkpoints": 4, "tolerance": 2.0},
-        "gamma": {"beta": [0.0, 0.5], "t": 2.0, "dt": 0.01, "grid_points": 100, "replicas": 8},
-        "output": {"dir": "out"},
-    }
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump(raw))
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# a Gaussian grid and gamma on 400 points: K = 58 modes at dt = 1e-3, whose
+# band step once summed its dense cut operator as a (2K, nodes) @ (nodes, 2K)
+# product that the BLAS splits over its threads
+_THREADS_CONFIG = {
+    "seed": 909,
+    "environment": {"family": "random_mean_gaussian", "sigma_a": 0.5, "tau": 1.0},
+    "tube": {"alpha": 0.3, "n_list": [64, 128, 256], "g": -1.0, "h": 1.0},
+    "estimator": {"method": "grid", "grid_points": 400, "tolerance": 2.0},
+    "gamma": {"beta": [0.0, 0.5], "t": 2.0, "dt": 0.001, "grid_points": 400, "replicas": 8},
+    "output": {"dir": "out"},
+}
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="needs 2 CPUs to run a BLAS on 2 threads")
+def test_criterion_9_determinism(tmp_path):
+    # each command runs in a fresh process, as the BLAS and OpenMP pools read
+    # their thread counts once, at load
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_THREADS_CONFIG))
+    src = str(Path(cli.__file__).resolve().parents[1])
     blobs = {}
-    for run, threads in (("a", "1"), ("b", "4"), ("c", "2")):
-        monkeypatch.setenv("TUBEWALK_THREADS", threads)
-        out = tmp_path / run
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = tmp_path / threads
         for sub in ("simulate", "gamma", "fit"):
-            assert cli.main([sub, "--config", str(cfg), "--out", str(out)]) == 0
-        blobs[run] = tuple(
-            (out / name).read_bytes() for name in ("simulate.csv", "gamma.csv", "fit_points.csv")
+            run = subprocess.run(
+                [sys.executable, "-m", "tubewalk.cli", sub, "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert run.returncode == 0, run.stderr
+        blobs[threads] = tuple(
+            (out / name).read_bytes() for name in ("simulate.csv", "gamma.csv", "fit_points.csv", "fit.json")
         )
-    ok = blobs["a"] == blobs["b"] == blobs["c"]
-    _line(9, "determinism", ok, "simulate/gamma/fit CSVs byte-identical across reruns and thread counts")
+    ok = blobs["1"] == blobs["2"]
+    _line(9, "determinism", ok, "simulate/gamma/fit outputs byte-identical on 1 and 2 BLAS threads")
     assert ok

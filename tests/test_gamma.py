@@ -273,19 +273,31 @@ def test_band_cut_matches_fft_of_cut_basis(monkeypatch, n, grid, band, first):
     cut[:, b:] = 0.0
     want = np.ascontiguousarray(np.fft.rfft(cut, n)[:, :band]).view(float)
     # fewer dropped nodes than modes: the factors of the dropped nodes, else
-    # the dense operator, updated by the nodes that leave the range
+    # the dense operator, rebuilt in closed form for the new range
     factored = n - (b - a) < band
     if first:
         dropped = [np.array_equal(p, np.r_[0:a, b:n]) for p in calls]
-        assert dropped == ([True] if factored else [False] * len(calls)) and calls
+        assert dropped == ([True] if factored else [])
     # the operator passes on (factors) or zeroes (dense) the imaginary parts of
     # modes 0 and n/2, which the inverse FFT drops; the state keeps them zero
     for j in (0, n // 2) if n % 2 == 0 and band > n // 2 else (0,):
         assert got[2 * j + 1, 2 * j + 1] == (1.0 if factored else 0.0)
         got[2 * j + 1, 2 * j + 1] = 0.0
         assert not got[2 * j + 1].any() and not got[:, 2 * j + 1].any()
-    # the dense operator sums a term per kept node: 2.7e-15 off at 400 nodes
+    # the FFTs of the reference round off by about 1e-17 a kept node
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 if factored else 1e-17 * max(100, b - a))
+
+
+@pytest.mark.parametrize("n, band", [(120, 25), (108, 55), (125, 63), (540, 58), (512, 55), (2000, 128)])
+@pytest.mark.parametrize("a, b", [(0, 50), (9, 100), (37, 101)])
+def test_cut_operator_matches_the_basis_product(n, band, a, b):
+    # the closed form against the sum over the kept nodes; with n = 108 the
+    # band holds the Nyquist mode, and n divides j + k = 108
+    left, right = gamma_mod._band_basis(n, band, np.arange(a, b))
+    want = left @ right
+    got = gamma_mod._cut_operator(n, band, a, b)
+    assert not got[want == 0.0].any()  # the imaginary parts of modes 0 and n/2
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-15 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("dt, grid", [(1e-3, 400), (1.6e-5, 100)], ids=["dense", "factors"])
@@ -382,8 +394,8 @@ def test_estimate_gamma_does_not_depend_on_batching(monkeypatch):
 
 
 def test_estimate_gamma_does_not_depend_on_the_transform_block_size(monkeypatch):
-    # _FFT_BLOCK_ENTRIES bounds memory only: the cut operator's sum is
-    # chunked by _BASIS_ENTRIES, so the estimate keeps every bit
+    # _FFT_BLOCK_ENTRIES bounds memory only: the cut operator is built in
+    # closed form, so the estimate keeps every bit
     kwargs = dict(horizon_t=1.0, dt=1e-3, grid_points=400, env_replicas=11, seed=5)
     whole = tw.estimate_gamma(0.7, **kwargs)
     monkeypatch.setattr(gamma_mod, "_FFT_BLOCK_ENTRIES", 1000)
@@ -487,10 +499,9 @@ def test_unit_phases_running_product_matches_exp(count):
 def test_confinement_profiles_do_not_depend_on_the_transform_blocks(monkeypatch, dt, grid, entries, replicas):
     # the kernel transforms are built a block of steps at a time, sized by
     # `_block_steps` (at most _FFT_BLOCK_ENTRIES entries); a row's transform
-    # must not depend on the block it is built in.  _FFT_BLOCK_ENTRIES also
-    # chunks the cut operator's sum, so the blocks are sized through
-    # `_block_steps` here: one step a block (one row, for one replica) is the
-    # reference
+    # must not depend on the block it is built in.  The blocks are sized
+    # through `_block_steps` here: one step a block (one row, for one
+    # replica) is the reference
     drifts = -0.5 * np.random.default_rng(16).normal(0.0, math.sqrt(dt), (replicas, 300))
     cps = (150, 225, 300)
     real = gamma_mod._block_steps
