@@ -23,7 +23,7 @@ from .env import _ATOM_BYTES, _STEP_BYTES, EnvironmentSpec, moments
 from .gamma import _FLOAT_BYTES, _MEMORY_BUDGET, _REPLICA_BATCH, BARRIER_SHIFT, _kernel_layout, _layout, _run_bytes
 from .gamma import estimate_gamma
 from .mc import _PATH_BYTES
-from .quench_dp import _NODE_BYTES, _TAP_BYTES, _atom_nodes, _grid_spacing, _start_points
+from .quench_dp import _GRID_NODE_BYTES, _NODE_BYTES, _TAP_BYTES, _atom_nodes, _grid_spacing, _start_points
 from .rate import ESTIMATORS, make_estimator, theorem_check
 from .tube import TubeTemplate
 
@@ -283,11 +283,12 @@ def _check_env_length(template: TubeTemplate, n_list, env_spec: EnvironmentSpec)
 
 
 def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_list) -> None:
-    """Reject a Gaussian environment whose grid step kernel overflows the budget.
+    """Reject a Gaussian environment whose grid step kernel or padded row overflows the budget.
 
     `quench_dp.survival_grid` lays a pass out by `gamma._kernel_layout`; with
-    8 sigma_a for the largest |step mean| the kernel is widest at the smallest
-    n, whose tube span over `estimator.grid_points` gives the finest grid.
+    8 sigma_a for the largest |step mean| the kernel is widest, and the row
+    that holds the `estimator.grid_points` nodes and the kernel's reach
+    longest, at the smallest n, whose tube span gives the finest grid.
     """
     if env_spec.family != "random_mean_gaussian" or est["method"] not in ("grid", "auto"):
         return
@@ -295,11 +296,13 @@ def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTempl
     lo, up = template.make(n_min).extent()
     dx = (up - lo) / est["grid_points"]
     try:
-        reach = _kernel_layout(env_spec.tau, 8.0 * env_spec.sigma_a, dx, est["grid_points"])[0]
+        reach, length, _ = _kernel_layout(env_spec.tau, 8.0 * env_spec.sigma_a, dx, est["grid_points"])
     except OverflowError:  # a reach (or its band) past a float's range, far over the cap
-        reach = math.inf
+        reach = length = math.inf
     keys = "environment.sigma_a and environment.tau, with estimator.grid_points,"
     _within_budget(2 * reach + 1, _TAP_BYTES, "tap", keys, f" in the grid's step kernel at the smallest n ({n_min})")
+    keys = "estimator.grid_points, with tube.g, tube.h and tube.alpha, environment.sigma_a and environment.tau,"
+    _within_budget(length, _GRID_NODE_BYTES, "node", keys, f" in the grid's padded row at the smallest n ({n_min})")
 
 
 def _check_atom_nodes(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_list, x0, sweep) -> None:

@@ -106,8 +106,14 @@ _BAND_ENTRIES = 2**16  # entries of a Gaussian band step's dense cut operator, a
 # correlation's output (32.0 measured with tracemalloc at 6.0e6 and 1.3e7
 # nodes, Rademacher steps on a constant and a moving tube); and of a Gaussian
 # taps step's tap: the kernels' transform, inverse FFT and taps and the
-# correlation's output (41 measured for kernels of 4e4-4e5 taps).
-_NODE_BYTES, _TAP_BYTES = 32, 48
+# correlation's output (41 measured for kernels of 4e4-4e5 taps); and of a
+# Gaussian pass's node, counted over its padded row (`gamma._kernel_layout`'s
+# length): the edges, nodes and mass, the first step's inverse FFT and
+# indices, and the correlation's output or the band's FFT (38.7-41.6
+# measured with tracemalloc over whole `survival_grid` runs on rows of
+# 1.0e5-4.1e5 entries, taps steps on tubes 400 wide; 14-16 where the band
+# step runs on rows that are mostly padding).
+_NODE_BYTES, _TAP_BYTES, _GRID_NODE_BYTES = 32, 48, 48
 _NODE_CAP = _MEMORY_BUDGET // _NODE_BYTES
 # A Gaussian pass carries round-off of about 5e-15 of the peak mass into
 # every node (measured on the tails of FFT-built masses).  A cut that keeps

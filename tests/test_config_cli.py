@@ -513,6 +513,29 @@ def test_validate_sizes_the_grid_on_a_lattice_law_at_its_own_spacing():
     assert "environment.d and environment.lattice_q, at estimator.grid_points," in str(info.value)
 
 
+# The Gaussian builtin's tube widened to [-100, 100] n^0.3 spans 982 at n = 200:
+# 21875579 grid points give a padded row of 22143375 nodes (a reach of 267796
+# for 8 sigma_a + 8 tau), one point more gives 22394880, past the 2**30 // 48 =
+# 22369621 that fit, and 40000000 give 40500000 (1.81 GiB at 48 bytes a node).
+@pytest.mark.parametrize("method", ["grid", "auto"])
+def test_validate_sizes_the_gaussian_grid_row(method):
+    def raw(points):
+        sets = ["tube.g=-100", "tube.h=100", f"estimator.method={method}", f"estimator.grid_points={points}"]
+        return apply_overrides(load_builtin("random-mean-gaussian"), sets)
+
+    assert _peak_bytes(lambda: validate(raw(21875579))) < 2**20
+    for points, nodes in ((21875580, 22394880), (40000000, 40500000)):
+
+        def refused():
+            with pytest.raises(ConfigError, match="GiB memory budget") as info:
+                validate(raw(points))
+            message = str(info.value)
+            assert f"give {nodes} nodes in the grid's padded row at the smallest n (200)" in message
+            assert message.startswith("estimator.grid_points") and "at most 22369621 fit" in message
+
+        assert _peak_bytes(refused) < 2**20
+
+
 # SMALL's gamma table holds 8 replicas: at most 2**30 // (8 * 8) = 16777216
 # steps of W increments; 1000 replicas run 64 at a time, so 2**30 // (8 * 64).
 # The layout's bytes (`gamma._run_bytes`) reach the budget at dt = 1e-3 through
