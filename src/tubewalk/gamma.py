@@ -79,10 +79,9 @@ _REPLICA_BATCH = 64
 # run against them), and the bytes of a float: a batch of replicas holds its
 # W increments and the arrays `_run_bytes` counts.
 _MEMORY_BUDGET, _FLOAT_BYTES = 2**30, 8
-# Basis entries that `_run_bytes` counts beside the dense cut operator: it
-# was once summed from basis rows of this many entries at a time, and the
-# memory caps `config.validate` sets from `_run_bytes` are kept where they
-# were; the closed-form operator (`_cut_operator`) holds less.
+# Basis entries that `_run_bytes` counts beside the dense cut operator, a
+# bound the closed-form operator (`_cut_operator`) stays under; the memory
+# caps `config.validate` sets from `_run_bytes` rest on it.
 _BASIS_ENTRIES = 2**16
 _AMPLITUDE_FLOOR = 1e-17
 # Modes between the exact phases that re-anchor a kernel transform's

@@ -227,9 +227,9 @@ def test_criterion_8_quadrature():
 
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# a Gaussian grid and gamma on 400 points: K = 58 modes at dt = 1e-3, whose
-# band step once summed its dense cut operator as a (2K, nodes) @ (nodes, 2K)
-# product that the BLAS splits over its threads
+# a Gaussian grid and gamma on 400 points both take the band step, whose dense
+# cut operator (2K = 116 rows at dt = 1e-3) is large enough that a matrix
+# product building it would be split over the BLAS threads
 _THREADS_CONFIG = {
     "seed": 909,
     "environment": {"family": "random_mean_gaussian", "sigma_a": 0.5, "tau": 1.0},
