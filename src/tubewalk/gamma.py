@@ -27,9 +27,10 @@ step multiplies it by the kernel's transform and cuts the row back to the
 grid with one real operator of band DFT rows (`_band_basis`); mass past
 either barrier falls in the padding and is dropped.  The operator is the
 dense (2K, 2K) L @ R of the kept nodes, written in closed form from
-Dirichlet sums (`_cut_operator`), at (2K)^2 multiply-adds per replica, or, when the r = n - grid_points padding entries are fewer than
-K (as when alias bands make K every mode), I - L @ R with the factors of
-the padding, at 4Kr.  No real-space mass exists between steps, so none is
+Dirichlet sums (`_cut_operator`), at (2K)^2 multiply-adds per replica,
+or, when the r = n - grid_points padding entries are fewer than K (as
+when alias bands make K every mode), I - L @ R with the factors of the
+padding, at 4Kr.  No real-space mass exists between steps, so none is
 clipped, and the survival total is mode 0.  The first step's bin masses
 come from the same transform (`_bin_masses`), so no Gaussian CDF is
 evaluated.  `estimate_gamma` propagates at most 64 replicas per batch and
@@ -207,11 +208,12 @@ def _run_bytes(grid_points: int, n: int, band: int, batch: int) -> int:
     entries are fewer than K, its factors, three (2K, r) factors' worth while
     built, and a (batch, r) product; else the dense (2K)^2 operator and as
     much again, and three factors' worth of basis rows for _BASIS_ENTRIES
-    entries, which bound the closed-form operator's O(K) temporaries.  Five (batch, n) float rows bound the
-    state with the first step's FFTs, and four blocks of complex entries the
-    step kernels: the mode-major block of transforms, held for the pass, an
-    alias term and the steps copied out of the block (in the first step, the
-    transforms' transposed copy).  Scalar arithmetic only.
+    entries, which bound the closed-form operator's O(K) temporaries.  Five
+    (batch, n) float rows bound the state with the first step's FFTs, and
+    four blocks of complex entries the step kernels: the mode-major block of
+    transforms, held for the pass, an alias term and the steps copied out of
+    the block (in the first step, the transforms' transposed copy).  Scalar
+    arithmetic only.
     """
     rank = n - grid_points
     if rank < band:
@@ -386,8 +388,8 @@ def _cut_operator(n: int, band: int, a: int, b: int) -> np.ndarray:
     exactly as an integer (`_sin_pi`), which leaves the entries within about
     2e-16 of the largest, closer than L @ R comes.  That is O(K) sines and
     O(K^2) assembly, with no matrix product, so the operator's bits do not
-    depend on how a BLAS splits a product over its threads.  The entries of the
-    imaginary parts of modes 0 and n/2, which `_band_basis` zeroes, are
+    depend on how a BLAS splits a product over its threads.  The entries of
+    the imaginary parts of modes 0 and n/2, which `_band_basis` zeroes, are
     zero.
     """
     length = b - a
