@@ -10,8 +10,8 @@ scheme is needed.
 
 A replica is the Gaussian grid pass of `quench_dp` on the constant tube
 [-half, half] with step means -beta*dW, and it runs through the same
-Fourier-band step, `_band_step`, which lives here with the other band
-primitives; all W replicas of a batch are its rows.  A pass has one step
+Fourier-band pass, `_band_pass`, which lives here with the other band
+primitives; all W replicas of a batch are the rows of one layout.  A pass has one step
 sd (sqrt(dt) here, tau on the grid) and is laid out once, by
 `_kernel_layout`: the grid sits at the head of a zero-padded row of length
 n = `_fast_len(grid_points + reach)` (the smallest 2**a 3**b 5**c at least
@@ -31,7 +31,10 @@ Dirichlet sums (`_cut_operator`), at (2K)^2 multiply-adds per replica,
 or, when the r = n - grid_points padding entries are fewer than K (as
 when alias bands make K every mode), I - L @ R with the factors of the
 padding, at 4Kr.  No real-space mass exists between steps, so none is
-clipped, and the survival total is mode 0.  The first step's bin masses
+clipped, and the survival total is mode 0, read every _CHECK_STEPS steps
+and at the checkpoints; a replica whose total falls below _RESCALE_BELOW
+is rescaled by an exact power of two, and a checkpoint reads
+ldexp(total, exponent), so a deep replica underflows only there.  The first step's bin masses
 come from the same transform (`_bin_masses`), so no Gaussian CDF is
 evaluated.  `estimate_gamma` propagates at most 64 replicas per batch and
 each block of transforms holds at most 2**16 complex entries, so memory
@@ -56,7 +59,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -85,6 +90,11 @@ _MEMORY_BUDGET, _FLOAT_BYTES = 2**30, 8
 # caps `config.validate` sets from `_run_bytes` rest on it.
 _BASIS_ENTRIES = 2**16
 _AMPLITUDE_FLOOR = 1e-17
+# The mass total below which a pass rescales its state by a power of two,
+# and the steps between the totals of a pass that reads them on demand
+# (`_band_pass` here, `quench_dp._propagate` and `quench_dp._block_pass`).
+_RESCALE_BELOW = 2.0**-500
+_CHECK_STEPS = 16
 # Modes between the exact phases that re-anchor a kernel transform's
 # running product (`_unit_phases`).
 _ANCHOR_MODES = 64
@@ -204,7 +214,7 @@ def _run_bytes(grid_points: int, n: int, band: int, batch: int) -> int:
     """Bytes `_confinement_profiles` holds at most for `batch` replicas on a
     layout from `_layout`, besides the drifts passed in.
 
-    The cut operator of `_band_step`: when the r = n - grid_points padding
+    The cut of `_band_pass` (`_cut_form`): when the r = n - grid_points padding
     entries are fewer than K, its factors, three (2K, r) factors' worth while
     built, and a (batch, r) product; else the dense (2K)^2 operator and as
     much again, and three factors' worth of basis rows for _BASIS_ENTRIES
@@ -424,87 +434,254 @@ def _cut_operator(n: int, band: int, a: int, b: int) -> np.ndarray:
     return op
 
 
-def _band_step(means: np.ndarray, sd: float, dx: float, length: int, band: int, t0: int):
-    """The `quench_dp._propagate` step for Gaussian laws on the step kernel's
-    Fourier band, for one row of mass or for R rows at once.
+class _BandRows(NamedTuple):
+    """One layout of `_band_pass` and its R rows.
 
-    `means` has shape (n,) for one row, or (n, R) for R rows; step i moves
-    row r by N(means[i-1, r], sd^2), and K = `band` is the band of that sd
-    on the `length`-node layout (`_kernel_layout`).  The state is the first
-    K real-DFT modes of each row, zero-padded to `length` nodes, as the
-    arrays (cut, uncut) of interleaved (real, imaginary) floats.  Step i
-    multiplies the modes by the closed-form transform of its kernels
-    (`_kernel_modes`) and cuts them to the nodes [a, b) it keeps, by
-    one real operator of `_band_basis` rows, in one of two forms:
-    * when fewer than K nodes are dropped, I - L @ R with the factors of
-      the dropped nodes, built for each new range, at 4Kr multiply-adds a
-      row for r dropped nodes (as when alias bands make K every mode);
-    * otherwise the dense (2K, 2K) operator L @ R of the kept nodes, at
-      (2K)^2 a row, built in closed form (`_cut_operator`) for each new range.
-    The total is the real part of mode 0, a float for one row and an array
-    for R; ``step(state, a, b, total=False)`` returns None for it.  The
-    first call takes the real mass and transforms it; a cut without a move
-    (the end window) applies to the uncut modes of the last step, on the
-    nodes both keep.  The transforms are built mode-major a block of steps
-    at a time, into one buffer allocated once a pass, and copied out a few
-    steps at a time into one more (a step multiplies contiguous rows).
+    `mass` is the rows' real mass at the first time, (R, points); `means`
+    the step means, (steps, R), step i moving row r by N(means[i-1, r],
+    sd^2); `dx`, `length` and `band` the node spacing, padded row length and
+    band K of the layout (`_kernel_layout`).  The cuts keep the nodes
+    `start` = (a, b) at the first time, then each (a, b) of the iterator
+    `ranges`, one a later time, and `end` at the end window.  A run of
+    steps that may hold a cut keeping less than `floor` of the mass carried
+    into it is replayed with a total at every step.
     """
-    n, rows = len(means), means.shape[1:]
-    per = math.prod(rows)  # columns a step has in the mode-major transforms
-    width = band * per
-    block = _block_steps(width, _FFT_BLOCK_ENTRIES)
-    few = _block_steps(width, _FFT_BLOCK_ENTRIES // 16)  # steps copied out at once, in cache
-    mode_major = np.empty(min(block, n - t0) * width, dtype=complex)
-    step_rows = np.empty((few,) + rows + (band,), dtype=complex)
 
-    def transforms():
-        for j in range(t0, n, block):
-            m = min(block, n - j)
-            k_hat = _kernel_modes(means[j : j + m], sd, dx, length, band, mode_major[: m * width].reshape(band, -1))
-            for i in range(0, m, few):
-                part = step_rows[: min(few, m - i)]
-                np.copyto(part, k_hat[:, i * per : (i + len(part)) * per].T.reshape(part.shape))
-                yield part
+    mass: np.ndarray
+    means: np.ndarray
+    dx: float
+    length: int
+    band: int
+    start: tuple[int, int]
+    ranges: Iterator[tuple[int, int]]
+    end: tuple[int, int]
+    floor: float
 
-    kernels = itertools.chain.from_iterable(transforms())
-    modes = np.zeros((2,) + rows + (band,), dtype=complex)
-    state = modes.view(float)
+
+def _cut_form(length: int, band: int, a: int, b: int, rows: int):
+    """The cut of a band step that keeps the nodes [a, b) of a `length`-node
+    row, K = `band`, for `rows` rows of modes: when fewer than K nodes are
+    dropped, the factors (L, R) of the r dropped nodes (`_band_basis`) and
+    a (rows, r) buffer, applied as I - L @ R at 4Kr multiply-adds a row (as
+    when alias bands make K every mode); otherwise the dense (2K, 2K)
+    operator L @ R of the kept nodes, in closed form (`_cut_operator`), at
+    (2K)^2 a row."""
+    if length - (b - a) < band:
+        left, right = _band_basis(length, band, np.r_[0:a, b:length])
+        return left, right, np.empty((rows, left.shape[1]))
+    return _cut_operator(length, band, a, b)
+
+
+def _apply_cut(form, uncut: np.ndarray, out: np.ndarray) -> None:
+    """Cut the (rows, 2K) interleaved modes `uncut` into `out` by `form`
+    (`_cut_form`)."""
+    if isinstance(form, np.ndarray):
+        uncut.dot(form, out=out)  # np.matmul's bits, without its ufunc overhead
+        return
+    left, right, lost = form
+    np.matmul(uncut, left, out=lost)
+    np.matmul(lost, right, out=out)
+    np.subtract(uncut, out, out=out)
+
+
+def _band_pass(layouts: list, sd: float, t0: int, n: int, times=()):
+    """Carry the rows of every layout of `layouts` (`_BandRows`, R rows
+    each) from time t0 to time n on the step kernel's Fourier band.
+
+    Each row is the `quench_dp._propagate` pass of a Gaussian law.  At t0
+    its real mass is cut to the nodes `start` and summed.  From then on the
+    state is the first K real-DFT modes of the mass zero-padded to `length`
+    nodes, as interleaved (real, imaginary) floats; step i multiplies them
+    by the closed-form transform of the step's kernel (`_kernel_modes`) and
+    cuts them to the nodes of that time (`_cut_form`), whose operator a
+    layout builds when its range of kept nodes changes.  The rows of a
+    layout share it, so a step is one (R, 2K) @ (2K, 2K) product a layout.
+    The modes of all layouts lie end to end in one array, so one complex
+    multiply a step moves every row, and each layout's rows are a
+    contiguous (R, 2K) view of it, cut by a product of their own: a row
+    keeps every bit of a pass of its layout alone.  (Zero-padding the
+    layouts to one K and stacking their operators would not: OpenBLAS's
+    gemv sums the columns four at a time, and the last two of 4m + 2 apart,
+    so a padded row of odd K rounds differently.)
+
+    The total of a row is the real part of its mode 0.  Totals are read
+    every _CHECK_STEPS steps (fewer when that many steps' kernels would not
+    fit in a sixteenth of a block of transforms) and at each time of
+    `times`.  The state is saved before each run of steps, and a run after
+    which a live row's total is below twice _RESCALE_BELOW, or below twice
+    its layout's `floor` of its total before the run, is replayed with a
+    total at every step; totals shrink over steps but for round-off, so
+    each row is rescaled by an exact power of two when its total drops
+    below _RESCALE_BELOW, and dies at the first time whose total is not
+    positive, on the same steps and with the same bits as with a total at
+    every step.  The end window is one more cut, of the last step's uncut
+    modes, on the nodes both keep.  The transforms are built mode-major a
+    block of steps at a time, into one buffer a layout allocated once a
+    pass, and copied out a run of steps at a time.
+
+    Returns four lists of G lists of R values, one per layout and row: the
+    final mass and its exponent (the true mass is final * 2**exp2; final is
+    0 where the row died), the last time reached, the smallest fraction
+    of its mass the row kept between two reads of its total (one cut's,
+    where a total is read at every step, and below the layout's `floor`
+    just when a cut's is); then the totals at `times`, shape (G, R,
+    len(times)), on the linear scale and 0 from the time a row dies.  The
+    layouts' masses are updated in place.
+    """
+    count, rows = len(layouts), len(layouts[0].mass)
+    bands = [lay.band for lay in layouts]
+    starts = np.cumsum([0] + [rows * k for k in bands]).tolist()  # complex entries before each layout
+    width = starts[-1]
+    modes = np.zeros((2, width), dtype=complex)
     cut_c, uncut_c = modes
-    cut_f, uncut_f = state
-    op, held = None, None  # the dense operator and the node range it keeps
-    factors, factored = None, None  # (L, R, buffer) of the nodes dropped by the range `factored`
-    last_a = last_b = 0  # the node range of the last cut
+    cut_f, uncut_f = modes.view(float)
+    cuts, uncuts = ([state[2 * s : 2 * e].reshape(rows, -1) for s, e in zip(starts, starts[1:])] for state in (cut_f, uncut_f))
+    zero = [2 * (s + r * k) for s, k in zip(starts, bands) for r in range(rows)]  # each row's mode 0 in cut_f
+    saved = np.empty_like(cut_f)
+    run = min(_CHECK_STEPS, _block_steps(width, _FFT_BLOCK_ENTRIES // 16))
+    kernels = np.empty((run, width), dtype=complex)
+    steps_of = [kernels[:, s:e].reshape(run, rows, k) for s, e, k in zip(starts, starts[1:], bands)]
+    block = _block_steps(width, _FFT_BLOCK_ENTRIES)
+    buffers = [np.empty(min(block, n - t0) * rows * k, dtype=complex) for k in bands]
+    k_hats, j0, built = [], 0, 0  # k_hats: the mode-major transforms of steps j0..j0+built-1
 
-    def step(prev, a, b, move=True, total=True):
-        nonlocal op, held, factors, factored, last_a, last_b
-        if prev is not state:  # the real mass of the first step
-            if not move:
-                prev[..., :a] = 0.0
-                prev[..., b:] = 0.0
-                return prev, prev.sum(axis=-1) if total else None
-            cut_c[...] = np.fft.rfft(prev, length)[..., :band]
-        if move:
-            np.multiply(cut_c, next(kernels), out=uncut_c)
-        else:
-            a, b = max(a, last_a), min(b, last_b)
-        if length - (b - a) < band:
-            if (a, b) != factored:
-                left, right = _band_basis(length, band, np.r_[0:a, b:length])
-                factors, factored = (left, right, np.empty(rows + (left.shape[1],))), (a, b)
-            left, right, lost = factors
-            np.matmul(uncut_f, left, out=lost)
-            np.matmul(lost, right, out=cut_f)
-            np.subtract(uncut_f, cut_f, out=cut_f)
-        else:
-            if (a, b) != held:
-                op, held = _cut_operator(length, band, a, b), (a, b)
-            np.matmul(uncut_f, op, out=cut_f)
-        last_a, last_b = a, b
-        if not total:
-            return state, None
-        return state, cut_f[:, 0].copy() if rows else float(cut_f[0])
+    def fill(first: int, steps: int) -> None:
+        """Copy the transforms of steps first..first+steps-1 into `kernels`."""
+        nonlocal k_hats, j0, built
+        done = 0
+        while done < steps:
+            i = first + done
+            if not j0 <= i < j0 + built:
+                j0, built = i, min(block, n + 1 - i)
+                k_hats = [
+                    _kernel_modes(lay.means[i - 1 : i - 1 + built], sd, lay.dx, lay.length, k, buf[: built * rows * k].reshape(k, -1))
+                    for lay, k, buf in zip(layouts, bands, buffers)
+                ]
+            part = min(steps - done, j0 + built - i)
+            for k_hat, k, out in zip(k_hats, bands, steps_of):
+                columns = k_hat[:, (i - j0) * rows : (i - j0 + part) * rows].reshape(k, part, rows)
+                np.copyto(out[done : done + part], columns.transpose(1, 2, 0))
+            done += part
 
-    return step
+    forms = [None] * count  # each layout's `_cut_form`
+    held = [None] * count  # and the node range it keeps
+
+    def keep(g: int, a: int, b: int) -> None:
+        lay = layouts[g]
+        forms[g], held[g] = _cut_form(lay.length, lay.band, a, b, rows), (a, b)
+
+    def advance(ranges: list, steps, fixed: bool) -> None:
+        """Steps t+1+k for k in `steps`, layout g cut to ranges[g][k]; all
+        `fixed` at the ranges the layouts hold."""
+        if fixed and all(isinstance(form, np.ndarray) for form in forms):  # the usual case, inlined
+            dots = [(uncut.dot, op, cut) for uncut, op, cut in zip(uncuts, forms, cuts)]
+            for k in steps:
+                np.multiply(cut_c, kernels[k], out=uncut_c)
+                for dot, op, cut in dots:
+                    dot(op, out=cut)
+            return
+        for k in steps:
+            np.multiply(cut_c, kernels[k], out=uncut_c)
+            for g in range(count):
+                if not fixed and ranges[g][k] != held[g]:
+                    keep(g, *ranges[g][k])
+                _apply_cut(forms[g], uncuts[g], cuts[g])
+
+    # per row, layout-major: the state's total (mass / 2**exp2) at the last
+    # time read, exp2, the kept fraction, the last time reached and whether
+    # the row is alive; the bookkeeping of a few rows is cheaper in Python
+    # than in numpy calls
+    total, exp2, kept = [1.0] * len(zero), [0] * len(zero), [1.0] * len(zero)
+    last, alive = [n] * len(zero), [True] * len(zero)
+    floors = [2.0 * lay.floor for lay in layouts for _ in range(rows)]
+    recorded = np.zeros((len(zero), len(times)))
+    slot = {time: j for j, time in enumerate(times)}
+
+    def settle(t: int, moved: list, real: bool = False) -> None:
+        """The bookkeeping of time t, whose totals are `moved`: the kept
+        fractions (t0 moves nothing), the totals at `times`, rescales and
+        deaths; `real` while the state is the real mass."""
+        col = slot.get(t)
+        for q, m in enumerate(moved):
+            if not alive[q]:
+                continue
+            if not real and m < kept[q] * total[q]:
+                kept[q] = m / total[q]
+            if col is not None:
+                recorded[q, col] = math.ldexp(m, exp2[q])
+            if m < _RESCALE_BELOW:
+                g, r = divmod(q, rows)
+                parts = (layouts[g].mass[r],) if real else (cuts[g][r], uncuts[g][r])
+                if m <= 0.0:  # round-off can leave a band state a negative total
+                    alive[q], last[q] = False, t
+                    if col is not None:
+                        recorded[q, col] = 0.0
+                    for part in parts:
+                        part.fill(0.0)
+                    continue
+                e = math.frexp(m)[1]
+                for part in parts:
+                    np.ldexp(part, -e, out=part)
+                exp2[q] += e
+                m = math.ldexp(m, -e)
+            total[q] = m
+
+    for lay in layouts:
+        a, b = lay.start
+        lay.mass[:, :a] = 0.0
+        lay.mass[:, b:] = 0.0
+    settle(t0, [m for lay in layouts for m in np.add.reduce(lay.mass, axis=-1).tolist()], real=True)
+    if n > t0:
+        for lay, k, s, e in zip(layouts, bands, starts, starts[1:]):
+            cut_c[s:e].reshape(rows, k)[...] = np.fft.rfft(lay.mass, lay.length)[:, :k]
+    ends = sorted({time for time in times if t0 < time < n})
+    eager = len(ends) == n - t0 - 1  # a total at every time: no run is tried without
+    t, j = t0, 0  # ends[j] is the first time of `times` past t
+    while t < n and any(alive):
+        while j < len(ends) and ends[j] <= t:
+            j += 1
+        steps = min(run, n - t if eager or j == len(ends) else ends[j] - t)
+        fill(t + 1, steps)
+        ranges = [list(itertools.islice(lay.ranges, steps)) for lay in layouts]
+        fixed = all(rng.count(held[g]) == steps for g, rng in enumerate(ranges))
+        if steps > 1 and not eager:
+            np.copyto(saved, cut_f)
+            advance(ranges, range(steps), fixed)
+            moved = cut_f.take(zero).tolist()
+            low = 2.0 * _RESCALE_BELOW
+            if not any(live and (m < low or m < f * tot) for live, m, f, tot in zip(alive, moved, floors, total)):
+                settle(t + steps, moved)
+                t += steps
+                continue
+            np.copyto(cut_f, saved)
+        for k in range(steps):
+            advance(ranges, (k,), fixed)
+            t += 1
+            settle(t, cut_f.take(zero).tolist())
+            if not any(alive):
+                break
+    final = [0.0] * len(zero)
+    if any(alive):
+        for g, lay in enumerate(layouts):
+            a, b = lay.end
+            if n == t0:
+                lay.mass[:, :a] = 0.0
+                lay.mass[:, b:] = 0.0
+                final[g * rows : (g + 1) * rows] = np.add.reduce(lay.mass, axis=-1).tolist()
+                continue
+            a, b = max(a, held[g][0]), min(b, held[g][1])
+            if (a, b) != held[g]:
+                keep(g, a, b)
+            _apply_cut(forms[g], uncuts[g], cuts[g])
+        if n > t0:
+            final = cut_f.take(zero).tolist()
+        for q, live in enumerate(alive):
+            if live:
+                kept[q] = min(kept[q], final[q] / total[q])
+            else:
+                final[q] = 0.0
+    per_layout = [[x[g * rows : (g + 1) * rows] for g in range(count)] for x in (final, exp2, last, kept)]
+    return (*per_layout, recorded.reshape(count, rows, len(times)))
 
 
 def _confinement_profiles(
@@ -520,8 +697,8 @@ def _confinement_profiles(
     step indices.
 
     This is the Gaussian grid pass of `quench_dp` on the constant tube
-    [-half, half]: the first step's bin masses, then `_band_step` on every
-    grid node, one row per replica.
+    [-half, half]: the first step's bin masses, then `_band_pass` on every
+    grid node, one row per replica, read at the checkpoints.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -541,13 +718,9 @@ def _confinement_profiles(
         return dead
     # first step: the point source at y0 moved by the step kernel
     mass = _bin_masses(y0 + drifts[:, 0] - (0.5 * dx - half), sd, dx, n, band, 0, grid_points)
-    step = _band_step(drifts.T, sd, dx, n, band, 1)
-    totals = {1: mass.sum(axis=1)}
-    for c in range(2, max(checkpoints) + 1):
-        mass, total = step(mass, 0, grid_points, True, c in checkpoints)
-        if total is not None:
-            totals[c] = total
-    return np.stack([totals[c] for c in checkpoints], axis=1)
+    every = (0, grid_points)
+    rows = _BandRows(mass, drifts.T, dx, n, band, every, itertools.repeat(every), every, 0.0)
+    return _band_pass([rows], sd, 1, max(checkpoints), checkpoints)[4][0]
 
 
 def quenched_bm_confinement(

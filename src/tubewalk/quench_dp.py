@@ -2,9 +2,12 @@
 
 Both estimators evolve the quenched sub-probability measure of the surviving
 walk one step at a time, killing mass outside the tube.  Tube membership
-uses closed intervals, so boundary-exact hits survive.  They share one step
-loop, ``_propagate``: each step moves the mass by that step's kernel, cuts
-it to the index range of nodes inside the tube and takes its total.
+uses closed intervals, so boundary-exact hits survive.  Atom passes off
+the block route and the Gaussian taps step share one step loop,
+``_propagate``: each step moves the mass by that step's kernel, cuts it to
+the index range of nodes inside the tube and takes its total.  The
+Gaussian band step loops over its own steps, with the same bookkeeping, in
+`gamma._band_pass`.
 When the sum falls below ``_RESCALE_BELOW`` the mass is multiplied by an
 exact power of two and the exponent is carried on a log scale (the scaled
 forward algorithm), so deep events neither underflow nor stall on
@@ -18,7 +21,9 @@ over the mass that cost about 40% of a step, sums it every _CHECK_STEPS
 steps only; a check that finds the total near the threshold restores the
 mass saved at the check before and replays those steps with a total each,
 so the rescales and the step at which the mass dies out, and every bit of
-the result, are those of a total at every step (`_propagate`).
+the result, are those of a total at every step (`_propagate`).  The band
+pass reads its totals the same way, per row, and also replays a run that
+may have kept less of a row's mass than its `grid_roundoff` threshold.
 
 Atom passes (`_atom_pass`) leave the step loop for four-step blocks where
 the tube's bounds are the same at every time, every move is a whole number
@@ -51,28 +56,33 @@ closed-form transform gamma uses (`gamma._kernel_modes`), which vanishes
 below 1e-17 outside its first K modes.  A Gaussian pass takes one of two
 steps, whichever needs fewer multiply-adds:
 
-* the band step (`gamma._band_step`, the one gamma's replicas run as rows),
-  at (2K)^2 a step: the state is the first K real-DFT modes of the mass
-  zero-padded past the kernel's reach, a step multiplies them by the
+* the band step (`gamma._band_pass`, the pass gamma's replicas run as
+  rows), at (2K)^2 a step: the state is the first K real-DFT modes of the
+  mass zero-padded past the kernel's reach, a step multiplies them by the
   kernel's transform and cuts them to the nodes inside the tube with a
   dense (2K, 2K) operator, written in closed form for each range of kept
   nodes (or, when fewer than K nodes are dropped, with the factors of the
-  dropped nodes, at 4Kr);
+  dropped nodes, at 4Kr).  `survival_grid` runs its two resolutions as two
+  layouts of one pass when both take the band: their modes lie end to end
+  in one state, one complex multiply moves both, and each is cut by its
+  own operator, so each keeps the bits of a pass of its own;
 * the taps step (`_correlate_step`, the atom laws' step too), at
   size * (2 hw + 1): each kernel is read from a batched inverse FFT of its
   transform, with round-off of about 1e-16 clipped at zero, and applied by
   direct correlation.
 
 The band runs when (2K)^2 < size * (2 hw + 1) and its operator holds at
-most _BAND_ENTRIES entries.  On the Gaussian builtin at 400 nodes
-(n = 400-6400, K = 31-57, 295-649 taps) a pass costs 4.1-5.7 us a step with
-the band against 24-46 us with the taps (a 2-vCPU VM, one BLAS thread, fastest
-of several passes); narrow kernels on wide tubes keep the taps (N(m, 0.5^2)
-steps on 300 nodes over a span of 37: K = 127 against 81 taps).  Both steps
-carry round-off of about 5e-15 of the peak mass into every node; a cut that
-keeps so little of the mass carried into it that this round-off, over the
-grid's nodes, exceeds _ROUNDOFF_REL of what it kept flags the estimate
-``grid_roundoff``.
+most _BAND_ENTRIES entries (`_band_is_cheaper`).  On the Gaussian builtin
+at 400 nodes (n = 400-6400, K = 31-57, 295-649 taps) a band pass costs
+2.9-4.1 us a step, and the pass of both resolutions 5.3-7.1 us a step
+(7.0-8.8 us for the two run one after the other, each through
+`_propagate`, before), against 24-46 us with the taps (a 2-vCPU VM, one
+BLAS thread, fastest of several passes); narrow kernels on wide tubes keep
+the taps (N(m, 0.5^2) steps on 300 nodes over a span of 37: K = 127
+against 81 taps).  Both steps carry round-off of about 5e-15 of the peak
+mass into every node; a cut that keeps so little of the mass carried into
+it that this round-off, over the grid's nodes, exceeds _ROUNDOFF_REL of
+what it kept flags the estimate ``grid_roundoff``.
 """
 
 from __future__ import annotations
@@ -84,8 +94,8 @@ import sys
 import numpy as np
 
 from .env import _LATTICE_TOL, EnvRealization
-from .gamma import _FFT_BLOCK_ENTRIES, _MEMORY_BUDGET, _band_modes, _band_step, _bin_masses, _block_steps, _fast_len
-from .gamma import _kernel_layout
+from .gamma import _CHECK_STEPS, _FFT_BLOCK_ENTRIES, _MEMORY_BUDGET, _RESCALE_BELOW, _BandRows, _band_modes, _band_pass
+from .gamma import _bin_masses, _block_steps, _fast_len, _kernel_layout
 from .results import (
     METHOD_BRUTE_FORCE,
     METHOD_DP_LATTICE,
@@ -97,8 +107,7 @@ from .tube import TubeSpec
 
 _BRUTE_LIMIT = 64_000_000  # max enumerated paths
 _BLOCK_ENTRIES = 2**14  # step-kernel entries built at a time
-_RESCALE_BELOW = 2.0**-500  # carried mass total that triggers a rescale
-_CHECK_STEPS = 16  # steps between the totals of a lazy pass
+_RANGE_TIMES = 2**10  # times whose kept node ranges `_ranges` works out at once
 _BLOCK = 4  # steps a block-route matvec advances; _CHECK_STEPS is a whole number of blocks
 _TABLE_ENTRIES = 2**17  # entries of the block route's table of _BLOCK steps, at most (1 MiB)
 _BAND_ENTRIES = 2**16  # entries of a Gaussian band step's dense cut operator, at most
@@ -167,8 +176,8 @@ def _kept(nodes: np.ndarray, lo, up) -> tuple[list[int], list[int]]:
 def _ranges(nodes: np.ndarray, lo: np.ndarray, up: np.ndarray, t0: int):
     """(a, b): the index range of nodes inside the tube at times t0+1..n."""
     return itertools.chain.from_iterable(
-        zip(*_kept(nodes, lo[j : j + _BLOCK_ENTRIES], up[j : j + _BLOCK_ENTRIES]))
-        for j in range(t0 + 1, len(lo), _BLOCK_ENTRIES)
+        zip(*_kept(nodes, lo[j : j + _RANGE_TIMES], up[j : j + _RANGE_TIMES]))
+        for j in range(t0 + 1, len(lo), _RANGE_TIMES)
     )
 
 
@@ -306,7 +315,7 @@ def _propagate(mass, nodes, lo, up, end, t0: int, step, running=None, lazy=False
             if running is not None:
                 running[i] = math.ldexp(total, exp2)
             if total < _RESCALE_BELOW:
-                if total <= 0.0:  # round-off can leave a band state a negative total
+                if total <= 0.0:  # the mass died out
                     if running is not None:
                         running[i] = 0.0
                     return -math.inf, i, kept
@@ -555,27 +564,34 @@ def _grid_spacing(env, span: float, grid_points: int) -> float:
     return span / grid_points
 
 
-def _grid_once(
-    env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int, return_running: bool = False, bounds=None
-):
-    """One propagation pass; returns (log_p, running, work, roundoff).
+def _band_is_cheaper(band: int, size: int, width: int) -> bool:
+    """Whether a Gaussian pass of band K on `size` nodes takes the band step
+    rather than `width` taps: (2K)^2 < size * width multiply-adds a step, and
+    the operator holds at most _BAND_ENTRIES entries."""
+    return (2 * band) ** 2 < size * width and (2 * band) ** 2 <= _BAND_ENTRIES
 
-    The running totals are None unless `return_running`.
-    ``roundoff`` is True when a Gaussian cut kept so little of the mass
-    carried into it that the round-off of its nodes may exceed
-    _ROUNDOFF_REL of what it kept.  `bounds` are the tube's (lo, up), built
-    here when None.
+
+def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, return_running=False, bounds=None):
+    """One propagation pass at each grid size of `resolutions`: a list of
+    (log_p, running, work, roundoff), one a size.
+
+    The running totals are None except for the first size, with
+    `return_running`.  ``roundoff`` is True when a Gaussian cut kept so
+    little of the mass carried into it that the round-off of its nodes may
+    exceed _ROUNDOFF_REL of what it kept.  The Gaussian passes that take the
+    band step run as the layouts of one `gamma._band_pass`.  `bounds` are
+    the tube's (lo, up), built here when None.
     """
     lo, up = bounds = bounds or tube.bounds_arrays()
     n, f = tube.n, tube.f_offset
     env_lo, env_up = lo.min(), up.max()
-    dx = _grid_spacing(env, env_up - env_lo, grid_points)
+    sizes = [(points, _grid_spacing(env, env_up - env_lo, points)) for points in resolutions]
+    out = []
     if env.kind == "atoms":
-        log_p, running, size, last = _atom_pass(env, tube, x0, dx, return_running, bounds=bounds)
-        return log_p, running, last * size, False
-    edges = np.arange(grid_points + 1) * dx + env_lo
-    nodes = 0.5 * (edges[:-1] + edges[1:])
-    size = len(nodes)
+        for j, (_, dx) in enumerate(sizes):
+            log_p, running, size, last = _atom_pass(env, tube, x0, dx, return_running and not j, bounds=bounds)
+            out.append((log_p, running, last * size, False))
+        return out
     means = env.quenched_mean[f : f + n]
     stds = env.stds[f : f + n]
     sd = stds[0]
@@ -584,14 +600,29 @@ def _grid_once(
             f"survival_grid needs one step sd over the tube's steps; env.stds runs from "
             f"{stds.min():.6g} to {stds.max():.6g}"
         )
-    hw, length, band = _kernel_layout(sd, np.abs(means).max(), dx, size)
-    # first step: the point source at x0 moved by the step kernel
-    drift = np.array([x0 + means[0] - nodes[0]])
-    mass = _bin_masses(drift, sd, dx, length, band, 0, size)[0]
-    width = 2 * hw + 1
-    if (2 * band) ** 2 < size * width and (2 * band) ** 2 <= _BAND_ENTRIES:
-        step = _band_step(means, sd, dx, length, band, 1)
-    else:
+    end, xi = tube.end_bounds(), xi_log_factor(env, tube)
+
+    def result(log_total, last, kept, size, hw, running):
+        roundoff = size * _ROUNDOFF_PER_NODE > _ROUNDOFF_REL * kept
+        return log_total + xi, running, size + (last - 1) * (size + 2 * hw), roundoff
+
+    band = []  # (index in out, size, hw, layout) of the passes on the band
+    for j, (points, dx) in enumerate(sizes):
+        edges = np.arange(points + 1) * dx + env_lo
+        nodes = 0.5 * (edges[:-1] + edges[1:])
+        size = len(nodes)
+        hw, length, k = _kernel_layout(sd, np.abs(means).max(), dx, size)
+        # first step: the point source at x0 moved by the step kernel
+        mass = _bin_masses(np.array([x0 + means[0] - nodes[0]]), sd, dx, length, k, 0, size)
+        width = 2 * hw + 1
+        if _band_is_cheaper(k, size, width):
+            (a,), (b,) = _kept(nodes, lo[1:2], up[1:2])
+            (ea,), (eb,) = _kept(nodes, end[:1], end[1:]) if end is not None else ((0,), (size,))
+            floor = size * _ROUNDOFF_PER_NODE / _ROUNDOFF_REL
+            layout = _BandRows(mass, means[:, None], dx, length, k, (a, b), _ranges(nodes, lo, up, 1), (ea, eb), floor)
+            band.append((len(out), size, hw, layout))
+            out.append(None)
+            continue
         taps = _fast_len(width)
         taps_band = _band_modes(sd / dx, taps)
 
@@ -602,13 +633,23 @@ def _grid_once(
 
         kernels = (width, hw, _block_steps(width, _FFT_BLOCK_ENTRIES), build)
         step = _correlate_step(kernels, 1, n, size)
-    running = np.zeros(n + 1) if return_running else None
-    log_total, last, kept = _propagate(mass, nodes, lo, up, tube.end_bounds(), 1, step, running)
-    work = size + (last - 1) * (size + 2 * hw)
-    if return_running:
-        running[0] = 1.0
-    roundoff = size * _ROUNDOFF_PER_NODE > _ROUNDOFF_REL * kept
-    return log_total + xi_log_factor(env, tube), running, work, roundoff
+        running = np.zeros(n + 1) if return_running and not j else None
+        log_total, last, kept = _propagate(mass[0], nodes, lo, up, end, 1, step, running)
+        if running is not None:
+            running[0] = 1.0
+        out.append(result(log_total, last, kept, size, hw, running))
+    if band:
+        times = range(1, n + 1) if return_running and not band[0][0] else ()
+        *rows, totals = _band_pass([layout for *_, layout in band], sd, 1, n, times)
+        for (j, size, hw, _), (final,), (exp2,), (last,), (kept,) in zip(band, *rows):
+            running = np.r_[1.0, totals[0, 0]] if times and not j else None
+            out[j] = result(_log_mass(final, exp2), last, kept, size, hw, running)
+    return out
+
+
+def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int, return_running=False, bounds=None):
+    """`_grid_passes` at one grid size: (log_p, running, work, roundoff)."""
+    return _grid_passes(env, tube, x0, (grid_points,), return_running, bounds)[0]
 
 
 def survival_grid(
@@ -625,20 +666,22 @@ def survival_grid(
     difference as ``refine_delta_log``; when the relative delta exceeds
     `refine_tol` the estimate is flagged ``grid_coarse`` (not fatal).  A
     lattice law propagates on its own lattice at both resolutions, so it
-    runs once, with a delta of 0.
+    runs once, with a delta of 0.  Two Gaussian resolutions that both take
+    the band step run as the two layouts of one band pass.
     """
     if grid_points < 50:
         raise ValueError("grid_points must be >= 50")
     _check_span(env, tube)
     _require_open_start(tube, x0)
     lo, up = bounds = tube.bounds_arrays()
-    log_p, running, work, roundoff = _grid_once(env, tube, x0, grid_points, return_running, bounds)
     half = max(25, grid_points // 2)
     span = up.max() - lo.min()
     if _grid_spacing(env, span, half) == _grid_spacing(env, span, grid_points):
+        log_p, running, work, roundoff = _grid_once(env, tube, x0, grid_points, return_running, bounds)
         log_half, work_half = log_p, 0
     else:
-        log_half, _, work_half, roundoff_half = _grid_once(env, tube, x0, half, bounds=bounds)
+        passes = _grid_passes(env, tube, x0, (grid_points, half), return_running, bounds)
+        (log_p, running, work, roundoff), (log_half, _, work_half, roundoff_half) = passes
         roundoff = roundoff or roundoff_half
     if math.isfinite(log_p) and math.isfinite(log_half):
         delta = log_p - log_half

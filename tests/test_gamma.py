@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -255,17 +256,14 @@ def test_band_profile_matches_direct_convolution_with_aliases(monkeypatch):
 @pytest.mark.parametrize("first", [0, 9], ids=["fixed", "moving"])
 @pytest.mark.parametrize("n, grid, band", [(120, 60, 25), (108, 100, 55), (125, 100, 63), (540, 400, 58)])
 def test_band_cut_matches_fft_of_cut_basis(monkeypatch, n, grid, band, first):
-    # the operator a band step applies, read off by cutting 2K identity rows:
-    # one step keeps the nodes [0, grid), then a cut without a move keeps
-    # [first, grid), so a moving range updates the operator (or its factors)
+    # the operator a band cut applies, read off by cutting 2K identity rows:
+    # the cut keeps the nodes [first, grid), all of the grid or a range that
+    # moved in from its start
     a, b = first, grid
-    sd = next(s for s in np.arange(0.5, 64.0, 0.5) if gamma_mod._band_modes(s, n) <= band)
     rows = 2 * band
-    step = gamma_mod._band_step(np.zeros((2, rows)), sd, 1.0, n, band, 1)
-    state, _ = step(np.ones((rows, grid)), 0, grid)
     calls = _spy_basis(monkeypatch)
-    state[1] = np.eye(rows)
-    got = step(state, a, b, move=False)[0][0].copy()
+    got = np.empty((rows, rows))
+    gamma_mod._apply_cut(gamma_mod._cut_form(n, band, a, b, rows), np.eye(rows), got)
     # reference: rfft of each band basis mode's irfft, cut to the nodes [a, b)
     basis = np.eye(rows).view(complex)  # row 2j: mode j; row 2j + 1: 1j * mode j
     cut = np.fft.irfft(basis, n)
@@ -273,11 +271,10 @@ def test_band_cut_matches_fft_of_cut_basis(monkeypatch, n, grid, band, first):
     cut[:, b:] = 0.0
     want = np.ascontiguousarray(np.fft.rfft(cut, n)[:, :band]).view(float)
     # fewer dropped nodes than modes: the factors of the dropped nodes, else
-    # the dense operator, rebuilt in closed form for the new range
+    # the dense operator in closed form, with no basis rows
     factored = n - (b - a) < band
-    if first:
-        dropped = [np.array_equal(p, np.r_[0:a, b:n]) for p in calls]
-        assert dropped == ([True] if factored else [])
+    dropped = [np.array_equal(p, np.r_[0:a, b:n]) for p in calls]
+    assert dropped == ([True] if factored else [])
     # the operator passes on (factors) or zeroes (dense) the imaginary parts of
     # modes 0 and n/2, which the inverse FFT drops; the state keeps them zero
     for j in (0, n // 2) if n % 2 == 0 and band > n // 2 else (0,):
@@ -300,6 +297,12 @@ def test_cut_operator_matches_the_basis_product(n, band, a, b):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-15 * np.abs(want).max())
 
 
+def _constant_rows(mass, means, dx, n, band, grid):
+    """`gamma._BandRows` of `mass` on all `grid` nodes at every time."""
+    every = (0, grid)
+    return gamma_mod._BandRows(mass, means, dx, n, band, every, itertools.repeat(every), every, 0.0)
+
+
 @pytest.mark.parametrize("dt, grid", [(1e-3, 400), (1.6e-5, 100)], ids=["dense", "factors"])
 def test_band_rows_equal_single_row_passes(dt, grid):
     # R rows take one matrix product a step (gemm), one row a vector product
@@ -310,22 +313,20 @@ def test_band_rows_equal_single_row_passes(dt, grid):
     first = gamma_mod._bin_masses(drifts[:, 0] - (0.5 * dx - half), sd, dx, n, band, 0, grid)
 
     def profile(means, mass):
-        step = gamma_mod._band_step(means, sd, dx, n, band, 1)
-        totals = []
-        for _ in range(1, drifts.shape[1]):
-            mass, total = step(mass, 0, grid)
-            totals.append(total)
-        return np.array(totals)
+        rows = _constant_rows(mass, means, dx, n, band, grid)
+        return gamma_mod._band_pass([rows], sd, 1, drifts.shape[1], range(2, drifts.shape[1] + 1))[4][0]
 
     rows = profile(drifts.T, first.copy())
-    assert rows.shape == (99, 5)
+    assert rows.shape == (5, 99)
     for r in range(5):
-        np.testing.assert_allclose(rows[:, r], profile(drifts[r], first[r].copy()), rtol=1e-14, atol=0.0)
+        single = profile(drifts[r : r + 1].T, first[r : r + 1].copy())[0]
+        np.testing.assert_allclose(rows[r], single, rtol=1e-14, atol=0.0)
 
 
 def test_confinement_row_is_the_grid_pass_on_a_constant_tube():
-    # one W row of gamma's profiles is `quench_dp._propagate` with the same
-    # band step on the nodes of [-half, half]
+    # gamma's profiles are the grid's band pass on the nodes of [-half, half],
+    # its kept ranges read off the tube's bounds as `quench_dp` reads them:
+    # the same rows in the same pass, so the same bits
     dt, grid, steps, cps = 1e-3, 400, 300, (1, 150, 300)
     sd = math.sqrt(dt)
     drifts = -0.5 * np.random.default_rng(15).normal(0.0, sd, (3, steps))
@@ -333,12 +334,11 @@ def test_confinement_row_is_the_grid_pass_on_a_constant_tube():
     half, dx, n, band = gamma_mod._layout(dt, grid, max_drift=np.abs(drifts).max())
     nodes = -half + (np.arange(grid) + 0.5) * dx
     bounds = np.full(steps + 1, half)
-    for row, means in zip(profiles, drifts):
-        mass = gamma_mod._bin_masses(means[:1] - nodes[0], sd, dx, n, band, 0, grid)[0]
-        step = gamma_mod._band_step(means, sd, dx, n, band, 1)
-        running = np.zeros(steps + 1)
-        quench_dp._propagate(mass, nodes, -bounds, bounds, None, 1, step, running)
-        np.testing.assert_allclose(row, running[list(cps)], rtol=1e-12, atol=0.0)
+    (a,), (b,) = quench_dp._kept(nodes, -bounds[:1], bounds[:1])
+    assert (a, b) == (0, grid)
+    mass = gamma_mod._bin_masses(drifts[:, 0] - nodes[0], sd, dx, n, band, 0, grid)
+    rows = gamma_mod._BandRows(mass, drifts.T, dx, n, band, (a, b), quench_dp._ranges(nodes, -bounds, bounds, 1), (a, b), 0.0)
+    np.testing.assert_array_equal(profiles, gamma_mod._band_pass([rows], sd, 1, steps, cps)[4][0])
 
 
 @pytest.mark.parametrize(
@@ -512,28 +512,15 @@ def test_confinement_profiles_do_not_depend_on_the_transform_blocks(monkeypatch,
 
 
 def test_confinement_profiles_take_totals_at_checkpoints_only(monkeypatch):
-    # the band step reads a total (a copy of mode 0) only when asked; asking
-    # at every step gives the same bits
+    # the band pass reads totals every _CHECK_STEPS steps and at the
+    # checkpoints only; reading them at every step gives the same bits
     dt, grid, cps = 1e-3, 400, (1, 100, 150, 200)
     drifts = -0.5 * np.random.default_rng(17).normal(0.0, math.sqrt(dt), (5, 200))
-    asked = []
-
-    def counted(*args):
-        step = real(*args)
-
-        def wrapped(prev, a, b, move=True, total=True):
-            asked.append(total)
-            return step(prev, a, b, move, total)
-
-        return wrapped
-
-    def eager(*args):
-        step = real(*args)
-        return lambda prev, a, b, move=True, total=True: step(prev, a, b, move)
-
-    real = gamma_mod._band_step
-    monkeypatch.setattr(gamma_mod, "_band_step", counted)
     lazy = _confinement_profiles(drifts, dt, grid, 0.0, True, cps)
-    assert len(asked) == 199 and sum(asked) == 3
-    monkeypatch.setattr(gamma_mod, "_band_step", eager)
+    monkeypatch.setattr(gamma_mod, "_CHECK_STEPS", 1)
     np.testing.assert_array_equal(_confinement_profiles(drifts, dt, grid, 0.0, True, cps), lazy)
+    sd = math.sqrt(dt)
+    half, dx, n, band = gamma_mod._layout(dt, grid, max_drift=np.abs(drifts).max())
+    mass = gamma_mod._bin_masses(drifts[:, 0] - (0.5 * dx - half), sd, dx, n, band, 0, grid)
+    every = gamma_mod._band_pass([_constant_rows(mass, drifts.T, dx, n, band, grid)], sd, 1, 200, range(1, 201))[4][0]
+    np.testing.assert_array_equal(every[:, [c - 1 for c in cps]], lazy)
