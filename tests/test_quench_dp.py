@@ -751,6 +751,38 @@ def test_dp_pinned_value():
     assert est.log_p.hex() == (-35.82087266526615).hex()
 
 
+# the CI run of the DP step loop: the random-shift builtin on a widening tube
+# with an end window, which no block route takes
+DP_LOOP_CI = tw_config.validate(
+    tw_config.apply_overrides(
+        tw_config.load_builtin("random-shift-bernoulli"),
+        ["tube.g=[[0,-1.0],[1,-2.0]]", "tube.h=[[0,1.0],[1,2.0]]", "tube.end_window=[-0.5,0.5]"],
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "cfg, idx, n, log_p, work, flags",
+    [
+        (TAPS_CI, 0, 3000, -8.8653070985882394, 1949800, ("grid_coarse",)),
+        (TAPS_CI, 1, 6000, -10.951674287305472, 3683836, ("grid_coarse",)),
+        (DP_LOOP_CI, 0, 400, -7.6138001680984138, 20400, ()),
+        (DP_LOOP_CI, 1, 800, -10.76305067624256, 48800, ()),
+    ],
+)
+def test_step_loop_runs_keep_their_pinned_bits(cfg, idx, n, log_p, work, flags):
+    # the CI taps run (300 points) and DP step-loop run at seed 0, task by
+    # task as `rate.run_points` runs them; no benchmark workload reaches
+    # either pass
+    tube = cfg.template.make(n)
+    env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, derive_seed(0, 11, idx))
+    if cfg is TAPS_CI:
+        est = tw.survival_grid(env, tube, tube.default_x0(), 300)
+    else:
+        est = tw.survival_dp_lattice(env, tube, tube.default_x0())
+    assert (est.log_p.hex(), est.work, est.flags) == (log_p.hex(), work, flags)
+
+
 def _deep_rademacher(n):
     template = tw.TubeTemplate(g=-1.0, h=1.0, alpha=0.1, f_coeff=1.0, f_power=0.5)
     tube = template.make(n)
