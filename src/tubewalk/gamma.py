@@ -31,10 +31,9 @@ Dirichlet sums (`_cut_operator`), at (2K)^2 multiply-adds per replica,
 or, when the r = n - grid_points padding entries are fewer than K (as
 when alias bands make K every mode), I - L @ R with the factors of the
 padding, at 4Kr.  No real-space mass exists between steps, so none is
-clipped, and the survival total is mode 0, read every _CHECK_STEPS steps
-and at the checkpoints; a replica whose total falls below _RESCALE_BELOW
-is rescaled by an exact power of two, and a checkpoint reads
-ldexp(total, exponent), so a deep replica underflows only there.  The first step's bin masses
+clipped, and the survival total is mode 0, read on demand and at the
+checkpoints by `_scaled_pass`, which rescales a deep replica by exact
+powers of two, so it underflows only at a checkpoint.  The first step's bin masses
 come from the same transform (`_bin_masses`), so no Gaussian CDF is
 evaluated.  `estimate_gamma` propagates at most 64 replicas per batch and
 each block of transforms holds at most 2**16 complex entries, so memory
@@ -92,7 +91,7 @@ _BASIS_ENTRIES = 2**16
 _AMPLITUDE_FLOOR = 1e-17
 # The mass total below which a pass rescales its state by a power of two,
 # and the steps between the totals of a pass that reads them on demand
-# (`_band_pass` here, `quench_dp._propagate` and `quench_dp._block_pass`).
+# (`_scaled_pass` here and `quench_dp._block_pass`).
 _RESCALE_BELOW = 2.0**-500
 _CHECK_STEPS = 16
 # Modes between the exact phases that re-anchor a kernel transform's
@@ -442,9 +441,8 @@ class _BandRows(NamedTuple):
     sd^2); `dx`, `length` and `band` the node spacing, padded row length and
     band K of the layout (`_kernel_layout`).  The cuts keep the nodes
     `start` = (a, b) at the first time, then each (a, b) of the iterator
-    `ranges`, one a later time, and `end` at the end window.  A run of
-    steps that may hold a cut keeping less than `floor` of the mass carried
-    into it is replayed with a total at every step.
+    `ranges`, one a later time, and `end` at the end window; `floor` is the
+    rows' floor in `_scaled_pass`.
     """
 
     mass: np.ndarray
@@ -484,203 +482,247 @@ def _apply_cut(form, uncut: np.ndarray, out: np.ndarray) -> None:
     np.subtract(uncut, out, out=out)
 
 
-def _band_pass(layouts: list, sd: float, t0: int, n: int, times=()):
-    """Carry the rows of every layout of `layouts` (`_BandRows`, R rows
-    each) from time t0 to time n on the step kernel's Fourier band.
+def _scaled_pass(state, floors: list, t0: int, n: int, times=()):
+    """Carry the rows of `state` from time t0 to time n by the scaled forward
+    algorithm with totals on demand: the step loop of every pass but
+    `quench_dp._block_pass`.
 
-    Each row is the `quench_dp._propagate` pass of a Gaussian law.  At t0
-    its real mass is cut to the nodes `start` and summed.  From then on the
-    state is the first K real-DFT modes of the mass zero-padded to `length`
-    nodes, as interleaved (real, imaginary) floats; step i multiplies them
-    by the closed-form transform of the step's kernel (`_kernel_modes`) and
-    cuts them to the nodes of that time (`_cut_form`), whose operator a
-    layout builds when its range of kept nodes changes.  The rows of a
-    layout share it, so a step is one (R, 2K) @ (2K, 2K) product a layout.
-    The modes of all layouts lie end to end in one array, so one complex
-    multiply a step moves every row, and each layout's rows are a
-    contiguous (R, 2K) view of it, cut by a product of their own: a row
-    keeps every bit of a pass of its layout alone.  (Zero-padding the
-    layouts to one K and stacking their operators would not: OpenBLAS's
-    gemv sums the columns four at a time, and the last two of 4m + 2 apart,
-    so a padded row of odd K rounds differently.)
+    `state` holds the rows' mass at t0.  ``begin()`` cuts it to the nodes of
+    time t0 and returns the rows' totals, as ``totals()`` does later;
+    ``load(t, steps)`` readies the kernels and kept nodes of the run of steps
+    t+1..t+steps (at most ``state.run``), and ``advance(ks)`` takes its steps
+    k of `ks`; ``save()`` keeps the state before a run and ``restore()``
+    brings it back, at its time; ``scale(q, e)`` multiplies row q by 2**-e
+    and ``zero(q)`` clears it; ``end()`` cuts the rows to the end window and
+    returns their totals.
 
-    The total of a row is the real part of its mode 0.  Totals are read
-    every _CHECK_STEPS steps (fewer when that many steps' kernels would not
-    fit in a sixteenth of a block of transforms) and at each time of
-    `times`.  The state is saved before each run of steps, and a run after
-    which a live row's total is below twice _RESCALE_BELOW, or below twice
-    its layout's `floor` of its total before the run, is replayed with a
-    total at every step; totals shrink over steps but for round-off, so
-    each row is rescaled by an exact power of two when its total drops
-    below _RESCALE_BELOW, and dies at the first time whose total is not
-    positive, on the same steps and with the same bits as with a total at
-    every step.  The end window is one more cut, of the last step's uncut
-    modes, on the nodes both keep.  The transforms are built mode-major a
-    block of steps at a time, into one buffer a layout allocated once a
-    pass, and copied out a run of steps at a time.
+    Totals are read after each run and at each time of `times`, where runs
+    end.  A run after which a live row's total is below twice _RESCALE_BELOW,
+    or below twice floors[q] of its total before the run, is restored and
+    replayed with a total at every step.  Totals shrink over steps but for
+    round-off, so each row is rescaled by an exact power of two when its
+    total drops below _RESCALE_BELOW, and dies at the first time whose total
+    is not positive, on the same steps and with the same bits as with a
+    total at every step; and no cut of a run that is not replayed keeps less
+    than floors[q] of the mass carried into it.  When `times` holds every
+    time t0+1..n-1, every step's total is read and nothing is saved.
 
-    Returns four lists of G lists of R values, one per layout and row: the
-    final mass and its exponent (the true mass is final * 2**exp2; final is
-    0 where the row died), the last time reached, the smallest fraction
-    of its mass the row kept between two reads of its total (one cut's,
-    where a total is read at every step, and below the layout's `floor`
-    just when a cut's is); then the totals at `times`, shape (G, R,
-    len(times)), on the linear scale and 0 from the time a row dies.  The
-    layouts' masses are updated in place.
+    Returns, one value a row: the final total and its exponent (the mass in
+    the end window is final * 2**exp2; final is 0 where the row died), the
+    last time reached and the smallest fraction of its mass the row kept
+    between two reads of its total (below floors[q] just when one cut's
+    is); then the totals at `times`, shape (rows, len(times)), on the linear
+    scale and 0 from the time a row dies.
     """
-    count, rows = len(layouts), len(layouts[0].mass)
-    bands = [lay.band for lay in layouts]
-    starts = np.cumsum([0] + [rows * k for k in bands]).tolist()  # complex entries before each layout
-    width = starts[-1]
-    modes = np.zeros((2, width), dtype=complex)
-    cut_c, uncut_c = modes
-    cut_f, uncut_f = modes.view(float)
-    cuts, uncuts = ([state[2 * s : 2 * e].reshape(rows, -1) for s, e in zip(starts, starts[1:])] for state in (cut_f, uncut_f))
-    zero = [2 * (s + r * k) for s, k in zip(starts, bands) for r in range(rows)]  # each row's mode 0 in cut_f
-    saved = np.empty_like(cut_f)
-    run = min(_CHECK_STEPS, _block_steps(width, _FFT_BLOCK_ENTRIES // 16))
-    kernels = np.empty((run, width), dtype=complex)
-    steps_of = [kernels[:, s:e].reshape(run, rows, k) for s, e, k in zip(starts, starts[1:], bands)]
-    block = _block_steps(width, _FFT_BLOCK_ENTRIES)
-    buffers = [np.empty(min(block, n - t0) * rows * k, dtype=complex) for k in bands]
-    k_hats, j0, built = [], 0, 0  # k_hats: the mode-major transforms of steps j0..j0+built-1
-
-    def fill(first: int, steps: int) -> None:
-        """Copy the transforms of steps first..first+steps-1 into `kernels`."""
-        nonlocal k_hats, j0, built
-        done = 0
-        while done < steps:
-            i = first + done
-            if not j0 <= i < j0 + built:
-                j0, built = i, min(block, n + 1 - i)
-                k_hats = [
-                    _kernel_modes(lay.means[i - 1 : i - 1 + built], sd, lay.dx, lay.length, k, buf[: built * rows * k].reshape(k, -1))
-                    for lay, k, buf in zip(layouts, bands, buffers)
-                ]
-            part = min(steps - done, j0 + built - i)
-            for k_hat, k, out in zip(k_hats, bands, steps_of):
-                columns = k_hat[:, (i - j0) * rows : (i - j0 + part) * rows].reshape(k, part, rows)
-                np.copyto(out[done : done + part], columns.transpose(1, 2, 0))
-            done += part
-
-    forms = [None] * count  # each layout's `_cut_form`
-    held = [None] * count  # and the node range it keeps
-
-    def keep(g: int, a: int, b: int) -> None:
-        lay = layouts[g]
-        forms[g], held[g] = _cut_form(lay.length, lay.band, a, b, rows), (a, b)
-
-    def advance(ranges: list, steps, fixed: bool) -> None:
-        """Steps t+1+k for k in `steps`, layout g cut to ranges[g][k]; all
-        `fixed` at the ranges the layouts hold."""
-        if fixed and all(isinstance(form, np.ndarray) for form in forms):  # the usual case, inlined
-            dots = [(uncut.dot, op, cut) for uncut, op, cut in zip(uncuts, forms, cuts)]
-            for k in steps:
-                np.multiply(cut_c, kernels[k], out=uncut_c)
-                for dot, op, cut in dots:
-                    dot(op, out=cut)
-            return
-        for k in steps:
-            np.multiply(cut_c, kernels[k], out=uncut_c)
-            for g in range(count):
-                if not fixed and ranges[g][k] != held[g]:
-                    keep(g, *ranges[g][k])
-                _apply_cut(forms[g], uncuts[g], cuts[g])
-
-    # per row, layout-major: the state's total (mass / 2**exp2) at the last
-    # time read, exp2, the kept fraction, the last time reached and whether
-    # the row is alive; the bookkeeping of a few rows is cheaper in Python
-    # than in numpy calls
-    total, exp2, kept = [1.0] * len(zero), [0] * len(zero), [1.0] * len(zero)
-    last, alive = [n] * len(zero), [True] * len(zero)
-    floors = [2.0 * lay.floor for lay in layouts for _ in range(rows)]
-    recorded = np.zeros((len(zero), len(times)))
+    width = len(floors)
+    # per row: the state's total (mass / 2**exp2) at the last time read, exp2,
+    # the kept fraction, the last time reached and whether the row is alive;
+    # the bookkeeping of a few rows is cheaper in Python than in numpy calls
+    total, exp2, kept = [1.0] * width, [0] * width, [1.0] * width
+    last, alive = [n] * width, [True] * width
+    recorded = np.zeros((width, len(times)))
     slot = {time: j for j, time in enumerate(times)}
 
-    def settle(t: int, moved: list, real: bool = False) -> None:
-        """The bookkeeping of time t, whose totals are `moved`: the kept
-        fractions (t0 moves nothing), the totals at `times`, rescales and
-        deaths; `real` while the state is the real mass."""
+    def settle(t: int, moved: list) -> None:
+        """Time t's kept fractions (t0 moves nothing), totals at `times`,
+        rescales and deaths, from its totals `moved`."""
         col = slot.get(t)
         for q, m in enumerate(moved):
             if not alive[q]:
                 continue
-            if not real and m < kept[q] * total[q]:
+            if t > t0 and m < kept[q] * total[q]:
                 kept[q] = m / total[q]
-            if col is not None:
-                recorded[q, col] = math.ldexp(m, exp2[q])
+            if col is not None:  # 0 for a negative total, which round-off can leave a band state
+                recorded[q, col] = math.ldexp(max(0.0, m), exp2[q])
             if m < _RESCALE_BELOW:
-                g, r = divmod(q, rows)
-                parts = (layouts[g].mass[r],) if real else (cuts[g][r], uncuts[g][r])
-                if m <= 0.0:  # round-off can leave a band state a negative total
+                if m <= 0.0:
                     alive[q], last[q] = False, t
-                    if col is not None:
-                        recorded[q, col] = 0.0
-                    for part in parts:
-                        part.fill(0.0)
+                    state.zero(q)
                     continue
                 e = math.frexp(m)[1]
-                for part in parts:
-                    np.ldexp(part, -e, out=part)
+                state.scale(q, e)
                 exp2[q] += e
                 m = math.ldexp(m, -e)
             total[q] = m
 
-    for lay in layouts:
-        a, b = lay.start
-        lay.mass[:, :a] = 0.0
-        lay.mass[:, b:] = 0.0
-    settle(t0, [m for lay in layouts for m in np.add.reduce(lay.mass, axis=-1).tolist()], real=True)
-    if n > t0:
-        for lay, k, s, e in zip(layouts, bands, starts, starts[1:]):
-            cut_c[s:e].reshape(rows, k)[...] = np.fft.rfft(lay.mass, lay.length)[:, :k]
+    settle(t0, state.begin())
     ends = sorted({time for time in times if t0 < time < n})
     eager = len(ends) == n - t0 - 1  # a total at every time: no run is tried without
+    low, floors = 2.0 * _RESCALE_BELOW, [2.0 * f for f in floors]
     t, j = t0, 0  # ends[j] is the first time of `times` past t
     while t < n and any(alive):
         while j < len(ends) and ends[j] <= t:
             j += 1
-        steps = min(run, n - t if eager or j == len(ends) else ends[j] - t)
-        fill(t + 1, steps)
-        ranges = [list(itertools.islice(lay.ranges, steps)) for lay in layouts]
-        fixed = all(rng.count(held[g]) == steps for g, rng in enumerate(ranges))
+        steps = min(state.run, n - t if eager or j == len(ends) else ends[j] - t)
+        state.load(t, steps)
         if steps > 1 and not eager:
-            np.copyto(saved, cut_f)
-            advance(ranges, range(steps), fixed)
-            moved = cut_f.take(zero).tolist()
-            low = 2.0 * _RESCALE_BELOW
+            state.save()
+            state.advance(range(steps))
+            moved = state.totals()
             if not any(live and (m < low or m < f * tot) for live, m, f, tot in zip(alive, moved, floors, total)):
                 settle(t + steps, moved)
                 t += steps
                 continue
-            np.copyto(cut_f, saved)
+            state.restore()
         for k in range(steps):
-            advance(ranges, (k,), fixed)
+            state.advance((k,))
             t += 1
-            settle(t, cut_f.take(zero).tolist())
+            settle(t, state.totals())
             if not any(alive):
                 break
-    final = [0.0] * len(zero)
-    if any(alive):
-        for g, lay in enumerate(layouts):
-            a, b = lay.end
-            if n == t0:
-                lay.mass[:, :a] = 0.0
-                lay.mass[:, b:] = 0.0
-                final[g * rows : (g + 1) * rows] = np.add.reduce(lay.mass, axis=-1).tolist()
-                continue
-            a, b = max(a, held[g][0]), min(b, held[g][1])
-            if (a, b) != held[g]:
-                keep(g, a, b)
-            _apply_cut(forms[g], uncuts[g], cuts[g])
-        if n > t0:
-            final = cut_f.take(zero).tolist()
-        for q, live in enumerate(alive):
-            if live:
-                kept[q] = min(kept[q], final[q] / total[q])
-            else:
-                final[q] = 0.0
-    per_layout = [[x[g * rows : (g + 1) * rows] for g in range(count)] for x in (final, exp2, last, kept)]
+    final = state.end() if any(alive) else [0.0] * width
+    for q, live in enumerate(alive):
+        if live:
+            kept[q] = min(kept[q], final[q] / total[q])
+        else:
+            final[q] = 0.0
+    return final, exp2, last, kept, recorded
+
+
+class _BandState:
+    """The rows of every layout of `_band_pass` as `_scaled_pass` carries
+    them: at the first time a row's real mass, cut to the nodes `start`, and
+    from the first run on the band modes of that mass (module docstring) as
+    interleaved (real, imaginary) floats, whose total is the real part of
+    mode 0.
+
+    The modes of all layouts lie end to end in one array, so one complex
+    multiply a step moves every row, and each layout's rows are a contiguous
+    (R, 2K) view of it, cut by one (R, 2K) @ (2K, 2K) product of their own
+    with the operator of the layout's kept nodes (`_cut_form`), built when
+    they change: a row keeps every bit of a pass of its layout alone.
+    (Zero-padding the layouts to one K and stacking their operators would
+    not: OpenBLAS's gemv sums the columns four at a time, and the last two
+    of 4m + 2 apart, so a padded row of odd K rounds differently.)  The
+    uncut modes are kept too: the end window is one more cut of them, on the
+    nodes both keep.  The kernels' transforms are built mode-major a block
+    of steps at a time, into one buffer a layout allocated once a pass.
+    """
+
+    def __init__(self, layouts: list, sd: float, t0: int, n: int):
+        self.layouts, self.sd, self.n, self.real = layouts, sd, n, True
+        self.rows = rows = len(layouts[0].mass)
+        self.bands = bands = [lay.band for lay in layouts]
+        self.starts = starts = np.cumsum([0] + [rows * k for k in bands]).tolist()  # complex entries before each layout
+        width = starts[-1]
+        modes = np.zeros((2, width), dtype=complex)
+        self.cut_c, self.uncut_c = modes
+        self.cut_f, uncut_f = modes.view(float)
+        views = [(2 * s, 2 * e) for s, e in zip(starts, starts[1:])]
+        self.cuts, self.uncuts = ([state[s:e].reshape(rows, -1) for s, e in views] for state in (self.cut_f, uncut_f))
+        self.zeros = [2 * (s + r * k) for s, k in zip(starts, bands) for r in range(rows)]  # each row's mode 0 in cut_f
+        self.saved = np.empty_like(self.cut_f)
+        self.run = min(_CHECK_STEPS, _block_steps(width, _FFT_BLOCK_ENTRIES // 16))
+        self.kernels = np.empty((self.run, width), dtype=complex)
+        self.steps_of = [self.kernels[:, s:e].reshape(self.run, rows, k) for s, e, k in zip(starts, starts[1:], bands)]
+        self.block = _block_steps(width, _FFT_BLOCK_ENTRIES)
+        self.buffers = [np.empty(min(self.block, n - t0) * rows * k, dtype=complex) for k in bands]
+        self.k_hats, self.j0, self.built = [], 0, 0  # k_hats: the mode-major transforms of steps j0..j0+built-1
+        self.forms, self.held = [None] * len(layouts), [None] * len(layouts)  # each layout's `_cut_form` and the nodes it keeps
+
+    def _cut_mass(self, windows: list) -> list:
+        """Zero each layout's real mass outside its (a, b) of `windows`; the rows' totals."""
+        for lay, (a, b) in zip(self.layouts, windows):
+            lay.mass[:, :a] = 0.0
+            lay.mass[:, b:] = 0.0
+        return [m for lay in self.layouts for m in np.add.reduce(lay.mass, axis=-1).tolist()]
+
+    def _keep(self, g: int, a: int, b: int) -> None:
+        lay = self.layouts[g]
+        self.forms[g], self.held[g] = _cut_form(lay.length, lay.band, a, b, self.rows), (a, b)
+
+    def _fill(self, first: int, steps: int) -> None:
+        """Copy the transforms of steps first..first+steps-1 into `kernels`."""
+        rows, done = self.rows, 0
+        while done < steps:
+            i = first + done
+            if not self.j0 <= i < self.j0 + self.built:
+                self.j0, self.built = i, min(self.block, self.n + 1 - i)
+                self.k_hats = [
+                    _kernel_modes(lay.means[i - 1 : i - 1 + self.built], self.sd, lay.dx, lay.length, k, buf[: self.built * rows * k].reshape(k, -1))
+                    for lay, k, buf in zip(self.layouts, self.bands, self.buffers)
+                ]
+            offset = i - self.j0
+            part = min(steps - done, self.built - offset)
+            for k_hat, k, out in zip(self.k_hats, self.bands, self.steps_of):
+                columns = k_hat[:, offset * rows : (offset + part) * rows].reshape(k, part, rows)
+                np.copyto(out[done : done + part], columns.transpose(1, 2, 0))
+            done += part
+
+    def begin(self) -> list:
+        return self._cut_mass([lay.start for lay in self.layouts])
+
+    def load(self, t: int, steps: int) -> None:
+        if self.real:  # the first run: the modes of the real mass
+            for lay, k, s, e in zip(self.layouts, self.bands, self.starts, self.starts[1:]):
+                self.cut_c[s:e].reshape(self.rows, k)[...] = np.fft.rfft(lay.mass, lay.length)[:, :k]
+            self.real = False
+        self._fill(t + 1, steps)
+        self.ranges = [list(itertools.islice(lay.ranges, steps)) for lay in self.layouts]
+        self.fixed = all(rng.count(held) == steps for rng, held in zip(self.ranges, self.held))
+
+    def advance(self, ks) -> None:
+        cut_c, uncut_c, kernels, forms = self.cut_c, self.uncut_c, self.kernels, self.forms
+        if self.fixed and all(isinstance(form, np.ndarray) for form in forms):  # the usual case, inlined
+            dots = [(uncut.dot, op, cut) for uncut, op, cut in zip(self.uncuts, forms, self.cuts)]
+            for k in ks:
+                np.multiply(cut_c, kernels[k], out=uncut_c)
+                for dot, op, cut in dots:
+                    dot(op, out=cut)
+            return
+        for k in ks:
+            np.multiply(cut_c, kernels[k], out=uncut_c)
+            for g, rng in enumerate(self.ranges):
+                if not self.fixed and rng[k] != self.held[g]:
+                    self._keep(g, *rng[k])
+                _apply_cut(forms[g], self.uncuts[g], self.cuts[g])
+
+    def totals(self) -> list:
+        return self.cut_f.take(self.zeros).tolist()
+
+    def save(self) -> None:
+        np.copyto(self.saved, self.cut_f)
+
+    def restore(self) -> None:
+        np.copyto(self.cut_f, self.saved)
+
+    def _parts(self, q: int):
+        g, r = divmod(q, self.rows)
+        return (self.layouts[g].mass[r],) if self.real else (self.cuts[g][r], self.uncuts[g][r])
+
+    def scale(self, q: int, e: int) -> None:
+        for part in self._parts(q):
+            np.ldexp(part, -e, out=part)
+
+    def zero(self, q: int) -> None:
+        for part in self._parts(q):
+            part.fill(0.0)
+
+    def end(self) -> list:
+        if self.real:
+            return self._cut_mass([lay.end for lay in self.layouts])
+        for g, lay in enumerate(self.layouts):
+            a, b = max(lay.end[0], self.held[g][0]), min(lay.end[1], self.held[g][1])
+            if (a, b) != self.held[g]:
+                self._keep(g, a, b)
+            _apply_cut(self.forms[g], self.uncuts[g], self.cuts[g])
+        return self.totals()
+
+
+def _band_pass(layouts: list, sd: float, t0: int, n: int, times=()):
+    """Carry the rows of every layout of `layouts` (`_BandRows`, R rows
+    each) from time t0 to time n on the step kernel's Fourier band: each row
+    is the `quench_dp` step-loop pass of a Gaussian law, run by
+    `_scaled_pass` on a `_BandState` with its layout's `floor`.
+
+    Returns `_scaled_pass`'s four lists as G lists of R values, one per
+    layout and row, then its totals at `times`, shape (G, R, len(times)).
+    The layouts' masses are updated in place.
+    """
+    count, rows = len(layouts), len(layouts[0].mass)
+    floors = [lay.floor for lay in layouts for _ in range(rows)]
+    *per_row, recorded = _scaled_pass(_BandState(layouts, sd, t0, n), floors, t0, n, times)
+    per_layout = [[x[g * rows : (g + 1) * rows] for g in range(count)] for x in per_row]
     return (*per_layout, recorded.reshape(count, rows, len(times)))
 
 

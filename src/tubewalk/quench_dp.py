@@ -2,28 +2,21 @@
 
 Both estimators evolve the quenched sub-probability measure of the surviving
 walk one step at a time, killing mass outside the tube.  Tube membership
-uses closed intervals, so boundary-exact hits survive.  Atom passes off
-the block route and the Gaussian taps step share one step loop,
-``_propagate``: each step moves the mass by that step's kernel, cuts it to
-the index range of nodes inside the tube and takes its total.  The
-Gaussian band step loops over its own steps, with the same bookkeeping, in
-`gamma._band_pass`.
-When the sum falls below ``_RESCALE_BELOW`` the mass is multiplied by an
-exact power of two and the exponent is carried on a log scale (the scaled
-forward algorithm), so deep events neither underflow nor stall on
-denormals; while the mass stays above the threshold no bit differs from
-propagating it unscaled.  The running totals are reported on the linear
-scale and may underflow to 0 for events the log result still resolves.
-
-Totals on demand: the running totals are computed only when asked for
-(``return_running``).  Without them an atom pass, whose total is a sum
-over the mass that cost about 40% of a step, sums it every _CHECK_STEPS
-steps only; a check that finds the total near the threshold restores the
-mass saved at the check before and replays those steps with a total each,
-so the rescales and the step at which the mass dies out, and every bit of
-the result, are those of a total at every step (`_propagate`).  The band
-pass reads its totals the same way, per row, and also replays a run that
-may have kept less of a row's mass than its `grid_roundoff` threshold.
+uses closed intervals, so boundary-exact hits survive.  Every pass off the
+block route runs one step loop, `gamma._scaled_pass`: each step moves the
+mass by that step's kernel and cuts it to the index range of nodes inside
+the tube.  Atom passes and the Gaussian taps step carry their real mass
+through it (`_MassRow`), the Gaussian band step its modes
+(`gamma._band_pass`).  When the total falls below ``_RESCALE_BELOW`` the
+mass is multiplied by an exact power of two and the exponent is carried on
+a log scale (the scaled forward algorithm), so deep events neither
+underflow nor stall on denormals; while the mass stays above the threshold
+no bit differs from propagating it unscaled.  The running totals are
+reported on the linear scale and may underflow to 0 for events the log
+result still resolves.  They are computed only when asked for
+(``return_running``); without them a pass reads its totals on demand, by
+the rules of `gamma._scaled_pass`, with every bit of a total at every step
+(a total of a real mass is a sum over it, about 40% of an atom step).
 
 Atom passes (`_atom_pass`) leave the step loop for four-step blocks where
 the tube's bounds are the same at every time, every move is a whole number
@@ -38,8 +31,8 @@ block's start coset and the steps' own codes (`env.atom_codes`), so the
 table depends on the law and the kept width only (the "Four Russians"
 table: Arlazarov, Dinic, Kronrod & Faradzev 1970).
 One matvec advances a block (`_block_pass`), with totals, rescaling and
-extinction as in the lazy step loop; the route sums in another order, so
-log p moves by an ulp or so against the step loop.
+extinction as in the step loop on demand; the route sums in another order,
+so log p moves by an ulp or so against the step loop.
 
 ``survival_dp_lattice`` is exact (up to float summation) for environments
 whose atoms live on a lattice (1/q)Z and serves as the oracle for the
@@ -63,9 +56,8 @@ steps, whichever needs fewer multiply-adds:
   dense (2K, 2K) operator, written in closed form for each range of kept
   nodes (or, when fewer than K nodes are dropped, with the factors of the
   dropped nodes, at 4Kr).  `survival_grid` runs its two resolutions as two
-  layouts of one pass when both take the band: their modes lie end to end
-  in one state, one complex multiply moves both, and each is cut by its
-  own operator, so each keeps the bits of a pass of its own;
+  layouts of one pass when both take the band (`gamma._BandState`), each
+  with the bits of a pass of its own;
 * the taps step (`_correlate_step`, the atom laws' step too), at
   size * (2 hw + 1): each kernel is read from a batched inverse FFT of its
   transform, with round-off of about 1e-16 clipped at zero, and applied by
@@ -74,12 +66,10 @@ steps, whichever needs fewer multiply-adds:
 The band runs when (2K)^2 < size * (2 hw + 1) and its operator holds at
 most _BAND_ENTRIES entries (`_band_is_cheaper`).  On the Gaussian builtin
 at 400 nodes (n = 400-6400, K = 31-57, 295-649 taps) a band pass costs
-2.9-4.1 us a step, and the pass of both resolutions 5.3-7.1 us a step
-(7.0-8.8 us for the two run one after the other, each through
-`_propagate`, before), against 24-46 us with the taps (a 2-vCPU VM, one
-BLAS thread, fastest of several passes); narrow kernels on wide tubes keep
-the taps (N(m, 0.5^2) steps on 300 nodes over a span of 37: K = 127
-against 81 taps).  Both steps carry round-off of about 5e-15 of the peak
+2.9-4.1 us a step, and the pass of both resolutions 5.3-7.1 us a step,
+against 24-46 us with the taps (a 2-vCPU VM, one BLAS thread, fastest of
+several passes); narrow kernels on wide tubes keep the taps (N(m, 0.5^2)
+steps on 300 nodes over a span of 37: K = 127 against 81 taps).  Both steps carry round-off of about 5e-15 of the peak
 mass into every node; a cut that keeps so little of the mass carried into
 it that this round-off, over the grid's nodes, exceeds _ROUNDOFF_REL of
 what it kept flags the estimate ``grid_roundoff``.
@@ -95,7 +85,7 @@ import numpy as np
 
 from .env import _LATTICE_TOL, EnvRealization
 from .gamma import _CHECK_STEPS, _FFT_BLOCK_ENTRIES, _MEMORY_BUDGET, _RESCALE_BELOW, _BandRows, _band_modes, _band_pass
-from .gamma import _bin_masses, _block_steps, _fast_len, _kernel_layout
+from .gamma import _bin_masses, _block_steps, _fast_len, _kernel_layout, _scaled_pass
 from .results import (
     METHOD_BRUTE_FORCE,
     METHOD_DP_LATTICE,
@@ -118,10 +108,10 @@ _BAND_ENTRIES = 2**16  # entries of a Gaussian band step's dense cut operator, a
 # correlation's output (41 measured for kernels of 4e4-4e5 taps); and of a
 # Gaussian pass's node, counted over its padded row (`gamma._kernel_layout`'s
 # length): the edges, nodes and mass, the first step's inverse FFT and
-# indices, and the correlation's output or the band's FFT (38.7-41.6
-# measured with tracemalloc over whole `survival_grid` runs on rows of
-# 1.0e5-4.1e5 entries, taps steps on tubes 400 wide; 14-16 where the band
-# step runs on rows that are mostly padding).
+# indices, and the correlation's output and a saved copy of the mass, or the
+# band's FFT (41.2-44.3 measured with tracemalloc over whole `survival_grid`
+# runs on rows of 1.0e5-4.1e5 entries, taps steps on tubes 400 wide; 14-16
+# where the band step runs on rows that are mostly padding).
 _NODE_BYTES, _TAP_BYTES, _GRID_NODE_BYTES = 32, 48, 48
 _NODE_CAP = _MEMORY_BUDGET // _NODE_BYTES
 # A Gaussian pass carries round-off of about 5e-15 of the peak mass into
@@ -181,11 +171,11 @@ def _ranges(nodes: np.ndarray, lo: np.ndarray, up: np.ndarray, t0: int):
     )
 
 
-def _cut(mass: np.ndarray, a: int, b: int) -> tuple[np.ndarray, float]:
-    """Zero `mass` outside the nodes [a, b); (mass, its total)."""
+def _cut(mass: np.ndarray, a: int, b: int) -> float:
+    """Zero `mass` outside the nodes [a, b); its total."""
     mass[:a] = 0.0
     mass[b:] = 0.0
-    return mass, _sum(mass)
+    return _sum(mass)
 
 
 def _shift_kernels(moves: np.ndarray, codes: np.ndarray, weights: np.ndarray, size: int):
@@ -215,17 +205,17 @@ def _shift_kernels(moves: np.ndarray, codes: np.ndarray, weights: np.ndarray, si
 
 
 def _correlate_step(kernels, t0: int, n: int, size: int):
-    """The `_propagate` step that correlates the mass on `size` nodes with
+    """The step of a `_MassRow` that correlates the mass on `size` nodes with
     each step's kernel.
 
     ``build(j0, j1)`` of the `kernels` tuple (width, r, block, build) gives
     the kernels of steps j0+1..j1 as rows, each reversed, in blocks of
-    `block` steps from t0; step i takes the mass to ``np.convolve(mass,
-    kernel_i)[r : r + size]`` on the nodes it keeps.  The step reads kernel
-    i by its index, so ``step.rewind(i, a, b)``, called once the mass holds
-    its state of time i again (cut to the nodes [a, b)), takes the pass back
-    to time i, also across a block.  ``step(mass, a, b, total=False)``
-    returns None for the total.
+    `block` steps from t0; ``step(mass, a, b)`` takes the mass, in place, to
+    ``np.convolve(mass, kernel_i)[r : r + size]`` on the nodes [a, b) it
+    keeps, and zero elsewhere.  The step reads kernel i by its index, so
+    ``step.rewind(i, a, b)``, called once the mass holds its state of time i
+    again (cut to the nodes [a, b)), takes the pass back to time i, also
+    across a block.
     """
     width, r, block, build = kernels
     # np.correlate with a reversed kernel gives np.convolve's bits without
@@ -235,10 +225,8 @@ def _correlate_step(kernels, t0: int, n: int, size: int):
     j0, rows = t0 - block, None  # rows[k] is the kernel of step j0 + k + 1
     live_lo, live_up = 0, size  # the mass is zero outside [live_lo, live_up)
 
-    def step(mass, a, b, move=True, total=True):
+    def step(mass, a, b):
         nonlocal i, j0, rows, live_lo, live_up
-        if not move:
-            return _cut(mass, a, b)
         k = i - j0
         if not 0 <= k < block:
             j0 = i - (i - t0) % block
@@ -253,7 +241,6 @@ def _correlate_step(kernels, t0: int, n: int, size: int):
             mass[max(b, live_lo) : live_up] = 0.0
         mass[a:b] = full[r + a : r + b]
         live_lo, live_up = a, b
-        return mass, _sum(mass) if total else None
 
     def rewind(time: int, a: int, b: int) -> None:
         nonlocal i, live_lo, live_up
@@ -263,86 +250,51 @@ def _correlate_step(kernels, t0: int, n: int, size: int):
     return step
 
 
-def _propagate(mass, nodes, lo, up, end, t0: int, step, running=None, lazy=False) -> tuple[float, int, float]:
-    """Carry the sub-density `mass` on `nodes` from time t0 to time n.
+class _MassRow:
+    """The real mass on `nodes` of a pass from time t0, updated in place as
+    `gamma._scaled_pass` carries it: cut to the nodes in [lo[i], up[i]] at
+    each time i, moved by `step` (`_correlate_step`) between them, and to
+    the end window `end` (all nodes when None) at the end; its total is its
+    sum."""
 
-    At time t0 the mass is zeroed outside the nodes in [lo[t0], up[t0]].
-    Step i calls ``step(state, a, b)`` (the state is `mass` at first), which
-    moves the state by that step's kernel, cuts it to the index range [a, b)
-    of nodes in [lo[i], up[i]] and returns the new state and its total.  At
-    each time i the state is then rescaled by an exact power of two when its
-    total drops below _RESCALE_BELOW, the pass ends at the first time whose
-    total is not positive, and ``running[i]`` (when `running` is given) gets
-    the unscaled total.  At time n, ``step(state, a, b, move=False)`` cuts
-    the state to the end window's nodes [a, b) (to all nodes when `end` is
-    None).  Returns (log of the final mass, last time reached, smallest
-    fraction of the mass carried into a cut that it kept); the log is -inf
-    when the total is not positive then.  `mass` is updated in place.
+    def __init__(self, mass: np.ndarray, nodes: np.ndarray, lo, up, end, t0: int, step):
+        (a,), (b,) = _kept(nodes, lo[t0 : t0 + 1], up[t0 : t0 + 1])
+        self.window = _kept(nodes, end[:1], end[1:]) if end is not None else ((0,), (len(nodes),))
+        self.mass, self.step, self.held, self.run = mass, step, (a, b), _CHECK_STEPS
+        self.ranges = _ranges(nodes, lo, up, t0)
+        self.saved = np.empty_like(mass)
 
-    Totals on demand: a `lazy` pass without `running` (the atom laws', whose
-    total is a sum over the mass and whose kept fraction no one reads) moves
-    the state in place _CHECK_STEPS steps at a time, with ``total=False``,
-    and takes the total at the last step of each run of steps only.  It
-    copies the state into one buffer before each run.  A run whose last
-    total is below twice _RESCALE_BELOW (totals shrink over steps but for
-    round-off) may have crossed the threshold or died out on the way: the
-    buffer is copied back, the step rewound (`_correlate_step`) and the run
-    replayed with a total at every step, so every rescale and the last time
-    fall on the same step, and every bit of the result is the same, as with
-    a total at every step.  The kept fraction is then that of the replayed
-    steps only.
-    """
-    n = len(lo) - 1
-    (a,), (b,) = _kept(nodes, lo[t0 : t0 + 1], up[t0 : t0 + 1])
-    state, total = _cut(mass, a, b)
-    exp2 = 0  # the true mass is the state's * 2**exp2
-    kept = 1.0
-    ranges = _ranges(nodes, lo, up, t0)
-    saved = np.empty_like(mass) if lazy and running is None else None
-    i = t0 - 1
-    pending = [None]  # time t0: the cut above, no move
-    if saved is None:
-        pending = itertools.chain(pending, ranges)
-    while True:
-        for cut in pending:  # times with a total
-            i += 1
-            if cut is not None:
-                a, b = cut
-                state, moved = step(state, a, b)
-                if moved < kept * total:
-                    kept = moved / total
-                total = moved
-            if running is not None:
-                running[i] = math.ldexp(total, exp2)
-            if total < _RESCALE_BELOW:
-                if total <= 0.0:  # the mass died out
-                    if running is not None:
-                        running[i] = 0.0
-                    return -math.inf, i, kept
-                e = math.frexp(total)[1]
-                np.ldexp(state, -e, out=state)
-                exp2 += e
-                total = math.ldexp(total, -e)
-        if i == n:
-            break
-        pending = list(itertools.islice(ranges, _CHECK_STEPS))
-        np.copyto(saved, state)
-        for c, d in pending[:-1]:
-            step(state, c, d, True, False)
-        moved = step(state, *pending[-1])[1]
-        if moved >= 2.0 * _RESCALE_BELOW:
-            i += len(pending)
-            (a, b), total = pending[-1], moved
-            pending = ()
-        else:
-            np.copyto(state, saved)
-            step.rewind(i, a, b)
-    if end is not None:
-        (a,), (b,) = _kept(nodes, end[:1], end[1:])
-    else:
-        a, b = 0, len(nodes)
-    state, final = step(state, a, b, move=False)
-    return _log_mass(final, exp2), n, min(kept, final / total)
+    def begin(self) -> list:
+        return [_cut(self.mass, *self.held)]
+
+    def load(self, t: int, steps: int) -> None:
+        self.cuts, self.back = list(itertools.islice(self.ranges, steps)), (t, *self.held)
+
+    def advance(self, ks) -> None:
+        for k in ks:
+            self.step(self.mass, *self.cuts[k])
+        self.held = self.cuts[k]
+
+    def totals(self) -> list:
+        return [_sum(self.mass)]
+
+    def save(self) -> None:
+        np.copyto(self.saved, self.mass)
+
+    def restore(self) -> None:
+        np.copyto(self.mass, self.saved)
+        self.step.rewind(*self.back)
+        self.held = self.back[1:]
+
+    def scale(self, q: int, e: int) -> None:
+        np.ldexp(self.mass, -e, out=self.mass)
+
+    def zero(self, q: int) -> None:
+        self.mass.fill(0.0)
+
+    def end(self) -> list:
+        (a,), (b,) = self.window
+        return [_cut(self.mass, a, b)]
 
 
 def _log_mass(final: float, exp2: int) -> float:
@@ -445,7 +397,7 @@ def _blocks(nodes, moves, codes, weights, lo, up, start: int, whole: bool = True
 
 
 def _block_pass(plan, nodes: np.ndarray, end, running) -> tuple[float, int]:
-    """`_propagate` for `_blocks`' plan: (log of the mass in the end window, last time reached).
+    """The step loop's pass for `_blocks`' plan: (log of the mass in the end window, last time reached).
     The mass is summed after every _CHECK_STEPS steps (and the last), to be rescaled, or, if
     not positive, to replay those steps with their prefix totals to the step it died on.
     `running` (time 0 set) gets the unscaled prefix totals; they change no other number."""
@@ -489,15 +441,18 @@ def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return
     if exact and not whole:
         q = env.lattice_q
         raise NonLatticeError(f"atom positions do not lie on the lattice (1/{q})Z; use survival_grid")
-    running = np.r_[1.0, np.zeros(tube.n)] if return_running else None
     plan = _blocks(nodes, moves, codes, env.atom_w, lo, up, start, whole)
     if plan is not None:
+        running = np.r_[1.0, np.zeros(tube.n)] if return_running else None
         log_total, last = _block_pass(plan, nodes, tube.end_bounds(), running)
     else:
         mass = np.zeros(len(nodes))
         mass[start] = 1.0
         step = _correlate_step(_shift_kernels(moves, codes, env.atom_w, len(nodes)), 0, tube.n, len(nodes))
-        log_total, last, _ = _propagate(mass, nodes, lo, up, tube.end_bounds(), 0, step, running, lazy=True)
+        row = _MassRow(mass, nodes, lo, up, tube.end_bounds(), 0, step)
+        times = range(1, tube.n + 1) if return_running else ()
+        (final,), (exp2,), (last,), _, totals = _scaled_pass(row, [0.0], 0, tube.n, times)
+        log_total, running = _log_mass(final, exp2), np.r_[1.0, totals[0]] if return_running else None
     return log_total + xi_log_factor(env, tube), running, len(nodes), last
 
 
@@ -615,10 +570,10 @@ def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, re
         # first step: the point source at x0 moved by the step kernel
         mass = _bin_masses(np.array([x0 + means[0] - nodes[0]]), sd, dx, length, k, 0, size)
         width = 2 * hw + 1
+        floor = size * _ROUNDOFF_PER_NODE / _ROUNDOFF_REL
         if _band_is_cheaper(k, size, width):
             (a,), (b,) = _kept(nodes, lo[1:2], up[1:2])
             (ea,), (eb,) = _kept(nodes, end[:1], end[1:]) if end is not None else ((0,), (size,))
-            floor = size * _ROUNDOFF_PER_NODE / _ROUNDOFF_REL
             layout = _BandRows(mass, means[:, None], dx, length, k, (a, b), _ranges(nodes, lo, up, 1), (ea, eb), floor)
             band.append((len(out), size, hw, layout))
             out.append(None)
@@ -633,11 +588,12 @@ def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, re
 
         kernels = (width, hw, _block_steps(width, _FFT_BLOCK_ENTRIES), build)
         step = _correlate_step(kernels, 1, n, size)
-        running = np.zeros(n + 1) if return_running and not j else None
-        log_total, last, kept = _propagate(mass[0], nodes, lo, up, end, 1, step, running)
-        if running is not None:
-            running[0] = 1.0
-        out.append(result(log_total, last, kept, size, hw, running))
+        times = range(1, n + 1) if return_running and not j else ()
+        row = _MassRow(mass[0], nodes, lo, up, end, 1, step)
+        (final,), (exp2,), (last,), (kept,), totals = _scaled_pass(row, [floor], 1, n, times)
+        del row  # and its saved copy of the mass, before the next size's first step
+        running = np.r_[1.0, totals[0]] if times else None
+        out.append(result(_log_mass(final, exp2), last, kept, size, hw, running))
     if band:
         times = range(1, n + 1) if return_running and not band[0][0] else ()
         *rows, totals = _band_pass([layout for *_, layout in band], sd, 1, n, times)

@@ -459,20 +459,20 @@ def test_point_source_first_step_matches_ndtr(monkeypatch, name, grid_points):
 
 def _spy_first_masses(monkeypatch):
     """The mass each Gaussian grid pass starts from (a band layout's row or
-    the taps' step loop's), copied before the pass runs, in call order."""
+    the taps' `_MassRow`), copied before the pass runs, in call order."""
     firsts = []
 
     def band(layouts, *args):
         firsts.extend(layout.mass[0].copy() for layout in layouts)
         return real_band(layouts, *args)
 
-    def taps(mass, *args):
-        firsts.append(mass.copy())
-        return real_taps(mass, *args)
+    def taps(row, *args):
+        firsts.append(row.mass.copy())
+        return real_taps(row, *args)
 
-    real_band, real_taps = quench_dp._band_pass, quench_dp._propagate
+    real_band, real_taps = quench_dp._band_pass, quench_dp._scaled_pass
     monkeypatch.setattr(quench_dp, "_band_pass", band)
-    monkeypatch.setattr(quench_dp, "_propagate", taps)
+    monkeypatch.setattr(quench_dp, "_scaled_pass", taps)
     return firsts
 
 
@@ -817,14 +817,16 @@ def _same_bits(lazy, eager):
 
 
 def _spy_rescales(monkeypatch):
-    """The totals at which `_propagate` rescales the mass, in order."""
+    """The totals at which a pass rescales the mass, in order: the step
+    loop's (`gamma._scaled_pass`) and the block route's."""
     totals = []
 
     def frexp(x):
         totals.append(x)
         return math.frexp(x)
 
-    monkeypatch.setattr(quench_dp, "math", SimpleNamespace(**{**vars(math), "frexp": frexp}))
+    for module in (gamma_mod, quench_dp):
+        monkeypatch.setattr(module, "math", SimpleNamespace(**{**vars(math), "frexp": frexp}))
     return totals
 
 
@@ -902,6 +904,16 @@ def test_dp_sums_the_mass_only_at_checks(monkeypatch):
     est = tw.survival_dp_lattice(env, tube, tube.default_x0())
     assert est.log_p.hex() == (-35.82087266526615).hex()
     assert 0 < len(sums) <= tube.n // 8
+    # so does the Gaussian taps step, whose runs keep far more than twice the
+    # `grid_roundoff` floor of the mass here: the CI taps run at n = 3000,
+    # whose half resolution takes the taps (the band sums no real mass)
+    del sums[:]
+    sides = _spy_sides(monkeypatch)
+    tube = TAPS_CI.template.make(3000)
+    env = tw.sample_environment(TAPS_CI.env_spec, tube.f_offset + 3000, derive_seed(0, 11, 0))
+    est = tw.survival_grid(env, tube, tube.default_x0(), 300)
+    assert est.log_p.hex() == (-8.8653070985882394).hex()
+    assert sorted(sides) == ["band", "taps"] and 0 < len(sums) <= tube.n // 8
 
 
 def test_correlate_step_rewinds_its_time_and_live_range():
@@ -912,7 +924,11 @@ def test_correlate_step_rewinds_its_time_and_live_range():
     kernels = quench_dp._shift_kernels(moves, np.arange(4), np.array([0.25, 0.75]), 12)
 
     def masses(step, mass, cuts):
-        return [step(mass, a, b)[0].copy() for a, b in cuts]
+        out = []
+        for a, b in cuts:
+            step(mass, a, b)
+            out.append(mass.copy())
+        return out
 
     fresh = quench_dp._correlate_step(kernels, 0, len(cuts), 12)
     want = masses(fresh, np.linspace(1.0, 2.0, 12), cuts)
@@ -932,20 +948,20 @@ def test_correlate_step_rewinds_its_time_and_live_range():
 
 
 def _spy_propagate(monkeypatch):
-    """The calls `_atom_pass` and `_grid_once` make to a step loop (`_propagate`,
-    or the Gaussian band's own, `_band_pass`), counted."""
+    """The calls `_atom_pass` and `_grid_once` make to the step loop
+    (`_scaled_pass` on a `_MassRow`, or `_band_pass`), counted."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[6])
+        calls.append(args[0])
         return real(*args, **kwargs)
 
     def band(*args):
         calls.append("band")
         return real_band(*args)
 
-    real, real_band = quench_dp._propagate, quench_dp._band_pass
-    monkeypatch.setattr(quench_dp, "_propagate", counted)
+    real, real_band = quench_dp._scaled_pass, quench_dp._band_pass
+    monkeypatch.setattr(quench_dp, "_scaled_pass", counted)
     monkeypatch.setattr(quench_dp, "_band_pass", band)
     return calls
 
