@@ -603,7 +603,7 @@ class _BandState:
         self.layouts, self.sd, self.n, self.real = layouts, sd, n, True
         self.rows = rows = len(layouts[0].mass)
         self.bands = bands = [lay.band for lay in layouts]
-        self.starts = starts = np.cumsum([0] + [rows * k for k in bands]).tolist()  # complex entries before each layout
+        starts = np.cumsum([0] + [rows * k for k in bands]).tolist()  # complex entries before each layout
         width = starts[-1]
         modes = np.zeros((2, width), dtype=complex)
         self.cut_c, self.uncut_c = modes
@@ -654,8 +654,8 @@ class _BandState:
 
     def load(self, t: int, steps: int) -> None:
         if self.real:  # the first run: the modes of the real mass
-            for lay, k, s, e in zip(self.layouts, self.bands, self.starts, self.starts[1:]):
-                self.cut_c[s:e].reshape(self.rows, k)[...] = np.fft.rfft(lay.mass, lay.length)[:, :k]
+            for lay, cut in zip(self.layouts, self.cuts):
+                cut.view(complex)[...] = np.fft.rfft(lay.mass, lay.length)[:, : lay.band]
             self.real = False
         self._fill(t + 1, steps)
         self.ranges = [list(itertools.islice(lay.ranges, steps)) for lay in self.layouts]

@@ -273,7 +273,7 @@ class _MassRow:
     def advance(self, ks) -> None:
         for k in ks:
             self.step(self.mass, *self.cuts[k])
-        self.held = self.cuts[k]
+        self.held = self.cuts[ks[-1]]
 
     def totals(self) -> list:
         return [_sum(self.mass)]
@@ -397,7 +397,7 @@ def _blocks(nodes, moves, codes, weights, lo, up, start: int, whole: bool = True
 
 
 def _block_pass(plan, nodes: np.ndarray, end, running) -> tuple[float, int]:
-    """The step loop's pass for `_blocks`' plan: (log of the mass in the end window, last time reached).
+    """The block route's pass of `_blocks`' plan: (log of the mass in the end window, last time reached).
     The mass is summed after every _CHECK_STEPS steps (and the last), to be rescaled, or, if
     not positive, to replay those steps with their prefix totals to the step it died on.
     `running` (time 0 set) gets the unscaled prefix totals; they change no other number."""
