@@ -80,19 +80,18 @@ def _advance(
     return ok, last
 
 
-def _bit_law(env: EnvRealization, tube: TubeSpec, x0: float, bounds=None):
-    """(nodes, moves, start, codes, cuts, bits) for `_advance_nodes` (`quench_dp._lattice`'s four,
-    on `bounds` (lo, up), the tube's when None), or None for the float kernel.  A particle-step's
+def _bit_law(env: EnvRealization, tube: TubeSpec, x0: float):
+    """(nodes, moves, start, codes, cuts, bits) for `_advance_nodes` (`quench_dp._lattice`'s four),
+    or None for the float kernel.  A particle-step's
     `bits` <= 8 random bits, read as v, take atom j where v >= cuts[j-1] = (w_0 + ... + w_{j-1}) 2^bits.
     A lattice of more than _NODE_CAP nodes is counted, not laid out: the float kernel needs none."""
     q = env.lattice_q
     if env.kind != "atoms" or q is None:
         return None
     bits = next((b for b in range(1, 9) if np.all(np.ldexp(env.atom_w, b) % 1 == 0)), None)
-    lo, up = bounds or tube.bounds_arrays()
-    if bits is None or _atom_nodes(q, 1.0 / q, lo.min(), up.max(), x0)[3] > _NODE_CAP:
+    if bits is None or _atom_nodes(q, 1.0 / q, *tube.extent(), x0)[3] > _NODE_CAP:
         return None
-    *lattice, whole = _lattice(env, tube, x0, 1.0 / q, lo, up)
+    *lattice, whole = _lattice(env, tube, x0, 1.0 / q)
     if not whole:
         return None
     return *lattice, np.ldexp(np.cumsum(env.atom_w)[:-1], bits).astype(int).tolist(), bits
@@ -189,7 +188,6 @@ def survival_splitting(
     if f + n > env.length:
         raise IndexError("environment too short for this tube")
     _require_open_start(tube, x0)
-    lo, up = tube.bounds_arrays()
     end = tube.end_bounds()
     work = particles * n
 
@@ -199,7 +197,7 @@ def survival_splitting(
     extinct = from_log(
         -math.inf, METHOD_SPLITTING, work, seed=seed, stderr_log=math.inf, flags=("extinction",)
     )
-    law = _bit_law(env, tube, x0, (lo, up))
+    law = _bit_law(env, tube, x0)
     if law is None:
         advance, pos = (lambda t, *args: _advance(env, f + t, *args)), np.full(particles, x0)
     else:
@@ -214,8 +212,7 @@ def survival_splitting(
     final = len(lengths) - 1
     for k, blen in enumerate(lengths):
         rng = substream(seed, STREAM_SPLIT, k)
-        seg = slice(step + 1, step + blen + 1)
-        ok, last = advance(step, pos, lo[seg], up[seg], rng)
+        ok, last = advance(step, pos, *tube.bounds_arrays(step + 1, step + blen + 1), rng)
         step += blen
         if k == final and end is not None:
             ok &= (last >= end[0]) & (last <= end[1])

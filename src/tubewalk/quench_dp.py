@@ -97,7 +97,7 @@ from .tube import TubeSpec
 
 _BRUTE_LIMIT = 64_000_000  # max enumerated paths
 _BLOCK_ENTRIES = 2**14  # step-kernel entries built at a time
-_RANGE_TIMES = 2**10  # times whose kept node ranges `_ranges` works out at once
+_RANGE_TIMES = 2**10  # times whose bounds, kept node ranges or block keys a pass works out at once
 _BLOCK = 4  # steps a block-route matvec advances; _CHECK_STEPS is a whole number of blocks
 _TABLE_ENTRIES = 2**17  # entries of the block route's table of _BLOCK steps, at most (1 MiB)
 _BAND_ENTRIES = 2**16  # entries of a Gaussian band step's dense cut operator, at most
@@ -163,11 +163,12 @@ def _kept(nodes: np.ndarray, lo, up) -> tuple[list[int], list[int]]:
     return a.tolist(), np.maximum(np.searchsorted(nodes, up, "right"), a).tolist()
 
 
-def _ranges(nodes: np.ndarray, lo: np.ndarray, up: np.ndarray, t0: int):
-    """(a, b): the index range of nodes inside the tube at times t0+1..n."""
+def _ranges(nodes: np.ndarray, tube: TubeSpec, t0: int):
+    """(a, b): the index range of nodes inside the tube at times t0+1..n, its bounds read
+    _RANGE_TIMES times at a time."""
     return itertools.chain.from_iterable(
-        zip(*_kept(nodes, lo[j : j + _RANGE_TIMES], up[j : j + _RANGE_TIMES]))
-        for j in range(t0 + 1, len(lo), _RANGE_TIMES)
+        zip(*_kept(nodes, *tube.bounds_arrays(j, min(j + _RANGE_TIMES, tube.n + 1))))
+        for j in range(t0 + 1, tube.n + 1, _RANGE_TIMES)
     )
 
 
@@ -188,7 +189,8 @@ def _shift_kernels(moves: np.ndarray, codes: np.ndarray, weights: np.ndarray, si
     steps use, and each step's row is gathered by its code.  Returns (width,
     r, block, build) as `_correlate_step` takes them.
     """
-    used = moves[np.bincount(codes, minlength=len(moves)) > 0]
+    counts = sum(np.bincount(codes[j : j + _RANGE_TIMES], minlength=len(moves)) for j in range(0, len(codes), _RANGE_TIMES))
+    used = moves[counts > 0]
     low = min(max(math.floor(used.min()), 1 - size), 0)
     high = max(min(math.ceil(used.max()), size - 1), 0)
     width = high - low + 1
@@ -252,16 +254,17 @@ def _correlate_step(kernels, t0: int, n: int, size: int):
 
 class _MassRow:
     """The real mass on `nodes` of a pass from time t0, updated in place as
-    `gamma._scaled_pass` carries it: cut to the nodes in [lo[i], up[i]] at
-    each time i, moved by `step` (`_correlate_step`) between them, and to
-    the end window `end` (all nodes when None) at the end; its total is its
-    sum."""
+    `gamma._scaled_pass` carries it: cut to the nodes inside `tube` at each
+    time (`_ranges`), moved by `step` (`_correlate_step`) between them, and
+    to the tube's end window (all nodes when it has none) at the end; its
+    total is its sum."""
 
-    def __init__(self, mass: np.ndarray, nodes: np.ndarray, lo, up, end, t0: int, step):
-        (a,), (b,) = _kept(nodes, lo[t0 : t0 + 1], up[t0 : t0 + 1])
+    def __init__(self, mass: np.ndarray, nodes: np.ndarray, tube: TubeSpec, t0: int, step):
+        (a,), (b,) = _kept(nodes, *tube.bounds_arrays(t0, t0 + 1))
+        end = tube.end_bounds()
         self.window = _kept(nodes, end[:1], end[1:]) if end is not None else ((0,), (len(nodes),))
         self.mass, self.step, self.held, self.run = mass, step, (a, b), _CHECK_STEPS
-        self.ranges = _ranges(nodes, lo, up, t0)
+        self.ranges = _ranges(nodes, tube, t0)
         self.saved = np.empty_like(mass)
 
     def begin(self) -> list:
@@ -324,13 +327,13 @@ def _atom_nodes(q: int | None, dx: float, lo: float, up: float, x0: float) -> tu
     return num, den, jlo, int(math.floor((up - x0) * den / num)) + 2 - jlo
 
 
-def _lattice(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, lo: np.ndarray, up: np.ndarray):
-    """(nodes, moves, start, codes, whole): `_atom_nodes`' nodes over the tube's bounds lo, up;
+def _lattice(env: EnvRealization, tube: TubeSpec, x0: float, dx: float):
+    """(nodes, moves, start, codes, whole): `_atom_nodes`' nodes over the tube's `extent`;
     moves[c, a] = atom a of kind c in nodes; start = the index of x0; codes[i] = the kind of
     step i + 1; whole = every move lies within _LATTICE_TOL of a whole number of nodes, and
     then it is rounded there.  Only the law's D kinds are scaled and checked.  More than
     _NODE_CAP nodes raise ValueError before any is laid out."""
-    num, den, jlo, count = _atom_nodes(env.lattice_q, dx, lo.min(), up.max(), x0)
+    num, den, jlo, count = _atom_nodes(env.lattice_q, dx, *tube.extent(), x0)
     if count > _NODE_CAP:
         raise ValueError(f"tube spans {count} nodes, more than the {_NODE_CAP} an atom pass may hold")
     moves = env.atom_kinds * den
@@ -371,29 +374,43 @@ def _block_tables(rows: list, weights: np.ndarray, g: int, width: int):
     return tables
 
 
-def _blocks(nodes, moves, codes, weights, lo, up, start: int, whole: bool = True):
+def _blocks(nodes, moves, codes, weights, tube: TubeSpec, start: int, whole: bool = True):
     """The block route's plan for a pass from node `start` (module docstring), or None where it
-    does not apply: (a, g, slot, coset, chunks).  `moves`, `codes` and `whole` are `_lattice`'s:
+    does not apply: (a, g, slot, size, chunks).  `moves`, `codes` and `whole` are `_lattice`'s:
     each kind's whole-node moves, each step's kind, and whether every move is a whole number of
-    nodes.  The kept range starts at node a; the mass starts on slot `slot` and ends on coset
-    `coset`; chunks are (table, keys, steps), the blocks' keys into `_block_tables`' table of
-    _BLOCK steps, then the last steps' of one.  The tables hold every kind of the law in its
-    own order, so they do not depend on the environment."""
-    if not whole or lo.min() < lo.max() or up.min() < up.max():
+    nodes.  The route applies where the tube's bounds (`extremes`) are the same at every time.
+    The kept range starts at node a and holds `size` slots of each coset; the mass starts on
+    slot `slot`.  `chunks` yields (table, keys, steps, coset) for _RANGE_TIMES steps at a time:
+    the blocks' keys into `_block_tables`' table of _BLOCK steps, then the last steps' of one,
+    and the coset the mass is on after them, worked out from `codes` chunk by chunk.  The
+    tables hold every kind of the law in its own order, so they do not depend on the
+    environment."""
+    lo_min, lo_max, up_min, up_max = tube.extremes()
+    if not whole or lo_min < lo_max or up_min < up_max:
         return None
     rows = moves.astype(int).tolist()
-    (a,), (b,) = _kept(nodes, lo[:1], up[:1])
+    (a,), (b,) = _kept(nodes, *tube.bounds_arrays(0, 1))
     kinds = len(rows)
     g = math.gcd(*(m - row[0] for row in rows for m in row[1:])) or b - a
-    if g * kinds**_BLOCK * (-(-(b - a) // g)) ** 2 > _TABLE_ENTRIES:
+    size = -(-(b - a) // g)
+    if g * kinds**_BLOCK * size**2 > _TABLE_ENTRIES:
         return None
-    whole = len(codes) - len(codes) % _BLOCK
-    cosets = np.cumsum(np.r_[start - a, moves[:, 0].astype(int)[codes]]) % g  # at times 0..n
-    pattern = codes[:whole].reshape(-1, _BLOCK) @ kinds ** np.arange(_BLOCK - 1, -1, -1)
-    keys = cosets[:whole:_BLOCK] * kinds**_BLOCK + pattern
-    rest = cosets[whole:-1] * kinds + codes[whole:]
     one, block = _block_tables(rows, weights, g, b - a)
-    return a, g, (start - a) // g, int(cosets[-1]), ((block, keys.tolist(), _BLOCK), (one, rest.tolist(), 1))
+    first, whole = moves[:, 0].astype(int), len(codes) - len(codes) % _BLOCK
+    spans = itertools.chain(
+        ((j, min(j + _RANGE_TIMES, whole), block, _BLOCK) for j in range(0, whole, _RANGE_TIMES)),
+        [(whole, len(codes), one, 1)],
+    )
+
+    def chunks(coset: int):
+        for j0, j1, table, steps in spans:
+            part = codes[j0:j1]
+            cosets = np.cumsum(np.r_[coset, first[part]]) % g  # at the times j0..j1
+            coset = int(cosets[-1])
+            pattern = part.reshape(-1, steps) @ kinds ** np.arange(steps - 1, -1, -1)
+            yield table, (cosets[:-1:steps] * kinds**steps + pattern).tolist(), steps, coset
+
+    return a, g, (start - a) // g, size, chunks(start - a)
 
 
 def _block_pass(plan, nodes: np.ndarray, end, running) -> tuple[float, int]:
@@ -401,11 +418,13 @@ def _block_pass(plan, nodes: np.ndarray, end, running) -> tuple[float, int]:
     The mass is summed after every _CHECK_STEPS steps (and the last), to be rescaled, or, if
     not positive, to replay those steps with their prefix totals to the step it died on.
     `running` (time 0 set) gets the unscaled prefix totals; they change no other number."""
-    a, g, slot, coset, chunks = plan
-    mass = (np.arange(chunks[0][0][0].shape[-1]) == slot) * 1.0
+    a, g, slot, size, chunks = plan
+    mass = (np.arange(size) == slot) * 1.0
     t = exp2 = 0
-    for (mats, prefix), keys, steps in chunks:
-        dots = {key: mats[key].dot for key in set(keys)}  # np.dot's bits, a third faster
+    bound = {}  # by steps: each table's entries met so far, as np.dot of each (its bits, a third faster)
+    for (mats, prefix), keys, steps, coset in chunks:
+        dots = bound.setdefault(steps, {})
+        dots.update({key: mats[key].dot for key in set(keys).difference(dots)})
         for j in range(0, len(keys), _CHECK_STEPS // steps):
             group, before = keys[j : j + _CHECK_STEPS // steps], mass
             for key in group:
@@ -429,19 +448,16 @@ def _block_pass(plan, nodes: np.ndarray, end, running) -> tuple[float, int]:
     return _log_mass(_sum(mass), exp2), t
 
 
-def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return_running=False, exact=False,
-               bounds=None):
+def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return_running=False, exact=False):
     """Propagate an atom law from x0 on `_lattice`'s nodes; (log_p, running, size, last).
     The pass runs `_blocks`' route where it applies, else the step loop.  Without
     `return_running`, running is None and either takes totals on demand.  With `exact` (the
-    DP), a move off the nodes raises NonLatticeError instead of being split between them.
-    `bounds` are the tube's (lo, up), built here when None."""
-    lo, up = bounds or tube.bounds_arrays()
-    nodes, moves, start, codes, whole = _lattice(env, tube, x0, dx, lo, up)
+    DP), a move off the nodes raises NonLatticeError instead of being split between them."""
+    nodes, moves, start, codes, whole = _lattice(env, tube, x0, dx)
     if exact and not whole:
         q = env.lattice_q
         raise NonLatticeError(f"atom positions do not lie on the lattice (1/{q})Z; use survival_grid")
-    plan = _blocks(nodes, moves, codes, env.atom_w, lo, up, start, whole)
+    plan = _blocks(nodes, moves, codes, env.atom_w, tube, start, whole)
     if plan is not None:
         running = np.r_[1.0, np.zeros(tube.n)] if return_running else None
         log_total, last = _block_pass(plan, nodes, tube.end_bounds(), running)
@@ -449,7 +465,7 @@ def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return
         mass = np.zeros(len(nodes))
         mass[start] = 1.0
         step = _correlate_step(_shift_kernels(moves, codes, env.atom_w, len(nodes)), 0, tube.n, len(nodes))
-        row = _MassRow(mass, nodes, lo, up, tube.end_bounds(), 0, step)
+        row = _MassRow(mass, nodes, tube, 0, step)
         times = range(1, tube.n + 1) if return_running else ()
         (final,), (exp2,), (last,), _, totals = _scaled_pass(row, [0.0], 0, tube.n, times)
         log_total, running = _log_mass(final, exp2), np.r_[1.0, totals[0]] if return_running else None
@@ -526,7 +542,7 @@ def _band_is_cheaper(band: int, size: int, width: int) -> bool:
     return (2 * band) ** 2 < size * width and (2 * band) ** 2 <= _BAND_ENTRIES
 
 
-def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, return_running=False, bounds=None):
+def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, return_running=False):
     """One propagation pass at each grid size of `resolutions`: a list of
     (log_p, running, work, roundoff), one a size.
 
@@ -534,17 +550,15 @@ def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, re
     `return_running`.  ``roundoff`` is True when a Gaussian cut kept so
     little of the mass carried into it that the round-off of its nodes may
     exceed _ROUNDOFF_REL of what it kept.  The Gaussian passes that take the
-    band step run as the layouts of one `gamma._band_pass`.  `bounds` are
-    the tube's (lo, up), built here when None.
+    band step run as the layouts of one `gamma._band_pass`.
     """
-    lo, up = bounds = bounds or tube.bounds_arrays()
     n, f = tube.n, tube.f_offset
-    env_lo, env_up = lo.min(), up.max()
+    env_lo, env_up = tube.extent()
     sizes = [(points, _grid_spacing(env, env_up - env_lo, points)) for points in resolutions]
     out = []
     if env.kind == "atoms":
         for j, (_, dx) in enumerate(sizes):
-            log_p, running, size, last = _atom_pass(env, tube, x0, dx, return_running and not j, bounds=bounds)
+            log_p, running, size, last = _atom_pass(env, tube, x0, dx, return_running and not j)
             out.append((log_p, running, last * size, False))
         return out
     means = env.quenched_mean[f : f + n]
@@ -555,7 +569,7 @@ def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, re
             f"survival_grid needs one step sd over the tube's steps; env.stds runs from "
             f"{stds.min():.6g} to {stds.max():.6g}"
         )
-    end, xi = tube.end_bounds(), xi_log_factor(env, tube)
+    end, xi, max_drift = tube.end_bounds(), xi_log_factor(env, tube), max(means.max(), -means.min())
 
     def result(log_total, last, kept, size, hw, running):
         roundoff = size * _ROUNDOFF_PER_NODE > _ROUNDOFF_REL * kept
@@ -566,15 +580,15 @@ def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, re
         edges = np.arange(points + 1) * dx + env_lo
         nodes = 0.5 * (edges[:-1] + edges[1:])
         size = len(nodes)
-        hw, length, k = _kernel_layout(sd, np.abs(means).max(), dx, size)
+        hw, length, k = _kernel_layout(sd, max_drift, dx, size)
         # first step: the point source at x0 moved by the step kernel
         mass = _bin_masses(np.array([x0 + means[0] - nodes[0]]), sd, dx, length, k, 0, size)
         width = 2 * hw + 1
         floor = size * _ROUNDOFF_PER_NODE / _ROUNDOFF_REL
         if _band_is_cheaper(k, size, width):
-            (a,), (b,) = _kept(nodes, lo[1:2], up[1:2])
+            (a,), (b,) = _kept(nodes, *tube.bounds_arrays(1, 2))
             (ea,), (eb,) = _kept(nodes, end[:1], end[1:]) if end is not None else ((0,), (size,))
-            layout = _BandRows(mass, means[:, None], dx, length, k, (a, b), _ranges(nodes, lo, up, 1), (ea, eb), floor)
+            layout = _BandRows(mass, means[:, None], dx, length, k, (a, b), _ranges(nodes, tube, 1), (ea, eb), floor)
             band.append((len(out), size, hw, layout))
             out.append(None)
             continue
@@ -589,7 +603,7 @@ def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, re
         kernels = (width, hw, _block_steps(width, _FFT_BLOCK_ENTRIES), build)
         step = _correlate_step(kernels, 1, n, size)
         times = range(1, n + 1) if return_running and not j else ()
-        row = _MassRow(mass[0], nodes, lo, up, end, 1, step)
+        row = _MassRow(mass[0], nodes, tube, 1, step)
         (final,), (exp2,), (last,), (kept,), totals = _scaled_pass(row, [floor], 1, n, times)
         del row  # and its saved copy of the mass, before the next size's first step
         running = np.r_[1.0, totals[0]] if times else None
@@ -603,9 +617,9 @@ def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, re
     return out
 
 
-def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int, return_running=False, bounds=None):
+def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int, return_running=False):
     """`_grid_passes` at one grid size: (log_p, running, work, roundoff)."""
-    return _grid_passes(env, tube, x0, (grid_points,), return_running, bounds)[0]
+    return _grid_passes(env, tube, x0, (grid_points,), return_running)[0]
 
 
 def survival_grid(
@@ -629,14 +643,14 @@ def survival_grid(
         raise ValueError("grid_points must be >= 50")
     _check_span(env, tube)
     _require_open_start(tube, x0)
-    lo, up = bounds = tube.bounds_arrays()
     half = max(25, grid_points // 2)
-    span = up.max() - lo.min()
+    lo, up = tube.extent()
+    span = up - lo
     if _grid_spacing(env, span, half) == _grid_spacing(env, span, grid_points):
-        log_p, running, work, roundoff = _grid_once(env, tube, x0, grid_points, return_running, bounds)
+        log_p, running, work, roundoff = _grid_once(env, tube, x0, grid_points, return_running)
         log_half, work_half = log_p, 0
     else:
-        passes = _grid_passes(env, tube, x0, (grid_points, half), return_running, bounds)
+        passes = _grid_passes(env, tube, x0, (grid_points, half), return_running)
         (log_p, running, work, roundoff), (log_half, _, work_half, roundoff_half) = passes
         roundoff = roundoff or roundoff_half
     if math.isfinite(log_p) and math.isfinite(log_half):

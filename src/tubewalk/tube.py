@@ -103,14 +103,22 @@ class TubeSpec:
         c = self.scale
         return float(self.g_at(s)) * c, float(self.h_at(s)) * c
 
-    def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds at all times 0..n as arrays of length n+1."""
-        s = np.arange(self.n + 1) / self.n
+    def bounds_arrays(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds at times start..stop-1 (all times 0..n by default).
+
+        Each value is interp(i/n) * n^alpha of its own time i alone, so a
+        chunk is the same slice of the whole arrays, bit for bit.
+        """
+        stop = self.n + 1 if stop is None else stop
+        if not 0 <= start <= stop <= self.n + 1:
+            raise IndexError(f"times {start}..{stop - 1} outside [0, {self.n}]")
+        s = np.arange(start, stop) / self.n
         c = self.scale
         return np.asarray(_interp(self.g, s)) * c, np.asarray(_interp(self.h, s)) * c
 
-    def extent(self) -> tuple[float, float]:
-        """The lowest lower and highest upper bound of `bounds_arrays`, without building them.
+    def extremes(self) -> tuple[float, float, float, float]:
+        """The lower bound's min and max and the upper bound's min and max over `bounds_arrays`,
+        without building them.
 
         Between two breakpoints a bound is monotone in time, in floating
         point too (`np.interp` is a fixed multiply-add of the time), so its
@@ -120,7 +128,13 @@ class TubeSpec:
         i = np.clip([math.floor(s * self.n) + k for s in knots for k in (-1, 0, 1, 2)], 0, self.n)
         s = i / self.n
         c = self.scale
-        return float((np.asarray(_interp(self.g, s)) * c).min()), float((np.asarray(_interp(self.h, s)) * c).max())
+        lo, up = np.asarray(_interp(self.g, s)) * c, np.asarray(_interp(self.h, s)) * c
+        return float(lo.min()), float(lo.max()), float(up.min()), float(up.max())
+
+    def extent(self) -> tuple[float, float]:
+        """The lowest lower and highest upper bound (`extremes`)."""
+        lo, _, _, up = self.extremes()
+        return lo, up
 
     def end_bounds(self) -> tuple[float, float] | None:
         """End window in walk units, or None when no end restriction is set."""

@@ -333,11 +333,11 @@ def test_confinement_row_is_the_grid_pass_on_a_constant_tube():
     profiles = _confinement_profiles(drifts, dt, grid, 0.0, True, cps)
     half, dx, n, band = gamma_mod._layout(dt, grid, max_drift=np.abs(drifts).max())
     nodes = -half + (np.arange(grid) + 0.5) * dx
-    bounds = np.full(steps + 1, half)
-    (a,), (b,) = quench_dp._kept(nodes, -bounds[:1], bounds[:1])
+    tube = tw.TubeSpec(g=-half / steps**0.25, h=half / steps**0.25, alpha=0.25, n=steps)  # [-half, half], to an ulp
+    (a,), (b,) = quench_dp._kept(nodes, *tube.bounds_arrays(0, 1))
     assert (a, b) == (0, grid)
     mass = gamma_mod._bin_masses(drifts[:, 0] - nodes[0], sd, dx, n, band, 0, grid)
-    rows = gamma_mod._BandRows(mass, drifts.T, dx, n, band, (a, b), quench_dp._ranges(nodes, -bounds, bounds, 1), (a, b), 0.0)
+    rows = gamma_mod._BandRows(mass, drifts.T, dx, n, band, (a, b), quench_dp._ranges(nodes, tube, 1), (a, b), 0.0)
     np.testing.assert_array_equal(profiles, gamma_mod._band_pass([rows], sd, 1, steps, cps)[4][0])
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -783,6 +784,79 @@ def test_step_loop_runs_keep_their_pinned_bits(cfg, idx, n, log_p, work, flags):
     assert (est.log_p.hex(), est.work, est.flags) == (log_p.hex(), work, flags)
 
 
+BUILTIN_SHIFT = tw_config.validate(tw_config.load_builtin("random-shift-bernoulli"))
+SHIFT_END = tw_config.validate(
+    tw_config.apply_overrides(tw_config.load_builtin("random-shift-bernoulli"), ["tube.end_window=[-0.5,0.5]"])
+)
+# the CI off-lattice run: atoms at +-sqrt(1/2), which the grid splits between its nodes
+OFF_LATTICE_CI = tw_config.validate(
+    tw_config.apply_overrides(
+        tw_config.load_builtin("degenerate-rademacher"),
+        ["environment.atoms=[[-0.7071067811865476,0.5],[0.7071067811865476,0.5]]"],
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "cfg, idx, n, log_p, work, flags",
+    [
+        (BUILTIN_SHIFT, 4, 51200, -114.22857303201792, 5376000, ()),
+        (SHIFT_END, 4, 51200, -114.5748075320283, 5376000, ()),
+        (OFF_LATTICE_CI, 0, 200, -4.424248922984302, 121200, ("grid_coarse",)),
+        (OFF_LATTICE_CI, 4, 3200, -14.41327229273361, 1939200, ()),
+    ],
+)
+def test_block_route_and_atom_grid_keep_their_pinned_bits(cfg, idx, n, log_p, work, flags):
+    # dp-deep's longest block-route run, with and without an end window, and
+    # the grid's atom pass off every lattice, at `derive_seed(0, 11, idx)`
+    tube = cfg.template.make(n)
+    env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, derive_seed(0, 11, idx))
+    if cfg is OFF_LATTICE_CI:
+        est = tw.survival_grid(env, tube, tube.default_x0(), 400)
+    else:
+        est = tw.survival_dp_lattice(env, tube, tube.default_x0())
+    assert (est.log_p.hex(), est.work, est.flags) == (log_p.hex(), work, flags)
+
+
+@pytest.mark.parametrize(
+    "cfg, idx, n, digest",
+    [
+        (SHIFT_END, 0, 3200, "dd87f8aff17aab6605905baceaf208a9226f2720940dba9cc35e7e42ee4ac411"),
+        (BUILTIN_SHIFT, 2, 10001, "d4a20f05a7301cb22450d8c784419134a2deb743a1dd81f5696679909a117355"),
+        (DP_LOOP_CI, 1, 800, "aa154f4d54eeadc33c467d25d441a000e9cba9b32672044fab86c2c3953d9176"),
+    ],
+)
+def test_running_totals_keep_their_pinned_bits(cfg, idx, n, digest):
+    # the block route (n = 10001 ends on a step outside any block) and the
+    # step loop, every running total to the bit
+    tube = cfg.template.make(n)
+    env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, derive_seed(0, 11, idx))
+    _, running = tw.survival_dp_lattice(env, tube, tube.default_x0(), return_running=True)
+    assert running.shape == (n + 1,) and hashlib.sha256(running.tobytes()).hexdigest() == digest
+
+
+def _dp_peak(cfg, n: int) -> int:
+    """Bytes tracemalloc sees at the peak of a DP pass (the environment is made before)."""
+    tube = cfg.template.make(n)
+    env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, derive_seed(0, 11, 0))
+    tracemalloc.start()
+    try:
+        tw.survival_dp_lattice(env, tube, tube.default_x0())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dp_memory_is_flat_in_n():
+    # beside its environment a pass reads the tube's bounds, and works out its
+    # block keys, a chunk of times at a time: the block route on the builtin's
+    # constant tube holds its tables (0.91 MiB, 1.62 MiB while they are built;
+    # 6.97 MiB with the whole bounds and keys), and the step loop on the CI's
+    # widening tube grows with the tube's width only (x1.5 over these n)
+    assert _dp_peak(BUILTIN_SHIFT, 200_000) <= 2.5 * 2**20
+    assert _dp_peak(DP_LOOP_CI, 50_000) <= 1.25 * _dp_peak(DP_LOOP_CI, 12_500)
+
+
 def _deep_rademacher(n):
     template = tw.TubeTemplate(g=-1.0, h=1.0, alpha=0.1, f_coeff=1.0, f_power=0.5)
     tube = template.make(n)
@@ -1011,9 +1085,8 @@ def test_block_route_is_the_step_loop(monkeypatch, name, g, n, extra):
         _same_pass(lazy, lazy_loop)
         _same_pass(eager, eager_loop)
         assert lazy[0] == eager[0] and lazy[2:] == eager[2:] and math.isfinite(lazy[0])
-        lo, up = tube.bounds_arrays()
-        nodes, moves, start, codes, _ = quench_dp._lattice(env, tube, x0, 1.0 / env.lattice_q, lo, up)
-        plan = quench_dp._blocks(nodes, moves, codes, env.atom_w, lo, up, start)
+        nodes, moves, start, codes, _ = quench_dp._lattice(env, tube, x0, 1.0 / env.lattice_q)
+        plan = quench_dp._blocks(nodes, moves, codes, env.atom_w, tube, start)
         assert plan[1] == g
         cosets.add((start - plan[0]) % g)
     assert cosets == set(range(g))
@@ -1023,17 +1096,16 @@ def test_block_tables_depend_only_on_the_law():
     # the keys are the environment's own codes, in the law's kind order, so two
     # environments whose first steps draw different kernels index one table
     tube = tw.TubeSpec(g=-1.0, h=1.2, alpha=0.3, n=401)
-    lo, up = tube.bounds_arrays()
     first = {}
     for seed in range(20):
         env = tw.sample_environment(SPECS["shift"], tube.n, seed=seed)
         first.setdefault(int(env.atom_codes[0]), env)
     plans = []
     for env in (first[0], first[1]):
-        nodes, moves, start, codes, whole = quench_dp._lattice(env, tube, 0.1, 0.5, lo, up)
-        plans.append(quench_dp._blocks(nodes, moves, codes, env.atom_w, lo, up, start, whole))
-    assert plans[0][:3] == plans[1][:3]
-    for (table, keys, _), (other, other_keys, _) in zip(plans[0][4], plans[1][4]):
+        nodes, moves, start, codes, whole = quench_dp._lattice(env, tube, 0.1, 0.5)
+        plans.append(quench_dp._blocks(nodes, moves, codes, env.atom_w, tube, start, whole))
+    assert plans[0][:4] == plans[1][:4]
+    for (table, keys, *_), (other, other_keys, *_) in zip(plans[0][4], plans[1][4]):
         assert keys != other_keys
         for a, b in zip(table, other):
             np.testing.assert_array_equal(a, b)
@@ -1079,8 +1151,7 @@ def test_block_route_table_bound(monkeypatch, half, kept, blocks):
     # = 4 * 16 * 45**2 table entries, within 2**17; 181 nodes need M = 46
     tube = tw.TubeSpec(g=-half, h=half, alpha=0.25, n=16)  # the tube is +-2 * half
     env = tw.sample_environment(SPECS["shift"], 16, seed=5)
-    lo, up = tube.bounds_arrays()
-    (a,), (b,) = quench_dp._kept(quench_dp._lattice(env, tube, 0.0, 0.5, lo, up)[0], lo[:1], up[:1])
+    (a,), (b,) = quench_dp._kept(quench_dp._lattice(env, tube, 0.0, 0.5)[0], *tube.bounds_arrays(0, 1))
     assert b - a == kept
     calls = _spy_propagate(monkeypatch)
     quench_dp._atom_pass(env, tube, 0.0, 0.5)
@@ -1129,8 +1200,7 @@ def test_a_dp_pass_scans_its_moves_once(monkeypatch, moving):
     cfg = tw_config.validate(tw_config.load_builtin("random-shift-bernoulli"))
     tube = tw.TubeSpec(**MOVING) if moving else cfg.template.make(3200)
     env = tw.sample_environment(cfg.env_spec, tube.f_offset + tube.n, seed=2)
-    lo, up = tube.bounds_arrays()
-    assert quench_dp._lattice(env, tube, 0.0, 1.0 / env.lattice_q, lo, up)[4]
+    assert quench_dp._lattice(env, tube, 0.0, 1.0 / env.lattice_q)[4]
     scans = _spy_scans(monkeypatch)
     tw.survival_dp_lattice(env, tube, 0.0)
     assert scans == [(2, 2)]
@@ -1142,8 +1212,7 @@ def test_dp_rejects_moves_off_the_declared_lattice(monkeypatch):
     tube = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.3, n=50)
     env = tw.sample_environment(SPECS["off-lattice"], tube.n, seed=3)
     declared = dataclasses.replace(env, lattice_q=2)
-    lo, up = tube.bounds_arrays()
-    assert not quench_dp._lattice(declared, tube, 0.0, 0.5, lo, up)[4]
+    assert not quench_dp._lattice(declared, tube, 0.0, 0.5)[4]
     scans = _spy_scans(monkeypatch)
     with pytest.raises(tw.NonLatticeError, match=r"\(1/2\)Z; use survival_grid"):
         tw.survival_dp_lattice(declared, tube, 0.0)
@@ -1160,11 +1229,10 @@ def test_lattice_refuses_a_node_past_the_cap():
     assert quench_dp._atom_nodes(1, 1.0, -16777214.75, 16777214.75, 0.5)[3] == quench_dp._NODE_CAP
     tube = tw.TubeSpec(g=-16777215.25, h=16777215.75, alpha=0.3, n=1)
     env = _rademacher_env(1)
-    lo, up = tube.bounds_arrays()
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="33554433 nodes"):
-            quench_dp._lattice(env, tube, 0.5, 1.0, lo, up)
+            quench_dp._lattice(env, tube, 0.5, 1.0)
         with pytest.raises(ValueError, match="33554433 nodes"):
             tw.survival_dp_lattice(env, tube, 0.5)
     finally:

@@ -109,7 +109,7 @@ def test_default_x0_prefers_start_window():
 
 def test_extent_is_the_bounds_arrays_extremes():
     # exact, also on segments so flat that the bounds round to a few values
-    rng = np.random.default_rng(3)
+    rng, pick = np.random.default_rng(3), np.random.default_rng(4)
     for trial in range(300):
         knots = np.r_[0.0, np.sort(rng.choice([rng.random(), 1 / 3, 0.1, 0.7], rng.integers(0, 5))), 1.0]
         knots = np.unique(knots)
@@ -119,3 +119,20 @@ def test_extent_is_the_bounds_arrays_extremes():
         tube = tw.TubeSpec(g=g, h=h, alpha=0.3, n=int(rng.integers(1, 5000)))
         lo, up = tube.bounds_arrays()
         assert tube.extent() == (lo.min(), up.max())
+        assert tube.extremes() == (lo.min(), lo.max(), up.min(), up.max())
+        # a chunk of times start..stop-1 is the same slice, bit for bit: random
+        # chunks, single times, and chunks ending at the last time n
+        n = tube.n
+        starts = pick.integers(0, n + 1, 4)
+        chunks = [tuple(sorted(pick.integers(0, n + 2, 2))) for _ in range(4)]
+        chunks += [(int(i), int(i) + 1) for i in starts] + [(n, n + 1), (int(starts[0]), n + 1)]
+        for start, stop in chunks:
+            got = tube.bounds_arrays(start, stop)
+            assert len(got[0]) == stop - start
+            np.testing.assert_array_equal(got[0], lo[start:stop])
+            np.testing.assert_array_equal(got[1], up[start:stop])
+            assert got[0].tobytes() == lo[start:stop].tobytes() and got[1].tobytes() == up[start:stop].tobytes()
+    with pytest.raises(IndexError):
+        tube.bounds_arrays(0, n + 2)
+    with pytest.raises(IndexError):
+        tube.bounds_arrays(2, 1)
