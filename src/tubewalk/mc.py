@@ -82,8 +82,8 @@ def _advance(
 
 def _bit_law(env: EnvRealization, tube: TubeSpec, x0: float):
     """(nodes, moves, start, codes, cuts, bits) for `_advance_nodes` (`quench_dp._lattice`'s four),
-    or None for the float kernel.  A particle-step's
-    `bits` <= 8 random bits, read as v, take atom j where v >= cuts[j-1] = (w_0 + ... + w_{j-1}) 2^bits.
+    or None for the float kernel.  A particle-step's `bits` <= 8 random bits, read as v, take
+    atom j where v >= cuts[j-1] = (w_0 + ... + w_{j-1}) 2^bits.
     A lattice of more than _NODE_CAP nodes is counted, not laid out: the float kernel needs none."""
     q = env.lattice_q
     if env.kind != "atoms" or q is None:

@@ -32,7 +32,10 @@ table depends on the law and the kept width only (the "Four Russians"
 table: Arlazarov, Dinic, Kronrod & Faradzev 1970).
 One matvec advances a block (`_block_pass`), with totals, rescaling and
 extinction as in the step loop on demand; the route sums in another order,
-so log p moves by an ulp or so against the step loop.
+so log p moves by an ulp or so against the step loop.  Every pass reads the
+tube's bounds, and the block route works out its keys, _RANGE_TIMES times at
+a time, so beside its environment a pass holds its width and one chunk
+whatever n.
 
 ``survival_dp_lattice`` is exact (up to float summation) for environments
 whose atoms live on a lattice (1/q)Z and serves as the oracle for the
@@ -189,7 +192,9 @@ def _shift_kernels(moves: np.ndarray, codes: np.ndarray, weights: np.ndarray, si
     steps use, and each step's row is gathered by its code.  Returns (width,
     r, block, build) as `_correlate_step` takes them.
     """
-    counts = sum(np.bincount(codes[j : j + _RANGE_TIMES], minlength=len(moves)) for j in range(0, len(codes), _RANGE_TIMES))
+    counts = sum(  # a chunk at a time: bincount copies its input as intp
+        np.bincount(codes[j : j + _RANGE_TIMES], minlength=len(moves)) for j in range(0, len(codes), _RANGE_TIMES)
+    )
     used = moves[counts > 0]
     low = min(max(math.floor(used.min()), 1 - size), 0)
     high = max(min(math.ceil(used.max()), size - 1), 0)
@@ -397,13 +402,10 @@ def _blocks(nodes, moves, codes, weights, tube: TubeSpec, start: int, whole: boo
         return None
     one, block = _block_tables(rows, weights, g, b - a)
     first, whole = moves[:, 0].astype(int), len(codes) - len(codes) % _BLOCK
-    spans = itertools.chain(
-        ((j, min(j + _RANGE_TIMES, whole), block, _BLOCK) for j in range(0, whole, _RANGE_TIMES)),
-        [(whole, len(codes), one, 1)],
-    )
 
     def chunks(coset: int):
-        for j0, j1, table, steps in spans:
+        spans = ((j, min(j + _RANGE_TIMES, whole), block, _BLOCK) for j in range(0, whole, _RANGE_TIMES))
+        for j0, j1, table, steps in itertools.chain(spans, [(whole, len(codes), one, 1)]):
             part = codes[j0:j1]
             cosets = np.cumsum(np.r_[coset, first[part]]) % g  # at the times j0..j1
             coset = int(cosets[-1])
