@@ -31,9 +31,8 @@ Dirichlet sums (`_cut_operator`), at (2K)^2 multiply-adds per replica,
 or, when the r = n - grid_points padding entries are fewer than K (as
 when alias bands make K every mode), I - L @ R with the factors of the
 padding, at 4Kr.  No real-space mass exists between steps, so none is
-clipped, and the survival total is mode 0, read on demand and at the
-checkpoints by `_scaled_pass`, which rescales a deep replica by exact
-powers of two, so it underflows only at a checkpoint.  The first step's bin masses
+clipped, and the survival total is mode 0, read by `_scaled_pass`, so a
+deep replica underflows only at a checkpoint.  The first step's bin masses
 come from the same transform (`_bin_masses`), so no Gaussian CDF is
 evaluated.  `estimate_gamma` propagates at most 64 replicas per batch and
 each block of transforms holds at most 2**16 complex entries, so memory
@@ -89,9 +88,8 @@ _MEMORY_BUDGET, _FLOAT_BYTES = 2**30, 8
 # caps `config.validate` sets from `_run_bytes` rest on it.
 _BASIS_ENTRIES = 2**16
 _AMPLITUDE_FLOOR = 1e-17
-# The mass total below which a pass rescales its state by a power of two,
-# and the steps between the totals of a pass that reads them on demand
-# (`_scaled_pass` here and `quench_dp._block_pass`).
+# The mass total below which `_scaled_pass` rescales a row by a power of two,
+# and the steps of a run of a state whose total is a sum over its mass.
 _RESCALE_BELOW = 2.0**-500
 _CHECK_STEPS = 16
 # Modes between the exact phases that re-anchor a kernel transform's
@@ -484,28 +482,29 @@ def _apply_cut(form, uncut: np.ndarray, out: np.ndarray) -> None:
 
 def _scaled_pass(state, floors: list, t0: int, n: int, times=()):
     """Carry the rows of `state` from time t0 to time n by the scaled forward
-    algorithm with totals on demand: the step loop of every pass but
-    `quench_dp._block_pass`.
+    algorithm with totals on demand: the one step loop of every pass.
 
     `state` holds the rows' mass at t0.  ``begin()`` cuts it to the nodes of
     time t0 and returns the rows' totals, as ``totals()`` does later;
     ``load(t, steps)`` readies the kernels and kept nodes of the run of steps
     t+1..t+steps (at most ``state.run``), and ``advance(ks)`` takes its steps
-    k of `ks`; ``save()`` keeps the state before a run and ``restore()``
-    brings it back, at its time; ``scale(q, e)`` multiplies row q by 2**-e
-    and ``zero(q)`` clears it; ``end()`` cuts the rows to the end window and
-    returns their totals.
+    k of `ks`, which follow the last taken; ``restore()`` brings back the
+    state of the last ``load``, at its time; ``scale(q, e)`` multiplies row
+    q by 2**-e, ``zero(q)`` clears it when it dies while another row lives,
+    and ``end()`` cuts the rows to the end window and returns their totals.
 
     Totals are read after each run and at each time of `times`, where runs
     end.  A run after which a live row's total is below twice _RESCALE_BELOW,
     or below twice floors[q] of its total before the run, is restored and
     replayed with a total at every step.  Totals shrink over steps but for
-    round-off, so each row is rescaled by an exact power of two when its
-    total drops below _RESCALE_BELOW, and dies at the first time whose total
-    is not positive, on the same steps and with the same bits as with a
-    total at every step; and no cut of a run that is not replayed keeps less
-    than floors[q] of the mass carried into it.  When `times` holds every
-    time t0+1..n-1, every step's total is read and nothing is saved.
+    round-off, so each row is rescaled by an exact power of two at the step
+    its total drops below _RESCALE_BELOW (a deep row neither underflows nor
+    stalls on denormals, and no bit moves above it), and dies at the first
+    time whose total is not positive, on the same steps and with the same
+    bits as with a total at every step; and no cut of a run that is not
+    replayed keeps less than floors[q] of the mass carried into it.  When
+    `times` holds every time t0+1..n-1, every step's total is read and no
+    run is replayed.
 
     Returns, one value a row: the final total and its exponent (the mass in
     the end window is final * 2**exp2; final is 0 where the row died), the
@@ -537,7 +536,8 @@ def _scaled_pass(state, floors: list, t0: int, n: int, times=()):
             if m < _RESCALE_BELOW:
                 if m <= 0.0:
                     alive[q], last[q] = False, t
-                    state.zero(q)
+                    if any(alive):  # the pass goes on
+                        state.zero(q)
                     continue
                 e = math.frexp(m)[1]
                 state.scale(q, e)
@@ -556,7 +556,6 @@ def _scaled_pass(state, floors: list, t0: int, n: int, times=()):
         steps = min(state.run, n - t if eager or j == len(ends) else ends[j] - t)
         state.load(t, steps)
         if steps > 1 and not eager:
-            state.save()
             state.advance(range(steps))
             moved = state.totals()
             if not any(live and (m < low or m < f * tot) for live, m, f, tot in zip(alive, moved, floors, total)):
@@ -660,6 +659,7 @@ class _BandState:
         self._fill(t + 1, steps)
         self.ranges = [list(itertools.islice(lay.ranges, steps)) for lay in self.layouts]
         self.fixed = all(rng.count(held) == steps for rng, held in zip(self.ranges, self.held))
+        np.copyto(self.saved, self.cut_f)
 
     def advance(self, ks) -> None:
         cut_c, uncut_c, kernels, forms = self.cut_c, self.uncut_c, self.kernels, self.forms
@@ -679,9 +679,6 @@ class _BandState:
 
     def totals(self) -> list:
         return self.cut_f.take(self.zeros).tolist()
-
-    def save(self) -> None:
-        np.copyto(self.saved, self.cut_f)
 
     def restore(self) -> None:
         np.copyto(self.cut_f, self.saved)

@@ -2,40 +2,25 @@
 
 Both estimators evolve the quenched sub-probability measure of the surviving
 walk one step at a time, killing mass outside the tube.  Tube membership
-uses closed intervals, so boundary-exact hits survive.  Every pass off the
-block route runs one step loop, `gamma._scaled_pass`: each step moves the
-mass by that step's kernel and cuts it to the index range of nodes inside
-the tube.  Atom passes and the Gaussian taps step carry their real mass
-through it (`_MassRow`), the Gaussian band step its modes
-(`gamma._band_pass`).  When the total falls below ``_RESCALE_BELOW`` the
-mass is multiplied by an exact power of two and the exponent is carried on
-a log scale (the scaled forward algorithm), so deep events neither
-underflow nor stall on denormals; while the mass stays above the threshold
-no bit differs from propagating it unscaled.  The running totals are
-reported on the linear scale and may underflow to 0 for events the log
-result still resolves.  They are computed only when asked for
-(``return_running``); without them a pass reads its totals on demand, by
-the rules of `gamma._scaled_pass`, with every bit of a total at every step
-(a total of a real mass is a sum over it, about 40% of an atom step).
+uses closed intervals, so boundary-exact hits survive.  Every pass runs on
+one loop, `gamma._scaled_pass`, which holds the rules for rescaling, death
+and totals on demand, on one of three states: a real mass (`_MassRow`, atom
+passes and the Gaussian taps step), which each step moves by its kernel and
+cuts to the nodes inside the tube; the Gaussian band's modes
+(`gamma._band_pass`); or the block route's mass (`_BlockRow`).
 
-Atom passes (`_atom_pass`) leave the step loop for four-step blocks where
-the tube's bounds are the same at every time, every move is a whole number
-of nodes and the table below holds at most _TABLE_ENTRIES entries
-(`_blocks`).  Given the environment the walk sits on one coset of gZ at
-each time (g the gcd of the moves' differences within a step: 4 for random
-shift at q = 2, 2 for Rademacher), so the mass is held on that coset's M
-slots of the kept range; a step's kernel is one of the law's D kinds
-(`env.atom_kinds`), so a block of _BLOCK steps is one of g * D**_BLOCK
-(M, M) matrices, built once a pass (`_block_tables`) and looked up by the
-block's start coset and the steps' own codes (`env.atom_codes`), so the
-table depends on the law and the kept width only (the "Four Russians"
-table: Arlazarov, Dinic, Kronrod & Faradzev 1970).
-One matvec advances a block (`_block_pass`), with totals, rescaling and
-extinction as in the step loop on demand; the route sums in another order,
-so log p moves by an ulp or so against the step loop.  Every pass reads the
-tube's bounds, and the block route works out its keys, _RANGE_TIMES times at
-a time, so beside its environment a pass holds its width and one chunk
-whatever n.
+An atom pass takes the block route (`_blocks`) where the tube's bounds are
+the same at every time, every move is a whole number of nodes and the table
+holds at most _TABLE_ENTRIES entries.  Given the environment the walk sits on
+one coset of gZ at each time (g the gcd of the moves' differences within a
+step: 4 for random shift at q = 2, 2 for Rademacher), so the mass is held on
+that coset's M slots of the kept range; a step's kernel is one of the law's
+D kinds (`env.atom_kinds`), so a block of _BLOCK steps is one of g * D**_BLOCK
+(M, M) matrices (`_block_tables`), looked up by the block's start coset and
+the steps' own codes (`env.atom_codes`), so the table depends on the law and
+the kept width only: the "Four Russians" table (Arlazarov, Dinic, Kronrod &
+Faradzev 1970).  One matvec advances a block; it sums in another order, so
+log p moves by an ulp or so against the step loop.
 
 ``survival_dp_lattice`` is exact (up to float summation) for environments
 whose atoms live on a lattice (1/q)Z and serves as the oracle for the
@@ -87,7 +72,7 @@ import sys
 import numpy as np
 
 from .env import _LATTICE_TOL, EnvRealization
-from .gamma import _CHECK_STEPS, _FFT_BLOCK_ENTRIES, _MEMORY_BUDGET, _RESCALE_BELOW, _BandRows, _band_modes, _band_pass
+from .gamma import _CHECK_STEPS, _FFT_BLOCK_ENTRIES, _MEMORY_BUDGET, _BandRows, _band_modes, _band_pass
 from .gamma import _bin_masses, _block_steps, _fast_len, _kernel_layout, _scaled_pass
 from .results import (
     METHOD_BRUTE_FORCE,
@@ -101,7 +86,7 @@ from .tube import TubeSpec
 _BRUTE_LIMIT = 64_000_000  # max enumerated paths
 _BLOCK_ENTRIES = 2**14  # step-kernel entries built at a time
 _RANGE_TIMES = 2**10  # times whose bounds, kept node ranges or block keys a pass works out at once
-_BLOCK = 4  # steps a block-route matvec advances; _CHECK_STEPS is a whole number of blocks
+_BLOCK = 4  # steps a block-route matvec advances
 _TABLE_ENTRIES = 2**17  # entries of the block route's table of _BLOCK steps, at most (1 MiB)
 _BAND_ENTRIES = 2**16  # entries of a Gaussian band step's dense cut operator, at most
 # Bytes of an atom pass's node: the node, the mass, a saved copy of it and the
@@ -277,6 +262,7 @@ class _MassRow:
 
     def load(self, t: int, steps: int) -> None:
         self.cuts, self.back = list(itertools.islice(self.ranges, steps)), (t, *self.held)
+        np.copyto(self.saved, self.mass)
 
     def advance(self, ks) -> None:
         for k in ks:
@@ -286,9 +272,6 @@ class _MassRow:
     def totals(self) -> list:
         return [_sum(self.mass)]
 
-    def save(self) -> None:
-        np.copyto(self.saved, self.mass)
-
     def restore(self) -> None:
         np.copyto(self.mass, self.saved)
         self.step.rewind(*self.back)
@@ -296,9 +279,6 @@ class _MassRow:
 
     def scale(self, q: int, e: int) -> None:
         np.ldexp(self.mass, -e, out=self.mass)
-
-    def zero(self, q: int) -> None:
-        self.mass.fill(0.0)
 
     def end(self) -> list:
         (a,), (b,) = self.window
@@ -380,16 +360,13 @@ def _block_tables(rows: list, weights: np.ndarray, g: int, width: int):
 
 
 def _blocks(nodes, moves, codes, weights, tube: TubeSpec, start: int, whole: bool = True):
-    """The block route's plan for a pass from node `start` (module docstring), or None where it
-    does not apply: (a, g, slot, size, chunks).  `moves`, `codes` and `whole` are `_lattice`'s:
-    each kind's whole-node moves, each step's kind, and whether every move is a whole number of
-    nodes.  The route applies where the tube's bounds (`extremes`) are the same at every time.
-    The kept range starts at node a and holds `size` slots of each coset; the mass starts on
-    slot `slot`.  `chunks` yields (table, keys, steps, coset) for _RANGE_TIMES steps at a time:
-    the blocks' keys into `_block_tables`' table of _BLOCK steps, then the last steps' of one,
-    and the coset the mass is on after them, worked out from `codes` chunk by chunk.  The
-    tables hold every kind of the law in its own order, so they do not depend on the
-    environment."""
+    """The block route's `_BlockRow` for a pass from node `start` (module docstring), or None
+    where the route does not apply.  `moves`, `codes` and `whole` are `_lattice`'s.  The kept
+    range starts at node a and holds `size` slots of each coset, slot i of coset c being node
+    a + c + g*i.  The state's `chunks` yields (table, keys, blocks, coset) for _RANGE_TIMES steps
+    at a time: `_block_tables`' table of _BLOCK steps (of one step for the last n mod _BLOCK),
+    the blocks' keys into it, worked out from `codes`, each block's matvec (its entry's bound
+    np.dot: its bits, a third faster) and prefix rows, and the coset after them."""
     lo_min, lo_max, up_min, up_max = tube.extremes()
     if not whole or lo_min < lo_max or up_min < up_max:
         return None
@@ -404,74 +381,88 @@ def _blocks(nodes, moves, codes, weights, tube: TubeSpec, start: int, whole: boo
     first, whole = moves[:, 0].astype(int), len(codes) - len(codes) % _BLOCK
 
     def chunks(coset: int):
+        known = {}  # by steps: the blocks of the table's entries met so far
         spans = ((j, min(j + _RANGE_TIMES, whole), block, _BLOCK) for j in range(0, whole, _RANGE_TIMES))
-        for j0, j1, table, steps in itertools.chain(spans, [(whole, len(codes), one, 1)]):
+        for j0, j1, (mats, prefix), steps in itertools.chain(spans, [(whole, len(codes), one, 1)]):
             part = codes[j0:j1]
             cosets = np.cumsum(np.r_[coset, first[part]]) % g  # at the times j0..j1
             coset = int(cosets[-1])
             pattern = part.reshape(-1, steps) @ kinds ** np.arange(steps - 1, -1, -1)
-            yield table, (cosets[:-1:steps] * kinds**steps + pattern).tolist(), steps, coset
+            keys = (cosets[:-1:steps] * kinds**steps + pattern).tolist()
+            seen = known.setdefault(steps, {})
+            seen.update({key: (mats[key].dot, prefix[key]) for key in set(keys).difference(seen)})
+            yield (mats, prefix), keys, [seen[key] for key in keys], coset
 
-    return a, g, (start - a) // g, size, chunks(start - a)
+    end = tube.end_bounds()
+    (ea,), (eb,) = _kept(nodes, end[:1], end[1:]) if end is not None else ((0,), (len(nodes),))
+    windows = [slice(max(0, -(-(ea - a - c) // g)), max(0, -(-(eb - a - c) // g))) for c in range(g)]
+    return _BlockRow((np.arange(size) == (start - a) // g) * 1.0, chunks(start - a), windows)
 
 
-def _block_pass(plan, nodes: np.ndarray, end, running) -> tuple[float, int]:
-    """The block route's pass of `_blocks`' plan: (log of the mass in the end window, last time reached).
-    The mass is summed after every _CHECK_STEPS steps (and the last), to be rescaled, or, if
-    not positive, to replay those steps with their prefix totals to the step it died on.
-    `running` (time 0 set) gets the unscaled prefix totals; they change no other number."""
-    a, g, slot, size, chunks = plan
-    mass = (np.arange(size) == slot) * 1.0
-    t = exp2 = 0
-    bound = {}  # by steps: each table's entries met so far, as np.dot of each (its bits, a third faster)
-    for (mats, prefix), keys, steps, coset in chunks:
-        dots = bound.setdefault(steps, {})
-        dots.update({key: mats[key].dot for key in set(keys).difference(dots)})
-        for j in range(0, len(keys), _CHECK_STEPS // steps):
-            group, before = keys[j : j + _CHECK_STEPS // steps], mass
-            for key in group:
-                if running is not None:
-                    np.ldexp(np.dot(prefix[key], mass), exp2, out=running[t + 1 : t + steps + 1])
-                mass = dots[key](mass)
-                t += steps
-            total = _sum(mass)
-            if total <= 0.0:
-                for k, key in enumerate(group):
-                    if (dead := np.dot(prefix[key], before) <= 0.0).any():
-                        return -math.inf, t - (len(group) - k) * steps + 1 + int(dead.argmax())
-                    before = dots[key](before)
-            if total < _RESCALE_BELOW:
-                e = math.frexp(total)[1]
-                mass = np.ldexp(mass, -e)
-                exp2 += e
-    if end is not None:
-        (ea,), (eb,) = _kept(nodes, end[:1], end[1:])
-        mass = mass[max(0, -(-(ea - a - coset) // g)) : max(0, -(-(eb - a - coset) // g))]
-    return _log_mass(_sum(mass), exp2), t
+class _BlockRow:
+    """The block route's mass as `gamma._scaled_pass` carries it: on its coset's slots at the
+    start of block i, `done` steps into it, with `_blocks`' `chunks` and the end window's slots
+    on each coset.  A total inside a block is that step's row of one np.dot of the block's
+    prefix rows and the mass; the block's matvec moves the mass when the next block starts, and
+    `end` applies the last one and keeps the window's slots.  A run is 256 steps, as the work
+    of `_scaled_pass` a run is about a matvec's, and a replay redoes one run."""
+
+    run = 256
+
+    def __init__(self, mass: np.ndarray, chunks, windows: list):
+        self.mass, self.chunks, self.windows = mass, chunks, windows
+        self.blocks, self.i, self.done = [], 0, 0
+
+    def begin(self) -> list:
+        return [_sum(self.mass)]
+
+    def load(self, t: int, steps: int) -> None:
+        del self.blocks[: self.i]
+        self.i = 0  # a block is a step or more, so steps + 1 blocks hold the run
+        while len(self.blocks) <= steps and (chunk := next(self.chunks, None)) is not None:
+            *_, more, self.coset = chunk
+            self.blocks += more
+        self.back = self.mass, self.i, self.done
+
+    def advance(self, ks) -> None:
+        self.done += len(ks)  # the steps since block i began
+        while self.done > len(self.blocks[self.i][1]):
+            self.done -= len(self.blocks[self.i][1])
+            self.mass = self.blocks[self.i][0](self.mass)
+            self.i += 1
+
+    def totals(self) -> list:
+        return [np.dot(self.blocks[self.i][1], self.mass)[self.done - 1]]
+
+    def restore(self) -> None:
+        self.mass, self.i, self.done = self.back
+
+    def scale(self, q: int, e: int) -> None:
+        self.mass = np.ldexp(self.mass, -e)
+
+    def end(self) -> list:
+        return [_sum(self.blocks[self.i][0](self.mass)[self.windows[self.coset]])]  # the last matvec, then the window
 
 
 def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return_running=False, exact=False):
     """Propagate an atom law from x0 on `_lattice`'s nodes; (log_p, running, size, last).
-    The pass runs `_blocks`' route where it applies, else the step loop.  Without
-    `return_running`, running is None and either takes totals on demand.  With `exact` (the
-    DP), a move off the nodes raises NonLatticeError instead of being split between them."""
+    The pass carries `_blocks`' `_BlockRow` where the route applies, else a `_MassRow`; without
+    `return_running`, running is None.  With `exact` (the DP), a move off the nodes raises
+    NonLatticeError instead of being split between them."""
     nodes, moves, start, codes, whole = _lattice(env, tube, x0, dx)
     if exact and not whole:
         q = env.lattice_q
         raise NonLatticeError(f"atom positions do not lie on the lattice (1/{q})Z; use survival_grid")
-    plan = _blocks(nodes, moves, codes, env.atom_w, tube, start, whole)
-    if plan is not None:
-        running = np.r_[1.0, np.zeros(tube.n)] if return_running else None
-        log_total, last = _block_pass(plan, nodes, tube.end_bounds(), running)
-    else:
+    row = _blocks(nodes, moves, codes, env.atom_w, tube, start, whole)
+    if row is None:
         mass = np.zeros(len(nodes))
         mass[start] = 1.0
         step = _correlate_step(_shift_kernels(moves, codes, env.atom_w, len(nodes)), 0, tube.n, len(nodes))
         row = _MassRow(mass, nodes, tube, 0, step)
-        times = range(1, tube.n + 1) if return_running else ()
-        (final,), (exp2,), (last,), _, totals = _scaled_pass(row, [0.0], 0, tube.n, times)
-        log_total, running = _log_mass(final, exp2), np.r_[1.0, totals[0]] if return_running else None
-    return log_total + xi_log_factor(env, tube), running, len(nodes), last
+    times = range(1, tube.n + 1) if return_running else ()
+    (final,), (exp2,), (last,), _, totals = _scaled_pass(row, [0.0], 0, tube.n, times)
+    running = np.r_[1.0, totals[0]] if return_running else None
+    return _log_mass(final, exp2) + xi_log_factor(env, tube), running, len(nodes), last
 
 
 def survival_dp_lattice(

@@ -891,16 +891,15 @@ def _same_bits(lazy, eager):
 
 
 def _spy_rescales(monkeypatch):
-    """The totals at which a pass rescales the mass, in order: the step
-    loop's (`gamma._scaled_pass`) and the block route's."""
+    """The totals at which a pass rescales the mass, in order: every pass,
+    on either route, rescales in `gamma._scaled_pass`."""
     totals = []
 
     def frexp(x):
         totals.append(x)
         return math.frexp(x)
 
-    for module in (gamma_mod, quench_dp):
-        monkeypatch.setattr(module, "math", SimpleNamespace(**{**vars(math), "frexp": frexp}))
+    monkeypatch.setattr(gamma_mod, "math", SimpleNamespace(**{**vars(math), "frexp": frexp}))
     return totals
 
 
@@ -962,8 +961,9 @@ def test_lazy_replay_reads_kernels_across_blocks(monkeypatch, steps):
 
 
 def test_dp_sums_the_mass_only_at_checks(monkeypatch):
-    # without running totals the DP sums the mass every _CHECK_STEPS steps,
-    # not every step
+    # without running totals the DP reads a total only at the end of a run
+    # of steps: the block route's runs read a block's prefix rows and sum the
+    # mass only at the start and the end window, not every step
     sums = []
 
     def counted(mass):
@@ -1022,12 +1022,14 @@ def test_correlate_step_rewinds_its_time_and_live_range():
 
 
 def _spy_propagate(monkeypatch):
-    """The calls `_atom_pass` and `_grid_once` make to the step loop
-    (`_scaled_pass` on a `_MassRow`, or `_band_pass`), counted."""
+    """The calls `_atom_pass` and `_grid_once` make to the step loop off the
+    block route (`_scaled_pass` on a state other than a `_BlockRow`, or
+    `_band_pass`), counted."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        if not isinstance(args[0], quench_dp._BlockRow):
+            calls.append(args[0])
         return real(*args, **kwargs)
 
     def band(*args):
@@ -1086,9 +1088,10 @@ def test_block_route_is_the_step_loop(monkeypatch, name, g, n, extra):
         _same_pass(eager, eager_loop)
         assert lazy[0] == eager[0] and lazy[2:] == eager[2:] and math.isfinite(lazy[0])
         nodes, moves, start, codes, _ = quench_dp._lattice(env, tube, x0, 1.0 / env.lattice_q)
-        plan = quench_dp._blocks(nodes, moves, codes, env.atom_w, tube, start)
-        assert plan[1] == g
-        cosets.add((start - plan[0]) % g)
+        row = quench_dp._blocks(nodes, moves, codes, env.atom_w, tube, start)
+        assert len(row.windows) == g  # the end window's slots on each coset
+        (a,), _ = quench_dp._kept(nodes, *tube.bounds_arrays(0, 1))
+        cosets.add((start - a) % g)
     assert cosets == set(range(g))
 
 
@@ -1100,12 +1103,13 @@ def test_block_tables_depend_only_on_the_law():
     for seed in range(20):
         env = tw.sample_environment(SPECS["shift"], tube.n, seed=seed)
         first.setdefault(int(env.atom_codes[0]), env)
-    plans = []
+    rows = []
     for env in (first[0], first[1]):
         nodes, moves, start, codes, whole = quench_dp._lattice(env, tube, 0.1, 0.5)
-        plans.append(quench_dp._blocks(nodes, moves, codes, env.atom_w, tube, start, whole))
-    assert plans[0][:4] == plans[1][:4]
-    for (table, keys, *_), (other, other_keys, *_) in zip(plans[0][4], plans[1][4]):
+        rows.append(quench_dp._blocks(nodes, moves, codes, env.atom_w, tube, start, whole))
+    assert rows[0].windows == rows[1].windows
+    np.testing.assert_array_equal(rows[0].mass, rows[1].mass)
+    for (table, keys, *_), (other, other_keys, *_) in zip(rows[0].chunks, rows[1].chunks):
         assert keys != other_keys
         for a, b in zip(table, other):
             np.testing.assert_array_equal(a, b)
@@ -1143,6 +1147,24 @@ def test_block_route_rescales_a_deep_run(monkeypatch):
     lazy_rescales = _spy_rescales(monkeypatch)
     assert quench_dp._atom_pass(env, tube, 0.0, 1.0)[0] == eager[0] == block[0]
     assert len(eager_rescales) >= 8 and lazy_rescales == eager_rescales
+
+
+def test_block_route_runs_on_the_one_step_loop(monkeypatch):
+    # a block-route pass is one `_scaled_pass` call, on a `_BlockRow`; the
+    # deep +-1 walk, rescaled at each step whose total falls below 2**-500,
+    # keeps its bits past exp(-708)
+    states = []
+
+    def spy(state, *args):
+        states.append(type(state))
+        return real(state, *args)
+
+    real = quench_dp._scaled_pass
+    monkeypatch.setattr(quench_dp, "_scaled_pass", spy)
+    env, tube = _deep_rademacher(20000)
+    est = tw.survival_dp_lattice(env, tube, 0.0)
+    assert states == [quench_dp._BlockRow]
+    assert est.p == 0.0 and est.log_p.hex() == "-0x1.67910eaf07c61p+11"
 
 
 @pytest.mark.parametrize("half, kept, blocks", [(22.375, 179, True), (22.5, 181, False)])
