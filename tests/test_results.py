@@ -56,3 +56,58 @@ def test_realization_steps_view():
     genv = tw.sample_environment(tw.EnvironmentSpec.random_mean_gaussian(1.0, 2.0), 3, seed=2)
     assert genv.step_law(1).kind == "gaussian" and genv.step_law(1).std == 2.0
     assert np.all(genv.quenched_var == 4.0)
+
+
+def _matches(got, want) -> bool:
+    """`got` equals `want` in keys, types and values, floats to 1e-9 relative."""
+    if isinstance(want, dict):
+        return type(got) is dict and got.keys() == want.keys() and all(_matches(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return type(got) is list and len(got) == len(want) and all(map(_matches, got, want))
+    if isinstance(want, float):
+        return type(got) is float and math.isclose(got, want, rel_tol=1e-9)
+    return type(got) is type(want) and got == want
+
+
+def _estimate(p, log_p, work):
+    return {"p": p, "log_p": log_p, "method": "dp_lattice", "work": work, "seed": 0, "stderr_log": None,
+            "refine_delta_log": None, "flags": []}
+
+
+def test_jsonable_records_keep_their_keys_and_values():
+    """The records behind verify.json, report.json and fit.json serialise field by field."""
+    from tubewalk.cli import _jsonable
+
+    spec = tw.EnvironmentSpec.random_shift_bernoulli(0.5)
+    assert _matches(_jsonable(tw.verify_assumptions(spec)), {
+        "mean_drift_zero": True, "quenched_var_positive": True, "drift_exp_moment": True,
+        "fluct_exp_moment": True, "lambda1": 1.0, "lambda2": 1.0, "lambda3": math.e,
+        "notes": ["bounded support, |fluctuation| = 1"],
+    })
+    assert _matches(_jsonable(from_log(-math.inf, "naive_mc", work=100, stderr_log=math.inf)), {
+        "p": 0.0, "log_p": "-inf", "method": "naive_mc", "work": 100, "seed": 0, "stderr_log": "inf",
+        "refine_delta_log": None, "flags": [],
+    })
+    est = tw.estimate_gamma(0.5, horizon_t=0.01, dt=1e-3, grid_points=50, seed=3)
+    assert _matches(_jsonable(est), {
+        "beta": 0.5, "horizon_t": 0.01, "dt": 0.001, "grid_points": 50, "env_replicas": 8,
+        "gamma_hat": 0.0036172073752984025, "ci95": [0.0006452157810618061, 0.006589198969534998],
+        "per_replica_values": [0.0009584778160754933, 0.0015155225549888201, 0.002506815837488446,
+                               0.010088560306772014, 0.0005105563021204134, 0.006547789749722921,
+                               0.0006179041221767792, 0.006192032313042336],
+    })
+    tpl = tw.TubeTemplate(g=-1.0, h=1.0, alpha=0.3, f_coeff=0.0)
+    report = tw.theorem_check(spec, tpl, [8, 16, 32], estimator="dp", gamma_source=1.5, seed=5)
+    estimates = [_estimate(0.11328124999999999, -2.1778816144930886, 72),
+                 _estimate(0.066741943359375, -2.706921687722412, 176),
+                 _estimate(0.009018317796289917, -4.708497459385724, 416)]
+    assert _matches(_jsonable(report), {
+        "env_family": "random_shift_bernoulli", "sigma_a_sq": 0.25, "sigma_q_sq": 1.0, "beta": 0.5,
+        "gamma_value": 1.5, "gamma_source": "fixed",
+        "points": [{"n": n, "f_offset": 0, "x0": 0.0, "estimate": e} for n, e in zip((8, 16, 32), estimates)],
+        "fit": {"points": [[8, -2.1778816144930886], [16, -2.706921687722412], [32, -4.708497459385724]],
+                "alpha": 0.3, "slope": -1.516441766974754, "intercept": 1.5177754831156856,
+                "r_squared": 0.9412864638660687, "slope_ci95": [-6.3287096874938324, 3.295826153544324]},
+        "predicted": -0.375, "discrepancy": 3.0438447119326777, "tolerance": 0.2, "passed": False, "seed": 5,
+        "flags": [],
+    })
