@@ -20,7 +20,6 @@ variable ``TUBEWALK_THREADS`` is not read.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -35,6 +34,7 @@ from .gamma import GammaEstimate, estimate_gamma
 from .parallel import thread_map
 from .quench_dp import survival_brute_force, survival_dp_lattice
 from .rate import RunPoint, make_estimator, run_points, task_environment, theorem_check
+from .results import Record
 from .rng import derive_seed
 from .tube import c_gh
 from .walk import path_to_csv, sample_path
@@ -61,8 +61,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _jsonable(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(value).items()}
+    if isinstance(value, Record):
+        return {k: _jsonable(getattr(value, k)) for k in value._fields}
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
     if isinstance(value, np.ndarray):

@@ -16,7 +16,6 @@ import hashlib
 import inspect
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 
 from .env import _ATOM_BYTES, _STEP_BYTES, EnvironmentSpec, moments
@@ -25,6 +24,7 @@ from .gamma import estimate_gamma
 from .mc import _PATH_BYTES
 from .quench_dp import _GRID_NODE_BYTES, _NODE_BYTES, _TAP_BYTES, _atom_nodes, _grid_spacing, _start_points
 from .rate import ESTIMATORS, make_estimator, theorem_check
+from .results import Record
 from .tube import TubeTemplate
 
 SCHEMA_VERSION = 1
@@ -181,8 +181,7 @@ def _window(value, where: str):
     return (_number(value[0], where), _number(value[1], where))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Fully validated, resolved configuration."""
 
     seed: int

@@ -25,11 +25,11 @@ each step's by its code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .results import Record
 from .rng import STREAM_ENV, substream
 
 FAMILIES = ("degenerate", "random_shift_bernoulli", "random_mean_gaussian")
@@ -45,8 +45,7 @@ class InvalidSpecError(ValueError):
     """Raised when environment parameters violate the model assumptions."""
 
 
-@dataclass(frozen=True)
-class StepLaw:
+class StepLaw(Record):
     """One concrete per-step law: either a finite atom list or a Gaussian."""
 
     kind: str  # "atoms" | "gaussian"
@@ -103,8 +102,7 @@ def _lattice_denominator(positions, max_q: int = 10**6) -> int | None:
     return q if _on_lattice(positions, q) else None
 
 
-@dataclass(frozen=True)
-class EnvironmentSpec:
+class EnvironmentSpec(Record):
     """Meta-law of the i.i.d. per-step laws, with closed-form moments.
 
     Use the factory classmethods rather than the raw constructor:
@@ -207,8 +205,7 @@ def moments(spec: EnvironmentSpec) -> tuple[float, float]:
     return spec.sigma_a**2, spec.tau**2
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(Record):
     """Outcome of checking the standing model assumptions on a spec."""
 
     mean_drift_zero: bool
@@ -279,8 +276,7 @@ def verify_assumptions(spec: EnvironmentSpec) -> AssumptionReport:
 _STEP_BYTES, _ATOM_BYTES = 64, 32
 
 
-@dataclass(frozen=True, eq=False)
-class EnvRealization:
+class EnvRealization(Record, eq=False):
     """One sampled environment: a length-long sequence of concrete step laws.
 
     Stored as structure-of-arrays for vectorised samplers; ``step_law(i)``
@@ -300,7 +296,7 @@ class EnvRealization:
     atom_codes: np.ndarray | None = None  # (length,) uint8: each step's kind
     atom_w: np.ndarray | None = None  # (k,), shared across steps
     stds: np.ndarray | None = None  # (length,) for gaussian
-    lattice_q: int | None = field(default=None)
+    lattice_q: int | None = None
 
     def __len__(self) -> int:
         return self.length

@@ -55,15 +55,16 @@ Two systematic errors are handled explicitly:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .results import Record
 from .rng import STREAM_GAMMA_W, substream
 
 GAMMA_ZERO = math.pi**2 / 2
@@ -493,18 +494,18 @@ def _scaled_pass(state, floors: list, t0: int, n: int, times=()):
     q by 2**-e, ``zero(q)`` clears it when it dies while another row lives,
     and ``end()`` cuts the rows to the end window and returns their totals.
 
-    Totals are read after each run and at each time of `times`, where runs
-    end.  A run after which a live row's total is below twice _RESCALE_BELOW,
-    or below twice floors[q] of its total before the run, is restored and
-    replayed with a total at every step.  Totals shrink over steps but for
-    round-off, so each row is rescaled by an exact power of two at the step
-    its total drops below _RESCALE_BELOW (a deep row neither underflows nor
-    stalls on denormals, and no bit moves above it), and dies at the first
-    time whose total is not positive, on the same steps and with the same
-    bits as with a total at every step; and no cut of a run that is not
-    replayed keeps less than floors[q] of the mass carried into it.  When
-    `times` holds every time t0+1..n-1, every step's total is read and no
-    run is replayed.
+    Totals are read after each run and at each time of `times` (which
+    increase), where runs end.  A run after which a live row's total is
+    below twice _RESCALE_BELOW, or below twice floors[q] of its total before
+    the run, is restored and replayed with a total at every step.  Totals
+    shrink over steps but for round-off, so each row is rescaled by an exact
+    power of two at the step its total drops below _RESCALE_BELOW (a deep
+    row neither underflows nor stalls on denormals, and no bit moves above
+    it), and dies at the first time whose total is not positive, on the same
+    steps and with the same bits as with a total at every step; and no cut
+    of a run that is not replayed keeps less than floors[q] of the mass
+    carried into it.  When `times` holds every time t0+1..n-1, every step's
+    total is read and no run is replayed.
 
     Returns, one value a row: the final total and its exponent (the mass in
     the end window is final * 2**exp2; final is 0 where the row died), the
@@ -520,18 +521,20 @@ def _scaled_pass(state, floors: list, t0: int, n: int, times=()):
     total, exp2, kept = [1.0] * width, [0] * width, [1.0] * width
     last, alive = [n] * width, [True] * width
     recorded = np.zeros((width, len(times)))
-    slot = {time: j for j, time in enumerate(times)}
+    col = 0  # times[col] is the first time of `times` not before the last time settled
 
     def settle(t: int, moved: list) -> None:
         """Time t's kept fractions (t0 moves nothing), totals at `times`,
-        rescales and deaths, from its totals `moved`."""
-        col = slot.get(t)
+        rescales and deaths, from its totals `moved`; t increases call by call."""
+        nonlocal col
+        col = bisect.bisect_left(times, t, col)
+        read = col < len(times) and times[col] == t
         for q, m in enumerate(moved):
             if not alive[q]:
                 continue
             if t > t0 and m < kept[q] * total[q]:
                 kept[q] = m / total[q]
-            if col is not None:  # 0 for a negative total, which round-off can leave a band state
+            if read:  # 0 for a negative total, which round-off can leave a band state
                 recorded[q, col] = math.ldexp(max(0.0, m), exp2[q])
             if m < _RESCALE_BELOW:
                 if m <= 0.0:
@@ -546,14 +549,14 @@ def _scaled_pass(state, floors: list, t0: int, n: int, times=()):
             total[q] = m
 
     settle(t0, state.begin())
-    ends = sorted({time for time in times if t0 < time < n})
-    eager = len(ends) == n - t0 - 1  # a total at every time: no run is tried without
+    # a total at every time t0+1..n-1: no run is tried without
+    eager = bisect.bisect_left(times, n) - bisect.bisect_right(times, t0) == n - t0 - 1
     low, floors = 2.0 * _RESCALE_BELOW, [2.0 * f for f in floors]
-    t, j = t0, 0  # ends[j] is the first time of `times` past t
+    t, j = t0, 0
     while t < n and any(alive):
-        while j < len(ends) and ends[j] <= t:
-            j += 1
-        steps = min(state.run, n - t if eager or j == len(ends) else ends[j] - t)
+        j = bisect.bisect_right(times, t, j)  # times[j] is the first time of `times` past t
+        stop = times[j] if j < len(times) and times[j] < n else n
+        steps = min(state.run, n - t if eager else stop - t)
         state.load(t, steps)
         if steps > 1 and not eager:
             state.advance(range(steps))
@@ -782,8 +785,7 @@ def quenched_bm_confinement(
     return float(probs[0, 0])
 
 
-@dataclass(frozen=True)
-class GammaEstimate:
+class GammaEstimate(Record):
     """Point estimate of the confinement rate at one beta."""
 
     beta: float

@@ -18,7 +18,6 @@ not simulated: both estimators add the one analytic factor
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -160,7 +159,7 @@ def survival_naive_mc(
     if replicas < 100:
         raise ValueError("replicas must be >= 100")
     est = survival_splitting(env, tube, x0, replicas, 1, seed)
-    return dataclasses.replace(est, method=METHOD_NAIVE_MC, work=replicas)
+    return est.replace(method=METHOD_NAIVE_MC, work=replicas)
 
 
 def survival_splitting(

@@ -15,7 +15,6 @@ configured tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,15 +23,14 @@ from .env import EnvironmentSpec, moments, sample_environment
 from .mc import survival_naive_mc, survival_splitting
 from .parallel import thread_map
 from .quench_dp import survival_brute_force, survival_dp_lattice, survival_grid, survival_start_sweep
-from .results import SurvivalEstimate
+from .results import Record, SurvivalEstimate
 from .rng import derive_seed
 from .tube import TubeTemplate, predicted_rate
 
 ESTIMATORS = ("auto", "dp", "grid", "naive", "splitting", "brute")
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(Record):
     """OLS fit of log_p against n^(1-2 alpha)."""
 
     points: tuple[tuple[int, float], ...]
@@ -81,8 +79,7 @@ def decay_fit(points, alpha: float) -> RateFit:
     )
 
 
-@dataclass(frozen=True)
-class RunPoint:
+class RunPoint(Record):
     """One survival estimate of the n ladder: tube n, its offset and the start."""
 
     n: int
@@ -133,8 +130,7 @@ def run_points(env_spec: EnvironmentSpec, tube_template: TubeTemplate, n_list, r
     return [p for points in thread_map(one, range(len(n_list))) for p in points]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Comparison of the fitted decay constant with the predicted rate."""
 
     env_family: str

@@ -10,9 +10,10 @@ compare walk positions to the real-valued bounds directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .results import Record
 
 Breakpoints = tuple[tuple[float, float], ...]
 
@@ -43,8 +44,7 @@ def _interp(pts: Breakpoints, s) -> np.ndarray | float:
     return np.interp(s, xs, ys)
 
 
-@dataclass(frozen=True)
-class TubeSpec:
+class TubeSpec(Record):
     """A concrete tube instance for one walk length n.
 
     ``start_window`` (a0, b0) and ``end_window`` (a1, b1) are expressed in
@@ -186,8 +186,7 @@ def predicted_rate(tube: TubeSpec, sigma_a_sq: float, sigma_q_sq: float, gamma_v
     return -c_gh(tube) * sigma_q_sq * gamma_value
 
 
-@dataclass(frozen=True)
-class TubeTemplate:
+class TubeTemplate(Record):
     """Tube family over n: fixed shape, with n and f(n) substituted per run.
 
     The start offset follows the power rule f(n) = floor(f_coeff * n^f_power).

@@ -13,16 +13,14 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .env import EnvRealization
+from .results import Record
 from .rng import STREAM_PATH, substream
 
 
-@dataclass(frozen=True, eq=False)
-class WalkPath:
+class WalkPath(Record, eq=False):
     """One sampled path of length n: arrays of length n+1, index 0 = start."""
 
     s: np.ndarray

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -251,7 +250,7 @@ def _kernel_cases():
     )
     gauss = tw.sample_environment(tw.EnvironmentSpec.random_mean_gaussian(1.0, 1.3), 64, seed=6)
     flat = tw.TubeSpec(g=-2.0, h=2.0, alpha=0.3, n=24, f_offset=4, xi_threshold=3.0)
-    plain = dataclasses.replace(moving, end_window=None, xi_threshold=None)
+    plain = moving.replace(end_window=None, xi_threshold=None)
     quarters = tw.sample_environment(
         tw.EnvironmentSpec.degenerate([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]), 64, seed=4
     )

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -484,13 +483,13 @@ def test_grid_refuses_stds_that_vary():
     env = tw.sample_environment(SPECS["gauss"], tube.f_offset + tube.n, seed=25)
     stds = env.stds.copy()
     stds[tube.f_offset + 7] = 0.8
-    varied = dataclasses.replace(env, stds=stds, quenched_var=stds**2)
+    varied = env.replace(stds=stds, quenched_var=stds**2)
     with pytest.raises(ValueError, match="env.stds runs from 0.8 to 1"):
         tw.survival_grid(varied, tube, 0.3, 120)
     # steps outside the tube's window do not count
     stds = env.stds.copy()
     stds[: tube.f_offset] = 0.8
-    outside = dataclasses.replace(env, stds=stds, quenched_var=stds**2)
+    outside = env.replace(stds=stds, quenched_var=stds**2)
     assert tw.survival_grid(outside, tube, 0.3, 120) == tw.survival_grid(env, tube, 0.3, 120)
 
 
@@ -610,7 +609,7 @@ def test_grid_flags_steps_lost_in_roundoff(monkeypatch, name, grid_points, side)
     assert "grid_roundoff" not in tw.survival_grid(env, tube, x0, grid_points).flags
     means = env.quenched_mean.copy()
     means[tube.f_offset + 100] = 50.0
-    est = tw.survival_grid(dataclasses.replace(env, quenched_mean=means), tube, x0, grid_points)
+    est = tw.survival_grid(env.replace(quenched_mean=means), tube, x0, grid_points)
     assert "grid_roundoff" in est.flags
     assert set(sides[2:]) == {side}
 
@@ -641,7 +640,7 @@ def _with_jump(env, tube, jump):
     the mass far past it."""
     means = env.quenched_mean.copy()
     means[tube.f_offset + 100] = jump
-    return dataclasses.replace(env, quenched_mean=means)
+    return env.replace(quenched_mean=means)
 
 
 def _pair_cases():
@@ -835,13 +834,13 @@ def test_running_totals_keep_their_pinned_bits(cfg, idx, n, digest):
     assert running.shape == (n + 1,) and hashlib.sha256(running.tobytes()).hexdigest() == digest
 
 
-def _dp_peak(cfg, n: int) -> int:
+def _dp_peak(cfg, n: int, return_running: bool = False) -> int:
     """Bytes tracemalloc sees at the peak of a DP pass (the environment is made before)."""
     tube = cfg.template.make(n)
     env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, derive_seed(0, 11, 0))
     tracemalloc.start()
     try:
-        tw.survival_dp_lattice(env, tube, tube.default_x0())
+        tw.survival_dp_lattice(env, tube, tube.default_x0(), return_running)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -855,6 +854,12 @@ def test_dp_memory_is_flat_in_n():
     # widening tube grows with the tube's width only (x1.5 over these n)
     assert _dp_peak(BUILTIN_SHIFT, 200_000) <= 2.5 * 2**20
     assert _dp_peak(DP_LOOP_CI, 50_000) <= 1.25 * _dp_peak(DP_LOOP_CI, 12_500)
+
+
+def test_running_totals_hold_no_python_int_per_time():
+    # the running totals at n = 200000 are 1.53 MiB, held twice while the
+    # result is built; a dict and a list of the times would add about 37 MiB
+    assert _dp_peak(BUILTIN_SHIFT, 200_000, return_running=True) <= 8 * 2**20
 
 
 def _deep_rademacher(n):
@@ -1233,7 +1238,7 @@ def test_dp_rejects_moves_off_the_declared_lattice(monkeypatch):
     # the DP refuses them and the grid splits each move between two nodes
     tube = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.3, n=50)
     env = tw.sample_environment(SPECS["off-lattice"], tube.n, seed=3)
-    declared = dataclasses.replace(env, lattice_q=2)
+    declared = env.replace(lattice_q=2)
     assert not quench_dp._lattice(declared, tube, 0.0, 0.5)[4]
     scans = _spy_scans(monkeypatch)
     with pytest.raises(tw.NonLatticeError, match=r"\(1/2\)Z; use survival_grid"):

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tubewalk as tw
-from tubewalk.results import SurvivalEstimate, from_log
+from tubewalk.results import FrozenInstanceError, Record, SurvivalEstimate, from_log
 
 
 def test_p_and_log_p_must_agree():
@@ -111,3 +115,80 @@ def test_jsonable_records_keep_their_keys_and_values():
         "predicted": -0.375, "discrepancy": 3.0438447119326777, "tolerance": 0.2, "passed": False, "seed": 5,
         "flags": [],
     })
+
+
+def test_records_refuse_assignment_and_deletion():
+    tube = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.3, n=10)
+    env = tw.sample_environment(tw.EnvironmentSpec.rademacher(), 5, seed=0)
+    for record, name in ((tube, "n"), (from_log(-1.0, "grid", work=1), "p"), (env, "seed"), (tube, "other")):
+        with pytest.raises(FrozenInstanceError, match=repr(name)):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tube.n == 10 and env.seed == 0 and issubclass(FrozenInstanceError, AttributeError)
+
+
+def test_records_take_positional_and_keyword_fields():
+    assert SurvivalEstimate(0.5, math.log(0.5), "grid", 3) == from_log(math.log(0.5), "grid", work=3)
+    assert SurvivalEstimate(0.5, math.log(0.5), "grid", 3).flags == ()
+    for args, kw, match in (((0.5,), {}, "missing"), ((0.5, -0.69, "grid", 1), {"p": 0.5}, "multiple"),
+                            ((), {"bogus": 1}, "unexpected"), ((1,) * 9, {}, "positional")):
+        with pytest.raises(TypeError, match=match):
+            SurvivalEstimate(*args, **kw)
+
+
+def test_records_compare_and_hash_by_fields_and_class():
+    class Pair(Record):
+        a: int
+        b: int = 2
+
+    class Other(Record):
+        a: int
+        b: int = 2
+
+    assert Pair._fields == ("a", "b") and Pair(1) == Pair(1, 2) == Pair(a=1, b=2)
+    assert hash(Pair(1)) == hash(Pair(1, 2)) and Pair(1) != Pair(1, 3)
+    assert Pair(1) != Other(1) and len({Pair(1), Pair(1, 2), Other(1)}) == 2
+    assert repr(Pair(1)) == "test_records_compare_and_hash_by_fields_and_class.<locals>.Pair(a=1, b=2)"
+    tube = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.3, n=10)
+    assert tube == tw.TubeSpec(g=((0.0, -1.0), (1.0, -1.0)), h=1, alpha=0.3, n=10)  # g and h normalised
+    assert hash(tube) == hash(tube.replace()) and tube != tube.replace(n=11)
+
+
+def test_replace_runs_the_checks_again():
+    tube = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.3, n=10)
+    assert tube.replace(n=20).n == 20 and tube.replace(g=-2.0).g == ((0.0, -2.0), (1.0, -2.0))
+    with pytest.raises(ValueError, match="alpha"):
+        tube.replace(alpha=0.7)
+    est = from_log(-1.0, "grid", work=10)
+    with pytest.raises(ValueError, match="stderr_log"):
+        est.replace(method="naive_mc")
+    assert est.replace(method="naive_mc", stderr_log=0.1).method == "naive_mc" and est.method == "grid"
+    spec = tw.EnvironmentSpec.random_shift_bernoulli(0.5)
+    assert spec.lattice_q == 2 and spec.replace(d=0.25, lattice_q=None).lattice_q == 4
+    with pytest.raises(tw.InvalidSpecError, match=r"\(1/2\)Z"):
+        spec.replace(d=0.25)  # the derived lattice_q is a field like any other
+    with pytest.raises(TypeError, match="unexpected"):
+        spec.replace(q=4)
+
+
+def test_array_records_compare_by_identity():
+    spec = tw.EnvironmentSpec.random_shift_bernoulli(0.5)
+    env = tw.sample_environment(spec, 7, seed=2)
+    twin = tw.sample_environment(spec, 7, seed=2)
+    assert env == env and env != twin and len({env, twin}) == 2
+    assert env.atom_pos is env.atom_pos and not env.atom_pos.flags.writeable
+    assert env.replace(seed=3).seed == 3 and "atom_pos" not in vars(env.replace())
+    path = tw.sample_path(env, 0, 6, 0.0, seed=1)
+    same_draw = tw.sample_path(env, 0, 6, 0.0, seed=1)
+    assert path == path and path != same_draw and len({path, same_draw}) == 2
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # the records are built without generated code, so no run imports dataclasses
+    env = dict(os.environ)
+    src = str(Path(tw.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, tubewalk.cli; sys.exit('dataclasses' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -97,7 +96,7 @@ def test_template_offset_rule_and_make():
     assert tpl.f_offset(100) == 10
     tube = tpl.make(100)
     assert tube.n == 100 and tube.f_offset == 10
-    assert dataclasses.replace(tpl, f_coeff=0.0).f_offset(100) == 0
+    assert tpl.replace(f_coeff=0.0).f_offset(100) == 0
 
 
 def test_default_x0_prefers_start_window():
