@@ -19,10 +19,10 @@ import math
 from importlib import resources
 
 from .env import _ATOM_BYTES, _STEP_BYTES, EnvironmentSpec, moments
-from .gamma import _FLOAT_BYTES, _MEMORY_BUDGET, _REPLICA_BATCH, BARRIER_SHIFT, _kernel_layout, _layout, _run_bytes
-from .gamma import estimate_gamma
+from .gamma import _REPLICA_BATCH, BARRIER_SHIFT, _layout, estimate_gamma
 from .mc import _PATH_BYTES
-from .quench_dp import _GRID_NODE_BYTES, _NODE_BYTES, _TAP_BYTES, _atom_nodes, _grid_spacing, _start_points
+from .propagate import _FLOAT_BYTES, _GRID_NODE_BYTES, _MEMORY_BUDGET, _NODE_BYTES, _TAP_BYTES, _atom_nodes
+from .propagate import _grid_spacing, _kernel_layout, _run_bytes
 from .rate import ESTIMATORS, make_estimator, theorem_check
 from .results import Record
 from .tube import TubeTemplate
@@ -73,7 +73,7 @@ class ConfigError(ValueError):
 
 def _within_budget(count, unit_bytes: int, unit: str, keys: str, where: str = "") -> None:
     """Refuse `count` units of `unit_bytes` bytes, set by `keys` and held `where`, past the memory
-    budget (`gamma._MEMORY_BUDGET`), which each run holds alone: runs are sequential."""
+    budget (`propagate._MEMORY_BUDGET`), which each run holds alone: runs are sequential."""
     cap = _MEMORY_BUDGET // unit_bytes
     if count > cap:
         shown = f"{count:.6g}" if isinstance(count, float) else count
@@ -284,7 +284,7 @@ def _check_env_length(template: TubeTemplate, n_list, env_spec: EnvironmentSpec)
 def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_list) -> None:
     """Reject a Gaussian environment whose grid step kernel or padded row overflows the budget.
 
-    `quench_dp.survival_grid` lays a pass out by `gamma._kernel_layout`; with
+    `quench_dp.survival_grid` lays a pass out by `propagate._kernel_layout`; with
     8 sigma_a for the largest |step mean| the kernel is widest, and the row
     that holds the `estimator.grid_points` nodes and the kernel's reach
     longest, at the smallest n, whose tube span gives the finest grid.
@@ -306,8 +306,8 @@ def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTempl
 
 def _check_atom_nodes(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_list, x0, sweep) -> None:
     """Reject an atom law whose atom pass lays out more nodes than the budget holds, counted by
-    `quench_dp._atom_nodes` at every start a run takes: the exact DP's on the law's lattice
-    (`dp`, and `auto` on a lattice law), or the grid's at `quench_dp._grid_spacing` (`grid`, and
+    `propagate._atom_nodes` at every start a run takes: the exact DP's on the law's lattice
+    (`dp`, and `auto` on a lattice law), or the grid's at `propagate._grid_spacing` (`grid`, and
     `auto` off every lattice)."""
     q, method = env_spec.lattice_q, est["method"]
     exact = method in ("dp", "auto") and q is not None
@@ -318,7 +318,7 @@ def _check_atom_nodes(est: dict, env_spec: EnvironmentSpec, template: TubeTempla
     for n in n_list:
         tube = template.make(n)
         lo, up = tube.extent()
-        starts = _start_points(tube) if sweep else [tube.default_x0() if x0 is None else x0]
+        starts = tube.start_points() if sweep else [tube.default_x0() if x0 is None else x0]
         try:
             dx = 1.0 / q if exact else _grid_spacing(env_spec, up - lo, est["grid_points"])
             nodes = max(_atom_nodes(q, dx, lo, up, x)[3] for x in starts)

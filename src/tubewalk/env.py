@@ -29,16 +29,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .propagate import _LATTICE_TOL
 from .results import Record
 from .rng import STREAM_ENV, substream
 
 FAMILIES = ("degenerate", "random_shift_bernoulli", "random_mean_gaussian")
 
 _MOMENT_TOL = 1e-12
-# An atom p lies on (1/q)Z when p*q is this close to a whole number; the exact
-# DP rounds its moves there (`quench_dp._lattice`), so a lattice is declared
-# by this one rule.
-_LATTICE_TOL = 1e-9
 
 
 class InvalidSpecError(ValueError):

@@ -23,7 +23,8 @@ import math
 import numpy as np
 
 from .env import EnvRealization
-from .quench_dp import _NODE_CAP, _atom_nodes, _kept, _lattice, _require_open_start, xi_log_factor
+from .propagate import _NODE_CAP, _atom_nodes, _check_span, _end_nodes, _kept, _lattice, _require_open_start
+from .quench_dp import xi_log_factor
 from .results import METHOD_NAIVE_MC, METHOD_SPLITTING, SurvivalEstimate, from_log
 from .rng import STREAM_SPLIT, substream
 from .tube import TubeSpec
@@ -80,7 +81,7 @@ def _advance(
 
 
 def _bit_law(env: EnvRealization, tube: TubeSpec, x0: float):
-    """(nodes, moves, start, codes, cuts, bits) for `_advance_nodes` (`quench_dp._lattice`'s four),
+    """(nodes, moves, start, codes, cuts, bits) for `_advance_nodes` (`propagate._lattice`'s four),
     or None for the float kernel.  A particle-step's `bits` <= 8 random bits, read as v, take
     atom j where v >= cuts[j-1] = (w_0 + ... + w_{j-1}) 2^bits.
     A lattice of more than _NODE_CAP nodes is counted, not laid out: the float kernel needs none."""
@@ -108,7 +109,7 @@ def _node_workspace(law, particles: int, length: int):
 
 def _advance_nodes(law, start_index: int, start: np.ndarray, lo: np.ndarray, up: np.ndarray, rng, work=None):
     """`_advance` on `_bit_law`'s node indices.  A particle dies at the first node the DP does
-    not keep (`quench_dp._kept`), then keeps moving.  A step draws bits * ceil(P/64) raw words;
+    not keep (`propagate._kept`), then keeps moving.  A step draws bits * ceil(P/64) raw words;
     particle i takes bit i mod 64 of word k * ceil(P/64) + i // 64 as its k-th most significant
     bit, in chunks of steps that change no result.  `work` is `_node_workspace`'s pair (made
     for this block when None); positions have its dtype."""
@@ -184,8 +185,7 @@ def survival_splitting(
     n, f = tube.n, tube.f_offset
     if not 1 <= checkpoints <= n:
         raise ValueError("checkpoints must satisfy 1 <= checkpoints <= n")
-    if f + n > env.length:
-        raise IndexError("environment too short for this tube")
+    _check_span(env, tube)
     _require_open_start(tube, x0)
     end = tube.end_bounds()
     work = particles * n
@@ -203,7 +203,7 @@ def survival_splitting(
         space = _node_workspace(law, particles, lengths[-1])
         advance, pos = (lambda t, *args: _advance_nodes(law, t, *args, space)), np.full(particles, law[2])
         if end is not None:  # the end window's node indices, closed
-            (a,), (b,) = _kept(law[0], end[:1], end[1:])
+            a, b = _end_nodes(law[0], tube)
             end = (a, b - 1)
     log_acc = 0.0
     var_acc = 0.0

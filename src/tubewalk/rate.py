@@ -68,7 +68,7 @@ def decay_fit(points, alpha: float) -> RateFit:
     r2 = 1.0 if sst == 0.0 else min(1.0, max(0.0, 1.0 - ssr / sst))
     dof = len(pts) - 2
     se = math.sqrt(ssr / dof / sxx)
-    half = gamma_mod._t_quantile(dof, 0.975) * se
+    half = gamma_mod.t_quantile(dof, 0.975) * se
     return RateFit(
         points=pts,
         alpha=alpha,

@@ -143,6 +143,19 @@ class TubeSpec(Record):
         c = self.scale
         return self.end_window[0] * c, self.end_window[1] * c
 
+    def start_points(self, points: int = 11) -> np.ndarray:
+        """`points` start points across the start window, or across the
+        interior of (g(0), h(0)) when there is none; the middle of an odd
+        number of points is `default_x0()` to the bit."""
+        c = self.scale
+        if self.start_window is not None:
+            xs = np.linspace(self.start_window[0] * c, self.start_window[1] * c, points)
+        else:
+            xs = np.linspace(self.g_at(0.0) * c, self.h_at(0.0) * c, points + 2)[1:-1]
+        if points % 2:
+            xs[points // 2] = self.default_x0()
+        return xs
+
     def default_x0(self) -> float:
         """Midpoint start: centre of the start window, else of (g(0), h(0))."""
         if self.start_window is not None:

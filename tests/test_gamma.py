@@ -9,14 +9,9 @@ from scipy.special import ndtr, stdtrit
 
 import tubewalk as tw
 import tubewalk.gamma as gamma_mod
-from tubewalk import quench_dp
-from tubewalk.gamma import (
-    BARRIER_SHIFT,
-    _band_modes,
-    _confinement_profiles,
-    _fast_len,
-    _kernel_modes,
-)
+from tubewalk import propagate
+from tubewalk.gamma import BARRIER_SHIFT, _confinement_profiles
+from tubewalk.propagate import _band_modes, _fast_len, _kernel_modes
 from tubewalk.rng import STREAM_GAMMA_W, derive_seed, substream
 
 PI2_2 = math.pi**2 / 2
@@ -230,8 +225,8 @@ def _spy_basis(monkeypatch):
         calls.append(np.array(positions))
         return real(n, band, positions)
 
-    real = gamma_mod._band_basis
-    monkeypatch.setattr(gamma_mod, "_band_basis", spy)
+    real = propagate._band_basis
+    monkeypatch.setattr(propagate, "_band_basis", spy)
     return calls
 
 
@@ -263,7 +258,7 @@ def test_band_cut_matches_fft_of_cut_basis(monkeypatch, n, grid, band, first):
     rows = 2 * band
     calls = _spy_basis(monkeypatch)
     got = np.empty((rows, rows))
-    gamma_mod._apply_cut(gamma_mod._cut_form(n, band, a, b, rows), np.eye(rows), got)
+    propagate._apply_cut(propagate._cut_form(n, band, a, b, rows), np.eye(rows), got)
     # reference: rfft of each band basis mode's irfft, cut to the nodes [a, b)
     basis = np.eye(rows).view(complex)  # row 2j: mode j; row 2j + 1: 1j * mode j
     cut = np.fft.irfft(basis, n)
@@ -290,17 +285,17 @@ def test_band_cut_matches_fft_of_cut_basis(monkeypatch, n, grid, band, first):
 def test_cut_operator_matches_the_basis_product(n, band, a, b):
     # the closed form against the sum over the kept nodes; with n = 108 the
     # band holds the Nyquist mode, and n divides j + k = 108
-    left, right = gamma_mod._band_basis(n, band, np.arange(a, b))
+    left, right = propagate._band_basis(n, band, np.arange(a, b))
     want = left @ right
-    got = gamma_mod._cut_operator(n, band, a, b)
+    got = propagate._cut_operator(n, band, a, b)
     assert not got[want == 0.0].any()  # the imaginary parts of modes 0 and n/2
     np.testing.assert_allclose(got, want, rtol=0.0, atol=5e-15 * np.abs(want).max())
 
 
 def _constant_rows(mass, means, dx, n, band, grid):
-    """`gamma._BandRows` of `mass` on all `grid` nodes at every time."""
+    """`propagate._BandRows` of `mass` on all `grid` nodes at every time."""
     every = (0, grid)
-    return gamma_mod._BandRows(mass, means, dx, n, band, every, itertools.repeat(every), every, 0.0)
+    return propagate._BandRows(mass, means, dx, n, band, every, itertools.repeat(every), every, 0.0)
 
 
 @pytest.mark.parametrize("dt, grid", [(1e-3, 400), (1.6e-5, 100)], ids=["dense", "factors"])
@@ -310,11 +305,11 @@ def test_band_rows_equal_single_row_passes(dt, grid):
     sd = math.sqrt(dt)
     drifts = np.random.default_rng(14).normal(0.0, 0.5 * sd, (5, 100))
     half, dx, n, band = gamma_mod._layout(dt, grid, max_drift=np.abs(drifts).max())
-    first = gamma_mod._bin_masses(drifts[:, 0] - (0.5 * dx - half), sd, dx, n, band, 0, grid)
+    first = propagate._bin_masses(drifts[:, 0] - (0.5 * dx - half), sd, dx, n, band, 0, grid)
 
     def profile(means, mass):
         rows = _constant_rows(mass, means, dx, n, band, grid)
-        return gamma_mod._band_pass([rows], sd, 1, drifts.shape[1], range(2, drifts.shape[1] + 1))[4][0]
+        return propagate._band_pass([rows], sd, 1, drifts.shape[1], range(2, drifts.shape[1] + 1))[4][0]
 
     rows = profile(drifts.T, first.copy())
     assert rows.shape == (5, 99)
@@ -334,11 +329,11 @@ def test_confinement_row_is_the_grid_pass_on_a_constant_tube():
     half, dx, n, band = gamma_mod._layout(dt, grid, max_drift=np.abs(drifts).max())
     nodes = -half + (np.arange(grid) + 0.5) * dx
     tube = tw.TubeSpec(g=-half / steps**0.25, h=half / steps**0.25, alpha=0.25, n=steps)  # [-half, half], to an ulp
-    (a,), (b,) = quench_dp._kept(nodes, *tube.bounds_arrays(0, 1))
+    (a,), (b,) = propagate._kept(nodes, *tube.bounds_arrays(0, 1))
     assert (a, b) == (0, grid)
-    mass = gamma_mod._bin_masses(drifts[:, 0] - nodes[0], sd, dx, n, band, 0, grid)
-    rows = gamma_mod._BandRows(mass, drifts.T, dx, n, band, (a, b), quench_dp._ranges(nodes, tube, 1), (a, b), 0.0)
-    np.testing.assert_array_equal(profiles, gamma_mod._band_pass([rows], sd, 1, steps, cps)[4][0])
+    mass = propagate._bin_masses(drifts[:, 0] - nodes[0], sd, dx, n, band, 0, grid)
+    rows = propagate._BandRows(mass, drifts.T, dx, n, band, (a, b), propagate._ranges(nodes, tube, 1), (a, b), 0.0)
+    np.testing.assert_array_equal(profiles, propagate._band_pass([rows], sd, 1, steps, cps)[4][0])
 
 
 @pytest.mark.parametrize(
@@ -367,13 +362,13 @@ def test_run_bytes_bound_the_traced_peak(dt, grid, replicas, beta):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= gamma_mod._run_bytes(grid, n, band, replicas)
+    assert peak <= propagate._run_bytes(grid, n, band, replicas)
 
 
 def test_t_quantile_matches_scipy():
     dofs = [*range(1, 301), 1000, 20000]
     for prob in (0.95, 0.975, 0.995):
-        got = np.array([gamma_mod._t_quantile(dof, prob) for dof in dofs])
+        got = np.array([gamma_mod.t_quantile(dof, prob) for dof in dofs])
         np.testing.assert_allclose(got, stdtrit(dofs, prob), rtol=1e-11, atol=0.0)
 
 
@@ -388,7 +383,7 @@ def test_estimate_gamma_does_not_depend_on_batching(monkeypatch):
     kwargs = dict(horizon_t=1.0, dt=0.01, grid_points=60, env_replicas=11, seed=5)
     whole = tw.estimate_gamma(0.7, **kwargs)
     monkeypatch.setattr(gamma_mod, "_REPLICA_BATCH", 4)
-    monkeypatch.setattr(gamma_mod, "_FFT_BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(propagate, "_FFT_BLOCK_ENTRIES", 1000)
     split = tw.estimate_gamma(0.7, **kwargs)
     np.testing.assert_allclose(split.per_replica_values, whole.per_replica_values, rtol=1e-12)
 
@@ -398,7 +393,7 @@ def test_estimate_gamma_does_not_depend_on_the_transform_block_size(monkeypatch)
     # closed form, so the estimate keeps every bit
     kwargs = dict(horizon_t=1.0, dt=1e-3, grid_points=400, env_replicas=11, seed=5)
     whole = tw.estimate_gamma(0.7, **kwargs)
-    monkeypatch.setattr(gamma_mod, "_FFT_BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(propagate, "_FFT_BLOCK_ENTRIES", 1000)
     assert tw.estimate_gamma(0.7, **kwargs).per_replica_values == whole.per_replica_values
 
 
@@ -411,9 +406,9 @@ def test_confinement_profiles_work_out_the_band_once(monkeypatch):
         calls.append(n)
         return real(s, n)
 
-    real = gamma_mod._band_modes
-    monkeypatch.setattr(gamma_mod, "_band_modes", counted)
-    monkeypatch.setattr(gamma_mod, "_FFT_BLOCK_ENTRIES", 100)
+    real = propagate._band_modes
+    monkeypatch.setattr(propagate, "_band_modes", counted)
+    monkeypatch.setattr(propagate, "_FFT_BLOCK_ENTRIES", 100)
     drifts = -0.5 * np.random.default_rng(18).normal(0.0, math.sqrt(1e-3), (3, 200))
     _confinement_profiles(drifts, 1e-3, 400, 0.0, True, (100, 200))
     assert 1 <= len(calls) <= 2
@@ -475,7 +470,7 @@ def test_beta_zero_propagates_one_replica(monkeypatch):
     np.testing.assert_allclose(est.per_replica_values, slopes, rtol=1e-14, atol=0.0)
     mean = float(np.mean(slopes))
     np.testing.assert_allclose(est.gamma_hat, mean, rtol=1e-14, atol=0.0)
-    half = gamma_mod._t_quantile(10, 0.975) * float(np.std(slopes, ddof=1)) / math.sqrt(11)
+    half = gamma_mod.t_quantile(10, 0.975) * float(np.std(slopes, ddof=1)) / math.sqrt(11)
     np.testing.assert_allclose(est.ci95, (mean - half, mean + half), rtol=1e-14, atol=0.0)
 
 
@@ -487,7 +482,7 @@ def test_unit_phases_running_product_matches_exp(count):
     step = rng.uniform(-1.0, 1.0, 64) * (6.0 / count)
     angle0 = rng.uniform(-8.0, 8.0, 64)
     angle0[0] = step[1] = 0.0
-    got = gamma_mod._unit_phases(angle0, step, count)
+    got = propagate._unit_phases(angle0, step, count)
     assert got.shape == (count, 64)
     want = np.exp(-1j * (angle0 + np.arange(count)[:, None] * step))
     assert np.abs(got - want).max() <= 1e-14
@@ -504,10 +499,11 @@ def test_confinement_profiles_do_not_depend_on_the_transform_blocks(monkeypatch,
     # replica) is the reference
     drifts = -0.5 * np.random.default_rng(16).normal(0.0, math.sqrt(dt), (replicas, 300))
     cps = (150, 225, 300)
-    real = gamma_mod._block_steps
-    monkeypatch.setattr(gamma_mod, "_block_steps", lambda width, _: 1)
+    real, widths = propagate._block_steps, []
+    monkeypatch.setattr(propagate, "_block_steps", lambda width, _: widths.append(width) or 1)
     single = _confinement_profiles(drifts, dt, grid, 0.0, True, cps)
-    monkeypatch.setattr(gamma_mod, "_block_steps", lambda width, _: real(width, entries))
+    assert widths  # the blocks were sized by the stub
+    monkeypatch.setattr(propagate, "_block_steps", lambda width, _: real(width, entries))
     np.testing.assert_array_equal(_confinement_profiles(drifts, dt, grid, 0.0, True, cps), single)
 
 
@@ -517,10 +513,10 @@ def test_confinement_profiles_take_totals_at_checkpoints_only(monkeypatch):
     dt, grid, cps = 1e-3, 400, (1, 100, 150, 200)
     drifts = -0.5 * np.random.default_rng(17).normal(0.0, math.sqrt(dt), (5, 200))
     lazy = _confinement_profiles(drifts, dt, grid, 0.0, True, cps)
-    monkeypatch.setattr(gamma_mod, "_CHECK_STEPS", 1)
+    monkeypatch.setattr(propagate, "_CHECK_STEPS", 1)
     np.testing.assert_array_equal(_confinement_profiles(drifts, dt, grid, 0.0, True, cps), lazy)
     sd = math.sqrt(dt)
     half, dx, n, band = gamma_mod._layout(dt, grid, max_drift=np.abs(drifts).max())
-    mass = gamma_mod._bin_masses(drifts[:, 0] - (0.5 * dx - half), sd, dx, n, band, 0, grid)
-    every = gamma_mod._band_pass([_constant_rows(mass, drifts.T, dx, n, band, grid)], sd, 1, 200, range(1, 201))[4][0]
+    mass = propagate._bin_masses(drifts[:, 0] - (0.5 * dx - half), sd, dx, n, band, 0, grid)
+    every = propagate._band_pass([_constant_rows(mass, drifts.T, dx, n, band, grid)], sd, 1, 200, range(1, 201))[4][0]
     np.testing.assert_array_equal(every[:, [c - 1 for c in cps]], lazy)

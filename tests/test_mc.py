@@ -6,7 +6,7 @@ import pytest
 
 import tubewalk as tw
 import tubewalk.mc as mc
-import tubewalk.quench_dp as quench_dp
+import tubewalk.propagate as propagate
 from tubewalk.config import _PATH_BYTES, load_builtin, validate
 from tubewalk.quench_dp import xi_log_factor
 from tubewalk.rate import make_estimator
@@ -309,7 +309,7 @@ def test_kernel_reproduces_whole_block_arrays(monkeypatch, row_bytes, case):
         inc = draw_increments(env, tube.f_offset, tube.n, substream(3, 1), size=1234)
     else:
         nodes = law[0]
-        (a,), (b,) = quench_dp._kept(nodes, lo[:1], up[:1])
+        (a,), (b,) = propagate._kept(nodes, lo[:1], up[:1])
         index = substream(3, 0).integers(a, b, size=1234)
         ok, last = mc._advance_nodes(law, 0, index, lo[1:], up[1:], substream(3, 1))
         inc = _bit_increments(env, tube.f_offset, tube.n, substream(3, 1), size=1234)
@@ -388,7 +388,7 @@ def test_bit_law_counts_its_nodes_before_laying_them_out(monkeypatch):
     # splitting takes the float kernel
     env = tw.sample_environment(tw.EnvironmentSpec.rademacher(), 1, seed=1)
     tube = tw.TubeSpec(g=-500000.0, h=500000.0, alpha=0.3, n=1)
-    nodes = quench_dp._atom_nodes(1, 1.0, *tube.extent(), 0.5)[3]  # 1000002 nodes, 8 MB
+    nodes = propagate._atom_nodes(1, 1.0, *tube.extent(), 0.5)[3]  # 1000002 nodes, 8 MB
     monkeypatch.setattr(mc, "_NODE_CAP", nodes)
     assert len(mc._bit_law(env, tube, 0.5)[0]) == nodes
     monkeypatch.setattr(mc, "_NODE_CAP", nodes - 1)
@@ -404,3 +404,19 @@ def test_bit_law_counts_its_nodes_before_laying_them_out(monkeypatch):
     monkeypatch.setattr(mc, "_advance", lambda *args: floats.append(1) or real(*args))
     assert tw.survival_splitting(env, tube, 0.5, 100, 1, seed=3).p == 1.0
     assert floats == [1]
+
+
+@pytest.mark.parametrize("method", ["dp", "grid", "brute", "splitting", "naive"])
+def test_every_estimator_refuses_an_environment_one_step_short(method):
+    # steps f_offset+1..f_offset+n = 4..15 of an environment of 14
+    env = tw.sample_environment(tw.EnvironmentSpec.rademacher(), 14, seed=5)
+    tube = tw.TubeSpec(g=-0.6, h=0.6, alpha=0.3, n=12, f_offset=3)
+    run = {
+        "dp": lambda: tw.survival_dp_lattice(env, tube, 0.0),
+        "grid": lambda: tw.survival_grid(env, tube, 0.0),
+        "brute": lambda: tw.survival_brute_force(env, tube, 0.0),
+        "splitting": lambda: tw.survival_splitting(env, tube, 0.0, 100, 2, seed=1),
+        "naive": lambda: tw.survival_naive_mc(env, tube, 0.0, 100, seed=1),
+    }[method]
+    with pytest.raises(IndexError, match="tube needs steps up to 15, environment has 14"):
+        run()

@@ -10,8 +10,7 @@ from scipy.special import ndtr
 
 import tubewalk as tw
 from tubewalk import config as tw_config
-import tubewalk.gamma as gamma_mod
-from tubewalk import quench_dp
+from tubewalk import propagate, quench_dp
 from tubewalk.quench_dp import xi_log_factor
 from tubewalk.rng import derive_seed
 
@@ -272,7 +271,7 @@ def _reference_grid(env, tube, x0, grid_points):
     running = np.zeros(n + 1)
     running[0] = 1.0
     env_lo, env_up = lo.min(), up.max()
-    dx = quench_dp._grid_spacing(env, env_up - env_lo, grid_points)
+    dx = propagate._grid_spacing(env, env_up - env_lo, grid_points)
     work = 0
     if env.kind == "atoms":
         jlo = int(math.ceil((env_lo - x0) / dx)) - 1
@@ -447,7 +446,7 @@ def test_point_source_first_step_matches_ndtr(monkeypatch, name, grid_points):
     tube = tw.TubeSpec(**MOVING)
     env = tw.sample_environment(SPECS[name], tube.f_offset + tube.n, seed=24)
     lo, up = tube.bounds_arrays()
-    dx = quench_dp._grid_spacing(env, up.max() - lo.min(), grid_points)
+    dx = propagate._grid_spacing(env, up.max() - lo.min(), grid_points)
     edges = np.arange(grid_points + 1) * dx + lo.min()
     m, s = env.quenched_mean[tube.f_offset], env.stds[tube.f_offset]
     for x0 in (0.3, 0.98 * lo[0], 0.98 * up[0]):  # the middle and both ends of the grid
@@ -503,16 +502,15 @@ def test_grid_pass_works_out_its_band_once(monkeypatch, name, grid_points, side)
         calls.append(n)
         return real(s, n)
 
-    real = gamma_mod._band_modes
-    monkeypatch.setattr(gamma_mod, "_band_modes", counted)
-    monkeypatch.setattr(quench_dp, "_band_modes", counted)
-    monkeypatch.setattr(gamma_mod, "_block_steps", lambda width, entries: 1)
-    monkeypatch.setattr(quench_dp, "_block_steps", lambda width, entries: 1)
+    real = propagate._band_modes
+    monkeypatch.setattr(propagate, "_band_modes", counted)
+    widths = []
+    monkeypatch.setattr(propagate, "_block_steps", lambda width, entries: widths.append(width) or 1)
     sides = _spy_sides(monkeypatch)
     spec, tube = _case(name)
     env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=22)
     quench_dp._grid_once(env, tube, 0.3, grid_points)
-    assert sides == [side] and 1 <= len(calls) <= 2
+    assert sides == [side] and 1 <= len(calls) <= 2 and widths
 
 
 @pytest.mark.parametrize("steps", [1, 3])
@@ -529,11 +527,12 @@ def test_kernel_blocks_do_not_change_results(monkeypatch, steps):
         return [(est.log_p, est.work, run) for est, run in out]
 
     default = results()
-    monkeypatch.setattr(quench_dp, "_block_steps", lambda width, entries: steps)
-    monkeypatch.setattr(gamma_mod, "_block_steps", lambda width, entries: steps)  # the band step's
+    widths = []
+    monkeypatch.setattr(propagate, "_block_steps", lambda width, entries: widths.append(width) or steps)
     for (lp, work, run), (lp_ref, work_ref, run_ref) in zip(results(), default):
         assert lp == lp_ref and work == work_ref
         np.testing.assert_array_equal(run, run_ref)
+    assert widths  # the blocks were sized by the stub
 
 
 def _spy_sides(monkeypatch):
@@ -548,9 +547,9 @@ def _spy_sides(monkeypatch):
         sides.append("taps")
         return real_taps(*args)
 
-    real_band, real_taps = quench_dp._band_pass, quench_dp._correlate_step
+    real_band, real_taps = quench_dp._band_pass, quench_dp._MassRow
     monkeypatch.setattr(quench_dp, "_band_pass", band)
-    monkeypatch.setattr(quench_dp, "_correlate_step", taps)
+    monkeypatch.setattr(quench_dp, "_MassRow", taps)
     return sides
 
 
@@ -592,8 +591,7 @@ def test_transform_blocks_do_not_change_the_gaussian_step(monkeypatch, cfg, n, g
     tube = cfg.template.make(n)
     env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, seed=0)
     whole = tw.survival_grid(env, tube, tube.default_x0(), grid_points)
-    monkeypatch.setattr(gamma_mod, "_FFT_BLOCK_ENTRIES", 1000)
-    monkeypatch.setattr(quench_dp, "_FFT_BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(propagate, "_FFT_BLOCK_ENTRIES", 1000)
     blocked = tw.survival_grid(env, tube, tube.default_x0(), grid_points)
     assert (blocked.log_p, blocked.refine_delta_log, blocked.work) == (whole.log_p, whole.refine_delta_log, whole.work)
 
@@ -897,14 +895,14 @@ def _same_bits(lazy, eager):
 
 def _spy_rescales(monkeypatch):
     """The totals at which a pass rescales the mass, in order: every pass,
-    on either route, rescales in `gamma._scaled_pass`."""
+    on either route, rescales in `propagate._scaled_pass`."""
     totals = []
 
     def frexp(x):
         totals.append(x)
         return math.frexp(x)
 
-    monkeypatch.setattr(gamma_mod, "math", SimpleNamespace(**{**vars(math), "frexp": frexp}))
+    monkeypatch.setattr(propagate, "math", SimpleNamespace(**{**vars(math), "frexp": frexp}))
     return totals
 
 
@@ -955,7 +953,7 @@ def test_lazy_replay_reads_kernels_across_blocks(monkeypatch, steps):
 
     real = quench_dp._shift_kernels
     monkeypatch.setattr(quench_dp, "_shift_kernels", logged)
-    monkeypatch.setattr(quench_dp, "_block_steps", lambda width, entries: steps)
+    monkeypatch.setattr(propagate, "_block_steps", lambda width, entries: steps)
     tube = tw.TubeSpec(**{**MOVING, "alpha": 0.05, "n": 2000})
     env = tw.sample_environment(THREE_ATOMS, tube.f_offset + tube.n, seed=23)
     lazy = tw.survival_dp_lattice(env, tube, 0.0)
@@ -975,8 +973,8 @@ def test_dp_sums_the_mass_only_at_checks(monkeypatch):
         sums.append(len(mass))
         return real(mass)
 
-    real = quench_dp._sum
-    monkeypatch.setattr(quench_dp, "_sum", counted)
+    real = propagate._sum
+    monkeypatch.setattr(propagate, "_sum", counted)
     cfg = tw_config.validate(tw_config.load_builtin("random-shift-bernoulli"))
     tube = cfg.template.make(3200)
     env = tw.sample_environment(cfg.env_spec, tube.f_offset + 3200, derive_seed(0, 11, 0))
@@ -995,35 +993,45 @@ def test_dp_sums_the_mass_only_at_checks(monkeypatch):
     assert sorted(sides) == ["band", "taps"] and 0 < len(sums) <= tube.n // 8
 
 
-def test_correlate_step_rewinds_its_time_and_live_range():
-    # the cut narrows from all 12 nodes to [4, 8): a step rewound to time 1
+def test_mass_row_restores_its_time_and_live_range():
+    # the cut narrows from all 12 nodes to [4, 8): a row restored to time 1
     # must again clear the nodes the restored mass holds outside the next cut
     cuts = [(0, 12), (2, 10), (4, 8), (3, 9)]
     moves = np.array([[-1.0, 1.0], [-2.0, 0.0], [0.0, 1.0], [-1.0, 2.0]])
-    kernels = quench_dp._shift_kernels(moves, np.arange(4), np.array([0.25, 0.75]), 12)
+    kernels = propagate._shift_kernels(moves, np.arange(4), np.array([0.25, 0.75]), 12)
+    tube = tw.TubeSpec(g=-1.0, h=12.0, alpha=0.01, n=len(cuts))  # holds all 12 nodes at time 0
 
-    def masses(step, mass, cuts):
+    def row():
+        row = propagate._MassRow(np.linspace(1.0, 2.0, 12), np.arange(12.0), tube, 0, kernels)
+        row.ranges = iter(cuts)  # the cuts above, in place of the tube's
+        assert row.begin() == [row.mass.sum()]
+        return row
+
+    def masses(row, steps):
         out = []
-        for a, b in cuts:
-            step(mass, a, b)
-            out.append(mass.copy())
+        for k in range(steps):
+            row.advance((k,))
+            out.append(row.mass.copy())
         return out
 
-    fresh = quench_dp._correlate_step(kernels, 0, len(cuts), 12)
-    want = masses(fresh, np.linspace(1.0, 2.0, 12), cuts)
-    step = quench_dp._correlate_step(kernels, 0, len(cuts), 12)
-    mass = np.linspace(1.0, 2.0, 12)
-    masses(step, mass, cuts[:3])
-    mass[:] = want[0]
-    step.rewind(1, *cuts[0])
-    for got, ref in zip(masses(step, mass, cuts[1:]), want[1:]):
+    fresh = row()
+    fresh.load(0, len(cuts))
+    want = masses(fresh, len(cuts))
+    step = row()
+    step.load(0, 1)
+    masses(step, 1)
+    step.load(1, 3)
+    masses(step, 2)
+    step.restore()
+    np.testing.assert_array_equal(step.mass, want[0])
+    for got, ref in zip(masses(step, 3), want[1:]):
         np.testing.assert_array_equal(got, ref)
 
 
 # --- the block route --------------------------------------------------------
 #
 # On a constant tube an atom pass on whole-node moves advances four steps per
-# table lookup (`quench_dp._blocks`); a table bound of 0 forces the step loop.
+# table lookup (`propagate._blocks`); a table bound of 0 forces the step loop.
 
 
 def _spy_propagate(monkeypatch):
@@ -1033,7 +1041,7 @@ def _spy_propagate(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        if not isinstance(args[0], quench_dp._BlockRow):
+        if not isinstance(args[0], propagate._BlockRow):
             calls.append(args[0])
         return real(*args, **kwargs)
 
@@ -1053,7 +1061,7 @@ def _routes(monkeypatch, env, tube, x0, return_running):
     block = quench_dp._atom_pass(env, tube, x0, 1.0 / env.lattice_q, return_running)
     assert not calls
     with monkeypatch.context() as m:
-        m.setattr(quench_dp, "_TABLE_ENTRIES", 0)
+        m.setattr(propagate, "_TABLE_ENTRIES", 0)
         loop = quench_dp._atom_pass(env, tube, x0, 1.0 / env.lattice_q, return_running)
     assert len(calls) == 1
     return block, loop
@@ -1092,10 +1100,10 @@ def test_block_route_is_the_step_loop(monkeypatch, name, g, n, extra):
         _same_pass(lazy, lazy_loop)
         _same_pass(eager, eager_loop)
         assert lazy[0] == eager[0] and lazy[2:] == eager[2:] and math.isfinite(lazy[0])
-        nodes, moves, start, codes, _ = quench_dp._lattice(env, tube, x0, 1.0 / env.lattice_q)
-        row = quench_dp._blocks(nodes, moves, codes, env.atom_w, tube, start)
+        nodes, moves, start, codes, _ = propagate._lattice(env, tube, x0, 1.0 / env.lattice_q)
+        row = propagate._blocks(nodes, moves, codes, env.atom_w, tube, start)
         assert len(row.windows) == g  # the end window's slots on each coset
-        (a,), _ = quench_dp._kept(nodes, *tube.bounds_arrays(0, 1))
+        (a,), _ = propagate._kept(nodes, *tube.bounds_arrays(0, 1))
         cosets.add((start - a) % g)
     assert cosets == set(range(g))
 
@@ -1110,8 +1118,8 @@ def test_block_tables_depend_only_on_the_law():
         first.setdefault(int(env.atom_codes[0]), env)
     rows = []
     for env in (first[0], first[1]):
-        nodes, moves, start, codes, whole = quench_dp._lattice(env, tube, 0.1, 0.5)
-        rows.append(quench_dp._blocks(nodes, moves, codes, env.atom_w, tube, start, whole))
+        nodes, moves, start, codes, whole = propagate._lattice(env, tube, 0.1, 0.5)
+        rows.append(propagate._blocks(nodes, moves, codes, env.atom_w, tube, start, whole))
     assert rows[0].windows == rows[1].windows
     np.testing.assert_array_equal(rows[0].mass, rows[1].mass)
     for (table, keys, *_), (other, other_keys, *_) in zip(rows[0].chunks, rows[1].chunks):
@@ -1168,7 +1176,7 @@ def test_block_route_runs_on_the_one_step_loop(monkeypatch):
     monkeypatch.setattr(quench_dp, "_scaled_pass", spy)
     env, tube = _deep_rademacher(20000)
     est = tw.survival_dp_lattice(env, tube, 0.0)
-    assert states == [quench_dp._BlockRow]
+    assert states == [propagate._BlockRow]
     assert est.p == 0.0 and est.log_p.hex() == "-0x1.67910eaf07c61p+11"
 
 
@@ -1178,7 +1186,7 @@ def test_block_route_table_bound(monkeypatch, half, kept, blocks):
     # = 4 * 16 * 45**2 table entries, within 2**17; 181 nodes need M = 46
     tube = tw.TubeSpec(g=-half, h=half, alpha=0.25, n=16)  # the tube is +-2 * half
     env = tw.sample_environment(SPECS["shift"], 16, seed=5)
-    (a,), (b,) = quench_dp._kept(quench_dp._lattice(env, tube, 0.0, 0.5)[0], *tube.bounds_arrays(0, 1))
+    (a,), (b,) = propagate._kept(propagate._lattice(env, tube, 0.0, 0.5)[0], *tube.bounds_arrays(0, 1))
     assert b - a == kept
     calls = _spy_propagate(monkeypatch)
     quench_dp._atom_pass(env, tube, 0.0, 0.5)
@@ -1214,8 +1222,8 @@ def _spy_scans(monkeypatch):
         scans.append(moves.shape)
         return real(moves)
 
-    real = quench_dp._off_node
-    monkeypatch.setattr(quench_dp, "_off_node", spy)
+    real = propagate._off_node
+    monkeypatch.setattr(propagate, "_off_node", spy)
     return scans
 
 
@@ -1227,7 +1235,7 @@ def test_a_dp_pass_scans_its_moves_once(monkeypatch, moving):
     cfg = tw_config.validate(tw_config.load_builtin("random-shift-bernoulli"))
     tube = tw.TubeSpec(**MOVING) if moving else cfg.template.make(3200)
     env = tw.sample_environment(cfg.env_spec, tube.f_offset + tube.n, seed=2)
-    assert quench_dp._lattice(env, tube, 0.0, 1.0 / env.lattice_q)[4]
+    assert propagate._lattice(env, tube, 0.0, 1.0 / env.lattice_q)[4]
     scans = _spy_scans(monkeypatch)
     tw.survival_dp_lattice(env, tube, 0.0)
     assert scans == [(2, 2)]
@@ -1239,7 +1247,7 @@ def test_dp_rejects_moves_off_the_declared_lattice(monkeypatch):
     tube = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.3, n=50)
     env = tw.sample_environment(SPECS["off-lattice"], tube.n, seed=3)
     declared = env.replace(lattice_q=2)
-    assert not quench_dp._lattice(declared, tube, 0.0, 0.5)[4]
+    assert not propagate._lattice(declared, tube, 0.0, 0.5)[4]
     scans = _spy_scans(monkeypatch)
     with pytest.raises(tw.NonLatticeError, match=r"\(1/2\)Z; use survival_grid"):
         tw.survival_dp_lattice(declared, tube, 0.0)
@@ -1252,14 +1260,14 @@ def test_lattice_refuses_a_node_past_the_cap():
     # lattice (n = 1, so the bounds are g and h) a start at 0.5 lays exactly
     # that many over [-16777214.75, 16777214.75], and one more over
     # [-16777215.25, 16777215.75], which `_lattice` refuses before laying any out
-    assert quench_dp._NODE_CAP == 33554432
-    assert quench_dp._atom_nodes(1, 1.0, -16777214.75, 16777214.75, 0.5)[3] == quench_dp._NODE_CAP
+    assert propagate._NODE_CAP == 33554432
+    assert propagate._atom_nodes(1, 1.0, -16777214.75, 16777214.75, 0.5)[3] == propagate._NODE_CAP
     tube = tw.TubeSpec(g=-16777215.25, h=16777215.75, alpha=0.3, n=1)
     env = _rademacher_env(1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="33554433 nodes"):
-            quench_dp._lattice(env, tube, 0.5, 1.0)
+            propagate._lattice(env, tube, 0.5, 1.0)
         with pytest.raises(ValueError, match="33554433 nodes"):
             tw.survival_dp_lattice(env, tube, 0.5)
     finally:
