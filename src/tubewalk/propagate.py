@@ -57,7 +57,6 @@ counts.  It imports no tubewalk module but `results`.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import sys
@@ -668,8 +667,8 @@ def _scaled_pass(state, floors: list, t0: int, n: int, times=()):
     it), and dies at the first time whose total is not positive, on the same
     steps and with the same bits as with a total at every step; and no cut
     of a run that is not replayed keeps less than floors[q] of the mass
-    carried into it.  When `times` holds every time t0+1..n-1, every step's
-    total is read and no run is replayed.
+    carried into it.  When `times` holds every time t0+1..n-1, each run is
+    one step: every step's total is read and no run is replayed.
 
     Returns, one value a row: the final total and its exponent (the mass in
     the end window is final * 2**exp2; final is 0 where the row died), the
@@ -684,22 +683,26 @@ def _scaled_pass(state, floors: list, t0: int, n: int, times=()):
     # the bookkeeping of a few rows is cheaper in Python than in numpy calls
     total, exp2, kept = [1.0] * width, [0] * width, [1.0] * width
     last, alive = [n] * width, [True] * width
-    recorded = np.zeros((width, len(times)))
-    col = 0  # times[col] is the first time of `times` not before the last time settled
+    count = len(times)
+    recorded = np.zeros((width, count))
+    col = 0  # times[col] is the first time of `times` past the last time settled
 
     def settle(t: int, moved: list) -> None:
         """Time t's kept fractions (t0 moves nothing), totals at `times`,
         rescales and deaths, from its totals `moved`; t increases call by call."""
         nonlocal col
-        col = bisect.bisect_left(times, t, col)
-        read = col < len(times) and times[col] == t
+        while col < count and times[col] < t:
+            col += 1
+        read = col < count and times[col] == t
+        if read:
+            col += 1
         for q, m in enumerate(moved):
             if not alive[q]:
                 continue
             if t > t0 and m < kept[q] * total[q]:
                 kept[q] = m / total[q]
             if read:  # 0 for a negative total, which round-off can leave a band state
-                recorded[q, col] = math.ldexp(max(0.0, m), exp2[q])
+                recorded[q, col - 1] = math.ldexp(max(0.0, m), exp2[q])
             if m < _RESCALE_BELOW:
                 if m <= 0.0:
                     alive[q], last[q] = False, t
@@ -713,16 +716,13 @@ def _scaled_pass(state, floors: list, t0: int, n: int, times=()):
             total[q] = m
 
     settle(t0, state.begin())
-    # a total at every time t0+1..n-1: no run is tried without
-    eager = bisect.bisect_left(times, n) - bisect.bisect_right(times, t0) == n - t0 - 1
     low, floors = 2.0 * _RESCALE_BELOW, [2.0 * f for f in floors]
-    t, j = t0, 0
+    t = t0
     while t < n and any(alive):
-        j = bisect.bisect_right(times, t, j)  # times[j] is the first time of `times` past t
-        stop = times[j] if j < len(times) and times[j] < n else n
-        steps = min(state.run, n - t if eager else stop - t)
+        stop = min(times[col], n) if col < count else n  # a run ends at a time of `times`
+        steps = min(state.run, stop - t)
         state.load(t, steps)
-        if steps > 1 and not eager:
+        if steps > 1:
             state.advance(range(steps))
             moved = state.totals()
             if not any(live and (m < low or m < f * tot) for live, m, f, tot in zip(alive, moved, floors, total)):

@@ -76,11 +76,11 @@ def xi_log_factor(env: EnvRealization, tube: TubeSpec) -> float:
     return (tube.n + (tube.f_offset >= 1)) * math.log(cdf)
 
 
-def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return_running=False, exact=False):
-    """Propagate an atom law from x0 on `_lattice`'s nodes; (log_p, running, size, last).
-    The pass carries `_blocks`' `_BlockRow` where the route applies, else a `_MassRow`; without
-    `return_running`, running is None.  With `exact` (the DP), a move off the nodes raises
-    NonLatticeError instead of being split between them."""
+def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, exact=False):
+    """Propagate an atom law from x0 on `_lattice`'s nodes; (log_p, size, last).
+    The pass carries `_blocks`' `_BlockRow` where the route applies, else a `_MassRow`.  With
+    `exact` (the DP), a move off the nodes raises NonLatticeError instead of being split between
+    them."""
     nodes, moves, start, codes, whole = _lattice(env, tube, x0, dx)
     if exact and not whole:
         q = env.lattice_q
@@ -90,15 +90,11 @@ def _atom_pass(env: EnvRealization, tube: TubeSpec, x0: float, dx: float, return
         mass = np.zeros(len(nodes))
         mass[start] = 1.0
         row = _MassRow(mass, nodes, tube, 0, _shift_kernels(moves, codes, env.atom_w, len(nodes)))
-    times = range(1, tube.n + 1) if return_running else ()
-    (final,), (exp2,), (last,), _, totals = _scaled_pass(row, [0.0], 0, tube.n, times)
-    running = np.r_[1.0, totals[0]] if return_running else None
-    return _log_mass(final, exp2) + xi_log_factor(env, tube), running, len(nodes), last
+    (final,), (exp2,), (last,), _, _ = _scaled_pass(row, [0.0], 0, tube.n)
+    return _log_mass(final, exp2) + xi_log_factor(env, tube), len(nodes), last
 
 
-def survival_dp_lattice(
-    env: EnvRealization, tube: TubeSpec, x0: float, return_running: bool = False
-) -> SurvivalEstimate | tuple[SurvivalEstimate, np.ndarray]:
+def survival_dp_lattice(env: EnvRealization, tube: TubeSpec, x0: float) -> SurvivalEstimate:
     """Exact quenched survival probability for lattice environments.
 
     Tracks mass on the lattice x0 + (1/q)Z restricted to the tube; the
@@ -109,9 +105,8 @@ def survival_dp_lattice(
         raise NonLatticeError("environment steps are not lattice atom laws; use survival_grid")
     _check_span(env, tube)
     _require_open_start(tube, x0)
-    log_p, running, size, _ = _atom_pass(env, tube, x0, 1.0 / env.lattice_q, return_running, exact=True)
-    est = from_log(log_p, METHOD_DP_LATTICE, tube.n * size)
-    return (est, running) if return_running else est
+    log_p, size, _ = _atom_pass(env, tube, x0, 1.0 / env.lattice_q, exact=True)
+    return from_log(log_p, METHOD_DP_LATTICE, tube.n * size)
 
 
 def survival_brute_force(env: EnvRealization, tube: TubeSpec, x0: float) -> SurvivalEstimate:
@@ -157,25 +152,21 @@ def _band_is_cheaper(band: int, size: int, width: int) -> bool:
     return (2 * band) ** 2 < size * width and (2 * band) ** 2 <= _BAND_ENTRIES
 
 
-def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, return_running=False):
+def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions):
     """One propagation pass at each grid size of `resolutions`: a list of
-    (log_p, running, work, roundoff), one a size.
+    (log_p, work, roundoff), one a size.
 
-    The running totals are None except for the first size, with
-    `return_running`.  ``roundoff`` is True when a Gaussian cut kept so
-    little of the mass carried into it that the round-off of its nodes may
-    exceed _ROUNDOFF_REL of what it kept.  The Gaussian passes that take the
-    band step run as the layouts of one `propagate._band_pass`.
+    ``roundoff`` is True when a Gaussian cut kept so little of the mass
+    carried into it that the round-off of its nodes may exceed
+    _ROUNDOFF_REL of what it kept.  The Gaussian passes that take the band
+    step run as the layouts of one `propagate._band_pass`.
     """
     n, f = tube.n, tube.f_offset
     env_lo, env_up = tube.extent()
     sizes = [(points, _grid_spacing(env, env_up - env_lo, points)) for points in resolutions]
-    out = []
     if env.kind == "atoms":
-        for j, (_, dx) in enumerate(sizes):
-            log_p, running, size, last = _atom_pass(env, tube, x0, dx, return_running and not j)
-            out.append((log_p, running, last * size, False))
-        return out
+        passes = (_atom_pass(env, tube, x0, dx) for _, dx in sizes)
+        return [(log_p, last * size, False) for log_p, size, last in passes]
     means = env.quenched_mean[f : f + n]
     stds = env.stds[f : f + n]
     sd = stds[0]
@@ -186,12 +177,13 @@ def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, re
         )
     xi, max_drift = xi_log_factor(env, tube), max(means.max(), -means.min())
 
-    def result(log_total, last, kept, size, hw, running):
+    def result(final, exp2, last, kept, size, hw):
         roundoff = size * _ROUNDOFF_PER_NODE > _ROUNDOFF_REL * kept
-        return log_total + xi, running, size + (last - 1) * (size + 2 * hw), roundoff
+        return _log_mass(final, exp2) + xi, size + (last - 1) * (size + 2 * hw), roundoff
 
+    out = []
     band = []  # (index in out, size, hw, layout) of the passes on the band
-    for j, (points, dx) in enumerate(sizes):
+    for points, dx in sizes:
         edges = np.arange(points + 1) * dx + env_lo
         nodes = 0.5 * (edges[:-1] + edges[1:])
         size = len(nodes)
@@ -206,34 +198,20 @@ def _grid_passes(env: EnvRealization, tube: TubeSpec, x0: float, resolutions, re
             band.append((len(out), size, hw, layout))
             out.append(None)
             continue
-        times = range(1, n + 1) if return_running and not j else ()
         row = _MassRow(mass[0], nodes, tube, 1, _gauss_kernels(means, sd, dx, hw))
-        (final,), (exp2,), (last,), (kept,), totals = _scaled_pass(row, [floor], 1, n, times)
+        (final,), (exp2,), (last,), (kept,), _ = _scaled_pass(row, [floor], 1, n)
         del row  # and its saved copy of the mass, before the next size's first step
-        running = np.r_[1.0, totals[0]] if times else None
-        out.append(result(_log_mass(final, exp2), last, kept, size, hw, running))
+        out.append(result(final, exp2, last, kept, size, hw))
     if band:
-        times = range(1, n + 1) if return_running and not band[0][0] else ()
-        *rows, totals = _band_pass([layout for *_, layout in band], sd, 1, n, times)
+        *rows, _ = _band_pass([layout for *_, layout in band], sd, 1, n)
         for (j, size, hw, _), (final,), (exp2,), (last,), (kept,) in zip(band, *rows):
-            running = np.r_[1.0, totals[0, 0]] if times and not j else None
-            out[j] = result(_log_mass(final, exp2), last, kept, size, hw, running)
+            out[j] = result(final, exp2, last, kept, size, hw)
     return out
 
 
-def _grid_once(env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int, return_running=False):
-    """`_grid_passes` at one grid size: (log_p, running, work, roundoff)."""
-    return _grid_passes(env, tube, x0, (grid_points,), return_running)[0]
-
-
 def survival_grid(
-    env: EnvRealization,
-    tube: TubeSpec,
-    x0: float,
-    grid_points: int = 400,
-    refine_tol: float = 1e-3,
-    return_running: bool = False,
-) -> SurvivalEstimate | tuple[SurvivalEstimate, np.ndarray]:
+    env: EnvRealization, tube: TubeSpec, x0: float, grid_points: int = 400, refine_tol: float = 1e-3
+) -> SurvivalEstimate:
     """Tube survival by sub-density propagation on a uniform grid.
 
     Runs at `grid_points` and at half resolution and reports the log-scale
@@ -250,13 +228,10 @@ def survival_grid(
     half = max(25, grid_points // 2)
     lo, up = tube.extent()
     span = up - lo
-    if _grid_spacing(env, span, half) == _grid_spacing(env, span, grid_points):
-        log_p, running, work, roundoff = _grid_once(env, tube, x0, grid_points, return_running)
-        log_half, work_half = log_p, 0
-    else:
-        passes = _grid_passes(env, tube, x0, (grid_points, half), return_running)
-        (log_p, running, work, roundoff), (log_half, _, work_half, roundoff_half) = passes
-        roundoff = roundoff or roundoff_half
+    once = _grid_spacing(env, span, half) == _grid_spacing(env, span, grid_points)
+    passes = _grid_passes(env, tube, x0, (grid_points,) if once else (grid_points, half))
+    log_p, work, roundoff = passes[0]
+    log_half, work_half, roundoff_half = (log_p, 0, False) if once else passes[1]
     if math.isfinite(log_p) and math.isfinite(log_half):
         delta = log_p - log_half
     else:
@@ -264,12 +239,9 @@ def survival_grid(
     flags = ()
     if abs(delta) > refine_tol * max(1.0, abs(log_p)):
         flags = ("grid_coarse",)
-    if roundoff:
+    if roundoff or roundoff_half:
         flags += ("grid_roundoff",)
-    est = from_log(
-        log_p, METHOD_GRID, work + work_half, refine_delta_log=float(delta), flags=flags
-    )
-    return (est, running) if return_running else est
+    return from_log(log_p, METHOD_GRID, work + work_half, refine_delta_log=float(delta), flags=flags)
 
 
 def survival_start_sweep(

@@ -95,26 +95,31 @@ class TubeSpec(Record):
     def h_at(self, s) -> float:
         return _interp(self.h, s)
 
+    def _bounds(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds interp(i/n) * n^alpha at each time i of `times`, each of its
+        own time alone."""
+        s = np.asarray(times) / self.n
+        c = self.scale
+        return np.asarray(_interp(self.g, s)) * c, np.asarray(_interp(self.h, s)) * c
+
     def bounds_at(self, i: int) -> tuple[float, float]:
         """Tube interval at time index i, 0 <= i <= n."""
         if not 0 <= i <= self.n:
             raise IndexError(f"time index {i} outside [0, {self.n}]")
-        s = i / self.n
-        c = self.scale
-        return float(self.g_at(s)) * c, float(self.h_at(s)) * c
+        (lo,), (up,) = self._bounds([i])
+        return float(lo), float(up)
 
     def bounds_arrays(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds at times start..stop-1 (all times 0..n by default).
 
-        Each value is interp(i/n) * n^alpha of its own time i alone, so a
-        chunk is the same slice of the whole arrays, bit for bit.
+        Each value is that of its own time alone (`_bounds`), so a chunk is
+        the same slice of the whole arrays, and a time's value is
+        `bounds_at`'s, bit for bit.
         """
         stop = self.n + 1 if stop is None else stop
         if not 0 <= start <= stop <= self.n + 1:
             raise IndexError(f"times {start}..{stop - 1} outside [0, {self.n}]")
-        s = np.arange(start, stop) / self.n
-        c = self.scale
-        return np.asarray(_interp(self.g, s)) * c, np.asarray(_interp(self.h, s)) * c
+        return self._bounds(np.arange(start, stop))
 
     def extremes(self) -> tuple[float, float, float, float]:
         """The lower bound's min and max and the upper bound's min and max over `bounds_arrays`,
@@ -125,10 +130,8 @@ class TubeSpec(Record):
         extremes fall on the times next to a breakpoint.
         """
         knots = {s for s, _ in self.g} | {s for s, _ in self.h}
-        i = np.clip([math.floor(s * self.n) + k for s in knots for k in (-1, 0, 1, 2)], 0, self.n)
-        s = i / self.n
-        c = self.scale
-        lo, up = np.asarray(_interp(self.g, s)) * c, np.asarray(_interp(self.h, s)) * c
+        times = [math.floor(s * self.n) + k for s in knots for k in (-1, 0, 1, 2)]
+        lo, up = self._bounds(np.clip(times, 0, self.n))
         return float(lo.min()), float(lo.max()), float(up.min()), float(up.max())
 
     def extent(self) -> tuple[float, float]:

@@ -695,6 +695,25 @@ def test_cli_verify_builtin_configs(tmp_path, name):
     assert all(c["ok"] for c in payload["checks"])
 
 
+def test_cli_verify_accepts_a_start_outside_its_small_tube(tmp_path):
+    # tube.x0 = 4 lies inside the builtin's tubes (n >= 200, half-width 4.9
+    # and up) but outside the n = 64 copy the determinism check reruns
+    # (half-width 3.48), which drops it
+    out = tmp_path / "v"
+    args = ["verify", "--config", "builtin:random-shift-bernoulli", "--set", "tube.x0=4.0", "--out", str(out)]
+    assert cli.main(args) == 0
+    payload = json.loads((out / "verify.json").read_text())
+    assert all(c["ok"] for c in payload["checks"])
+
+
+def test_cli_fit_refuses_fewer_than_three_n_before_writing(tmp_path, capsys):
+    out = tmp_path / "f"
+    args = ["fit", "--config", "builtin:random-shift-bernoulli", "--set", "tube.n_list=[200,400]", "--out", str(out)]
+    assert cli.main(args) == 2
+    assert "tube.n_list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_fit_builtin_degenerate_within_tolerance(tmp_path):
     out = tmp_path / "fit"
     assert cli.main(["fit", "--config", "builtin:degenerate-rademacher", "--out", str(out)]) == 0

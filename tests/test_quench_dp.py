@@ -83,12 +83,12 @@ def test_monotone_in_tube_width():
     assert all(a <= b + 1e-12 for a, b in zip(gs, gs[1:]))
 
 
-def test_running_total_nonincreasing():
+def test_running_total_nonincreasing(monkeypatch):
     env = tw.sample_environment(tw.EnvironmentSpec.random_shift_bernoulli(0.5), 60, seed=2)
     tube = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.3, n=60)
-    _, run_dp = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    _, run_dp = _with_totals(monkeypatch, tw.survival_dp_lattice, env, tube, 0.0)
     assert np.all(np.diff(run_dp) <= 1e-15)
-    _, run_grid = tw.survival_grid(env, tube, 0.0, grid_points=100, return_running=True)
+    _, run_grid = _with_totals(monkeypatch, tw.survival_grid, env, tube, 0.0, 100)
     assert np.all(np.diff(run_grid) <= 1e-15)
 
 
@@ -368,11 +368,59 @@ def _same(got, want, rel):
         np.testing.assert_allclose(run, run_ref, rtol=rel, atol=0.0)
 
 
+def _every_step(monkeypatch):
+    """Have every estimator pass ask the step driver for its total at every
+    time 1..n: the atom and taps passes through `quench_dp._scaled_pass`,
+    the band's layouts through `quench_dp._band_pass` (not
+    `propagate._scaled_pass` under it, whose totals `_band_pass` reshapes).
+
+    Returns `take`: take() asserts that a pass ran since the last take and
+    returns the running totals np.r_[1.0, totals] of each pass's one row,
+    keyed by its node count, which tells the resolutions apart (the taps
+    pass of one resolution runs before the band pass of the other)."""
+    record = {}
+
+    def scaled(state, floors, t0, n):
+        size = len(state.mass)
+        out = real_scaled(state, floors, t0, n, range(1, n + 1))
+        (row,) = out[-1]
+        record[size] = np.r_[1.0, row]
+        return out
+
+    def band(layouts, sd, t0, n):
+        sizes = [layout.mass.shape[-1] for layout in layouts]
+        out = real_band(layouts, sd, t0, n, range(1, n + 1))
+        for size, (row,) in zip(sizes, out[-1]):
+            record[size] = np.r_[1.0, row]
+        return out
+
+    def take():
+        assert record, "no estimator pass ran"
+        got = dict(record)
+        record.clear()
+        return got
+
+    real_scaled, real_band = quench_dp._scaled_pass, quench_dp._band_pass
+    monkeypatch.setattr(quench_dp, "_scaled_pass", scaled)
+    monkeypatch.setattr(quench_dp, "_band_pass", band)
+    return take
+
+
+def _with_totals(monkeypatch, estimate, *args):
+    """`estimate(*args)` with a total at every step (`_every_step`), and the
+    running totals of its one pass."""
+    with monkeypatch.context() as m:
+        take = _every_step(m)
+        got = estimate(*args)
+        (run,) = take().values()
+    return got, run
+
+
 @pytest.mark.parametrize("name, rel", [("shift", 0.0), ("rademacher", 0.0), ("three", 1e-13)])
-def test_dp_loop_reproduces_reference(name, rel):
+def test_dp_loop_reproduces_reference(monkeypatch, name, rel):
     tube = tw.TubeSpec(**MOVING)
     env = tw.sample_environment(SPECS[name], tube.f_offset + tube.n, seed=21)
-    est, run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    est, run = _with_totals(monkeypatch, tw.survival_dp_lattice, env, tube, 0.0)
     _same((est.log_p, run, est.work), _reference_dp(env, tube, 0.0), rel)
 
 
@@ -390,23 +438,23 @@ def test_dp_loop_reproduces_reference(name, rel):
         ("off-lattice", 19, 1e-13),  # dx ~ 1: the two atoms split onto a shared node
     ],
 )
-def test_grid_loop_reproduces_reference(name, grid_points, rel):
+def test_grid_loop_reproduces_reference(monkeypatch, name, grid_points, rel):
     spec, tube = _case(name)
     env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=22)
-    got = quench_dp._grid_once(env, tube, 0.3, grid_points, return_running=True)
-    _same(got, _reference_grid(env, tube, 0.3, grid_points), rel)
+    [(log_p, work, _)], run = _with_totals(monkeypatch, quench_dp._grid_passes, env, tube, 0.3, (grid_points,))
+    _same((log_p, run, work), _reference_grid(env, tube, 0.3, grid_points), rel)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5])
-def test_grid_on_lattice_law_is_the_dp(q):
+def test_grid_on_lattice_law_is_the_dp(monkeypatch, q):
     # the grid runs a lattice law on its own lattice, through the DP's pass:
     # the same bits, also where 1/q is inexact; the half resolution lands on
     # the same lattice, so the pass runs once and the refinement delta is 0
     spec = tw.EnvironmentSpec.random_shift_bernoulli(1.0 / q, q=q)
     tube = tw.TubeSpec(**MOVING)
     env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=30 + q)
-    dp, dp_run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
-    log_p, run, _, _ = quench_dp._grid_once(env, tube, 0.0, 400, return_running=True)
+    dp, dp_run = _with_totals(monkeypatch, tw.survival_dp_lattice, env, tube, 0.0)
+    [(log_p, _, _)], run = _with_totals(monkeypatch, quench_dp._grid_passes, env, tube, 0.0, (400,))
     assert math.isfinite(dp.log_p)
     assert log_p == dp.log_p
     np.testing.assert_array_equal(run, dp_run)
@@ -414,30 +462,31 @@ def test_grid_on_lattice_law_is_the_dp(q):
     assert grid.log_p == dp.log_p and grid.work == dp.work and grid.refine_delta_log == 0.0
 
 
-def test_loop_keeps_boundary_exact_nodes():
+def test_loop_keeps_boundary_exact_nodes(monkeypatch):
     # 16**0.25 == 2: the +-1 walk reaches the bounds +-2 and the end window
     # +-1 exactly, and closed intervals keep those nodes
     tube = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.25, n=16, end_window=(-0.5, 0.5))
     env = _rademacher_env(16)
-    est, run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    est, run = _with_totals(monkeypatch, tw.survival_dp_lattice, env, tube, 0.0)
     _same((est.log_p, run, est.work), _reference_dp(env, tube, 0.0), 0.0)
     assert est.p == pytest.approx(tw.survival_brute_force(env, tube, 0.0).p, abs=1e-15)
-    _same(quench_dp._grid_once(env, tube, 0.0, 60, return_running=True), _reference_grid(env, tube, 0.0, 60), 0.0)
+    [(log_p, work, _)], run = _with_totals(monkeypatch, quench_dp._grid_passes, env, tube, 0.0, (60,))
+    _same((log_p, run, work), _reference_grid(env, tube, 0.0, 60), 0.0)
 
 
-def test_loop_reproduces_reference_extinction():
+def test_loop_reproduces_reference_extinction(monkeypatch):
     # tubes too narrow for the walk: the mass dies out after a few steps
     tube = tw.TubeSpec(g=-0.5, h=0.5, alpha=0.01, n=40)
     env = tw.sample_environment(SPECS["rademacher"], 40, seed=3)
-    est, run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    est, run = _with_totals(monkeypatch, tw.survival_dp_lattice, env, tube, 0.0)
     _same((est.log_p, run, est.work), _reference_dp(env, tube, 0.0), 0.0)
     assert est.log_p == -math.inf and run[1] == 0.0
     narrow = tw.TubeSpec(g=-0.05, h=0.05, alpha=0.01, n=40)
     for name, dies, rel in (("rademacher", True, 0.0), ("gauss", False, 1e-12)):
         genv = tw.sample_environment(SPECS[name], 40, seed=3)
-        got = quench_dp._grid_once(genv, narrow, 0.0, 60, return_running=True)
-        _same(got, _reference_grid(genv, narrow, 0.0, 60), rel)
-        assert (got[0] == -math.inf) == dies  # Gaussian mass thins out but never vanishes
+        [(log_p, work, _)], run = _with_totals(monkeypatch, quench_dp._grid_passes, genv, narrow, 0.0, (60,))
+        _same((log_p, run, work), _reference_grid(genv, narrow, 0.0, 60), rel)
+        assert (log_p == -math.inf) == dies  # Gaussian mass thins out but never vanishes
 
 
 @pytest.mark.parametrize("name, grid_points", [("gauss", 300), ("gauss", 77), ("gauss-narrow", 300)])
@@ -450,7 +499,7 @@ def test_point_source_first_step_matches_ndtr(monkeypatch, name, grid_points):
     edges = np.arange(grid_points + 1) * dx + lo.min()
     m, s = env.quenched_mean[tube.f_offset], env.stds[tube.f_offset]
     for x0 in (0.3, 0.98 * lo[0], 0.98 * up[0]):  # the middle and both ends of the grid
-        quench_dp._grid_once(env, tube, x0, grid_points)
+        quench_dp._grid_passes(env, tube, x0, (grid_points,))
         want = ndtr((edges[1:] - x0 - m) / s) - ndtr((edges[:-1] - x0 - m) / s)
         got = firsts.pop()
         assert np.abs(got - want).max() <= 1e-15 and got.min() >= 0.0
@@ -509,7 +558,7 @@ def test_grid_pass_works_out_its_band_once(monkeypatch, name, grid_points, side)
     sides = _spy_sides(monkeypatch)
     spec, tube = _case(name)
     env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=22)
-    quench_dp._grid_once(env, tube, 0.3, grid_points)
+    quench_dp._grid_passes(env, tube, 0.3, (grid_points,))
     assert sides == [side] and 1 <= len(calls) <= 2 and widths
 
 
@@ -519,19 +568,24 @@ def test_kernel_blocks_do_not_change_results(monkeypatch, steps):
     envs = {name: tw.sample_environment(SPECS[name], tube.f_offset + tube.n, seed=23) for name in SPECS}
 
     def results():
-        out = [tw.survival_dp_lattice(envs[k], tube, 0.0, return_running=True) for k in ("shift", "three")]
-        out += [
-            tw.survival_grid(envs[k], tube, 0.2, 120, return_running=True)
-            for k in ("gauss", "gauss-narrow", "off-lattice")
-        ]
-        return [(est.log_p, est.work, run) for est, run in out]
+        # log_p, work and the totals at every step of each pass, both
+        # resolutions of a grid keyed by their node counts
+        with monkeypatch.context() as m:
+            take = _every_step(m)
+            out = []
+            for k in ("shift", "three"):
+                out.append((tw.survival_dp_lattice(envs[k], tube, 0.0), take()))
+            for k in ("gauss", "gauss-narrow", "off-lattice"):
+                out.append((tw.survival_grid(envs[k], tube, 0.2, 120), take()))
+        return [(est.log_p, est.work, runs) for est, runs in out]
 
     default = results()
     widths = []
     monkeypatch.setattr(propagate, "_block_steps", lambda width, entries: widths.append(width) or steps)
-    for (lp, work, run), (lp_ref, work_ref, run_ref) in zip(results(), default):
-        assert lp == lp_ref and work == work_ref
-        np.testing.assert_array_equal(run, run_ref)
+    for (lp, work, runs), (lp_ref, work_ref, runs_ref) in zip(results(), default):
+        assert lp == lp_ref and work == work_ref and runs.keys() == runs_ref.keys()
+        for size, run in runs.items():
+            np.testing.assert_array_equal(run, runs_ref[size])
     assert widths  # the blocks were sized by the stub
 
 
@@ -570,7 +624,7 @@ def test_gaussian_grid_picks_the_cheaper_step(monkeypatch, name, n, grid_points,
     sides = _spy_sides(monkeypatch)
     spec, tube = _case(name, n)
     env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=22)
-    quench_dp._grid_once(env, tube, 0.3, grid_points)
+    quench_dp._grid_passes(env, tube, 0.3, (grid_points,))
     assert sides == [side]
 
 
@@ -619,7 +673,7 @@ def test_grid_flags_a_cut_whose_kept_mass_is_near_its_roundoff():
     spec = tw.EnvironmentSpec.random_mean_gaussian(1.0127, 0.2325)
     tube = tw.TubeSpec(g=-0.802, h=0.903, alpha=0.235, n=50, f_offset=3)
     env = tw.sample_environment(spec, tube.f_offset + tube.n, seed=130)
-    roundoff = quench_dp._grid_once(env, tube, 0.7255, 77)[3]
+    roundoff = quench_dp._grid_passes(env, tube, 0.7255, (77,))[0][2]
     assert roundoff
     assert "grid_roundoff" in tw.survival_grid(env, tube, 0.7255, 77).flags
 
@@ -627,8 +681,8 @@ def test_grid_flags_a_cut_whose_kept_mass_is_near_its_roundoff():
 # --- two resolutions in one band pass ---------------------------------------
 #
 # `survival_grid` runs a Gaussian law's two resolutions as two layouts of one
-# `gamma._band_pass` when both take the band: each must give every bit of a
-# pass of its own.
+# `propagate._band_pass` when both take the band: each must give every bit of
+# a pass of its own.
 
 WIDENING = tw.TubeTemplate(g=((0, -1.0), (1, -2.0)), h=((0, 1.0), (1, 2.0)), alpha=0.3, end_window=(-0.5, 0.5))
 
@@ -669,41 +723,47 @@ PAIR_CASES = {case[0]: case[1:] for case in _pair_cases()}
 
 @pytest.mark.parametrize("name", list(PAIR_CASES))
 def test_grid_layouts_equal_their_own_passes(monkeypatch, name):
-    # log_p, running totals, work and the roundoff flag of each resolution, to
-    # the bit, with totals on demand and with a total at every step; each
-    # order puts the other resolution first, whose running totals are returned
+    # log_p, work and the roundoff flag of each resolution, to the bit, with
+    # totals on demand and with a total at every step, in each order of the
+    # two resolutions; and each resolution's totals at every step are those
+    # of its pass alone (a Gaussian pass has a node a grid point)
     env, tube, x0, grid_points, steps = PAIR_CASES[name]
     sizes = (grid_points, max(25, grid_points // 2))
-    alone = {(points, rr): quench_dp._grid_once(env, tube, x0, points, rr) for points in sizes for rr in (False, True)}
+    alone = {points: quench_dp._grid_passes(env, tube, x0, (points,))[0] for points in sizes}
+    running = {}
+    for points in sizes:
+        [got], running[points] = _with_totals(monkeypatch, quench_dp._grid_passes, env, tube, x0, (points,))
+        assert got == alone[points]
     sides = _spy_sides(monkeypatch)
-    for return_running in (False, True):
+    for every_step in (False, True):
         for order in (sizes, sizes[::-1]):
             del sides[:]
-            passes = quench_dp._grid_passes(env, tube, x0, order, return_running)
+            with monkeypatch.context() as m:
+                take = _every_step(m) if every_step else None
+                passes = quench_dp._grid_passes(env, tube, x0, order)
             assert sorted(sides) == steps
-            for j, (got, points) in enumerate(zip(passes, order)):
-                want = alone[points, return_running and not j]
-                assert got[0] == want[0] and got[2:] == want[2:]
-                if want[1] is None:
-                    assert got[1] is None
-                else:
-                    np.testing.assert_array_equal(got[1], want[1])
+            assert passes == [alone[points] for points in order]
+            if every_step:
+                runs = take()
+                assert runs.keys() == running.keys()
+                for points, run in runs.items():
+                    np.testing.assert_array_equal(run, running[points])
     est = tw.survival_grid(env, tube, x0, grid_points)
-    full, half = (alone[points, False] for points in sizes)
-    assert (est.log_p, est.work, "grid_roundoff" in est.flags) == (full[0], full[2] + half[2], full[3] or half[3])
+    full, half = (alone[points] for points in sizes)
+    assert (est.log_p, est.work, "grid_roundoff" in est.flags) == (full[0], full[1] + half[1], full[2] or half[2])
 
 
 def test_grid_layouts_cover_rescales_and_deaths():
     # what the cases above reach: rescales in the deep run, and one layout
     # dying out while the other lives in the two cases with a jump
     _, tube, _, _, _ = PAIR_CASES["deep"]
-    lazy = [quench_dp._grid_once(*PAIR_CASES["deep"][:3], points) for points in (400, 200)]
+    lazy = [quench_dp._grid_passes(*PAIR_CASES["deep"][:3], (points,))[0] for points in (400, 200)]
     assert all(log_p < -1000 * math.log(2) for log_p, *_ in lazy)
     for name, dead in (("half-dies", 1), ("full-dies", 0)):
         env, tube, x0, grid_points, _ = PAIR_CASES[name]
         passes = quench_dp._grid_passes(env, tube, x0, (grid_points, grid_points // 2))
         assert [math.isinf(p[0]) for p in passes] == [j == dead for j in range(2)]
-        assert all(p[3] for p in passes)  # both cuts lost the mass in round-off
+        assert all(p[2] for p in passes)  # both cuts lost the mass in round-off
 
 
 # --- narrow kernels --------------------------------------------------------
@@ -736,9 +796,10 @@ def test_narrow_kernels_match_the_reference(monkeypatch, step, tau, grid_points,
     spec = tw.EnvironmentSpec.random_mean_gaussian(0.2, tau)
     tube = BUILTIN_GAUSS.template.make(n)
     env = tw.sample_environment(spec, tube.f_offset + n, seed=7)
-    got = quench_dp._grid_once(env, tube, tube.default_x0(), grid_points, return_running=True)
+    x0 = tube.default_x0()
+    [(log_p, work, _)], run = _with_totals(monkeypatch, quench_dp._grid_passes, env, tube, x0, (grid_points,))
     assert sides == [step]
-    _same(got, _reference_grid(env, tube, tube.default_x0(), grid_points), 1e-10)
+    _same((log_p, run, work), _reference_grid(env, tube, x0, grid_points), 1e-10)
 
 
 def test_dp_pinned_value():
@@ -823,22 +884,22 @@ def test_block_route_and_atom_grid_keep_their_pinned_bits(cfg, idx, n, log_p, wo
         (DP_LOOP_CI, 1, 800, "aa154f4d54eeadc33c467d25d441a000e9cba9b32672044fab86c2c3953d9176"),
     ],
 )
-def test_running_totals_keep_their_pinned_bits(cfg, idx, n, digest):
+def test_running_totals_keep_their_pinned_bits(monkeypatch, cfg, idx, n, digest):
     # the block route (n = 10001 ends on a step outside any block) and the
     # step loop, every running total to the bit
     tube = cfg.template.make(n)
     env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, derive_seed(0, 11, idx))
-    _, running = tw.survival_dp_lattice(env, tube, tube.default_x0(), return_running=True)
+    _, running = _with_totals(monkeypatch, tw.survival_dp_lattice, env, tube, tube.default_x0())
     assert running.shape == (n + 1,) and hashlib.sha256(running.tobytes()).hexdigest() == digest
 
 
-def _dp_peak(cfg, n: int, return_running: bool = False) -> int:
+def _dp_peak(cfg, n: int) -> int:
     """Bytes tracemalloc sees at the peak of a DP pass (the environment is made before)."""
     tube = cfg.template.make(n)
     env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, derive_seed(0, 11, 0))
     tracemalloc.start()
     try:
-        tw.survival_dp_lattice(env, tube, tube.default_x0(), return_running)
+        tw.survival_dp_lattice(env, tube, tube.default_x0())
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -854,10 +915,12 @@ def test_dp_memory_is_flat_in_n():
     assert _dp_peak(DP_LOOP_CI, 50_000) <= 1.25 * _dp_peak(DP_LOOP_CI, 12_500)
 
 
-def test_running_totals_hold_no_python_int_per_time():
+def test_running_totals_hold_no_python_int_per_time(monkeypatch):
     # the running totals at n = 200000 are 1.53 MiB, held twice while the
     # result is built; a dict and a list of the times would add about 37 MiB
-    assert _dp_peak(BUILTIN_SHIFT, 200_000, return_running=True) <= 8 * 2**20
+    take = _every_step(monkeypatch)
+    assert _dp_peak(BUILTIN_SHIFT, 200_000) <= 8 * 2**20
+    assert [len(run) for run in take().values()] == [200_001]
 
 
 def _deep_rademacher(n):
@@ -888,7 +951,7 @@ def test_grid_follows_dp_past_underflow():
 
 
 def _same_bits(lazy, eager):
-    """A pass with totals on demand gives every bit of one with running totals."""
+    """A pass with totals on demand gives every bit of one with a total at every step."""
     assert lazy.log_p.hex() == eager.log_p.hex()
     assert lazy.work == eager.work and lazy.flags == eager.flags
 
@@ -906,13 +969,13 @@ def _spy_rescales(monkeypatch):
     return totals
 
 
-def test_lazy_totals_keep_every_bit_on_the_builtin_ladder():
+def test_lazy_totals_keep_every_bit_on_the_builtin_ladder(monkeypatch):
     cfg = tw_config.validate(tw_config.load_builtin("random-shift-bernoulli"))
     for k, n in enumerate(cfg.n_list):
         tube = cfg.template.make(n)
         env = tw.sample_environment(cfg.env_spec, tube.f_offset + n, derive_seed(cfg.seed, 11, k))
         x0 = tube.default_x0()
-        eager, _ = tw.survival_dp_lattice(env, tube, x0, return_running=True)
+        eager, _ = _with_totals(monkeypatch, tw.survival_dp_lattice, env, tube, x0)
         _same_bits(tw.survival_dp_lattice(env, tube, x0), eager)
 
 
@@ -921,24 +984,24 @@ def test_lazy_totals_rescale_on_the_same_totals(monkeypatch):
     # run of steps whose check found the total below the threshold
     env, tube = _deep_rademacher(20000)
     eager_rescales = _spy_rescales(monkeypatch)
-    eager, _ = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    eager, _ = _with_totals(monkeypatch, tw.survival_dp_lattice, env, tube, 0.0)
     lazy_rescales = _spy_rescales(monkeypatch)
     _same_bits(tw.survival_dp_lattice(env, tube, 0.0), eager)
     assert len(eager_rescales) >= 8 and lazy_rescales == eager_rescales
 
 
-def test_lazy_totals_die_out_on_the_same_step():
+def test_lazy_totals_die_out_on_the_same_step(monkeypatch):
     tube = tw.TubeSpec(g=-0.5, h=0.5, alpha=0.01, n=40)
     env = tw.sample_environment(SPECS["rademacher"], 40, seed=3)
-    eager, run = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    eager, run = _with_totals(monkeypatch, tw.survival_dp_lattice, env, tube, 0.0)
     assert run[1] == 0.0
     _same_bits(tw.survival_dp_lattice(env, tube, 0.0), eager)
     # the grid's atom branch: its work counts the steps up to the last one
     narrow = tw.TubeSpec(g=-0.05, h=0.05, alpha=0.01, n=40)
-    lazy = quench_dp._grid_once(env, narrow, 0.0, 60)
-    eager = quench_dp._grid_once(env, narrow, 0.0, 60, return_running=True)
-    assert lazy[0] == eager[0] == -math.inf and lazy[1] is None
-    assert lazy[2:] == eager[2:] and 0 < eager[2] < narrow.n * 60
+    [lazy] = quench_dp._grid_passes(env, narrow, 0.0, (60,))
+    [eager], run = _with_totals(monkeypatch, quench_dp._grid_passes, env, narrow, 0.0, (60,))
+    assert lazy[0] == eager[0] == -math.inf and not run[-1]
+    assert lazy[1:] == eager[1:] and 0 < eager[1] < narrow.n * 60
 
 
 @pytest.mark.parametrize("steps", [1, 5])
@@ -958,7 +1021,7 @@ def test_lazy_replay_reads_kernels_across_blocks(monkeypatch, steps):
     env = tw.sample_environment(THREE_ATOMS, tube.f_offset + tube.n, seed=23)
     lazy = tw.survival_dp_lattice(env, tube, 0.0)
     assert any(later < earlier for earlier, later in zip(starts, starts[1:]))
-    eager, _ = tw.survival_dp_lattice(env, tube, 0.0, return_running=True)
+    eager, _ = _with_totals(monkeypatch, tw.survival_dp_lattice, env, tube, 0.0)
     _same_bits(lazy, eager)
     assert lazy.log_p < -500 * math.log(2)
 
@@ -1035,7 +1098,7 @@ def test_mass_row_restores_its_time_and_live_range():
 
 
 def _spy_propagate(monkeypatch):
-    """The calls `_atom_pass` and `_grid_once` make to the step loop off the
+    """The calls `_atom_pass` and `_grid_passes` make to the step loop off the
     block route (`_scaled_pass` on a state other than a `_BlockRow`, or
     `_band_pass`), counted."""
     calls = []
@@ -1055,14 +1118,25 @@ def _spy_propagate(monkeypatch):
     return calls
 
 
-def _routes(monkeypatch, env, tube, x0, return_running):
-    """`_atom_pass` on the law's lattice by the block route, then by the step loop."""
+def _routes(monkeypatch, env, tube, x0, every_step):
+    """`_atom_pass` on the law's lattice by the block route, then by the step
+    loop, each as (log_p, running, size, last): the running totals with
+    `every_step` (`_with_totals`), else None."""
     calls = _spy_propagate(monkeypatch)
-    block = quench_dp._atom_pass(env, tube, x0, 1.0 / env.lattice_q, return_running)
+
+    def atom_pass():
+        args = (env, tube, x0, 1.0 / env.lattice_q)
+        if not every_step:
+            log_p, size, last = quench_dp._atom_pass(*args)
+            return log_p, None, size, last
+        (log_p, size, last), run = _with_totals(monkeypatch, quench_dp._atom_pass, *args)
+        return log_p, run, size, last
+
+    block = atom_pass()
     assert not calls
     with monkeypatch.context() as m:
         m.setattr(propagate, "_TABLE_ENTRIES", 0)
-        loop = quench_dp._atom_pass(env, tube, x0, 1.0 / env.lattice_q, return_running)
+        loop = atom_pass()
     assert len(calls) == 1
     return block, loop
 
@@ -1140,7 +1214,7 @@ def test_block_route_dies_out_inside_a_block(monkeypatch):
     assert lazy[0] == eager[0] == -math.inf and lazy[3] == eager[3] == 30
     assert eager[1][29] > 0.0 and not eager[1][30:].any()
     # the grid's atom branch: its work counts the steps up to the last one
-    assert quench_dp._grid_once(env, tube, 0.0, 60)[2] == 30 * lazy[2]
+    assert quench_dp._grid_passes(env, tube, 0.0, (60,))[0][1] == 30 * lazy[2]
 
 
 def test_block_route_rescales_a_deep_run(monkeypatch):
@@ -1156,7 +1230,7 @@ def test_block_route_rescales_a_deep_run(monkeypatch):
     np.testing.assert_allclose(eager_block[1][normal], eager_loop[1][normal], rtol=1e-13, atol=0.0)
     assert eager_loop[1][normal][-1] < 2.0**-600
     eager_rescales = _spy_rescales(monkeypatch)
-    eager = quench_dp._atom_pass(env, tube, 0.0, 1.0, True)
+    eager, _ = _with_totals(monkeypatch, quench_dp._atom_pass, env, tube, 0.0, 1.0)
     lazy_rescales = _spy_rescales(monkeypatch)
     assert quench_dp._atom_pass(env, tube, 0.0, 1.0)[0] == eager[0] == block[0]
     assert len(eager_rescales) >= 8 and lazy_rescales == eager_rescales
@@ -1193,25 +1267,28 @@ def test_block_route_table_bound(monkeypatch, half, kept, blocks):
     assert not calls == blocks
 
 
-@pytest.mark.parametrize("return_running", [False, True])
-def test_block_route_is_taken_where_it_applies(monkeypatch, return_running):
+@pytest.mark.parametrize("every_step", [False, True])
+def test_block_route_is_taken_where_it_applies(monkeypatch, every_step):
+    # with totals on demand and at every step (`_every_step`)
     calls = _spy_propagate(monkeypatch)
+    take = _every_step(monkeypatch) if every_step else None
     for builtin in ("random-shift-bernoulli", "degenerate-rademacher"):
         cfg = tw_config.validate(tw_config.load_builtin(builtin))
         tube = cfg.template.make(cfg.n_list[0])
         env = tw.sample_environment(cfg.env_spec, tube.f_offset + tube.n, seed=2)
-        tw.survival_dp_lattice(env, tube, tube.default_x0(), return_running=return_running)
-        tw.survival_grid(env, tube, tube.default_x0(), return_running=return_running)
+        tw.survival_dp_lattice(env, tube, tube.default_x0())
+        tw.survival_grid(env, tube, tube.default_x0())
     assert not calls
     # a moving tube, an off-lattice atom grid (also on a constant tube) and a
     # Gaussian law take the step loop, once a pass
     constant = tw.TubeSpec(g=-1.0, h=1.0, alpha=0.3, n=200)
     for name, tube in [*((name, _case(name)[1]) for name in ("shift", "off-lattice", "gauss")), ("off-lattice", constant)]:
         env = tw.sample_environment(SPECS[name], tube.f_offset + tube.n, seed=2)
-        quench_dp._grid_once(env, tube, 0.0, 100, return_running)
+        quench_dp._grid_passes(env, tube, 0.0, (100,))
     env = tw.sample_environment(SPECS["shift"], MOVING["f_offset"] + MOVING["n"], seed=2)
-    tw.survival_dp_lattice(env, tw.TubeSpec(**MOVING), 0.0, return_running=return_running)
+    tw.survival_dp_lattice(env, tw.TubeSpec(**MOVING), 0.0)
     assert len(calls) == 5
+    assert not every_step or take()
 
 
 def _spy_scans(monkeypatch):

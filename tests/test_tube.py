@@ -128,6 +128,9 @@ def test_extent_is_the_bounds_arrays_extremes():
         for start, stop in chunks:
             got = tube.bounds_arrays(start, stop)
             assert [a.tobytes() for a in got] == [lo[start:stop].tobytes(), up[start:stop].tobytes()]
+        # and a single time's bounds are bounds_at's, bit for bit
+        for t in (*(int(i) for i in starts), n):
+            assert [x.hex() for x in tube.bounds_at(t)] == [float(lo[t]).hex(), float(up[t]).hex()]
     with pytest.raises(IndexError):
         tube.bounds_arrays(0, n + 2)
     with pytest.raises(IndexError):
