@@ -714,6 +714,42 @@ def test_cli_fit_refuses_fewer_than_three_n_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_gamma_refuses_an_empty_beta_before_writing(tmp_path, capsys):
+    # it once exited 0 with a gamma.csv of its header alone; fit and report
+    # estimate gamma at sigma_a/sigma_q themselves and take beta = []
+    out = tmp_path / "g"
+    args = ["gamma", "--config", "builtin:random-shift-bernoulli", "--set", "gamma.beta=[]", "--out", str(out)]
+    assert cli.main(args) == 2
+    assert "gamma.beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_FREEZE_ONCE = """
+import gc
+import sys
+
+import tubewalk.cli as cli
+
+assert gc.get_freeze_count() == 0
+args = ["simulate", "--config", "builtin:degenerate-rademacher", "--set", "tube.n_list=[20,40]", "--out", sys.argv[1]]
+assert cli.main(args) == 0
+frozen = gc.get_freeze_count()
+assert frozen > 10000 and gc.isenabled(), frozen
+assert cli.main(args) == 0
+assert gc.get_freeze_count() == frozen, (frozen, gc.get_freeze_count())
+"""
+
+
+def test_cli_main_freezes_the_start_up_heap_once(tmp_path):
+    # a fresh process: pytest's heap is frozen by the first in-process main call
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-c", _FREEZE_ONCE, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "simulate.csv").exists()
+
+
 def test_cli_fit_builtin_degenerate_within_tolerance(tmp_path):
     out = tmp_path / "fit"
     assert cli.main(["fit", "--config", "builtin:degenerate-rademacher", "--out", str(out)]) == 0

@@ -57,6 +57,18 @@ def test_propagate_imports_only_results():
     assert {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1} == {"results"}
 
 
+def test_only_cli_imports_gc():
+    # importing tubewalk as a library leaves the caller's collector alone
+    def imports_gc(path):
+        return any(
+            isinstance(node, ast.Import) and "gc" in {alias.name for alias in node.names}
+            or isinstance(node, ast.ImportFrom) and node.module == "gc"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+
+    assert [path.stem for path in sorted(SRC.glob("*.py")) if imports_gc(path)] == ["cli"]
+
+
 def test_no_two_modules_define_the_same_name():
     owners = {}
     for module in MODULES:
