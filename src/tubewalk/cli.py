@@ -114,7 +114,7 @@ def _points(cfg: ExperimentConfig, sweep_starts: bool) -> list[RunPoint]:
 
 def _fit_points(cfg: ExperimentConfig, points: list[RunPoint]) -> list[RunPoint]:
     """The fit's points among the plan's: with a start sweep, each n's middle
-    start, which `survival_start_sweep` makes the fit's start to the bit."""
+    start, which `TubeSpec.start_points` makes the fit's start to the bit."""
     if not cfg.sweep_starts:
         return points
     per_n = len(points) // len(cfg.n_list)

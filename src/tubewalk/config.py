@@ -18,12 +18,12 @@ import json
 import math
 from importlib import resources
 
-from .env import _ATOM_BYTES, _STEP_BYTES, EnvironmentSpec, moments
-from .gamma import _REPLICA_BATCH, BARRIER_SHIFT, _layout, estimate_gamma
-from .mc import _PATH_BYTES
-from .propagate import _FLOAT_BYTES, _GRID_NODE_BYTES, _MEMORY_BUDGET, _NODE_BYTES, _TAP_BYTES, _atom_nodes
-from .propagate import _grid_spacing, _kernel_layout, _run_bytes
-from .rate import ESTIMATORS, make_estimator, theorem_check
+from .env import EnvironmentSpec, environment_size, moments
+from .gamma import batch_sizes, estimate_gamma
+from .mc import particle_size
+from .propagate import MEMORY_BUDGET
+from .quench_dp import pass_sizes
+from .rate import ESTIMATORS, make_estimator, resolve_method, theorem_check
 from .results import Record
 from .tube import TubeTemplate
 
@@ -71,15 +71,17 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad key."""
 
 
-def _within_budget(count, unit_bytes: int, unit: str, keys: str, where: str = "") -> None:
-    """Refuse `count` units of `unit_bytes` bytes, set by `keys` and held `where`, past the memory
-    budget (`propagate._MEMORY_BUDGET`), which each run holds alone: runs are sequential."""
-    cap = _MEMORY_BUDGET // unit_bytes
+def _within_budget(size, keys: str, at: str = "") -> None:
+    """Refuse `size`, a sizing function's (count, bytes per unit, unit, where), whose count
+    `keys` set, past the memory budget, which each run holds alone: runs are sequential.
+    `at` ends the place the count is held."""
+    count, unit_bytes, unit, where = size
+    cap = MEMORY_BUDGET // unit_bytes
     if count > cap:
         shown = f"{count:.6g}" if isinstance(count, float) else count
         raise ConfigError(
-            f"{keys} give {shown} {unit}s{where}; at most {cap} fit ({unit_bytes} bytes per {unit} "
-            f"within a {_MEMORY_BUDGET >> 30} GiB memory budget)"
+            f"{keys} give {shown} {unit}s{where}{at}; at most {cap} fit ({unit_bytes} bytes per {unit} "
+            f"within a {MEMORY_BUDGET >> 30} GiB memory budget)"
         )
 
 
@@ -116,9 +118,8 @@ def _check_effort(est: dict, n_list: tuple[int, ...]) -> None:
     """Reject estimator effort values the estimators would refuse late."""
     for key, low in (("replicas", 100), ("particles", 100), ("grid_points", 50), ("checkpoints", 1)):
         _int_at_least(est[key], low, f"estimator.{key}")
-    # naive MC's replicas are the particles of a one-block splitting run
     for key in ("particles", "replicas"):
-        _within_budget(est[key], _PATH_BYTES, "path", f"estimator.{key}")
+        _within_budget(particle_size(est[key]), f"estimator.{key}")
     _positive(est["tolerance"], "estimator.tolerance")
     if est["method"] == "splitting" and est["checkpoints"] > min(n_list):
         raise ConfigError(
@@ -133,36 +134,22 @@ def _check_gamma(gam: dict) -> None:
         _int_at_least(gam[key], low, f"gamma.{key}")
     for key in ("t", "dt"):
         _positive(gam[key], f"gamma.{key}")
+    _check_gamma_batch(gam, max(gam["beta"], default=0.0))
+
+
+def _check_gamma_batch(gam: dict, beta: float, at: str = "") -> None:
+    """Reject a gamma run at drift `beta` of too few steps, or whose batch (`gamma.batch_sizes`)
+    overflows the budget; `at` says where `beta` comes from."""
     ratio = gam["t"] / gam["dt"]
     steps = round(ratio) if math.isfinite(ratio) else math.inf
     if steps < 4:
         raise ConfigError(f"gamma.t / gamma.dt must give at least 4 steps, got {gam['t']}/{gam['dt']}")
-    if BARRIER_SHIFT * math.sqrt(gam["dt"]) >= 0.5:
-        raise ConfigError(
-            f"gamma.dt must be < {(0.5 / BARRIER_SHIFT) ** 2:.6g} (the barrier correction "
-            f"0.5826 sqrt(dt) must stay inside the tube half-width 1/2), got {gam['dt']}"
-        )
-    batch = min(gam["replicas"], _REPLICA_BATCH)
-    where = f" of W increments, {batch} replicas at a time"
-    _within_budget(steps, _FLOAT_BYTES * batch, "step", "gamma.t / gamma.dt", where)
-    _check_gamma_layout(gam, max(gam["beta"], default=0.0))
-
-
-def _check_gamma_layout(gam: dict, beta: float, at: str = "") -> None:
-    """Reject a gamma run at drift `beta` whose layout overflows the budget;
-    `at` says where `beta` comes from."""
-    batch, points = min(gam["replicas"], _REPLICA_BATCH), gam["grid_points"]
-    keys = "gamma.dt and gamma.grid_points"
-    # the padded row holds at least grid_points entries a replica, and its
-    # padding covers drifts beta * dW up to the kernel's own reach, |dW| <= 8
-    # sqrt(dt), in cells under 1/grid_points; past the bound the layout is
-    # not sized (it may not fit a float)
-    drift = beta * 8.0 * math.sqrt(gam["dt"])
-    row = points if points > _MEMORY_BUDGET // (_FLOAT_BYTES * batch) else points * (1.0 + drift)
-    _within_budget(row, _FLOAT_BYTES * batch, "column", keys, f" of {batch} padded rows{at}")
-    _, _, n, band = _layout(gam["dt"], points, max_drift=drift)
-    where = f" for {batch} replicas at once (the band's cut operator, the padded rows, a block of step kernels){at}"
-    _within_budget(_run_bytes(points, n, band, batch) // _FLOAT_BYTES, _FLOAT_BYTES, "float", keys, where)
+    try:
+        sizes = batch_sizes(steps, gam["dt"], gam["grid_points"], gam["replicas"], beta)
+    except ValueError as exc:  # a dt whose barrier correction leaves no tube
+        raise ConfigError(f"gamma.{exc}") from None
+    for size, keys in zip(sizes, ("gamma.t / gamma.dt", *["gamma.dt and gamma.grid_points"] * 2)):
+        _within_budget(size, keys, at)
 
 
 def _check_keys(table: dict, allowed: set, where: str) -> None:
@@ -271,66 +258,37 @@ def _check_moments(env_spec: EnvironmentSpec) -> None:
 
 def _check_env_length(template: TubeTemplate, n_list, env_spec: EnvironmentSpec) -> None:
     """Reject tubes whose environment, f_offset(max n) + max n steps, overflows the budget."""
-    atoms = {"degenerate": len(env_spec.atoms or ()), "random_shift_bernoulli": 2}.get(env_spec.family, 0)
     n_max = max(n_list)
     try:
         steps = template.f_offset(n_max) + n_max
     except (OverflowError, ValueError):  # an infinite or nan offset
         steps = math.inf
     keys = "tube.n_list, tube.f_coeff and tube.f_power"
-    _within_budget(steps, _STEP_BYTES + _ATOM_BYTES * atoms, "step", keys, " of environment (f_offset(max n) + max n)")
+    _within_budget(environment_size(env_spec, steps), keys, " (f_offset(max n) + max n)")
 
 
-def _check_grid_kernel(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_list) -> None:
-    """Reject a Gaussian environment whose grid step kernel or padded row overflows the budget.
-
-    `quench_dp.survival_grid` lays a pass out by `propagate._kernel_layout`; with
-    8 sigma_a for the largest |step mean| the kernel is widest, and the row
-    that holds the `estimator.grid_points` nodes and the kernel's reach
-    longest, at the smallest n, whose tube span gives the finest grid.
-    """
-    if env_spec.family != "random_mean_gaussian" or est["method"] not in ("grid", "auto"):
+def _check_passes(est: dict, env_spec: EnvironmentSpec, tubes, x0, sweep) -> None:
+    """Reject an exact DP or grid run whose pass (`quench_dp.pass_sizes`) overflows the budget on the
+    `tubes` of the n ladder: a Gaussian law's on the first, the smallest n, whose tube span gives the
+    finest grid and so the widest kernel and longest row; an atom law's on each, from every start."""
+    method = resolve_method(est["method"], env_spec)
+    if method not in ("dp", "grid"):
         return
-    n_min = min(n_list)
-    lo, up = template.make(n_min).extent()
-    dx = (up - lo) / est["grid_points"]
-    try:
-        reach, length, _ = _kernel_layout(env_spec.tau, 8.0 * env_spec.sigma_a, dx, est["grid_points"])
-    except OverflowError:  # a reach (or its band) past a float's range, far over the cap
-        reach = length = math.inf
-    keys = "environment.sigma_a and environment.tau, with estimator.grid_points,"
-    _within_budget(2 * reach + 1, _TAP_BYTES, "tap", keys, f" in the grid's step kernel at the smallest n ({n_min})")
-    keys = "estimator.grid_points, with tube.g, tube.h and tube.alpha, environment.sigma_a and environment.tau,"
-    _within_budget(length, _GRID_NODE_BYTES, "node", keys, f" in the grid's padded row at the smallest n ({n_min})")
-
-
-def _check_atom_nodes(est: dict, env_spec: EnvironmentSpec, template: TubeTemplate, n_list, x0, sweep) -> None:
-    """Reject an atom law whose atom pass lays out more nodes than the budget holds, counted by
-    `propagate._atom_nodes` at every start a run takes: the exact DP's on the law's lattice
-    (`dp`, and `auto` on a lattice law), or the grid's at `propagate._grid_spacing` (`grid`, and
-    `auto` off every lattice)."""
-    q, method = env_spec.lattice_q, est["method"]
-    exact = method in ("dp", "auto") and q is not None
-    if env_spec.family == "random_mean_gaussian" or not (exact or method in ("grid", "auto")):
-        return
-    law = "environment.atoms" if env_spec.family == "degenerate" else "environment.d and environment.lattice_q"
-    keys = f"tube.g, tube.h, tube.alpha and tube.n_list with {law}" + ("" if exact else ", at estimator.grid_points,")
-    for n in n_list:
-        tube = template.make(n)
-        lo, up = tube.extent()
-        starts = tube.start_points() if sweep else [tube.default_x0() if x0 is None else x0]
-        try:
-            dx = 1.0 / q if exact else _grid_spacing(env_spec, up - lo, est["grid_points"])
-            nodes = max(_atom_nodes(q, dx, lo, up, x)[3] for x in starts)
-        except (OverflowError, ValueError):  # a bound or a span past a float's range
-            nodes = math.inf
-        where = f" in the {'exact DP' if exact else 'grid'}'s atom pass at n = {n}"
-        _within_budget(nodes, _NODE_BYTES, "node", keys, where)
+    if env_spec.family == "random_mean_gaussian":
+        tubes, at = tubes[:1], " at the smallest n ({})"
+        keys = ("environment.sigma_a and environment.tau, with estimator.grid_points,",
+                "estimator.grid_points, with tube.g, tube.h and tube.alpha, environment.sigma_a and environment.tau,")
+    else:
+        law = "environment.atoms" if env_spec.family == "degenerate" else "environment.d and environment.lattice_q"
+        at, keys = " at n = {}", (f"tube.g, tube.h, tube.alpha and tube.n_list with {law}" + (", at estimator.grid_points," if method == "grid" else ""),)
+    for tube in tubes:
+        for size, key in zip(pass_sizes(env_spec, tube, tube.run_starts(x0, sweep), method, est["grid_points"]), keys):
+            _within_budget(size, key, at.format(tube.n))
 
 
 def _build_tube(
     table: dict, env_spec: EnvironmentSpec
-) -> tuple[TubeTemplate, tuple[int, ...], float | None, bool]:
+) -> tuple[TubeTemplate, tuple[int, ...], list, float | None, bool]:
     for key in ("alpha", "g", "h"):
         if key not in table:
             raise ConfigError(f"tube.{key} is required")
@@ -373,7 +331,7 @@ def _build_tube(
     sweep = _boolean(table.get("sweep_starts", False), "tube.sweep_starts")
     if x0 is not None and sweep:
         raise ConfigError("tube.x0 and tube.sweep_starts exclude each other: a start sweep sets its own starts")
-    return template, tuple(n_list), x0, sweep
+    return template, tuple(n_list), tubes, x0, sweep
 
 
 def validate(raw: dict) -> ExperimentConfig:
@@ -411,10 +369,9 @@ def validate(raw: dict) -> ExperimentConfig:
 
     env_spec = _build_env(raw["environment"])
     _check_moments(env_spec)
-    template, n_list, x0, sweep = _build_tube(raw["tube"], env_spec)
+    template, n_list, tubes, x0, sweep = _build_tube(raw["tube"], env_spec)
     _check_effort(est, n_list)
-    _check_grid_kernel(est, env_spec, template, n_list)
-    _check_atom_nodes(est, env_spec, template, n_list, x0, sweep)
+    _check_passes(est, env_spec, tubes, x0, sweep)
     seed = _int_at_least(raw.get("seed", 12345), 0, "seed")
     return ExperimentConfig(
         seed=seed,
@@ -444,8 +401,7 @@ def check_fit_gamma(cfg: ExperimentConfig) -> None:
     sa2, sq2 = moments(cfg.env_spec)
     beta = math.sqrt(sa2 / sq2)
     if beta > max(cfg.gamma["beta"], default=0.0):
-        key = _BETA_KEYS[cfg.env_spec.family]
-        _check_gamma_layout(cfg.gamma, beta, f" at the fit's beta = sigma_a/sigma_q = {beta:.6g} (from {key})")
+        _check_gamma_batch(cfg.gamma, beta, f" at the fit's beta = sigma_a/sigma_q = {beta:.6g} (from {_BETA_KEYS[cfg.env_spec.family]})")
 
 
 def _yaml(text, where: str):

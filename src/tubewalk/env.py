@@ -161,6 +161,8 @@ class EnvironmentSpec(Record):
                 raise InvalidSpecError("random_mean_gaussian needs sigma_a >= 0")
             if self.tau is None or self.tau <= 0:
                 raise InvalidSpecError("random_mean_gaussian needs tau > 0 (sigma_q_sq > 0)")
+            if self.lattice_q is not None:
+                raise InvalidSpecError("random_mean_gaussian steps lie on no lattice: lattice_q must be None")
 
     @classmethod
     def degenerate(cls, atoms, xi_scale: float = 1.0) -> "EnvironmentSpec":
@@ -182,14 +184,9 @@ class EnvironmentSpec(Record):
 
     @property
     def is_lattice(self) -> bool:
-        """True when every reachable step law has atoms on a common lattice."""
-        if self.family == "degenerate":
-            return self.lattice_q is not None
-        if self.family == "random_shift_bernoulli":
-            # atoms are m +- 1 with m = +-d = +-p/q; 1 = q/q, so everything
-            # sits on (1/q)Z.
-            return True
-        return False
+        """True when every reachable step law has atoms on a common lattice, (1/lattice_q)Z: a
+        random shift always, a degenerate law where its atoms are, a Gaussian law never."""
+        return self.lattice_q is not None
 
 
 def moments(spec: EnvironmentSpec) -> tuple[float, float]:
@@ -268,9 +265,17 @@ def verify_assumptions(spec: EnvironmentSpec) -> AssumptionReport:
 # chunk of times at a time.  A run's peak at 1e6 steps, measured with
 # tracemalloc for 0-3 atoms per law: 17.0-17.4 bytes a step for the DP's block
 # route and step loop, 18.7-19.1 for splitting, 25.3-26.3 for a Gaussian law's
-# grid and splitting.  `config.validate` still sizes a step at 64 bytes and
-# 32 an atom: lower figures would move the boundaries at which it refuses runs.
+# grid and splitting.  `environment_size` sizes a step at 64 bytes and 32 an
+# atom, above those peaks: lower figures would move the boundaries at which
+# `config.validate` refuses runs.
 _STEP_BYTES, _ATOM_BYTES = 64, 32
+
+
+def environment_size(spec: EnvironmentSpec, steps) -> tuple:
+    """What a realisation of `steps` steps of `spec`'s law holds, sized at _STEP_BYTES a step and
+    _ATOM_BYTES an atom of the law: (steps, bytes a step, "step", where)."""
+    atoms = {"degenerate": len(spec.atoms or ()), "random_shift_bernoulli": 2}.get(spec.family, 0)
+    return steps, _STEP_BYTES + _ATOM_BYTES * atoms, "step", " of environment"
 
 
 class EnvRealization(Record, eq=False):

@@ -14,9 +14,9 @@ A replica is the Gaussian grid pass of `quench_dp` on the constant tube
 layout (`_layout`).  The band K depends on dt, not on grid_points: about
 1.4/sqrt(dt) + 11 (58 of 271 modes at dt = 1e-3 and 400 points).
 `estimate_gamma` propagates at most _REPLICA_BATCH replicas per batch, so
-memory stays bounded whatever the replica count (`propagate._run_bytes`
-bounds a batch, and `config.validate` caps it); at beta = 0 every replica
-is the same and one is propagated.  The Student-t quantile of the
+memory stays bounded whatever the replica count (`batch_sizes` sizes a
+batch, and `config.validate` caps it); at beta = 0 every replica is the
+same and one is propagated.  The Student-t quantile of the
 confidence intervals is computed here too (`t_quantile`), so no scipy
 import remains.
 
@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .propagate import _BandRows, _band_pass, _bin_masses, _kernel_layout
+from .propagate import _FLOAT_BYTES, MEMORY_BUDGET, _BandRows, _band_pass, _bin_masses, _kernel_layout, _run_bytes
 from .results import Record
 from .rng import STREAM_GAMMA_W, substream
 
@@ -101,14 +101,38 @@ def t_quantile(dof: int, prob: float) -> float:
 
 def _layout(dt: float, grid_points: int, barrier_correction: bool = True, max_drift: float = 0.0):
     """Tube half-width, grid spacing dx, padded row length n and band K of a
-    run whose drifts stay within `max_drift` (`_kernel_layout`)."""
+    run whose drifts stay within `max_drift` (`_kernel_layout`); ValueError
+    for a dt whose barrier correction leaves no tube."""
     sd = math.sqrt(dt)
     half = 0.5 - (BARRIER_SHIFT * sd if barrier_correction else 0.0)
     if half <= 0:
-        raise ValueError("dt too coarse: barrier correction exceeds the tube half-width")
+        raise ValueError(f"dt must be < {(0.5 / BARRIER_SHIFT) ** 2:.6g} (the barrier correction 0.5826 sqrt(dt) must stay inside the tube half-width 1/2), got {dt}")
     dx = (2.0 * half / grid_points - half) + half  # the spacing np.linspace(-half, half, .) gives
     _, n, band = _kernel_layout(sd, max_drift, dx, grid_points)
     return half, dx, n, band
+
+
+def batch_sizes(steps, dt: float, grid_points: int, env_replicas: int, beta: float) -> list:
+    """What `estimate_gamma` holds for one batch of replicas at drift `beta`
+    over `steps` steps of `dt`, as (count, bytes a unit, unit, where): the
+    batch's W increments; its padded rows, at least grid_points entries a
+    replica, padded for drifts beta * dW up to the kernel's own reach
+    |dW| <= 8 sqrt(dt); and, while the rows fit the budget, what the band
+    pass holds besides them (`propagate._run_bytes` of `_layout`, which
+    raises its ValueError for a dt past the barrier correction).  Past the
+    budget the layout is not sized: it may not fit a float.  Scalar
+    arithmetic only.
+    """
+    batch = min(env_replicas, _REPLICA_BATCH)
+    row_bytes, drift = _FLOAT_BYTES * batch, beta * 8.0 * math.sqrt(dt)
+    row = grid_points if grid_points > MEMORY_BUDGET // row_bytes else grid_points * (1.0 + drift)
+    sizes = [(steps, row_bytes, "step", f" of W increments, {batch} replicas at a time"),
+             (row, row_bytes, "column", f" of {batch} padded rows")]
+    if row <= MEMORY_BUDGET // row_bytes:
+        n, band = _layout(dt, grid_points, max_drift=drift)[2:]
+        where = f" for {batch} replicas at once (the band's cut operator, the padded rows, a block of step kernels)"
+        sizes.append((_run_bytes(grid_points, n, band, batch) // _FLOAT_BYTES, _FLOAT_BYTES, "float", where))
+    return sizes
 
 
 def _confinement_profiles(

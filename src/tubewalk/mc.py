@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .env import EnvRealization
-from .propagate import _NODE_CAP, _atom_nodes, _check_span, _end_nodes, _kept, _lattice, _require_open_start
+from .propagate import _check_span, _end_nodes, _kept, _lattice, _require_open_start
 from .quench_dp import xi_log_factor
 from .results import METHOD_NAIVE_MC, METHOD_SPLITTING, SurvivalEstimate, from_log
 from .rng import STREAM_SPLIT, substream
@@ -35,8 +35,14 @@ from .walk import draw_increments
 ROW_BYTES = 2**18
 # A particle keeps its position, flags, end position and resampling indices:
 # measured 39 bytes a particle on the float kernel and 22 on the lattice
-# kernel; `config.validate` sizes `estimator.particles` and `replicas` by it.
+# kernel; `particle_size` sizes a run by it.
 _PATH_BYTES = 64
+
+
+def particle_size(particles) -> tuple:
+    """What a splitting run of `particles` particles holds, or a naive run of as many replicas (the
+    particles of its one block), sized at _PATH_BYTES a particle: (particles, bytes a particle, "path", "")."""
+    return particles, _PATH_BYTES, "path", ""
 
 
 def _advance(
@@ -84,17 +90,18 @@ def _bit_law(env: EnvRealization, tube: TubeSpec, x0: float):
     """(nodes, moves, start, codes, cuts, bits) for `_advance_nodes` (`propagate._lattice`'s four),
     or None for the float kernel.  A particle-step's `bits` <= 8 random bits, read as v, take
     atom j where v >= cuts[j-1] = (w_0 + ... + w_{j-1}) 2^bits.
-    A lattice of more than _NODE_CAP nodes is counted, not laid out: the float kernel needs none."""
-    q = env.lattice_q
-    if env.kind != "atoms" or q is None:
+    A lattice `_lattice` refuses, past its node cap, is not laid out: the float kernel needs none."""
+    q = env.lattice_q  # None for a Gaussian law too
+    if q is None:
         return None
     bits = next((b for b in range(1, 9) if np.all(np.ldexp(env.atom_w, b) % 1 == 0)), None)
-    if bits is None or _atom_nodes(q, 1.0 / q, *tube.extent(), x0)[3] > _NODE_CAP:
+    if bits is None:
         return None
-    *lattice, whole = _lattice(env, tube, x0, 1.0 / q)
-    if not whole:
+    try:
+        *lattice, whole = _lattice(env, tube, x0, 1.0 / q)
+    except ValueError:  # more nodes than an atom pass may hold, refused before any is laid out
         return None
-    return *lattice, np.ldexp(np.cumsum(env.atom_w)[:-1], bits).astype(int).tolist(), bits
+    return (*lattice, np.ldexp(np.cumsum(env.atom_w)[:-1], bits).astype(int).tolist(), bits) if whole else None
 
 
 def _node_workspace(law, particles: int, length: int):

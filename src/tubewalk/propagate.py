@@ -51,8 +51,10 @@ rescaling, death and totals on demand, on one of three states:
   so log p moves by an ulp or so against the step loop.
 
 An atom pass lays its nodes out by `_lattice`, on the law's own lattice
-where it has one.  `config.validate` sizes passes by this module's byte
-counts.  It imports no tubewalk module but `results`.
+where it has one.  The sizing functions of the passes (`quench_dp.pass_sizes`,
+`gamma.batch_sizes`) count what a pass holds by this module's layouts and
+byte counts, which `config.validate` checks against MEMORY_BUDGET.  It
+imports no tubewalk module but `results`.
 """
 
 from __future__ import annotations
@@ -77,12 +79,12 @@ if TYPE_CHECKING:
 # by batched calls with a fixed per-call cost (tens of numpy calls holding
 # the interpreter lock), so a block is not made smaller.
 _FFT_BLOCK_ENTRIES = 2**16
-# Bytes one run may hold (runs are sequential; `config.validate` sizes each
-# run against them), and the bytes of a float.
-_MEMORY_BUDGET, _FLOAT_BYTES = 2**30, 8
+# Bytes one run may hold (runs are sequential, and `config.validate` sizes
+# each against them), and the bytes of a float.
+MEMORY_BUDGET, _FLOAT_BYTES = 2**30, 8
 # Basis entries that `_run_bytes` counts beside the dense cut operator, a
 # bound the closed-form operator (`_cut_operator`) stays under; the memory
-# caps `config.validate` sets from `_run_bytes` rest on it.
+# caps set from `_run_bytes` (`gamma.batch_sizes`) rest on it.
 _BASIS_ENTRIES = 2**16
 _AMPLITUDE_FLOOR = 1e-17
 # The mass total below which `_scaled_pass` rescales a row by a power of two,
@@ -108,7 +110,7 @@ _TABLE_ENTRIES = 2**17  # entries of the block route's table of _BLOCK steps, at
 # runs on rows of 1.0e5-4.1e5 entries, taps steps on tubes 400 wide; 14-16
 # where the band step runs on rows that are mostly padding).
 _NODE_BYTES, _TAP_BYTES, _GRID_NODE_BYTES = 32, 48, 48
-_NODE_CAP = _MEMORY_BUDGET // _NODE_BYTES
+_NODE_CAP = MEMORY_BUDGET // _NODE_BYTES
 # An atom p lies on (1/q)Z when p*q is this close to a whole number; the exact
 # DP rounds its moves there (`_lattice`), so a lattice is declared by this one
 # rule (`env`).
@@ -171,8 +173,8 @@ def _off_node(moves: np.ndarray) -> float:
 def _atom_nodes(q: int | None, dx: float, lo: float, up: float, x0: float) -> tuple[float, float, int, int]:
     """(num, den, jlo, count): an atom pass of spacing dx from x0 lays the `count` nodes x0 + j*num/den,
     j >= jlo, over [lo, up] and one past each end; the law's own lattice, dx == 1/q, as j/q for the DP's
-    bits (j*(1/q) can miss j/q).  Scalar arithmetic: `_lattice` lays these nodes out, and `mc._bit_law`
-    and `config` count them, all against _NODE_CAP."""
+    bits (j*(1/q) can miss j/q).  Scalar arithmetic: `_lattice` lays these nodes out, and
+    `quench_dp.pass_sizes` counts them."""
     num, den = (1.0, q) if q is not None and dx == 1.0 / q else (dx, 1.0)
     jlo = int(math.ceil((lo - x0) * den / num)) - 1
     return num, den, jlo, int(math.floor((up - x0) * den / num)) + 2 - jlo
@@ -227,7 +229,7 @@ def _band_modes(s: float, n: int) -> int:
     monotonically from mode 0 to the top mode n // 2, so its last kept mode
     is found by bisection; the strongest alias is l = -1 at the top mode, and
     when it clears the floor the band is every mode.  Scalar arithmetic
-    only, so `config.validate` can size the band without allocating it.
+    only, so a pass is sized without allocating its band.
     """
     top = n // 2
 
@@ -250,8 +252,9 @@ def _band_modes(s: float, n: int) -> int:
 def _kernel_layout(sd: float, max_drift: float, dx: float, points: int) -> tuple[int, int, int]:
     """Reach in nodes, padded row length n and band K = `_band_modes(sd/dx,
     n)` of a Gaussian pass on `points` nodes of spacing dx whose N(d, sd^2)
-    steps keep |d| <= `max_drift`.  Scalar arithmetic only, so
-    `config.validate` can size a pass without allocating it.
+    steps keep |d| <= `max_drift`.  Scalar arithmetic only: the Gaussian
+    grid (`quench_dp`) and gamma lay their passes out by it, and their
+    sizing functions size them by it without allocating them.
     """
     reach = math.ceil((8.0 * sd + max_drift) / dx) + 1
     n = _fast_len(points + reach)

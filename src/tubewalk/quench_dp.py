@@ -37,9 +37,9 @@ import math
 import numpy as np
 
 from .env import EnvRealization
-from .propagate import _BandRows, _MassRow, _band_pass, _bin_masses, _blocks, _check_span, _end_nodes, _gauss_kernels
-from .propagate import _grid_spacing, _kept, _kernel_layout, _lattice, _log_mass, _ranges, _require_open_start
-from .propagate import _scaled_pass, _shift_kernels
+from .propagate import _GRID_NODE_BYTES, _NODE_BYTES, _TAP_BYTES, _BandRows, _MassRow, _atom_nodes, _band_pass
+from .propagate import _bin_masses, _blocks, _check_span, _end_nodes, _gauss_kernels, _grid_spacing, _kept
+from .propagate import _kernel_layout, _lattice, _log_mass, _ranges, _require_open_start, _scaled_pass, _shift_kernels
 from .results import (
     METHOD_BRUTE_FORCE,
     METHOD_DP_LATTICE,
@@ -242,6 +242,33 @@ def survival_grid(
     if roundoff or roundoff_half:
         flags += ("grid_roundoff",)
     return from_log(log_p, METHOD_GRID, work + work_half, refine_delta_log=float(delta), flags=flags)
+
+
+def pass_sizes(spec, tube: TubeSpec, starts, method: str, grid_points: int) -> list:
+    """What the pass of `method` ("dp" or "grid") holds on `tube` for the law of `spec`, as
+    (count, bytes a unit, unit, where), without laying it out.
+
+    A Gaussian grid pass: the taps of its step kernel and its padded row, by the
+    `_kernel_layout` `_grid_passes` takes, at 8 sigma_a for the largest |step mean|.  An
+    atom pass: the most nodes `_lattice` lays out from any of `starts` (`_atom_nodes`), on
+    the law's own lattice for the DP and at `_grid_spacing` for the grid.  The DP holds
+    nothing off every lattice: it refuses the law.  Scalar arithmetic only.
+    """
+    q, (lo, up), gauss = spec.lattice_q, tube.extent(), spec.family == "random_mean_gaussian"
+    if method == "dp" and (gauss or q is None):
+        return []
+    try:  # a bound, a span or a reach past a float's range is far over the budget
+        dx = 1.0 / q if method == "dp" else _grid_spacing(spec, up - lo, grid_points)
+        if gauss:
+            reach, length, _ = _kernel_layout(spec.tau, 8.0 * spec.sigma_a, dx, grid_points)
+        else:
+            nodes = max(_atom_nodes(q, dx, lo, up, x)[3] for x in starts)
+    except (OverflowError, ValueError):
+        reach = length = nodes = math.inf
+    if gauss:
+        return [(2 * reach + 1, _TAP_BYTES, "tap", " in the grid's step kernel"),
+                (length, _GRID_NODE_BYTES, "node", " in the grid's padded row")]
+    return [(nodes, _NODE_BYTES, "node", f" in the {'exact DP' if method == 'dp' else 'grid'}'s atom pass")]
 
 
 def survival_start_sweep(

@@ -22,7 +22,7 @@ from . import gamma as gamma_mod
 from .env import EnvironmentSpec, moments, sample_environment
 from .mc import survival_naive_mc, survival_splitting
 from .parallel import thread_map
-from .quench_dp import survival_brute_force, survival_dp_lattice, survival_grid, survival_start_sweep
+from .quench_dp import survival_brute_force, survival_dp_lattice, survival_grid
 from .results import Record, SurvivalEstimate
 from .rng import derive_seed
 from .tube import TubeTemplate, predicted_rate
@@ -105,10 +105,11 @@ def run_points(env_spec: EnvironmentSpec, tube_template: TubeTemplate, n_list, r
 
     Task ``idx`` builds the tube for ``n_list[idx]``, takes its environment
     from `task_environment` (``env_seed`` defaults to ``seed``) and calls
-    ``run(env, tube, x0, seed=derive_seed(seed, 13, idx))``.  It starts at
-    ``x0`` (the tube's default start when None) or, with ``sweep_starts``,
-    at each point of `survival_start_sweep`, which gives as many points for
-    the n.  The tasks run in order, through the plain map `thread_map`.
+    ``run(env, tube, x0, seed=derive_seed(seed, 13, idx))`` at each start of
+    `TubeSpec.run_starts`: ``x0`` (the tube's default start when None) or,
+    with ``sweep_starts``, the start sweep's points, which give as many
+    points for the n.  The tasks run in order, through the plain map
+    `thread_map`.
     """
     n_list = [int(n) for n in n_list]
     env_seed = seed if env_seed is None else env_seed
@@ -119,13 +120,8 @@ def run_points(env_spec: EnvironmentSpec, tube_template: TubeTemplate, n_list, r
         tube = tube_template.make(n)
         env = shared if shared_env else task_environment(env_spec, tube_template, n_list, idx, env_seed, False)
         est_seed = derive_seed(seed, 13, idx)
-        estimate = lambda e, t, start: run(e, t, start, seed=est_seed)
-        if sweep_starts:
-            starts = survival_start_sweep(env, tube, estimate)
-        else:
-            start = tube.default_x0() if x0 is None else x0
-            starts = [(start, estimate(env, tube, start))]
-        return [RunPoint(n=n, f_offset=tube.f_offset, x0=x, estimate=est) for x, est in starts]
+        return [RunPoint(n=n, f_offset=tube.f_offset, x0=x, estimate=run(env, tube, x, seed=est_seed))
+                for x in tube.run_starts(x0, sweep_starts)]
 
     return [p for points in thread_map(one, range(len(n_list))) for p in points]
 
@@ -149,12 +145,18 @@ class CheckReport(Record):
     flags: tuple[str, ...] = ()
 
 
+def resolve_method(method: str, law) -> str:
+    """The estimator `method` runs on the law of `law` (a realisation or its spec):
+    ``auto`` is the exact DP on a lattice law and the grid otherwise."""
+    return method if method != "auto" else "dp" if law.lattice_q is not None else "grid"
+
+
 def make_estimator(method: str = "auto", *, replicas: int = 100_000, particles: int = 10_000,
                    checkpoints: int = 20, grid_points: int = 400, **unknown):
     """Estimator closure (env, tube, x0, seed) -> SurvivalEstimate.
 
     ``auto`` picks the exact DP for lattice environments and grid
-    propagation otherwise.  Monte Carlo methods take their effort from
+    propagation otherwise (`resolve_method`).  Monte Carlo methods take their effort from
     ``replicas`` (naive), ``particles`` and ``checkpoints`` (splitting);
     the grid takes ``grid_points``.  These defaults are the config's
     (`config.validate` reads them from this signature).
@@ -166,9 +168,7 @@ def make_estimator(method: str = "auto", *, replicas: int = 100_000, particles: 
     replicas, particles, checkpoints, grid_points = map(int, (replicas, particles, checkpoints, grid_points))
 
     def run(env, tube, x0, seed=0):
-        kind = method
-        if kind == "auto":
-            kind = "dp" if (env.kind == "atoms" and env.lattice_q is not None) else "grid"
+        kind = resolve_method(method, env)
         if kind == "dp":
             return survival_dp_lattice(env, tube, x0)
         if kind == "grid":

@@ -159,6 +159,11 @@ class TubeSpec(Record):
             xs[points // 2] = self.default_x0()
         return xs
 
+    def run_starts(self, x0: float | None = None, sweep: bool = False) -> list[float]:
+        """The starts a run takes: every `start_points()` with `sweep`, else `x0`,
+        or `default_x0()` when it is None."""
+        return self.start_points().tolist() if sweep else [self.default_x0() if x0 is None else x0]
+
     def default_x0(self) -> float:
         """Midpoint start: centre of the start window, else of (g(0), h(0))."""
         if self.start_window is not None:

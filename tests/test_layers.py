@@ -1,7 +1,7 @@
 """Module layering and the docs' names: every private name one tubewalk module
-reads from another comes from `propagate`, and every backticked private
-``module._name`` in the README and the sources names an attribute of that
-module."""
+reads from another comes from `propagate`, `config` reads none, and every
+backticked private ``module._name`` in the README and the sources names an
+attribute of that module."""
 
 import ast
 import importlib
@@ -12,15 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tubewalk"
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
 
-# `config` sizes each run from byte counts and layouts that live beside the
-# estimators they size; ROADMAP item 8 (one plan per pass) moves them.
-ALLOWED = {
-    ("config", "env", "_ATOM_BYTES"),
-    ("config", "env", "_STEP_BYTES"),
-    ("config", "gamma", "_REPLICA_BATCH"),
-    ("config", "gamma", "_layout"),
-    ("config", "mc", "_PATH_BYTES"),
-}
+# Private reads from a module other than `propagate`: none.
+ALLOWED = set()
 
 
 def _private(name: str) -> bool:
@@ -49,6 +42,11 @@ def _private_reads(module: str) -> list[tuple[str, str, str]]:
 def test_private_names_come_from_propagate():
     reads = {read for module in MODULES for read in _private_reads(module) if read[1] != "propagate"}
     assert reads == ALLOWED
+
+
+def test_config_reads_no_private_name():
+    # it sizes each run by the public sizing functions of the modules that lay the passes out
+    assert _private_reads("config") == []
 
 
 def test_propagate_imports_only_results():

@@ -7,7 +7,8 @@ import pytest
 import tubewalk as tw
 import tubewalk.mc as mc
 import tubewalk.propagate as propagate
-from tubewalk.config import _PATH_BYTES, load_builtin, validate
+from tubewalk.config import load_builtin, validate
+from tubewalk.mc import _PATH_BYTES
 from tubewalk.quench_dp import xi_log_factor
 from tubewalk.rate import make_estimator
 from tubewalk.rng import STREAM_SPLIT, derive_seed, substream
@@ -383,15 +384,15 @@ def test_splitting_memory_within_the_validated_bytes(case):
 
 
 def test_bit_law_counts_its_nodes_before_laying_them_out(monkeypatch):
-    # the lattice kernel lays the DP's nodes out, at most quench_dp._NODE_CAP of
-    # them: past the cap (made small here) `_bit_law` lays none out, and
-    # splitting takes the float kernel
+    # the lattice kernel lays the DP's nodes out, at most propagate._NODE_CAP of
+    # them: past the cap (made small here) `_lattice` refuses before laying any
+    # out, `_bit_law` lays none out, and splitting takes the float kernel
     env = tw.sample_environment(tw.EnvironmentSpec.rademacher(), 1, seed=1)
     tube = tw.TubeSpec(g=-500000.0, h=500000.0, alpha=0.3, n=1)
     nodes = propagate._atom_nodes(1, 1.0, *tube.extent(), 0.5)[3]  # 1000002 nodes, 8 MB
-    monkeypatch.setattr(mc, "_NODE_CAP", nodes)
+    monkeypatch.setattr(propagate, "_NODE_CAP", nodes)
     assert len(mc._bit_law(env, tube, 0.5)[0]) == nodes
-    monkeypatch.setattr(mc, "_NODE_CAP", nodes - 1)
+    monkeypatch.setattr(propagate, "_NODE_CAP", nodes - 1)
     tracemalloc.start()
     try:
         law = mc._bit_law(env, tube, 0.5)

@@ -10,7 +10,7 @@ from scipy.special import ndtr
 
 import tubewalk as tw
 from tubewalk import config as tw_config
-from tubewalk import propagate, quench_dp
+from tubewalk import propagate, quench_dp, rate
 from tubewalk.quench_dp import xi_log_factor
 from tubewalk.rng import derive_seed
 
@@ -1351,3 +1351,65 @@ def test_lattice_refuses_a_node_past_the_cap():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _sized_and_laid(monkeypatch, name, sets, layout):
+    """Each (n, start) of a validated builtin run: what `quench_dp.pass_sizes` sizes there, and
+    the `layout` results (`_lattice` or `_kernel_layout`, spied) its passes take."""
+    cfg = tw_config.validate(tw_config.apply_overrides(tw_config.load_builtin(name), sets))
+    method = rate.resolve_method(cfg.estimator["method"], cfg.env_spec)
+    sized = {}
+    for n in cfg.n_list:
+        tube = cfg.template.make(n)
+        for x in tube.run_starts(cfg.x0, cfg.sweep_starts):
+            sized[n, x] = quench_dp.pass_sizes(cfg.env_spec, tube, [x], method, cfg.estimator["grid_points"])
+    laid, real, starts = {}, getattr(quench_dp, layout), {}
+
+    def spy(*args):
+        out = real(*args)
+        laid.setdefault(starts["now"], []).append(out)
+        return out
+
+    def run(env, tube, x0, seed):
+        starts["now"] = (tube.n, x0)
+        return estimate(env, tube, x0, seed=seed)
+
+    estimate = rate.make_estimator(**cfg.estimator_params)
+    monkeypatch.setattr(quench_dp, layout, spy)
+    rate.run_points(cfg.env_spec, cfg.template, cfg.n_list, run, seed=cfg.seed, x0=cfg.x0, sweep_starts=cfg.sweep_starts)
+    return sized, laid
+
+
+_OFF_LATTICE_ATOMS = "environment.atoms=[[-0.7071067811865476,0.5],[0.7071067811865476,0.5]]"
+
+
+@pytest.mark.parametrize(
+    "name, sets",
+    [
+        ("degenerate-rademacher", []),
+        ("degenerate-rademacher", ["estimator.method=grid"]),
+        ("degenerate-rademacher", [_OFF_LATTICE_ATOMS, "estimator.method=auto"]),
+        ("random-shift-bernoulli", []),
+        ("random-shift-bernoulli", ["estimator.method=grid"]),
+        ("random-shift-bernoulli", ["tube.sweep_starts=true", "tube.n_list=[200,400,800]"]),
+        ("random-mean-gaussian", [_OFF_LATTICE_ATOMS, "environment.family=degenerate", "tube.x0=0.1"]),
+    ],
+)
+def test_pass_sizes_count_the_nodes_the_atom_pass_lays_out(monkeypatch, name, sets):
+    # the count validation sizes at each n and start is the node count `_lattice` lays
+    # out there (the grid's finer pass, where an off-lattice law runs two)
+    sized, laid = _sized_and_laid(monkeypatch, name, sets, "_lattice")
+    assert sized.keys() == laid.keys()
+    for key, ((count, unit_bytes, unit, _),) in sized.items():
+        assert (unit_bytes, unit) == (propagate._NODE_BYTES, "node")
+        assert count == max(len(lattice[0]) for lattice in laid[key])
+
+
+def test_pass_sizes_bound_the_gaussian_layout(monkeypatch):
+    # validation sizes the Gaussian grid at 8 sigma_a for the largest |step mean|:
+    # at every n, at least the reach and padded row its passes lay out
+    sized, laid = _sized_and_laid(monkeypatch, "random-mean-gaussian", [], "_kernel_layout")
+    assert sized.keys() == laid.keys()
+    for key, ((taps, *_), (row, *_)) in sized.items():
+        assert all(2 * reach + 1 <= taps and length <= row for reach, length, _ in laid[key])
+
