@@ -161,8 +161,6 @@ class EnvironmentSpec(Record):
                 raise InvalidSpecError("random_mean_gaussian needs sigma_a >= 0")
             if self.tau is None or self.tau <= 0:
                 raise InvalidSpecError("random_mean_gaussian needs tau > 0 (sigma_q_sq > 0)")
-            if self.lattice_q is not None:
-                raise InvalidSpecError("random_mean_gaussian steps lie on no lattice: lattice_q must be None")
 
     @classmethod
     def degenerate(cls, atoms, xi_scale: float = 1.0) -> "EnvironmentSpec":
@@ -185,8 +183,8 @@ class EnvironmentSpec(Record):
     @property
     def is_lattice(self) -> bool:
         """True when every reachable step law has atoms on a common lattice, (1/lattice_q)Z: a
-        random shift always, a degenerate law where its atoms are, a Gaussian law never."""
-        return self.lattice_q is not None
+        random shift always (its lattice_q is always set), a degenerate law where its atoms are."""
+        return self.family != "random_mean_gaussian" and self.lattice_q is not None
 
 
 def moments(spec: EnvironmentSpec) -> tuple[float, float]:

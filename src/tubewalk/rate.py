@@ -148,7 +148,9 @@ class CheckReport(Record):
 def resolve_method(method: str, law) -> str:
     """The estimator `method` runs on the law of `law` (a realisation or its spec):
     ``auto`` is the exact DP on a lattice law and the grid otherwise."""
-    return method if method != "auto" else "dp" if law.lattice_q is not None else "grid"
+    if method != "auto":
+        return method
+    return "dp" if law.lattice_q is not None else "grid"
 
 
 def make_estimator(method: str = "auto", *, replicas: int = 100_000, particles: int = 10_000,
