@@ -106,7 +106,8 @@ def _layout(dt: float, grid_points: int, barrier_correction: bool = True, max_dr
     sd = math.sqrt(dt)
     half = 0.5 - (BARRIER_SHIFT * sd if barrier_correction else 0.0)
     if half <= 0:
-        raise ValueError(f"dt must be < {(0.5 / BARRIER_SHIFT) ** 2:.6g} (the barrier correction 0.5826 sqrt(dt) must stay inside the tube half-width 1/2), got {dt}")
+        raise ValueError(f"dt must be < {(0.5 / BARRIER_SHIFT) ** 2:.6g} (the barrier correction 0.5826 sqrt(dt) "
+                         f"must stay inside the tube half-width 1/2), got {dt}")
     dx = (2.0 * half / grid_points - half) + half  # the spacing np.linspace(-half, half, .) gives
     _, n, band = _kernel_layout(sd, max_drift, dx, grid_points)
     return half, dx, n, band

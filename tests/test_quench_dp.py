@@ -1364,6 +1364,7 @@ def _sized_and_laid(monkeypatch, name, sets, layout):
         for x in tube.run_starts(cfg.x0, cfg.sweep_starts):
             sized[n, x] = quench_dp.pass_sizes(cfg.env_spec, tube, [x], method, cfg.estimator["grid_points"])
     laid, real, starts = {}, getattr(quench_dp, layout), {}
+    estimate = rate.make_estimator(**cfg.estimator_params)
 
     def spy(*args):
         out = real(*args)
@@ -1374,7 +1375,6 @@ def _sized_and_laid(monkeypatch, name, sets, layout):
         starts["now"] = (tube.n, x0)
         return estimate(env, tube, x0, seed=seed)
 
-    estimate = rate.make_estimator(**cfg.estimator_params)
     monkeypatch.setattr(quench_dp, layout, spy)
     rate.run_points(cfg.env_spec, cfg.template, cfg.n_list, run, seed=cfg.seed, x0=cfg.x0, sweep_starts=cfg.sweep_starts)
     return sized, laid
@@ -1392,6 +1392,7 @@ _OFF_LATTICE_ATOMS = "environment.atoms=[[-0.7071067811865476,0.5],[0.7071067811
         ("random-shift-bernoulli", []),
         ("random-shift-bernoulli", ["estimator.method=grid"]),
         ("random-shift-bernoulli", ["tube.sweep_starts=true", "tube.n_list=[200,400,800]"]),
+        # the Gaussian builtin's tubes, on an atom law
         ("random-mean-gaussian", [_OFF_LATTICE_ATOMS, "environment.family=degenerate", "tube.x0=0.1"]),
     ],
 )
